@@ -1,17 +1,28 @@
-"""Exact per-mode solution of the div-curl system in the exterior of a disk.
+"""Exact solution of the div-curl system in the exterior of a disk, all modes at once.
 
 The velocity field with prescribed divergence rho, vorticity w, Dirichlet
-trace g on the circle r = r0 and constant far-field v_inf is assembled mode
-by mode.  For k >= 1 the radial/angular profiles are
+trace g on the circle r = r0 and constant far-field v_inf is assembled from
+two kernel tables per mode (quadrature.ScaledIntegrals).  For k != 0, with
+m = |k| and sigma = sign(k),
 
-    v_r,k(r)   = (i r^{-k-1}/2) A(r) + (i r^{k-1}/2) B(r) + i alpha_k r^{-k-1} + v_r,k^inf
-    v_phi,k(r) = (  r^{-k-1}/2) A(r) - (  r^{k-1}/2) B(r) +   alpha_k r^{-k-1} + v_phi,k^inf
+    a_k(r) = r^{-m-1} int_{r0}^r  s^{m+1} (w_k - i sigma rho_k) ds
+    b_k(r) = r^{m-1}  int_r^inf   s^{1-m} (w_k + i sigma rho_k) ds
+    v_r,k   = (i sigma / 2) (a_k + b_k) + i sigma d_k (r0/r)^{m+1} + v_r,k^inf
+    v_phi,k =           (a_k - b_k) / 2 +         d_k (r0/r)^{m+1} + v_phi,k^inf
 
-with A(r) the inner integral of s^{k+1} (w_k - i rho_k), B(r) the outer
-integral of s^{-k+1} (w_k + i rho_k), and alpha_k = r0^{k+1} (g_phi,k - i g_r,k) / 2.
-Negative modes are obtained by solving the conjugated positive-mode problem,
-which for real data reduces to v_{-k} = conj(v_k).  All integrals to infinity
-are exact under the compact-support contract of RadialGrid.
+with d_k = (g_phi,k - i sigma g_r,k) / 2, so alpha_k = r0^{m+1} d_k.  For
+k < 0 this is the conjugated positive-mode problem written out; for real
+data v_{-k} = conj(v_k).  Mode 0 has power 1 only and keeps the plain
+cumulative integrals:
+
+    v_r,0 = (int_{r0}^r s rho_0 ds + r0 g_r,0) / r,   v_phi,0 likewise with w_0, g_phi,0.
+
+The scaled tables never form r^{+-k}: every factor is a ratio of radii at
+most 1 inside a kernel block, and a block ends before (|k|+1) log(s_end /
+s_start) exceeds 300, so nothing overflows at high modes and large rmax.
+The mode-k moment integral is b_k(r0), which gives the moment report for
+free.  All integrals to infinity are exact under the compact-support
+contract of RadialGrid.
 """
 
 from __future__ import annotations
@@ -22,11 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BoundaryTrace, RadialGrid, SpectralField, _frozen_array
-from .quadrature import cumulative
+from .quadrature import ScaledIntegrals, cumulative, scaled_integrals
 
 __all__ = [
     "FarField",
     "ModeSolution",
+    "ModeTerms",
     "VelocitySolution",
     "DiskProblem",
     "vinf_coefficients",
@@ -72,9 +84,100 @@ def alpha_coefficient(g: BoundaryTrace, r0: float, k: int) -> complex:
     return 0.5 * r0 ** (k + 1) * (g.coeff_phi(k) - 1j * g.coeff_r(k))
 
 
+_SAMPLE_BLOCK = 2048  # points per sampling block: (2K+1) x 2048 temporaries
+
+
+@dataclass(frozen=True)
+class ModeTerms:
+    """Mode profiles as combinations of the two kernel tables, one row per mode.
+
+    Row i holds mode ks[i].  For each component c (0: v_r, 1: v_phi)
+
+        v_c(r) = coef[c, 0] a(r) + coef[c, 1] b(r) + coef[c, 2] (r0/r)^{|k|+1} + coef[c, 3]
+
+    where a is the scaled prefix kernel (power |k|+1) and b the scaled suffix
+    kernel (power |k|-1) of the row's integrands.  Mode 0 has power 1 only:
+    its kernel rows carry zero coefficients, and its integrals are the plain
+    prefix integrals zero[c] (CumulativeIntegral or None), added as zero[c](r) / r.
+    """
+
+    ks: np.ndarray
+    r0: float
+    inner: ScaledIntegrals
+    outer: ScaledIntegrals
+    coef: np.ndarray
+    zero: tuple = (None, None)
+
+    def row(self, i: int) -> "ModeTerms":
+        rows = slice(i, i + 1)
+        zero = self.zero if self.ks[i] == 0 else (None, None)
+        return ModeTerms(self.ks[rows], self.r0, self.inner.rows(rows), self.outer.rows(rows),
+                         self.coef[:, :, rows], zero)
+
+    def _decay(self, r, rows=slice(None)):
+        return np.exp(np.multiply.outer(np.abs(self.ks[rows]) + 1.0, np.log(self.r0 / r)))
+
+    def at_nodes(self):
+        """Node profiles (v_r, v_phi), each of shape (rows, nodes)."""
+        nodes = self.inner.nodes
+        decay = self._decay(nodes)
+        out = []
+        for c, integral in zip(self.coef, self.zero):
+            x = c[0, :, None] * self.inner.table
+            x += c[1, :, None] * self.outer.table
+            x += c[2, :, None] * decay
+            x += c[3, :, None]
+            if integral is not None:
+                x[self.ks == 0] += integral.prefix / nodes
+            out.append(x)
+        return tuple(out)
+
+    def at(self, r, *mixes):
+        """Per-mode values of mu_r v_r + mu_phi v_phi at radii r (1-D), one array per mix.
+
+        Each kernel table is evaluated only on the range of rows where some
+        mix has a nonzero coefficient for it.
+        """
+        coefs = [mu_r * self.coef[0] + mu_phi * self.coef[1] for mu_r, mu_phi in mixes]
+        out = [np.zeros((len(self.ks), r.size), dtype=complex) for _ in coefs]
+        for t, evaluate in ((0, self.inner.at), (1, self.outer.at), (2, self._decay)):
+            used = np.flatnonzero(np.any([c[t] != 0 for c in coefs], axis=0))
+            if used.size:
+                rows = slice(used[0], used[-1] + 1)
+                values = evaluate(r, rows)
+                for x, c in zip(out, coefs):
+                    x[rows] += c[t, rows, None] * values
+        for x, c, mix in zip(out, coefs, mixes):
+            x += c[3, :, None]
+            for mu, integral in zip(mix, self.zero):
+                if mu and integral is not None:
+                    x[self.ks == 0] += mu * integral.at(r, extend=True) / r
+        return out
+
+
+def _blocks(count):
+    return (slice(i, min(i + _SAMPLE_BLOCK, count)) for i in range(0, count, _SAMPLE_BLOCK))
+
+
+def _mode_sum(values, phi, shift=0):
+    """sum over rows k = -K..K of values[k + K] e^{i (k + shift) phi}."""
+    K = (len(values) - 1) // 2
+    unit = np.exp(1j * phi)
+    phases = np.empty_like(values)
+    phases[K] = 1.0
+    phases[K + 1 :] = np.cumprod(np.broadcast_to(unit, (K, unit.size)), axis=0)
+    phases[:K] = np.conj(phases[: K : -1])
+    total = np.einsum("kj,kj->j", values, phases)
+    return total * unit**shift if shift else total
+
+
 @dataclass(frozen=True, repr=False)
 class ModeSolution:
-    """One angular mode of the velocity field, with off-node evaluation."""
+    """One angular mode of the velocity field, with off-node evaluation.
+
+    alpha is the coefficient of r^{-|k|-1} in v_phi,k beyond the kernel terms
+    (the boundary coefficient alpha_k for the direct solver, 0 at k = 0).
+    """
 
     k: int
     v_r: np.ndarray
@@ -83,7 +186,7 @@ class ModeSolution:
     vinf_r: complex
     vinf_phi: complex
     grid: RadialGrid
-    profile_fn: object = field(compare=False)
+    terms: ModeTerms = field(compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v_r", _frozen_array(self.v_r, dtype=complex))
@@ -91,33 +194,56 @@ class ModeSolution:
 
     def profile_at(self, r):
         """(v_r,k(r), v_phi,k(r)) at arbitrary radii inside the grid span."""
-        return self.profile_fn(np.asarray(r, dtype=float))
+        r = np.asarray(r, dtype=float)
+        v_r, v_phi = self.terms.at(r.ravel(), (1.0, 0.0), (0.0, 1.0))
+        return v_r[0].reshape(r.shape), v_phi[0].reshape(r.shape)
 
     def __repr__(self):
         return f"ModeSolution(k={self.k}, alpha={self.alpha})"
 
 
-def _mode_from_evaluator(k, grid, alpha, vinf_r, vinf_phi, evaluator) -> ModeSolution:
-    v_r, v_phi = evaluator(grid.nodes)
-    return ModeSolution(k, v_r, v_phi, alpha, vinf_r, vinf_phi, grid, evaluator)
+def _mode_solution(terms: ModeTerms, i: int, v_r, v_phi, far: FarField, grid) -> ModeSolution:
+    k = int(terms.ks[i])
+    alpha = 0.0j if k == 0 else complex(terms.coef[1, 2, i]) * terms.r0 ** (abs(k) + 1)
+    vinf_r, vinf_phi = vinf_coefficients(far, k)
+    return ModeSolution(k, v_r, v_phi, alpha, vinf_r, vinf_phi, grid, terms.row(i))
 
 
-def _solve_positive_mode(k, w_k, rho_k, g_r_k, g_phi_k, vinf_r_k, vinf_phi_k, grid):
-    nodes = grid.nodes
-    inner = cumulative(nodes, nodes ** (k + 1) * (w_k - 1j * rho_k))
-    outer = cumulative(nodes, nodes ** (-k + 1) * (w_k + 1j * rho_k))
-    alpha = 0.5 * grid.r0 ** (k + 1) * (g_phi_k - 1j * g_r_k)
+def _direct_terms(grid: RadialGrid, ks, w, rho, g_r, g_phi, far: FarField) -> ModeTerms:
+    """Kernel terms of the direct solver for the modes ks (data rows w, rho)."""
+    ks = np.asarray(ks)
+    m = np.abs(ks)
+    sigma = np.sign(ks)
+    g_r = np.asarray(g_r, dtype=complex)
+    g_phi = np.asarray(g_phi, dtype=complex)
+    zero = np.flatnonzero(ks == 0)
+    rho_i = 1j * sigma[:, None] * rho
+    inner = scaled_integrals(grid.nodes, w - rho_i, m + 1)
+    outer = scaled_integrals(grid.nodes, w + rho_i, m - 1, suffix=True)
+    del rho_i
+    vinf = np.array([vinf_coefficients(far, int(k)) for k in ks], dtype=complex).T
+    d = 0.5 * (g_phi - 1j * sigma * g_r)
+    half_i = 0.5j * sigma
+    n = len(ks)
+    coef = np.array([[half_i, half_i, 2.0 * half_i * d, vinf[0]],
+                     [np.full(n, 0.5), np.full(n, -0.5), d, vinf[1]]], dtype=complex)
+    # mode 0: v_r,0 = (int s rho_0 + r0 g_r,0) / r and likewise v_phi,0 from w_0
+    zero_integrals = (None, None)
+    for i in zero:
+        coef[:, :, i] = ((0.0, 0.0, g_r[i], 0.0), (0.0, 0.0, g_phi[i], 0.0))
+        zero_integrals = (cumulative(grid.nodes, grid.nodes * rho[i]),
+                          cumulative(grid.nodes, grid.nodes * w[i]))
+    return ModeTerms(ks, grid.r0, inner, outer, coef, zero_integrals)
 
-    def evaluator(r):
-        a = inner.at(r, extend=True)
-        b = outer.suffix_at(r, extend=True)
-        decay = r ** (-k - 1)
-        grow = r ** (k - 1)
-        v_r = 0.5j * decay * a + 0.5j * grow * b + 1j * alpha * decay + vinf_r_k
-        v_phi = 0.5 * decay * a - 0.5 * grow * b + alpha * decay + vinf_phi_k
-        return v_r, v_phi
 
-    return _mode_from_evaluator(k, grid, alpha, vinf_r_k, vinf_phi_k, evaluator)
+def _single_mode(k, w_k, rho_k, g_r_k, g_phi_k, far, grid) -> ModeSolution:
+    if np.shape(w_k) != grid.nodes.shape or np.shape(rho_k) != grid.nodes.shape:
+        raise ValueError("mode profiles must be sampled at every grid node")
+    w_k = np.asarray(w_k, dtype=complex)[None, :]
+    rho_k = np.asarray(rho_k, dtype=complex)[None, :]
+    terms = _direct_terms(grid, [k], w_k, rho_k, [g_r_k], [g_phi_k], far)
+    v_r, v_phi = terms.at_nodes()
+    return _mode_solution(terms, 0, v_r[0], v_phi[0], far, grid)
 
 
 def solve_mode(k: int, w_k, rho_k, g: BoundaryTrace, v: FarField, grid: RadialGrid) -> ModeSolution:
@@ -128,14 +254,7 @@ def solve_mode(k: int, w_k, rho_k, g: BoundaryTrace, v: FarField, grid: RadialGr
     """
     if k < 1:
         raise ValueError("solve_mode handles k >= 1; use solve_mode_zero for k = 0")
-    w_k = np.asarray(w_k, dtype=complex)
-    rho_k = np.asarray(rho_k, dtype=complex)
-    if w_k.shape != grid.nodes.shape or rho_k.shape != grid.nodes.shape:
-        raise ValueError("mode profiles must be sampled at every grid node")
-    vinf_r, vinf_phi = vinf_coefficients(v, k)
-    return _solve_positive_mode(
-        k, w_k, rho_k, g.coeff_r(k), g.coeff_phi(k), vinf_r, vinf_phi, grid
-    )
+    return _single_mode(k, w_k, rho_k, g.coeff_r(k), g.coeff_phi(k), v, grid)
 
 
 def solve_mode_zero(w_0, rho_0, g: BoundaryTrace, grid: RadialGrid) -> ModeSolution:
@@ -145,46 +264,7 @@ def solve_mode_zero(w_0, rho_0, g: BoundaryTrace, grid: RadialGrid) -> ModeSolut
     formula with w and g_phi,0 for v_phi,0.  The r0 factor on the trace terms
     makes the Dirichlet condition exact for any inner radius.
     """
-    nodes = grid.nodes
-    w_0 = np.asarray(w_0, dtype=complex)
-    rho_0 = np.asarray(rho_0, dtype=complex)
-    if w_0.shape != nodes.shape or rho_0.shape != nodes.shape:
-        raise ValueError("mode profiles must be sampled at every grid node")
-    acc_rho = cumulative(nodes, nodes * rho_0)
-    acc_w = cumulative(nodes, nodes * w_0)
-    r0 = grid.r0
-    c_r = r0 * g.coeff_r(0)
-    c_phi = r0 * g.coeff_phi(0)
-
-    def evaluator(r):
-        v_r = (acc_rho.at(r, extend=True) + c_r) / r
-        v_phi = (acc_w.at(r, extend=True) + c_phi) / r
-        return v_r, v_phi
-
-    return _mode_from_evaluator(0, grid, 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, evaluator)
-
-
-def _solve_negative_mode(k, w_k, rho_k, g: BoundaryTrace, v: FarField, grid):
-    """Mode k <= -1 via conjugation: conj(v) of mode -k with conjugated data."""
-    m = -k
-    vinf_r_m, vinf_phi_m = vinf_coefficients(v, m)
-    mirrored = _solve_positive_mode(
-        m,
-        np.conj(np.asarray(w_k, dtype=complex)),
-        np.conj(np.asarray(rho_k, dtype=complex)),
-        np.conj(g.coeff_r(k)),
-        np.conj(g.coeff_phi(k)),
-        vinf_r_m,
-        vinf_phi_m,
-        grid,
-    )
-
-    def evaluator(r):
-        v_r, v_phi = mirrored.profile_at(r)
-        return np.conj(v_r), np.conj(v_phi)
-
-    vinf_r, vinf_phi = vinf_coefficients(v, k)
-    return _mode_from_evaluator(k, grid, np.conj(mirrored.alpha), vinf_r, vinf_phi, evaluator)
+    return _single_mode(0, w_0, rho_0, g.coeff_r(0), g.coeff_phi(0), FarField(), grid)
 
 
 @dataclass(frozen=True)
@@ -227,54 +307,66 @@ class DiskProblem:
 
 @dataclass(frozen=True)
 class VelocitySolution:
-    """Assembled velocity field: one ModeSolution per k in [-K, K]."""
+    """Assembled velocity field for k in [-K, K]: node profiles and their kernel terms.
 
-    modes: tuple
+    v_r and v_phi have shape (2K+1, len(grid)); row k + K holds mode k.
+    """
+
+    terms: ModeTerms = field(compare=False)
+    v_r: np.ndarray = field(compare=False)
+    v_phi: np.ndarray = field(compare=False)
     far_field: FarField
     grid: RadialGrid
     report: object = field(default=None, compare=False)
 
+    def __post_init__(self):
+        for values in (self.v_r, self.v_phi):
+            values.setflags(write=False)
+
     @property
     def K(self) -> int:
-        return (len(self.modes) - 1) // 2
+        return (len(self.terms.ks) - 1) // 2
 
     def mode(self, k: int) -> ModeSolution:
         if abs(k) > self.K:
             raise ValueError(f"mode {k} outside |k| <= {self.K}")
-        return self.modes[k + self.K]
+        i = k + self.K
+        return _mode_solution(self.terms, i, self.v_r[i], self.v_phi[i], self.far_field, self.grid)
 
     def profiles(self):
         """Node-value matrices (v_r, v_phi), shape (2K+1, len(grid))."""
-        v_r = np.stack([m.v_r for m in self.modes])
-        v_phi = np.stack([m.v_phi for m in self.modes])
-        return v_r, v_phi
+        return self.v_r, self.v_phi
 
     def sample_polar(self, r, phi):
         """(v_r, v_phi) mode sums at matching arrays of radii and angles."""
-        r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        r, phi = np.broadcast_arrays(r, phi)
-        v_r = np.zeros(r.shape, dtype=complex)
-        v_phi = np.zeros(r.shape, dtype=complex)
-        for m in self.modes:
-            phase = np.exp(1j * m.k * phi)
-            mr, mphi = m.profile_at(r)
-            v_r += mr * phase
-            v_phi += mphi * phase
-        return v_r, v_phi
+        r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
+        shape = r.shape
+        r, phi = r.ravel(), phi.ravel()
+        v_r = np.empty(r.size, dtype=complex)
+        v_phi = np.empty(r.size, dtype=complex)
+        for block in _blocks(r.size):
+            x_r, x_phi = self.terms.at(r[block], (1.0, 0.0), (0.0, 1.0))
+            v_r[block] = _mode_sum(x_r, phi[block])
+            v_phi[block] = _mode_sum(x_phi, phi[block])
+        return v_r.reshape(shape), v_phi.reshape(shape)
 
     def sample(self, points) -> np.ndarray:
-        """Cartesian velocity v1 + i v2 at complex points (real-valued fields)."""
+        """Cartesian velocity v1 + i v2 at complex points.
+
+        Sums (v_r,k + i v_phi,k) e^{i (k+1) phi}, in which one kernel table
+        per mode cancels: for k > 0 only a_k remains, for k < 0 only b_k.
+        """
         points = np.asarray(points, dtype=complex)
-        r = np.abs(points)
-        phi = np.angle(points)
-        v_r, v_phi = self.sample_polar(r, phi)
-        return (v_r + 1j * v_phi) * np.exp(1j * phi)
+        flat = points.ravel()
+        out = np.empty(flat.size, dtype=complex)
+        for block in _blocks(flat.size):
+            z = flat[block]
+            (values,) = self.terms.at(np.abs(z), (1.0, 1.0j))
+            out[block] = _mode_sum(values, np.angle(z), shift=1)
+        return out.reshape(points.shape)
 
     def boundary_trace(self) -> BoundaryTrace:
-        g_r = np.array([m.v_r[0] for m in self.modes])
-        g_phi = np.array([m.v_phi[0] for m in self.modes])
-        return BoundaryTrace(self.K, g_r, g_phi)
+        return BoundaryTrace(self.K, self.v_r[:, 0], self.v_phi[:, 0])
 
 
 def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySolution:
@@ -282,9 +374,10 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     Incompatible data is solved anyway: the formulas stay evaluable and the
     report quantifies how badly the boundary condition is violated, so the
-    solver warns instead of refusing.
+    solver warns instead of refusing.  The report's mode residuals come from
+    the kernel's b_k(r0), without a second integration.
     """
-    from .moments import moment_report
+    from .moments import _report_from_moments
 
     grid = problem.grid
     w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
@@ -299,16 +392,10 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
             stacklevel=2,
         )
 
-    modes = []
-    for k in range(-problem.K, problem.K + 1):
-        if k == 0:
-            modes.append(solve_mode_zero(w.coeff(0), rho.coeff(0), g, grid))
-        elif k > 0:
-            modes.append(solve_mode(k, w.coeff(k), rho.coeff(k), g, far, grid))
-        else:
-            modes.append(_solve_negative_mode(k, w.coeff(k), rho.coeff(k), g, far, grid))
-
-    report = moment_report(problem, tolerance=warn_tolerance)
+    K = problem.K
+    terms = _direct_terms(grid, np.arange(-K, K + 1), w.coeffs, rho.coeffs, g.g_r, g.g_phi, far)
+    v_r, v_phi = terms.at_nodes()
+    report = _report_from_moments(problem, terms.outer.table[K + 1 :, 0], warn_tolerance)
     if not report.admissible:
         warnings.warn(
             f"data violates the moment conditions (max residual "
@@ -317,4 +404,4 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
             "infinite-energy 1/r tail",
             stacklevel=2,
         )
-    return VelocitySolution(tuple(modes), far, grid, report)
+    return VelocitySolution(terms, v_r, v_phi, far, grid, report)

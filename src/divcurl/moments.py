@@ -11,7 +11,10 @@ and at k = 0 the circulation and flux around the solid must vanish:
 
 reported combined as 2*pi*[(int s w_0 ds + r0 g_phi,0) + i (int s rho_0 ds + r0 g_r,0)].
 Residuals are oriented left minus right, so a pure far-field violation at
-k = 1 reports -(v_phi,1^inf + i v_r,1^inf).
+k = 1 reports -(v_phi,1^inf + i v_r,1^inf).  All mode moments are taken in
+one product with the trapezoid weights times (r0/s)^{k-1} <= 1, so no power
+of a radius overflows; the disk solver reads the same moments off its
+kernel as b_k(r0).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .disk import DiskProblem, FarField, vinf_coefficients
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
-from .quadrature import radial_integral
+from .quadrature import trapezoid_weights
 
 __all__ = [
     "MomentReport",
@@ -71,9 +74,28 @@ class MomentReport:
         return "\n".join(lines) + "\n"
 
 
-def _weighted_moment(grid, w_k, rho_k, k: int) -> complex:
-    integral = radial_integral(grid.nodes, np.asarray(w_k) + 1j * np.asarray(rho_k), power=-k + 1)
-    return grid.r0 ** (k - 1) * integral
+def _weighted_moments(grid, f, ks) -> np.ndarray:
+    """r0^{k-1} int_{r0}^inf s^{-k+1} f_k ds for the rows f_k of f, k in ks."""
+    s = grid.nodes
+    scales = np.exp(np.multiply.outer(np.asarray(ks) - 1.0, np.log(grid.r0 / s)))
+    return np.einsum("kj,kj->k", np.asarray(f, dtype=complex), scales * trapezoid_weights(s))
+
+
+def _mode_residuals(problem: DiskProblem, ks, moments) -> np.ndarray:
+    """Left minus right of the mode conditions ks, given their weighted moments."""
+    ks = np.asarray(ks)
+    g = problem.boundary
+    vinf = np.array([vinf_coefficients(problem.far_field, int(k)) for k in ks],
+                    dtype=complex).reshape(-1, 2)
+    trace = g.g_phi[ks + g.K] + 1j * g.g_r[ks + g.K]
+    return moments + trace - (vinf[:, 1] + 1j * vinf[:, 0])
+
+
+def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> MomentReport:
+    """Report for modes 1..len(moments) from their weighted moments (solve_disk's b_k(r0))."""
+    residuals = np.zeros(len(moments) + 1, dtype=complex)
+    residuals[1:] = _mode_residuals(problem, np.arange(1, len(moments) + 1), moments)
+    return MomentReport(residuals, circulation_flux_residual(problem), tolerance)
 
 
 def moment_residual(k: int, problem: DiskProblem) -> complex:
@@ -83,20 +105,18 @@ def moment_residual(k: int, problem: DiskProblem) -> complex:
                          "k = 0 is circulation_flux_residual")
     if k > problem.K:
         raise ValueError(f"mode {k} outside the resolved band K = {problem.K}")
-    g = problem.boundary
-    vr, vphi = vinf_coefficients(problem.far_field, k)
-    lhs = _weighted_moment(problem.grid, problem.vorticity.coeff(k), problem.divergence.coeff(k), k)
-    lhs += g.coeff_phi(k) + 1j * g.coeff_r(k)
-    return lhs - (vphi + 1j * vr)
+    f = problem.vorticity.coeff(k) + 1j * problem.divergence.coeff(k)
+    return complex(_mode_residuals(problem, [k], _weighted_moments(problem.grid, [f], [k]))[0])
 
 
 def circulation_flux_residual(problem: DiskProblem) -> complex:
     """Combined circulation + i*flux residual of the k = 0 conditions."""
     grid = problem.grid
     g = problem.boundary
-    circ = radial_integral(grid.nodes, problem.vorticity.coeff(0), power=1) + grid.r0 * g.coeff_phi(0)
-    flux = radial_integral(grid.nodes, problem.divergence.coeff(0), power=1) + grid.r0 * g.coeff_r(0)
-    return 2.0 * np.pi * (circ + 1j * flux)
+    weights = trapezoid_weights(grid.nodes) * grid.nodes
+    circ = weights @ problem.vorticity.coeff(0) + grid.r0 * g.coeff_phi(0)
+    flux = weights @ problem.divergence.coeff(0) + grid.r0 * g.coeff_r(0)
+    return complex(2.0 * np.pi * (circ + 1j * flux))
 
 
 def no_slip_orthogonality(k: int, w: SpectralField, rho: SpectralField, v: FarField) -> complex:
@@ -105,12 +125,17 @@ def no_slip_orthogonality(k: int, w: SpectralField, rho: SpectralField, v: FarFi
     return moment_residual(k, problem)
 
 
+def _moments(problem: DiskProblem, K: int) -> np.ndarray:
+    """Weighted moments of the data for the modes k = 1..K."""
+    ks = np.arange(1, K + 1)
+    rows = ks + problem.K
+    f = problem.vorticity.coeffs[rows] + 1j * problem.divergence.coeffs[rows]
+    return _weighted_moments(problem.grid, f, ks)
+
+
 def moment_report(problem: DiskProblem, K: int = None, tolerance: float = 1e-8) -> MomentReport:
     K = problem.K if K is None else K
-    residuals = np.zeros(K + 1, dtype=complex)
-    for k in range(1, K + 1):
-        residuals[k] = moment_residual(k, problem)
-    return MomentReport(residuals, circulation_flux_residual(problem), tolerance)
+    return _report_from_moments(problem, _moments(problem, K), tolerance)
 
 
 def _default_support(grid):
@@ -150,33 +175,33 @@ def admissibility_corrections(
     )
 
     corrections = {}
-    flux = circulation_flux_residual(problem).imag / (2.0 * np.pi)
-    if abs(flux) > skip_below * scale:
+    circ_flux = circulation_flux_residual(problem) / (2.0 * np.pi)
+    if abs(circ_flux.imag) > skip_below * scale:
         warnings.warn(
-            f"flux residual {flux:.3e} depends only on (rho, g_r) and cannot be "
+            f"flux residual {circ_flux.imag:.3e} depends only on (rho, g_r) and cannot be "
             "removed by a vorticity correction; fix the divergence data or the "
             "radial trace",
             stacklevel=2,
         )
 
-    circ = circulation_flux_residual(problem).real / (2.0 * np.pi)
-    if abs(circ) > skip_below * scale:
-        m0 = radial_integral(grid.nodes, bump, power=1).real
+    if abs(circ_flux.real) > skip_below * scale:
+        m0 = float(trapezoid_weights(grid.nodes) @ (grid.nodes * bump))
         if abs(m0) < 1e-14:
             raise ValueError("bump profile has zero circulation moment; choose another support")
-        corrections[0] = complex(-circ / m0)
+        corrections[0] = complex(-circ_flux.real / m0)
 
-    for k in range(1, K_c + 1):
-        res = moment_residual(k, problem)
+    ks = np.arange(1, K_c + 1)
+    residuals = _mode_residuals(problem, ks, _moments(problem, K_c))
+    bump_moments = _weighted_moments(grid, np.broadcast_to(bump, (K_c, bump.size)), ks)
+    for k, res, m_k in zip(ks, residuals, bump_moments):
         if abs(res) <= skip_below * scale:
             continue
-        m_k = _weighted_moment(grid, bump, np.zeros_like(bump), k)
         if abs(m_k) < 1e-14 * max(1.0, float(np.max(bump))):
             raise ValueError(
                 f"bump profile has numerically zero moment for mode {k}; "
                 "choose a support where s^{-k+1} does not cancel it"
             )
-        corrections[k] = -res / m_k
+        corrections[int(k)] = complex(-res / m_k)
     return corrections, bump
 
 

@@ -7,11 +7,21 @@ two-point problem per mode,
 
     psi_k'' + psi_k'/r - k^2 psi_k / r^2 = w_k,
 
-solved in closed form by variation of parameters on the same quadrature
-panels as the direct solver (so the two paths agree to rounding on admissible
-data).  The discarded Neumann condition d(psi)/dn = 0 holds exactly when the
-vorticity satisfies the no-slip orthogonality relations; neumann_defect
-measures the residual slip velocity otherwise.
+solved in closed form by variation of parameters with the disk solver's
+kernel tables (quadrature.ScaledIntegrals) of w, for all modes at once.  For
+k != 0, with m = |k|,
+
+    a_k(r) = r^{-m-1} int_{r0}^r s^{m+1} w_k ds,   b_k(r) = r^{m-1} int_r^inf s^{1-m} w_k ds,
+    psi_k  = -r (a_k + b_k) / (2m) + r0 c_k (r0/r)^m + r v_phi,k^inf,
+    psi_k' = (a_k - b_k) / 2 - m c_k (r0/r)^{m+1} + v_phi,k^inf,
+
+with c_k = b_k(r0) / (2m) - v_phi,k^inf fixed by psi_k(r0) = 0.  Mode 0
+keeps the plain cumulative integrals: psi_0' = (1/r) int_{r0}^r s w_0 ds and
+psi_0 its trapezoid integral.  Every factor is a ratio of radii, so
+nothing overflows at high modes, and the two paths agree to rounding on
+admissible data.  The discarded Neumann condition d(psi)/dn = 0 holds
+exactly when the vorticity satisfies the no-slip orthogonality relations;
+neumann_defect measures the residual slip velocity otherwise.
 """
 
 from __future__ import annotations
@@ -21,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import FarField, VelocitySolution, _mode_from_evaluator, vinf_coefficients
+from .disk import FarField, ModeTerms, VelocitySolution, vinf_coefficients
 from .grids import RadialGrid, SpectralField, _frozen_array
-from .quadrature import cumulative
+from .quadrature import cumulative, scaled_integrals
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
@@ -35,6 +45,8 @@ class StreamFunction:
     Modes k != 0 vanish at r0 so psi is constant on the solid; the constant
     itself is gauged to zero.  psi_1 grows linearly to match the far-field
     stream r * v_phi,1^inf; all other modes decay beyond the data support.
+    velocity_terms are the kernel terms of the skew gradient (-(i k / r) psi_k,
+    psi_k'), which velocity_from_stream evaluates off the nodes.
     """
 
     grid: RadialGrid
@@ -43,7 +55,7 @@ class StreamFunction:
     d_modes: np.ndarray
     far_field: FarField
     boundary_constant: float = 0.0
-    evaluators: tuple = field(default=(), compare=False)
+    velocity_terms: ModeTerms = field(default=None, compare=False)
 
     def __post_init__(self):
         shape = (2 * self.K + 1, len(self.grid))
@@ -59,35 +71,28 @@ class StreamFunction:
     def d_mode(self, k: int) -> np.ndarray:
         return self.d_modes[k + self.K]
 
-    def evaluate(self, k: int, r):
-        """(psi_k(r), psi_k'(r)) at arbitrary radii."""
-        return self.evaluators[k + self.K](np.asarray(r, dtype=float))
 
-
-def _stream_mode(k: int, w_k, vphi_inf: complex, grid: RadialGrid):
-    """Closed-form evaluator r -> (psi_k, psi_k') for k != 0."""
-    m = abs(k)
-    nodes = grid.nodes
-    inner = cumulative(nodes, nodes ** (m + 1) * w_k)
-    outer = cumulative(nodes, nodes ** (-m + 1) * w_k)
-    r0 = grid.r0
-    # decaying homogeneous coefficient from psi_k(r0) = 0
-    b = (r0 ** (2 * m) / (2.0 * m)) * outer.suffix_at(r0) - r0 ** (m + 1) * vphi_inf
-
-    def evaluate(r):
-        p = inner.at(r, extend=True)
-        q = outer.suffix_at(r, extend=True)
-        grow = r**m
-        decay = r**-m
-        psi = -(grow * q + decay * p) / (2.0 * m) + b * decay + r * vphi_inf
-        dpsi = -0.5 * (grow / r * q - decay / r * p) - m * b * decay / r + vphi_inf
-        return psi, dpsi
-
-    return evaluate
+def _velocity_terms(w: SpectralField, v: FarField) -> ModeTerms:
+    """Kernel terms of v_r,k = -(i k / r) psi_k and v_phi,k = psi_k' for every mode."""
+    grid = w.grid
+    ks = np.arange(-w.K, w.K + 1)
+    m = np.abs(ks)
+    inner = scaled_integrals(grid.nodes, w.coeffs, m + 1)
+    outer = scaled_integrals(grid.nodes, w.coeffs, m - 1, suffix=True)
+    vphi_inf = np.array([vinf_coefficients(v, int(k))[1] for k in ks], dtype=complex)
+    c = outer.table[:, 0] / (2.0 * np.maximum(m, 1)) - vphi_inf
+    half_i = 0.5j * np.sign(ks)
+    coef = np.array([[half_i, half_i, -1j * ks * c, -1j * ks * vphi_inf],
+                     [np.full(len(ks), 0.5), np.full(len(ks), -0.5), -m * c, vphi_inf]],
+                    dtype=complex)
+    # mode 0: v_r,0 = 0 and v_phi,0 = psi_0' = (1/r) int s w_0
+    coef[:, :, w.K] = 0.0
+    circulation = cumulative(grid.nodes, grid.nodes * w.coeff(0))
+    return ModeTerms(ks, grid.r0, inner, outer, coef, (None, circulation))
 
 
 def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) -> StreamFunction:
-    """Solve the exterior Poisson problem for psi, one radial problem per mode.
+    """Solve the exterior Poisson problem for psi, all radial problems at once.
 
     Assumes the solenoidal no-slip setting (rho = 0, g = 0).  Vorticity that
     violates the orthogonality relations is solved anyway; the resulting
@@ -96,37 +101,23 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     grid = w.grid
     nodes = grid.nodes
     K = w.K
-    shape = (2 * K + 1, len(grid))
-    psi = np.zeros(shape, dtype=complex)
-    dpsi = np.zeros(shape, dtype=complex)
-    evaluators = [None] * (2 * K + 1)
+    terms = _velocity_terms(w, v)
+    v_r, dpsi = terms.at_nodes()
+    # psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'
+    ks = np.arange(-K, K + 1)
+    psi = v_r
+    psi *= 1j * nodes / np.where(ks == 0, 1, ks)[:, None]
+    psi[K] = cumulative(nodes, dpsi[K]).prefix
 
-    for k in range(-K, K + 1):
-        if k == 0:
-            acc = cumulative(nodes, nodes * w.coeff(0))
-            dpsi0_nodes = acc.prefix / nodes
-            psi0 = cumulative(nodes, dpsi0_nodes)
+    total_circ = terms.zero[1].total
+    if abs(total_circ) > warn_tolerance:
+        warnings.warn(
+            f"total vorticity circulation {abs(total_circ):.3e} is nonzero; "
+            "psi grows logarithmically and the far-field condition fails",
+            stacklevel=2,
+        )
 
-            def evaluate0(r, acc=acc, psi0=psi0):
-                return psi0.at(r, extend=True), acc.at(r, extend=True) / r
-
-            evaluators[K] = evaluate0
-            psi[K] = psi0.prefix
-            dpsi[K] = dpsi0_nodes
-            total_circ = acc.total
-            if abs(total_circ) > warn_tolerance:
-                warnings.warn(
-                    f"total vorticity circulation {abs(total_circ):.3e} is nonzero; "
-                    "psi grows logarithmically and the far-field condition fails",
-                    stacklevel=2,
-                )
-        else:
-            _, vphi_inf = vinf_coefficients(v, k)
-            evaluate = _stream_mode(k, w.coeff(k), vphi_inf, grid)
-            evaluators[k + K] = evaluate
-            psi[k + K], dpsi[k + K] = evaluate(nodes)
-
-    out = StreamFunction(grid, K, psi, dpsi, v, 0.0, tuple(evaluators))
+    out = StreamFunction(grid, K, psi, dpsi, v, 0.0, terms)
     defect = neumann_defect(out)
     if defect > warn_tolerance:
         warnings.warn(
@@ -139,18 +130,9 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
 
 def velocity_from_stream(psi: StreamFunction) -> VelocitySolution:
     """Skew gradient of psi: v_r,k = -(i k / r) psi_k, v_phi,k = psi_k'."""
-    modes = []
-    for k in range(-psi.K, psi.K + 1):
-        vinf_r, vinf_phi = vinf_coefficients(psi.far_field, k)
-
-        def evaluator(r, k=k, ev=psi.evaluators[k + psi.K]):
-            p, dp = ev(r)
-            return -1j * k * p / r, dp
-
-        modes.append(
-            _mode_from_evaluator(k, psi.grid, 0.0 + 0.0j, vinf_r, vinf_phi, evaluator)
-        )
-    return VelocitySolution(tuple(modes), psi.far_field, psi.grid)
+    ks = np.arange(-psi.K, psi.K + 1)
+    v_r = -1j * ks[:, None] * psi.modes / psi.grid.nodes
+    return VelocitySolution(psi.velocity_terms, v_r, psi.d_modes, psi.far_field, psi.grid)
 
 
 def neumann_defect(psi: StreamFunction) -> float:

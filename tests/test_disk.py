@@ -15,7 +15,7 @@ from divcurl.disk import (
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.presets import cylinder_slip_trace, random_admissible_problem
 
-from helpers import brute_force_mode_profiles, cylinder_flow_polar
+from helpers import brute_force_mode_profiles, cylinder_flow_polar, mp_mode_profiles
 
 
 def test_vinf_coefficients_horizontal_flow():
@@ -273,3 +273,68 @@ def test_negative_mode_by_conjugation_for_complex_data(grid):
                                      BoundaryTrace.zeros(2)))
     assert np.allclose(solution.mode(-2).v_r, np.conj(ref.mode(2).v_r))
     assert np.allclose(solution.mode(-2).v_phi, np.conj(ref.mode(2).v_phi))
+
+
+def complex_data_problem(grid, K=4, seed=11):
+    """Complex, non-conjugate-symmetric data in every mode, with a trace and far field."""
+    rng = np.random.default_rng(seed)
+    s = grid.nodes
+    bump = smooth_bump(s, 1.2, 5.0)
+
+    def amplitudes():
+        return rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+
+    w = SpectralField(grid, K, amplitudes()[:, None] * bump)
+    rho = SpectralField(grid, K, amplitudes()[:, None] * bump * s / 3.0)
+    g = BoundaryTrace(K, 0.2 * amplitudes(), 0.2 * amplitudes())
+    return DiskProblem(w, rho, g, FarField(0.4, -0.7))
+
+
+@pytest.fixture(scope="module")
+def complex_solution():
+    grid = RadialGrid.geometric(1.0, 6.0, 241, ratio=1.005)
+    problem = complex_data_problem(grid)
+    with pytest.warns(UserWarning, match="moment conditions"):
+        return problem, solve_disk(problem)
+
+
+def test_cartesian_and_polar_sampling_agree(complex_solution):
+    # sample() sums one kernel table per mode, sample_polar() both tables
+    _, solution = complex_solution
+    rng = np.random.default_rng(12)
+    points = (1.0 + 5.0 * rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
+    v_r, v_phi = solution.sample_polar(np.abs(points), np.angle(points))
+    expected = (v_r + 1j * v_phi) * np.exp(1j * np.angle(points))
+    got = solution.sample(points)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_polar_sampling_at_nodes_equals_profiles(complex_solution):
+    problem, solution = complex_solution
+    nodes = problem.grid.nodes
+    v_r, v_phi = solution.profiles()
+    ks = np.arange(-problem.K, problem.K + 1)
+    phis = np.array([0.0, 0.9, 2.6, 4.4])
+    for j in (0, 1, 57, 120, 239, 240):
+        got_r, got_phi = solution.sample_polar(np.full(phis.shape, nodes[j]), phis)
+        phases = np.exp(1j * np.outer(ks, phis))
+        scale = np.max(np.abs(v_r[:, j])) + np.max(np.abs(v_phi[:, j]))
+        assert np.max(np.abs(got_r - v_r[:, j] @ phases)) <= 1e-13 * scale
+        assert np.max(np.abs(got_phi - v_phi[:, j] @ phases)) <= 1e-13 * scale
+
+
+def test_off_node_profiles_match_the_in_panel_interpolation_rule(complex_solution):
+    problem, solution = complex_solution
+    nodes = problem.grid.nodes
+    rng = np.random.default_rng(13)
+    radii = np.sort(1.0 + 5.0 * rng.random(6))
+    g = problem.boundary
+    vinf = lambda k: vinf_coefficients(problem.far_field, k)
+    for k in range(-problem.K, problem.K + 1):
+        ref_r, ref_phi = mp_mode_profiles(
+            k, nodes, problem.vorticity.coeff(k), problem.divergence.coeff(k),
+            g.coeff_r(k), g.coeff_phi(k), vinf, radii)
+        got_r, got_phi = solution.mode(k).profile_at(radii)
+        scale = max(np.max(np.abs(ref_r)), np.max(np.abs(ref_phi)))
+        assert np.max(np.abs(got_r - ref_r)) <= 1e-13 * scale, k
+        assert np.max(np.abs(got_phi - ref_phi)) <= 1e-13 * scale, k
