@@ -36,7 +36,6 @@ from .moments import (
     make_admissible,
     moment_report,
     moment_residual,
-    no_slip_orthogonality,
 )
 from .norms import (
     far_field_deviation_h1,
@@ -50,12 +49,9 @@ from .conformal import (
     ExteriorProblem,
     ExteriorSolution,
     MapVerificationError,
-    PulledBackProblem,
     identity_map,
     joukowski_map,
-    mapped_moment_residual,
     pullback_problem,
-    pushforward_velocity,
     solve_exterior,
     verify_map,
 )

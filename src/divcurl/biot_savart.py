@@ -195,5 +195,5 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
 
     vhat = _evaluate(z, cells.ravel(), charge, ring, layer,
                      problem.far_field.as_complex, exclusion_radius)
-    out = np.conj(1.0 / m.d_inverse(z)) * vhat
+    out = m.pushforward(z, vhat)
     return complex(out) if scalar else out

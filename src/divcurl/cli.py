@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .biot_savart import biot_savart_disk
-from .conformal import joukowski_map, pushforward_velocity, _weighted_sampler
+from .conformal import ExteriorSolution, identity_map, joukowski_map, _weighted_sampler
 from .disk import DiskProblem, FarField, solve_disk
 from .fieldio import fmt, interpolate_to_polar, load_gridded_samples, write_field_dump
 from .grids import BoundaryTrace, RadialGrid, SpectralField, analyze, equispaced_angles, smooth_bump
@@ -153,7 +153,7 @@ def _build_grid(cfg):
 def _build_map(cfg):
     kind = cfg.get("domain", "kind")
     if kind == "disk":
-        return None
+        return identity_map(_float(cfg, "domain", "r0"))
     if kind == "joukowski":
         try:
             return joukowski_map(_float(cfg, "domain", "c"), _float(cfg, "domain", "r0"))
@@ -183,9 +183,10 @@ def _build_scalar_data(cfg, section, grid, K, m, notes):
     """(SpectralField, disk-frame callable or None) for one data section."""
     preset = _param(cfg, section, "preset", "zero")
     span = grid.rmax - grid.r0
+    mapped = cfg.get("domain", "kind") != "disk"
     if preset == "zero":
         return SpectralField.zeros(grid, K), None
-    if m is not None and preset in ("annular_bump", "mode_bump"):
+    if mapped and preset in ("annular_bump", "mode_bump"):
         notes.append(f"{section}: {preset} interpreted as the Jacobian-weighted "
                      "right-hand side in mapped (disk-frame) coordinates")
     if preset == "annular_bump":
@@ -222,17 +223,15 @@ def _build_scalar_data(cfg, section, grid, K, m, notes):
             return amp * np.exp(-np.abs(p - center) ** 2 / (2.0 * sigma**2)) \
                 * _radial_window(np.abs(p), lo, hi, taper)
 
-        if m is None:
-            fn = lambda r, phi: physical(np.asarray(r) * np.exp(1j * np.asarray(phi)))
-        else:
-            fn = _weighted_sampler(m, physical)
+        fn = _weighted_sampler(m, physical)
+        if mapped:
             notes.append(f"{section}: gaussian_patch interpreted in physical coordinates "
                          "and pulled back with the map Jacobian")
         angles = equispaced_angles(max(4 * K, 2 * K + 1, 64))
         rr, pp = np.meshgrid(grid.nodes, angles, indexing="ij")
         return analyze(grid, fn(rr, pp), K), fn
     if preset == "file":
-        if m is not None:
+        if mapped:
             raise ConfigError(f"[{section}] file ingestion is only supported on disk domains")
         path = _param(cfg, section, "path")
         try:
@@ -287,7 +286,7 @@ def _build_boundary(cfg, K, far, notes):
 
 
 def build_problem(cfg):
-    """Resolve the config into (disk-frame problem, map or None, notes)."""
+    """Resolve the config into (disk-frame problem, map, notes); the disk is the identity map."""
     notes = []
     grid = _build_grid(cfg)
     m = _build_map(cfg)
@@ -298,7 +297,8 @@ def build_problem(cfg):
     w, w_fn = _build_scalar_data(cfg, "vorticity", grid, K, m, notes)
     rho, rho_fn = _build_scalar_data(cfg, "divergence", grid, K, m, notes)
     g = _build_boundary(cfg, K, far, notes)
-    if m is not None and _param(cfg, "boundary", "preset", "zero") != "zero":
+    mapped = cfg.get("domain", "kind") != "disk"
+    if mapped and _param(cfg, "boundary", "preset", "zero") != "zero":
         notes.append("boundary: trace specified in mapped (disk-frame) coordinates")
 
     if _bool(cfg, "solve", "make_admissible"):
@@ -345,11 +345,11 @@ def _report_header(cfg, notes):
     return lines
 
 
-def _dump_field(cfg, solution, m, out_dir, notes):
+def _dump_field(cfg, field, out_dir, notes):
     mode = cfg.get("output", "field")
     if mode == "none":
         return
-    grid = solution.grid
+    grid = field.disk_solution.grid
     if mode == "polar":
         nr = _int(cfg, "output", "nr")
         nphi = _int(cfg, "output", "nphi")
@@ -358,15 +358,10 @@ def _dump_field(cfg, solution, m, out_dir, notes):
         radii = np.linspace(grid.r0, min(rout, grid.rmax), nr)
         angles = equispaced_angles(nphi)
         rr, pp = np.meshgrid(radii, angles, indexing="ij")
-        z = rr * np.exp(1j * pp)
-        if m is None:
-            points = z.ravel()
-            velocities = solution.sample(points)
-        else:
-            points = m.inverse(z).ravel()
-            vr, vphi = solution.sample_polar(rr, pp)
-            vhat = ((vr + 1j * vphi) * np.exp(1j * pp)).ravel()
-            velocities = np.conj(1.0 / m.d_inverse(z.ravel())) * vhat
+        # sampled from the disk plane: on the slit (c = r0) Phi(Phi^-1(z)) != z
+        z = (rr * np.exp(1j * pp)).ravel()
+        points = field.map.inverse(z)
+        velocities = field.sample_image(z)
     elif mode == "cartesian":
         x1 = np.linspace(_float(cfg, "output", "x1min"), _float(cfg, "output", "x1max"),
                          _int(cfg, "output", "n1"))
@@ -374,16 +369,9 @@ def _dump_field(cfg, solution, m, out_dir, notes):
                          _int(cfg, "output", "n2"))
         xx, yy = np.meshgrid(x1, x2, indexing="ij")
         points = (xx + 1j * yy).ravel()
-        if m is None:
-            radius = np.abs(points)
-            ok = (radius >= grid.r0) & (radius <= grid.rmax)
-            velocities = np.full(points.shape, complex(np.nan, np.nan))
-            velocities[ok] = solution.sample(points[ok])
-        else:
-            z = m.forward(points)
-            ok = np.abs(z) <= grid.rmax
-            velocities = np.full(points.shape, complex(np.nan, np.nan))
-            velocities[ok] = pushforward_velocity(solution, m, points[ok])
+        ok = np.abs(field.map.forward(points)) <= grid.rmax
+        velocities = np.full(points.shape, complex(np.nan, np.nan))
+        velocities[ok] = field.sample(points[ok])
     else:
         raise ConfigError(f"[output] field must be polar, cartesian or none, got '{mode}'")
     path = os.path.join(out_dir, "field.csv")
@@ -465,7 +453,7 @@ def cmd_solve(args, norms_only=False):
         solution = _solve(cfg, problem)
     if not norms_only:
         _write_compat(cfg, solution.report, out_dir, notes)
-        _dump_field(cfg, solution, m, out_dir, notes)
+        _dump_field(cfg, ExteriorSolution(solution, m), out_dir, notes)
     _write_norms(cfg, problem, solution, out_dir, notes)
     if _bool(cfg, "solve", "strict") and not solution.report.admissible:
         return EXIT_INADMISSIBLE
@@ -498,25 +486,16 @@ def cmd_oracle(args):
     cfg, out_dir = _prepare(args)
     problem, m, notes = build_problem(cfg)
     points = _parse_points(args)
-    solution = _solve(cfg, problem)
-    n_radial = _int(cfg, "oracle", "n_radial")
-    n_angular = _int(cfg, "oracle", "n_angular")
-    n_boundary = _int(cfg, "oracle", "n_boundary")
+    field = ExteriorSolution(_solve(cfg, problem), m)
+    solver = field.sample(points)
+    z = m.forward(points)
+    oracle = m.pushforward(z, biot_savart_disk(
+        z, problem, n_radial=_int(cfg, "oracle", "n_radial"),
+        n_angular=_int(cfg, "oracle", "n_angular"), n_boundary=_int(cfg, "oracle", "n_boundary")))
 
     lines = _report_header(cfg, notes)
     lines.append("x1,x2,v1_solver,v2_solver,v1_oracle,v2_oracle,abs_diff")
-    for p in points:
-        if m is None:
-            v_solver = complex(solution.sample(np.array([p]))[0])
-            v_oracle = biot_savart_disk(p, problem, n_radial=n_radial,
-                                        n_angular=n_angular, n_boundary=n_boundary)
-        else:
-            z = complex(m.forward(p))
-            vhat = complex(solution.sample(np.array([z]))[0])
-            push = complex(np.conj(1.0 / m.d_inverse(z)))
-            v_solver = push * vhat
-            v_oracle = push * biot_savart_disk(z, problem, n_radial=n_radial,
-                                               n_angular=n_angular, n_boundary=n_boundary)
+    for p, v_solver, v_oracle in zip(points, solver, oracle):
         lines.append(
             f"{fmt(p.real)},{fmt(p.imag)},{fmt(v_solver.real)},{fmt(v_solver.imag)},"
             f"{fmt(v_oracle.real)},{fmt(v_oracle.imag)},{fmt(abs(v_solver - v_oracle))}"

@@ -1,9 +1,11 @@
 """Conformal transfer of the exterior div-curl problem to the disk.
 
 A map Phi carries the physical exterior domain Omega onto the exterior of the
-disk r >= r0, normalized so Phi(p) ~ p at infinity.  Complex velocities
-transform covariantly, V(p) = conj(Phi'(p)) * Vhat(Phi(p)), and the data
-pulls back with the |dPhi^{-1}/dz|^2 Jacobian weight:
+disk r >= r0, normalized so Phi(p) ~ p at infinity; the disk itself is the
+identity map.  Complex velocities transform covariantly,
+V(p) = conj(Phi'(p)) * Vhat(Phi(p)) (ConformalMap.pushforward, the one
+statement of that law), and the data pulls back with the |dPhi^{-1}/dz|^2
+Jacobian weight:
 
     div vhat = |(Phi^-1)'|^2 rho(Phi^-1),   curl vhat = |(Phi^-1)'|^2 w(Phi^-1),
 
@@ -20,7 +22,6 @@ import numpy as np
 
 from .disk import DiskProblem, FarField, VelocitySolution, solve_disk
 from .grids import BoundaryTrace, RadialGrid, SpectralField, analyze, equispaced_angles
-from .moments import moment_residual
 
 __all__ = [
     "ConformalMap",
@@ -29,12 +30,9 @@ __all__ = [
     "identity_map",
     "verify_map",
     "ExteriorProblem",
-    "PulledBackProblem",
     "pullback_problem",
-    "pushforward_velocity",
     "ExteriorSolution",
     "solve_exterior",
-    "mapped_moment_residual",
 ]
 
 
@@ -61,9 +59,9 @@ class ConformalMap:
         if self.r0 <= 0.0:
             raise ValueError("image disk radius must be positive")
 
-    def forward_derivative(self, p):
-        """Phi'(p) = 1 / (Phi^-1)'(Phi(p))."""
-        return 1.0 / self.d_inverse(self.forward(p))
+    def pushforward(self, z, v_hat):
+        """Omega velocity conj(Phi') * v_hat at Phi^-1(z), from disk-plane velocities at z."""
+        return np.conj(1.0 / self.d_inverse(z)) * v_hat
 
     def __repr__(self):
         return f"ConformalMap({self.label}, r0={self.r0}, params={self.params})"
@@ -169,29 +167,6 @@ class ExteriorProblem:
             raise ValueError("angular sampling too coarse for the requested band")
 
 
-@dataclass(frozen=True)
-class PulledBackProblem:
-    """Disk-plane image of an exterior problem.
-
-    q and rc are the angular Fourier fields of |(Phi^-1)'|^2 times the mapped
-    vorticity and divergence; g_hat is the covariant boundary trace on the
-    circle.  as_disk_problem() feeds them to the disk solver unchanged.
-    """
-
-    q: SpectralField
-    rc: SpectralField
-    g_hat: BoundaryTrace
-    far_field: FarField
-    grid: RadialGrid
-    map: ConformalMap = field(compare=False)
-    q_fn: object = field(default=None, compare=False)
-    rc_fn: object = field(default=None, compare=False)
-
-    def as_disk_problem(self) -> DiskProblem:
-        return DiskProblem(self.q, self.rc, self.g_hat, self.far_field,
-                           vorticity_fn=self.q_fn, divergence_fn=self.rc_fn)
-
-
 def _weighted_sampler(m: ConformalMap, data_fn):
     """(r, phi) -> |(Phi^-1)'|^2 * data(Phi^-1(z)) on the disk-plane lattice."""
     if data_fn is None:
@@ -216,8 +191,12 @@ def pullback_boundary_trace(m: ConformalMap, boundary_fn, K: int, n_angles: int)
     return BoundaryTrace.from_samples(polar.real + 0j, polar.imag + 0j, K)
 
 
-def pullback_problem(problem: ExteriorProblem) -> PulledBackProblem:
-    """Sample, weight and analyze the Omega data on the mapped polar lattice."""
+def pullback_problem(problem: ExteriorProblem) -> DiskProblem:
+    """Sample, weight and analyze the Omega data on the mapped polar lattice.
+
+    The disk problem carries |(Phi^-1)'|^2 times the mapped vorticity and
+    divergence, their samplers, and the covariant boundary trace.
+    """
     m = problem.map
     grid = problem.grid
     angles = equispaced_angles(problem.n_angles)
@@ -228,65 +207,45 @@ def pullback_problem(problem: ExteriorProblem) -> PulledBackProblem:
     q = analyze(grid, q_fn(rr, pp), problem.K) if q_fn else SpectralField.zeros(grid, problem.K)
     rc = analyze(grid, rc_fn(rr, pp), problem.K) if rc_fn else SpectralField.zeros(grid, problem.K)
     g_hat = pullback_boundary_trace(m, problem.boundary_fn, problem.K, problem.n_angles)
-    return PulledBackProblem(q, rc, g_hat, problem.far_field, grid, m, q_fn, rc_fn)
-
-
-def pushforward_velocity(v_hat: VelocitySolution, m: ConformalMap, points) -> np.ndarray:
-    """Cartesian velocity v1 + i v2 in Omega at complex points.
-
-    Points inside the solid (|Phi(p)| < r0) are marked NaN instead of raising,
-    so lattice dumps keep their shape.
-    """
-    points = np.asarray(points, dtype=complex)
-    z = m.forward(points)
-    inside = np.abs(z) < m.r0 * (1.0 - 1e-12)
-    z_safe = np.where(inside, m.r0 * (1.0 + 1e-12) * np.exp(1j * np.angle(z)), z)
-    v = np.conj(1.0 / m.d_inverse(z_safe)) * v_hat.sample(z_safe)
-    return np.where(inside, complex(np.nan, np.nan), v)
+    return DiskProblem(q, rc, g_hat, problem.far_field, vorticity_fn=q_fn, divergence_fn=rc_fn)
 
 
 @dataclass(frozen=True)
 class ExteriorSolution:
-    """Velocity sampler over Omega wrapping the disk-plane solution."""
+    """Velocity sampler over Omega: the disk-plane solution pushed forward through the map."""
 
     disk_solution: VelocitySolution
-    pulled_back: PulledBackProblem
-
-    @property
-    def map(self) -> ConformalMap:
-        return self.pulled_back.map
+    map: ConformalMap
 
     @property
     def report(self):
         return self.disk_solution.report
 
+    def sample_image(self, z) -> np.ndarray:
+        """Cartesian velocity v1 + i v2 in Omega at Phi^-1(z), from disk-plane points z.
+
+        Points inside the disk (|z| < r0) are marked NaN instead of raising,
+        so lattice dumps keep their shape.
+        """
+        m = self.map
+        z = np.asarray(z, dtype=complex)
+        inside = np.abs(z) < m.r0 * (1.0 - 1e-12)
+        z_safe = np.where(inside, m.r0 * (1.0 + 1e-12) * np.exp(1j * np.angle(z)), z)
+        v = m.pushforward(z_safe, self.disk_solution.sample(z_safe))
+        return np.where(inside, complex(np.nan, np.nan), v)
+
     def sample(self, points) -> np.ndarray:
-        return pushforward_velocity(self.disk_solution, self.map, points)
+        """Cartesian velocity at complex points of Omega; NaN inside the solid."""
+        return self.sample_image(self.map.forward(points))
 
     def boundary_samples(self, theta) -> np.ndarray:
         """Velocity on the physical boundary, parametrized by the circle angle."""
-        m = self.map
-        zb = m.r0 * np.exp(1j * np.asarray(theta, dtype=float))
-        return np.conj(1.0 / m.d_inverse(zb)) * self.disk_solution.sample(zb)
+        return self.sample_image(self.map.r0 * np.exp(1j * np.asarray(theta, dtype=float)))
 
 
-def solve_exterior(problem: ExteriorProblem, warn_tolerance: float = 1e-8,
-                   verify: bool = True) -> ExteriorSolution:
+def solve_exterior(problem: ExteriorProblem, warn_tolerance: float = 1e-8) -> ExteriorSolution:
     """Pull back, solve on the disk, and wrap the result as an Omega sampler."""
-    if verify and problem.map.label != "identity":
+    if problem.map.label != "identity":
         verify_map(problem.map)
-    pulled = pullback_problem(problem)
-    solution = solve_disk(pulled.as_disk_problem(), warn_tolerance=warn_tolerance)
-    return ExteriorSolution(solution, pulled)
-
-
-def mapped_moment_residual(k: int, problem: ExteriorProblem,
-                           pulled: PulledBackProblem = None) -> complex:
-    """Mode-k solvability residual of the transformed problem, disk-plane form.
-
-    Computed on the pulled-back data; the equivalent Omega-integral form with
-    1/Phi^k kernels serves as a cross-check, not a second source of truth.
-    """
-    if pulled is None:
-        pulled = pullback_problem(problem)
-    return moment_residual(k, pulled.as_disk_problem())
+    solution = solve_disk(pullback_problem(problem), warn_tolerance=warn_tolerance)
+    return ExteriorSolution(solution, problem.map)

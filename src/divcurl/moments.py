@@ -32,7 +32,6 @@ __all__ = [
     "MomentReport",
     "moment_residual",
     "circulation_flux_residual",
-    "no_slip_orthogonality",
     "moment_report",
     "make_admissible",
     "admissibility_corrections",
@@ -117,12 +116,6 @@ def circulation_flux_residual(problem: DiskProblem) -> complex:
     circ = weights @ problem.vorticity.coeff(0) + grid.r0 * g.coeff_phi(0)
     flux = weights @ problem.divergence.coeff(0) + grid.r0 * g.coeff_r(0)
     return complex(2.0 * np.pi * (circ + 1j * flux))
-
-
-def no_slip_orthogonality(k: int, w: SpectralField, rho: SpectralField, v: FarField) -> complex:
-    """Residual of the no-slip (g = 0) orthogonality relation for mode k >= 1."""
-    problem = DiskProblem(w, rho, BoundaryTrace.zeros(w.K), v)
-    return moment_residual(k, problem)
 
 
 def _moments(problem: DiskProblem, K: int) -> np.ndarray:

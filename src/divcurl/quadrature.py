@@ -84,10 +84,6 @@ class CumulativeIntegral:
         out = self.prefix[idx] + partial
         return complex(out) if out.ndim == 0 else out
 
-    def suffix_at(self, r, extend: bool = False):
-        """Integral from r to nodes[-1] (zero beyond the span when extend=True)."""
-        return self.total - self.at(r, extend=extend)
-
 
 def cumulative(nodes, integrand) -> CumulativeIntegral:
     nodes = np.asarray(nodes, dtype=float)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk import FarField, ModeTerms, VelocitySolution, vinf_coefficients
-from .grids import RadialGrid, SpectralField, _frozen_array
+from .grids import RadialGrid, SpectralField
 from .quadrature import cumulative, scaled_integrals
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
@@ -60,16 +60,13 @@ class StreamFunction:
     def __post_init__(self):
         shape = (2 * self.K + 1, len(self.grid))
         for name in ("modes", "d_modes"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            if arr.shape != shape:
+            values = getattr(self, name)
+            if values.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-            object.__setattr__(self, name, _frozen_array(arr))
+            values.setflags(write=False)
 
     def mode(self, k: int) -> np.ndarray:
         return self.modes[k + self.K]
-
-    def d_mode(self, k: int) -> np.ndarray:
-        return self.d_modes[k + self.K]
 
 
 def _velocity_terms(w: SpectralField, v: FarField) -> ModeTerms:

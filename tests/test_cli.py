@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from divcurl.cli import EXIT_CONFIG, EXIT_INADMISSIBLE, EXIT_IO, EXIT_OK, main
+from divcurl.disk import FarField
+from divcurl.presets import ellipse_potential_velocity
 
 from helpers import cylinder_flow
 
@@ -290,6 +292,57 @@ def test_oracle_subcommand(tmp_path):
     for row in rows:
         assert float(row.strip().split(",")[-1]) < 1e-10
     assert main(["oracle", "--config", cfg, "--out", out]) == EXIT_CONFIG
+
+
+JOUKOWSKI_SLIP = """
+[domain]
+kind = joukowski
+r0 = 1.0
+c = 0.5
+
+[grid]
+nodes = 200
+rmax = 8.0
+
+[modes]
+k = 4
+
+[boundary]
+preset = potential_slip
+
+[far_field]
+v1 = 1.0
+v2 = 0.4
+
+[output]
+field = polar
+nr = 7
+nphi = 12
+"""
+
+
+def test_joukowski_polar_dump_matches_ellipse_flow(tmp_path):
+    # the polar lattice lies in the disk plane; its dump is the physical field at Phi^-1(z)
+    cfg = write(tmp_path / "j.cfg", JOUKOWSKI_SLIP)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    points, velocities = read_field(os.path.join(out, "field.csv"))
+    assert points.size == 7 * 12
+    exact = ellipse_potential_velocity(points, 0.5, 1.0, FarField(1.0, 0.4))
+    assert np.max(np.abs(velocities - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_oracle_subcommand_on_joukowski(tmp_path):
+    cfg = write(tmp_path / "j.cfg", JOUKOWSKI_SLIP)
+    out = str(tmp_path / "out")
+    assert main(["oracle", "--config", cfg, "--out", out,
+                 "--points", "2.0,0.5;-1.5,1.0;0.3,1.2;3.0,-3.0"]) == EXIT_OK
+    rows = [l.strip().split(",") for l in open(os.path.join(out, "oracle_report.txt"))
+            if l[0].isdigit() or l[0] == "-"]
+    assert len(rows) == 4
+    values = np.array(rows, dtype=float)
+    assert np.all(np.isfinite(values))
+    assert np.all(values[:, -1] <= 1e-10)
 
 
 def test_malformed_sample_file_is_config_error(tmp_path):

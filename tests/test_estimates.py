@@ -59,8 +59,8 @@ def test_mapped_domain_estimate_ratios_finite():
                                                  support=(1.7, 4.0))
         pulled = pullback_problem(ext)
         solution = solve_exterior(ext)
-        den1 = l2_weighted_norm(pulled.q, 0.0) + l2_weighted_norm(pulled.rc, 0.0)
-        den2 = l2_weighted_norm(pulled.q, 2.0) + l2_weighted_norm(pulled.rc, 2.0)
+        den1 = l2_weighted_norm(pulled.vorticity, 0.0) + l2_weighted_norm(pulled.divergence, 0.0)
+        den2 = l2_weighted_norm(pulled.vorticity, 2.0) + l2_weighted_norm(pulled.divergence, 2.0)
         r1 = h1_seminorm(solution.disk_solution) / den1
         r2 = far_field_deviation_h1(solution.disk_solution) / den2
         assert np.isfinite(r1) and np.isfinite(r2)

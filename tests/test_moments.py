@@ -10,7 +10,6 @@ from divcurl.moments import (
     make_admissible,
     moment_report,
     moment_residual,
-    no_slip_orthogonality,
 )
 from divcurl.presets import cylinder_slip_trace, random_admissible_problem
 
@@ -88,18 +87,23 @@ def test_flux_residual_scales_with_r0():
 
 
 def test_no_slip_orthogonality_examples(grid):
+    # the no-slip orthogonality relations are the moment conditions with g = 0
     K = 4
     rho = SpectralField.zeros(grid, K)
-    assert no_slip_orthogonality(2, rho, rho, FarField()) == 0.0
+
+    def no_slip_residual(k, w):
+        return moment_residual(k, DiskProblem(w, rho, BoundaryTrace.zeros(K), FarField()))
+
+    assert no_slip_residual(2, rho) == 0.0
 
     # +-1 step pair integrates to zero at k = 1
     pm = step_profile(grid, 1.0, 2.0) - step_profile(grid, 2.0, 3.0)
     w1 = SpectralField.from_modes(grid, K, {1: pm})
-    assert abs(no_slip_orthogonality(1, w1, rho, FarField())) < 1e-12
+    assert abs(no_slip_residual(1, w1)) < 1e-12
 
     # same profile at k = 2 leaves log(4/3) (times r0^{k-1} = 1)
     w2 = SpectralField.from_modes(grid, K, {2: pm})
-    res = no_slip_orthogonality(2, w2, rho, FarField())
+    res = no_slip_residual(2, w2)
     assert abs(res - np.log(4.0 / 3.0)) < 1e-5
 
 

@@ -62,9 +62,6 @@ def test_cumulative_consistency():
     acc = cumulative(nodes, nodes**2)
     # node values agree with prefix sums
     assert np.allclose(acc.at(nodes), acc.prefix)
-    # suffix + prefix = total
-    r = np.array([1.4, 2.3, 3.9])
-    assert np.allclose(acc.at(r) + acc.suffix_at(r), acc.total)
     # extension saturates at the total
     assert acc.at(10.0, extend=True) == acc.total
     with pytest.raises(ValueError):
