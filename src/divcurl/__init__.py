@@ -11,7 +11,6 @@ from .grids import (
     BoundaryTrace,
     RadialGrid,
     SpectralField,
-    WeightedNormParams,
     analyze,
     equispaced_angles,
     smooth_bump,
@@ -22,12 +21,8 @@ from .quadrature import CumulativeIntegral, cumulative, radial_integral
 from .disk import (
     DiskProblem,
     FarField,
-    ModeSolution,
     VelocitySolution,
-    alpha_coefficient,
     solve_disk,
-    solve_mode,
-    solve_mode_zero,
     vinf_coefficients,
 )
 from .moments import (
@@ -55,7 +50,7 @@ from .conformal import (
     solve_exterior,
     verify_map,
 )
-from .biot_savart import KernelPoint, biot_savart_disk, biot_savart_omega, green_function
+from .biot_savart import biot_savart_disk, biot_savart_omega, green_function
 from .stream import StreamFunction, neumann_defect, solve_stream, velocity_from_stream
 
 __version__ = "0.1.0"

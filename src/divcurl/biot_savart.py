@@ -17,29 +17,15 @@ pushed forward through conj(Phi').
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .conformal import ConformalMap, ExteriorProblem
 from .disk import DiskProblem
 from .grids import equispaced_angles, synthesize_boundary
 
-__all__ = ["KernelPoint", "green_function", "biot_savart_disk", "biot_savart_omega"]
+__all__ = ["green_function", "biot_savart_disk", "biot_savart_omega"]
 
 _BOUNDARY_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """Evaluation point with the radius used to excise singular cells."""
-
-    x: complex
-    exclusion_radius: float = 0.0
-
-    def __post_init__(self):
-        if self.exclusion_radius < 0.0:
-            raise ValueError("exclusion radius must be nonnegative")
 
 
 def _check_exterior(z, r0: float):
@@ -102,13 +88,10 @@ def _field_values(field, fn, rr, pp):
     return np.sum(profiles * phases, axis=0)
 
 
-def _normalize_points(x):
-    exclusion = 0.0
-    if isinstance(x, KernelPoint):
-        exclusion = x.exclusion_radius
-        x = x.x
-    points = np.asarray(x, dtype=complex)
-    return points, points.ndim == 0, exclusion
+def _points(x, exclusion_radius: float):
+    if exclusion_radius < 0.0:
+        raise ValueError("exclusion radius must be nonnegative")
+    return np.asarray(x, dtype=complex)
 
 
 def _evaluate(points, sources, charge, ring, layer, vinf: complex, exclusion: float):
@@ -127,12 +110,11 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
 
     support restricts the volume sum to the annulus actually carrying data;
     the lattice is built once and reused for every point.  x may be a complex
-    scalar or array, or a KernelPoint carrying the exclusion radius used to
-    drop cells next to an evaluation point inside the data support (the
-    excised contribution is O(h * |w|), first order).
+    scalar or array; exclusion_radius drops the cells next to an evaluation
+    point inside the data support (the excised contribution is O(h * |w|),
+    first order).
     """
-    points, scalar, kp_exclusion = _normalize_points(x)
-    exclusion_radius = max(exclusion_radius, kp_exclusion)
+    points = _points(x, exclusion_radius)
     _check_exterior(points, problem.grid.r0)
 
     grid = problem.grid
@@ -152,7 +134,7 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
 
     out = _evaluate(points, sources, charge, ring, layer,
                     problem.far_field.as_complex, exclusion_radius)
-    return complex(out) if scalar else out
+    return complex(out) if points.ndim == 0 else out
 
 
 def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angular: int = 256,
@@ -165,8 +147,7 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     covariant trace, and the whole field (far-field term included) is pushed
     forward through conj(Phi'(p)).  support is a disk-plane radial interval.
     """
-    points, scalar, kp_exclusion = _normalize_points(p)
-    exclusion_radius = max(exclusion_radius, kp_exclusion)
+    points = _points(p, exclusion_radius)
     m = problem.map
     z = np.asarray(m.forward(points), dtype=complex)
     _check_exterior(z, m.r0)
@@ -196,4 +177,4 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     vhat = _evaluate(z, cells.ravel(), charge, ring, layer,
                      problem.far_field.as_complex, exclusion_radius)
     out = m.pushforward(z, vhat)
-    return complex(out) if scalar else out
+    return complex(out) if points.ndim == 0 else out

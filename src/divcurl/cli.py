@@ -361,7 +361,7 @@ def _dump_field(cfg, field, out_dir, notes):
         # sampled from the disk plane: on the slit (c = r0) Phi(Phi^-1(z)) != z
         z = (rr * np.exp(1j * pp)).ravel()
         points = field.map.inverse(z)
-        velocities = field.sample_image(z)
+        sampled = np.ones(z.shape, dtype=bool)
     elif mode == "cartesian":
         x1 = np.linspace(_float(cfg, "output", "x1min"), _float(cfg, "output", "x1max"),
                          _int(cfg, "output", "n1"))
@@ -369,17 +369,22 @@ def _dump_field(cfg, field, out_dir, notes):
                          _int(cfg, "output", "n2"))
         xx, yy = np.meshgrid(x1, x2, indexing="ij")
         points = (xx + 1j * yy).ravel()
-        ok = np.abs(field.map.forward(points)) <= grid.rmax
-        velocities = np.full(points.shape, complex(np.nan, np.nan))
-        velocities[ok] = field.sample(points[ok])
+        z = field.map.forward(points)
+        sampled = np.abs(z) <= grid.rmax
     else:
         raise ConfigError(f"[output] field must be polar, cartesian or none, got '{mode}'")
+    velocities = np.full(points.shape, complex(np.nan, np.nan))
+    velocities[sampled] = field.sample_image(z[sampled])
+    singular = np.count_nonzero(field.map.singular(z[sampled]))
     path = os.path.join(out_dir, "field.csv")
     try:
         write_field_dump(path, points, velocities)
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc
     notes.append("field dump written to field.csv")
+    if singular:
+        notes.append(f"{singular} field points lie at singular points of the map "
+                     "((Phi^-1)' = 0) and are marked NaN")
 
 
 def _write_norms(cfg, problem, solution, out_dir, notes):

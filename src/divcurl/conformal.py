@@ -40,6 +40,10 @@ class MapVerificationError(ValueError):
     pass
 
 
+_INSIDE = 1e-12  # disk-plane points with |z| < r0 (1 - _INSIDE) lie inside the disk
+_SINGULAR = 1e-12  # and points with |(Phi^-1)'(z)| <= _SINGULAR are singular points of the map
+
+
 @dataclass(frozen=True, repr=False)
 class ConformalMap:
     """Conformal map data: forward Phi, inverse Phi^-1, and (Phi^-1)'.
@@ -62,6 +66,19 @@ class ConformalMap:
     def pushforward(self, z, v_hat):
         """Omega velocity conj(Phi') * v_hat at Phi^-1(z), from disk-plane velocities at z."""
         return np.conj(1.0 / self.d_inverse(z)) * v_hat
+
+    def singular(self, z):
+        """Mask of disk-plane points outside the disk where (Phi^-1)' vanishes.
+
+        The pushforward is undefined there.  On the Joukowski slit (c = r0)
+        these are the tips z = +-r0; at -r0 (Phi^-1)' is rounding-small
+        rather than exactly zero.
+        """
+        z = np.asarray(z, dtype=complex)
+        outside = np.abs(z) >= self.r0 * (1.0 - _INSIDE)
+        out = np.zeros(z.shape, dtype=bool)
+        out[outside] = np.abs(self.d_inverse(z[outside])) <= _SINGULAR
+        return out
 
     def __repr__(self):
         return f"ConformalMap({self.label}, r0={self.r0}, params={self.params})"
@@ -224,18 +241,21 @@ class ExteriorSolution:
     def sample_image(self, z) -> np.ndarray:
         """Cartesian velocity v1 + i v2 in Omega at Phi^-1(z), from disk-plane points z.
 
-        Points inside the disk (|z| < r0) are marked NaN instead of raising,
-        so lattice dumps keep their shape.
+        Points inside the disk (|z| < r0) and singular points of the map are
+        marked NaN instead of raising or warning, so lattice dumps keep their shape.
         """
         m = self.map
         z = np.asarray(z, dtype=complex)
-        inside = np.abs(z) < m.r0 * (1.0 - 1e-12)
-        z_safe = np.where(inside, m.r0 * (1.0 + 1e-12) * np.exp(1j * np.angle(z)), z)
-        v = m.pushforward(z_safe, self.disk_solution.sample(z_safe))
-        return np.where(inside, complex(np.nan, np.nan), v)
+        inside = np.abs(z) < m.r0 * (1.0 - _INSIDE)
+        z_safe = np.where(inside, m.r0 * (1.0 + _INSIDE) * np.exp(1j * np.angle(z)), z)
+        v_hat = self.disk_solution.sample(z_safe)
+        keep = ~(inside | m.singular(z))
+        v = np.full(z.shape, complex(np.nan, np.nan))
+        v[keep] = m.pushforward(z_safe[keep], v_hat[keep])
+        return v
 
     def sample(self, points) -> np.ndarray:
-        """Cartesian velocity at complex points of Omega; NaN inside the solid."""
+        """Cartesian velocity at complex points of Omega, marked NaN as in sample_image."""
         return self.sample_image(self.map.forward(points))
 
     def boundary_samples(self, theta) -> np.ndarray:

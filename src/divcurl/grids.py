@@ -9,7 +9,6 @@ __all__ = [
     "RadialGrid",
     "SpectralField",
     "BoundaryTrace",
-    "WeightedNormParams",
     "analyze",
     "synthesize",
     "synthesize_boundary",
@@ -196,17 +195,6 @@ class BoundaryTrace:
         g_r[sl] = self.g_r
         g_phi[sl] = self.g_phi
         return BoundaryTrace(K, g_r, g_phi)
-
-
-@dataclass(frozen=True)
-class WeightedNormParams:
-    """Weight exponent N for the (1+|x|^2)^N volume norms; N = 0 is plain L2."""
-
-    N: float = 0.0
-
-    def __post_init__(self):
-        if self.N < 0.0:
-            raise ValueError("weight exponent must be nonnegative")
 
 
 def equispaced_angles(count: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .disk import VelocitySolution, vinf_coefficients
-from .grids import BoundaryTrace, SpectralField, WeightedNormParams
+from .grids import BoundaryTrace, SpectralField
 from .quadrature import trapezoid_weights
 
 __all__ = [
@@ -24,15 +24,6 @@ __all__ = [
     "far_field_deviation_l2",
     "far_field_deviation_h1",
 ]
-
-
-def _weight_exponent(params) -> float:
-    if isinstance(params, WeightedNormParams):
-        return params.N
-    n = float(params)
-    if n < 0.0:
-        raise ValueError("weight exponent must be nonnegative")
-    return n
 
 
 def _power(values) -> np.ndarray:
@@ -46,11 +37,13 @@ def _volume_norm(power, s, weight=1.0) -> float:
     return float(np.sqrt(2.0 * np.pi * (power @ (trapezoid_weights(s) * s * weight))))
 
 
-def l2_weighted_norm(field: SpectralField, params=0.0) -> float:
-    """Weighted volume norm of a scalar field; N = 0 recovers plain L2."""
-    n = _weight_exponent(params)
+def l2_weighted_norm(field: SpectralField, N=0.0) -> float:
+    """Volume norm of a scalar field with weight (1+|x|^2)^N; N = 0 recovers plain L2."""
+    N = float(N)
+    if N < 0.0:
+        raise ValueError("weight exponent must be nonnegative")
     s = field.grid.nodes
-    return _volume_norm(_power(field.coeffs), s, (1.0 + s * s) ** n)
+    return _volume_norm(_power(field.coeffs), s, (1.0 + s * s) ** N)
 
 
 def h_half_boundary_norm(g: BoundaryTrace) -> float:

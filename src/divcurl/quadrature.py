@@ -109,11 +109,6 @@ class ScaledIntegrals:
     suffix: bool
     table: np.ndarray
 
-    def rows(self, index) -> "ScaledIntegrals":
-        """The kernel restricted to a slice of its rows (views, no copies)."""
-        return ScaledIntegrals(self.nodes, self.integrand[index], self.powers[index],
-                               self.suffix, self.table[index])
-
     def at(self, r, rows=slice(None)):
         """Scaled integrals of the given rows at radii r, shape (rows, len(r)).
 

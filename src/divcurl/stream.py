@@ -54,7 +54,6 @@ class StreamFunction:
     modes: np.ndarray
     d_modes: np.ndarray
     far_field: FarField
-    boundary_constant: float = 0.0
     velocity_terms: ModeTerms = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -64,9 +63,6 @@ class StreamFunction:
             if values.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             values.setflags(write=False)
-
-    def mode(self, k: int) -> np.ndarray:
-        return self.modes[k + self.K]
 
 
 def _velocity_terms(w: SpectralField, v: FarField) -> ModeTerms:
@@ -114,7 +110,7 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
             stacklevel=2,
         )
 
-    out = StreamFunction(grid, K, psi, dpsi, v, 0.0, terms)
+    out = StreamFunction(grid, K, psi, dpsi, v, terms)
     defect = neumann_defect(out)
     if defect > warn_tolerance:
         warnings.warn(

@@ -105,6 +105,17 @@ def brute_force_mode_profiles(k, w_fn, rho_fn, alpha, vinf_r, vinf_phi, r0, rmax
     return v_r, v_phi
 
 
+def polar_samples(solution, r, phi):
+    """(v_r, v_phi) of a real velocity field at radii r and angles phi.
+
+    Rotates the Cartesian samples into the polar frame: for real components
+    e^{-i phi} (v1 + i v2) = v_r + i v_phi.
+    """
+    r, phi = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(phi, dtype=float))
+    v = solution.sample(r * np.exp(1j * phi)) * np.exp(-1j * phi)
+    return v.real, v.imag
+
+
 def fd_div_curl(sample, points, h):
     """Central-difference divergence and curl of a complex-packed field."""
     vxp = sample(points + h)

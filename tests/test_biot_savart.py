@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divcurl.biot_savart import KernelPoint, biot_savart_disk, biot_savart_omega, green_function
+from divcurl.biot_savart import biot_savart_disk, biot_savart_omega, green_function
 from divcurl.conformal import ExteriorProblem, identity_map, joukowski_map
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
@@ -73,8 +73,11 @@ def test_rejects_boundary_and_interior_points(grid):
         biot_savart_disk(1.0 + 0j, problem)
     with pytest.raises(ValueError, match="inside"):
         biot_savart_disk(0.5 + 0j, problem)
-    with pytest.raises(ValueError):
-        KernelPoint(2.0 + 0j, -1.0)
+    with pytest.raises(ValueError, match="exclusion radius"):
+        biot_savart_disk(2.0 + 0j, problem, exclusion_radius=-1.0)
+    with pytest.raises(ValueError, match="exclusion radius"):
+        biot_savart_omega(2.0 + 0j, ExteriorProblem(identity_map(1.0), grid, 3),
+                          exclusion_radius=-1.0)
 
 
 def test_localized_patch_far_field_circulation(grid):
@@ -148,7 +151,7 @@ def test_singular_cell_exclusion_inside_support(grid):
     errors = []
     for n_r in (150, 300, 600):
         h = (4.2 - 1.8) / n_r
-        v = biot_savart_disk(KernelPoint(point, exclusion_radius=2.0 * h), problem,
+        v = biot_savart_disk(point, problem, exclusion_radius=2.0 * h,
                              n_radial=n_r, n_angular=int(n_r * 1.6), support=(1.8, 4.2))
         err = abs(v - v_ref)
         errors.append(err)

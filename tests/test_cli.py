@@ -332,6 +332,24 @@ def test_joukowski_polar_dump_matches_ellipse_flow(tmp_path):
     assert np.max(np.abs(velocities - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
+def test_joukowski_slit_polar_dump_marks_the_tips(tmp_path):
+    # on the slit (c = r0) (Phi^-1)' vanishes at z = +-r0, the slit tips (+-2, 0):
+    # those rows are NaN, without a warning, and the report counts them
+    text = (JOUKOWSKI_SLIP.replace("c = 0.5", "c = 1.0")
+            .replace("nr = 7", "nr = 8").replace("nphi = 12", "nphi = 16"))
+    cfg = write(tmp_path / "s.cfg", text)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    points, velocities = read_field(os.path.join(out, "field.csv"))
+    assert points.size == 8 * 16
+    tips = (np.abs(np.abs(points.real) - 2.0) < 1e-12) & (np.abs(points.imag) < 1e-12)
+    assert np.count_nonzero(tips) == 2
+    assert np.all(np.isnan(velocities.real[tips])) and np.all(np.isnan(velocities.imag[tips]))
+    assert np.all(np.isfinite(velocities[~tips]))
+    norms = open(os.path.join(out, "norms_report.txt")).read()
+    assert "# note: 2 field points lie at singular points of the map" in norms
+
+
 def test_oracle_subcommand_on_joukowski(tmp_path):
     cfg = write(tmp_path / "j.cfg", JOUKOWSKI_SLIP)
     out = str(tmp_path / "out")

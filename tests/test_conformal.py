@@ -190,6 +190,10 @@ def test_pushforward_marks_interior_points(grid):
     out = ExteriorSolution(solution, m).sample(np.array([0.0 + 0.0j, 5.0 + 0.0j]))
     assert np.isnan(out[0].real) and np.isnan(out[0].imag)
     assert np.isfinite(out[1].real)
+    # on the slit (c = r0) the tips z = +-r0 are singular points of the map
+    theta = np.array([0.0, 0.5 * np.pi, np.pi, 4.0])
+    edge = ExteriorSolution(solution, joukowski_map(1.0, 1.0)).boundary_samples(theta)
+    assert np.all(np.isnan(edge[[0, 2]])) and np.all(np.isfinite(edge[[1, 3]]))
 
 
 def test_pushforward_far_field_invariance(grid):

@@ -3,19 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcurl.disk import (
-    DiskProblem,
-    FarField,
-    alpha_coefficient,
-    solve_disk,
-    solve_mode,
-    solve_mode_zero,
-    vinf_coefficients,
-)
+from divcurl.disk import DiskProblem, FarField, solve_disk, vinf_coefficients
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.presets import cylinder_slip_trace, random_admissible_problem
 
-from helpers import brute_force_mode_profiles, cylinder_flow_polar, mp_mode_profiles
+from helpers import brute_force_mode_profiles, cylinder_flow_polar, mp_mode_profiles, polar_samples
 
 
 def test_vinf_coefficients_horizontal_flow():
@@ -45,16 +37,26 @@ def test_vinf_sign_relation(v1, v2, k):
     assert abs(vphi - sign * 1j * vr) < 1e-14
 
 
+def trace_only_solution(g, r0):
+    """Solution with no volume data and no far field: v_phi,k = alpha_k r^{-|k|-1}."""
+    grid = RadialGrid.uniform(r0, 4.0 * r0, 21)
+    zero = SpectralField.zeros(grid, g.K)
+    # a trace alone violates the moment conditions; only its coefficients matter here
+    return solve_disk(DiskProblem(zero, zero, g), warn_tolerance=np.inf)
+
+
 def test_alpha_coefficient_examples():
+    # alpha_k = r0^{k+1} (g_phi,k - i g_r,k) / 2 is v_phi,k(r0) r0^{k+1}
+    def alpha(g, r0, k):
+        return trace_only_solution(g, r0).v_phi[k + g.K, 0] * r0 ** (k + 1)
+
     g = BoundaryTrace.from_coeffs(2, tangential={1: 1.0})
-    assert alpha_coefficient(g, 1.0, 1) == 0.5
+    assert alpha(g, 1.0, 1) == 0.5
     zero = BoundaryTrace.zeros(3)
     for k in (1, 2, 3):
-        assert alpha_coefficient(zero, 2.0, k) == 0.0
+        assert alpha(zero, 2.0, k) == 0.0
     g2 = BoundaryTrace.from_coeffs(2, radial={2: 2.0})
-    assert alpha_coefficient(g2, 2.0, 2) == -8.0j
-    with pytest.raises(ValueError):
-        alpha_coefficient(g, 1.0, 0)
+    assert alpha(g2, 2.0, 2) == -8.0j
 
 
 @pytest.fixture
@@ -62,23 +64,27 @@ def grid():
     return RadialGrid.uniform(1.0, 6.0, 1201)
 
 
+def single_mode_solution(grid, K, k, w_k=None, g=None, far=FarField()):
+    """solve_disk on vorticity w_k in mode k alone (zero when None), trace g, far field."""
+    w = SpectralField.from_modes(grid, K, {} if w_k is None else {k: w_k})
+    g = BoundaryTrace.zeros(K) if g is None else g
+    return solve_disk(DiskProblem(w, SpectralField.zeros(grid, K), g, far))
+
+
 def test_solve_mode_zero_data_is_zero(grid):
-    zero = np.zeros(len(grid), dtype=complex)
-    mode = solve_mode(2, zero, zero, BoundaryTrace.zeros(4), FarField(), grid)
-    assert np.max(np.abs(mode.v_r)) == 0.0
-    assert np.max(np.abs(mode.v_phi)) == 0.0
+    solution = single_mode_solution(grid, 4, 2)
+    assert np.max(np.abs(solution.v_r[2 + 4])) == 0.0
+    assert np.max(np.abs(solution.v_phi[2 + 4])) == 0.0
 
 
 def test_solve_mode_potential_flow(grid):
     # slip trace of the cylinder flow: g_r = 0, g_phi,1 = i v
     v = 1.7
     g = BoundaryTrace.from_coeffs(1, tangential={1: 1j * v, -1: -1j * v})
-    zero = np.zeros(len(grid), dtype=complex)
-    mode = solve_mode(1, zero, zero, g, FarField(v, 0.0), grid)
-    assert abs(mode.alpha - 0.5j * v) < 1e-15
+    solution = single_mode_solution(grid, 1, 1, g=g, far=FarField(v, 0.0))
     r = grid.nodes
-    assert np.max(np.abs(mode.v_r - 0.5 * v * (1.0 - 1.0 / r**2))) < 1e-14
-    assert np.max(np.abs(mode.v_phi - 0.5j * v * (1.0 + 1.0 / r**2))) < 1e-14
+    assert np.max(np.abs(solution.v_r[1 + 1] - 0.5 * v * (1.0 - 1.0 / r**2))) < 1e-14
+    assert np.max(np.abs(solution.v_phi[1 + 1] - 0.5j * v * (1.0 + 1.0 / r**2))) < 1e-14
 
 
 def test_solve_mode_against_brute_force_quadrature(grid):
@@ -93,56 +99,47 @@ def test_solve_mode_against_brute_force_quadrature(grid):
         return out
 
     zero_fn = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    g = BoundaryTrace.zeros(2)
-    mode = solve_mode(1, w_fn(grid.nodes) + 0j, np.zeros(len(grid), dtype=complex),
-                      g, FarField(), grid)
-    targets = np.array([1.25, 1.8, 2.5, 3.5, 5.0])
+    solution = single_mode_solution(grid, 2, 1, w_fn(grid.nodes) + 0j)
+    at = np.searchsorted(grid.nodes, [1.25, 1.8, 2.5, 3.5, 5.0])
     ref_r, ref_phi = brute_force_mode_profiles(
-        1, w_fn, zero_fn, 0.0, 0.0, 0.0, 1.0, 6.0, targets, n_fine=60001
+        1, w_fn, zero_fn, 0.0, 0.0, 0.0, 1.0, 6.0, grid.nodes[at], n_fine=60001
     )
-    got_r, got_phi = mode.profile_at(targets)
+    got_r, got_phi = solution.v_r[1 + 2, at], solution.v_phi[1 + 2, at]
     scale = np.max(np.abs(ref_phi))
     assert np.max(np.abs(got_r - ref_r)) < 5e-5 * scale
     assert np.max(np.abs(got_phi - ref_phi)) < 5e-5 * scale
 
 
-def test_solve_mode_rejects_bad_shapes(grid):
-    with pytest.raises(ValueError):
-        solve_mode(1, np.zeros(5), np.zeros(5), BoundaryTrace.zeros(2), FarField(), grid)
-    with pytest.raises(ValueError):
-        solve_mode(0, np.zeros(len(grid)), np.zeros(len(grid)), BoundaryTrace.zeros(2),
-                   FarField(), grid)
-
-
 def test_solve_mode_zero_examples(grid):
     nodes = grid.nodes
-    zeros = np.zeros(len(grid), dtype=complex)
-    mode = solve_mode_zero(zeros, zeros, BoundaryTrace.zeros(2), grid)
-    assert np.max(np.abs(mode.v_r)) == 0.0 and np.max(np.abs(mode.v_phi)) == 0.0
+    solution = single_mode_solution(grid, 2, 0)
+    assert np.max(np.abs(solution.v_r[2])) == 0.0 and np.max(np.abs(solution.v_phi[2])) == 0.0
 
     # w_0 = 1 on [1,2]: v_phi = (r^2-1)/(2r) inside, 3/(2r) beyond
     w0 = (nodes <= 2.0).astype(complex)
-    mode = solve_mode_zero(w0, zeros, BoundaryTrace.zeros(2), grid)
+    with pytest.warns(UserWarning, match="moment conditions"):
+        solution = single_mode_solution(grid, 2, 0, w0)
     inside = nodes <= 2.0
     expected = np.where(inside, (nodes**2 - 1.0) / (2.0 * nodes), 1.5 / nodes)
-    assert np.max(np.abs(mode.v_phi - expected)) < 5e-3
-    assert np.max(np.abs(mode.v_r)) == 0.0
+    assert np.max(np.abs(solution.v_phi[2] - expected)) < 5e-3
+    assert np.max(np.abs(solution.v_r[2])) == 0.0
 
     # radial trace alone: v_r = g_r0 / r for r0 = 1
     g = BoundaryTrace.from_coeffs(2, radial={0: 1.0})
-    mode = solve_mode_zero(zeros, zeros, g, grid)
-    assert np.max(np.abs(mode.v_r - 1.0 / nodes)) < 1e-14
+    with pytest.warns(UserWarning, match="moment conditions"):
+        solution = single_mode_solution(grid, 2, 0, g=g)
+    assert np.max(np.abs(solution.v_r[2] - 1.0 / nodes)) < 1e-14
 
 
 def test_mode_zero_trace_scaling_with_r0():
     # boundary recovery fixes the constant to r0 * g_0 / r
     grid = RadialGrid.uniform(2.0, 8.0, 101)
-    zeros = np.zeros(len(grid), dtype=complex)
     g = BoundaryTrace.from_coeffs(1, radial={0: 0.7}, tangential={0: -0.4})
-    mode = solve_mode_zero(zeros, zeros, g, grid)
-    assert abs(mode.v_r[0] - 0.7) < 1e-14
-    assert abs(mode.v_phi[0] + 0.4) < 1e-14
-    assert np.max(np.abs(mode.v_r - 2.0 * 0.7 / grid.nodes)) < 1e-14
+    with pytest.warns(UserWarning, match="moment conditions"):
+        solution = single_mode_solution(grid, 1, 0, g=g)
+    assert abs(solution.v_r[1, 0] - 0.7) < 1e-14
+    assert abs(solution.v_phi[1, 0] + 0.4) < 1e-14
+    assert np.max(np.abs(solution.v_r[1] - 2.0 * 0.7 / grid.nodes)) < 1e-14
 
 
 def cylinder_problem(grid, K=4, speed=1.0):
@@ -156,7 +153,7 @@ def test_solve_disk_cylinder_flow(grid):
     rng = np.random.default_rng(2)
     r = 1.0 + 5.0 * rng.random(200)
     phi = 2.0 * np.pi * rng.random(200)
-    v_r, v_phi = solution.sample_polar(r, phi)
+    v_r, v_phi = polar_samples(solution, r, phi)
     exp_r, exp_phi = cylinder_flow_polar(r, phi)
     scale = np.max(np.abs(exp_phi))
     assert np.max(np.abs(v_r - exp_r)) < 1e-10 * scale
@@ -212,14 +209,10 @@ def test_conjugate_symmetry_for_real_data(grid):
     problem = random_admissible_problem(rng, grid, K=5, K_data=4, K_c=5,
                                         boundary_modes=2, far_field=FarField(1.0, 0.5))
     solution = solve_disk(problem)
+    v_r, v_phi = solution.profiles()
     for k in range(1, 6):
-        assert np.max(np.abs(solution.mode(-k).v_r - np.conj(solution.mode(k).v_r))) < 1e-13
-        assert np.max(np.abs(solution.mode(-k).v_phi - np.conj(solution.mode(k).v_phi))) < 1e-13
-    # physical samples are real vectors: complex packing has real div-free parts
-    points = np.array([1.8 * np.exp(0.4j), 3.2 * np.exp(-1.9j)])
-    v_r, v_phi = solution.sample_polar(np.abs(points), np.angle(points))
-    assert np.max(np.abs(v_r.imag)) < 1e-13
-    assert np.max(np.abs(v_phi.imag)) < 1e-13
+        assert np.max(np.abs(v_r[5 - k] - np.conj(v_r[5 + k]))) < 1e-13
+        assert np.max(np.abs(v_phi[5 - k] - np.conj(v_phi[5 + k]))) < 1e-13
 
 
 def test_far_field_decay_beyond_support():
@@ -271,8 +264,8 @@ def test_negative_mode_by_conjugation_for_complex_data(grid):
     with pytest.warns(UserWarning, match="moment conditions"):
         ref = solve_disk(DiskProblem(mirrored, SpectralField.zeros(grid, 2),
                                      BoundaryTrace.zeros(2)))
-    assert np.allclose(solution.mode(-2).v_r, np.conj(ref.mode(2).v_r))
-    assert np.allclose(solution.mode(-2).v_phi, np.conj(ref.mode(2).v_phi))
+    assert np.allclose(solution.v_r[2 - 2], np.conj(ref.v_r[2 + 2]))
+    assert np.allclose(solution.v_phi[2 - 2], np.conj(ref.v_phi[2 + 2]))
 
 
 def complex_data_problem(grid, K=4, seed=11):
@@ -298,29 +291,18 @@ def complex_solution():
         return problem, solve_disk(problem)
 
 
-def test_cartesian_and_polar_sampling_agree(complex_solution):
-    # sample() sums one kernel table per mode, sample_polar() both tables
-    _, solution = complex_solution
-    rng = np.random.default_rng(12)
-    points = (1.0 + 5.0 * rng.random(300)) * np.exp(2j * np.pi * rng.random(300))
-    v_r, v_phi = solution.sample_polar(np.abs(points), np.angle(points))
-    expected = (v_r + 1j * v_phi) * np.exp(1j * np.angle(points))
-    got = solution.sample(points)
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-
 def test_polar_sampling_at_nodes_equals_profiles(complex_solution):
+    # at the nodes, sample() sums sum_k (v_r,k + i v_phi,k) e^{i (k+1) phi} of the profiles
     problem, solution = complex_solution
     nodes = problem.grid.nodes
     v_r, v_phi = solution.profiles()
     ks = np.arange(-problem.K, problem.K + 1)
     phis = np.array([0.0, 0.9, 2.6, 4.4])
     for j in (0, 1, 57, 120, 239, 240):
-        got_r, got_phi = solution.sample_polar(np.full(phis.shape, nodes[j]), phis)
-        phases = np.exp(1j * np.outer(ks, phis))
+        got = solution.sample(nodes[j] * np.exp(1j * phis))
+        phases = np.exp(1j * np.outer(ks + 1, phis))
         scale = np.max(np.abs(v_r[:, j])) + np.max(np.abs(v_phi[:, j]))
-        assert np.max(np.abs(got_r - v_r[:, j] @ phases)) <= 1e-13 * scale
-        assert np.max(np.abs(got_phi - v_phi[:, j] @ phases)) <= 1e-13 * scale
+        assert np.max(np.abs(got - (v_r[:, j] + 1j * v_phi[:, j]) @ phases)) <= 1e-13 * scale
 
 
 def test_off_node_profiles_match_the_in_panel_interpolation_rule(complex_solution):
@@ -334,7 +316,6 @@ def test_off_node_profiles_match_the_in_panel_interpolation_rule(complex_solutio
         ref_r, ref_phi = mp_mode_profiles(
             k, nodes, problem.vorticity.coeff(k), problem.divergence.coeff(k),
             g.coeff_r(k), g.coeff_phi(k), vinf, radii)
-        got_r, got_phi = solution.mode(k).profile_at(radii)
+        got = solution.terms.at(radii)[k + problem.K]
         scale = max(np.max(np.abs(ref_r)), np.max(np.abs(ref_phi)))
-        assert np.max(np.abs(got_r - ref_r)) <= 1e-13 * scale, k
-        assert np.max(np.abs(got_phi - ref_phi)) <= 1e-13 * scale, k
+        assert np.max(np.abs(got - (ref_r + 1j * ref_phi))) <= 1e-13 * scale, k

@@ -24,8 +24,7 @@ def sup_deviation(solution, grid, vinf):
     radii = np.linspace(grid.r0 * 1.0001, grid.rmax * 0.98, 40)
     angles = equispaced_angles(48)
     rr, pp = np.meshgrid(radii, angles, indexing="ij")
-    v_r, v_phi = solution.sample_polar(rr, pp)
-    v = (v_r + 1j * v_phi) * np.exp(1j * pp)
+    v = solution.sample(rr * np.exp(1j * pp))
     return float(np.max(np.abs(v - vinf)))
 
 

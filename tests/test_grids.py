@@ -7,7 +7,6 @@ from divcurl.grids import (
     BoundaryTrace,
     RadialGrid,
     SpectralField,
-    WeightedNormParams,
     analyze,
     equispaced_angles,
     smooth_bump,
@@ -139,12 +138,6 @@ def test_boundary_trace_round_trip():
     padded = trace.padded(7)
     assert padded.coeff_r(2) == trace.coeff_r(2)
     assert padded.coeff_phi(7) == 0.0
-
-
-def test_weighted_norm_params_validation():
-    assert WeightedNormParams(2.0).N == 2.0
-    with pytest.raises(ValueError):
-        WeightedNormParams(-1.0)
 
 
 @settings(max_examples=30)

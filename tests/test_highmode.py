@@ -66,11 +66,11 @@ def test_high_modes_match_60_digit_trapezoid_sums(highmode):
         ref_r, ref_phi = mp_mode_profiles(
             k, nodes, problem.vorticity.coeff(k), problem.divergence.coeff(k),
             g.coeff_r(k), g.coeff_phi(k), vinf, nodes[interior])
-        mode = solution.mode(k)
+        row = k + problem.K
         scale = max(np.max(np.abs(ref_r)), np.max(np.abs(ref_phi)))
         assert scale > 1e-6
-        assert np.max(np.abs(mode.v_r[interior] - ref_r)) <= 1e-12 * scale, k
-        assert np.max(np.abs(mode.v_phi[interior] - ref_phi)) <= 1e-12 * scale, k
+        assert np.max(np.abs(solution.v_r[row, interior] - ref_r)) <= 1e-12 * scale, k
+        assert np.max(np.abs(solution.v_phi[row, interior] - ref_phi)) <= 1e-12 * scale, k
 
 
 def test_kernel_moments_match_the_vectorised_report(highmode):

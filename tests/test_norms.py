@@ -8,7 +8,6 @@ from divcurl.grids import (
     BoundaryTrace,
     RadialGrid,
     SpectralField,
-    WeightedNormParams,
     equispaced_angles,
     synthesize,
 )
@@ -35,7 +34,7 @@ def test_l2_weighted_norm_closed_forms():
     assert abs(l2_weighted_norm(field, 0.0) - np.sqrt(3.0 * np.pi)) < 1e-12
     # N = 1: sqrt(2 pi int_1^2 (1+s^2) s ds) = sqrt(2 pi * 21/4)
     expected = np.sqrt(2.0 * np.pi * 21.0 / 4.0)
-    assert abs(l2_weighted_norm(field, WeightedNormParams(1.0)) - expected) < 1e-6
+    assert abs(l2_weighted_norm(field, 1.0) - expected) < 1e-6
     with pytest.raises(ValueError):
         l2_weighted_norm(field, -2.0)
 

@@ -7,7 +7,7 @@ from divcurl.presets import random_admissible_problem
 from divcurl.quadrature import radial_integral
 from divcurl.stream import neumann_defect, solve_stream, velocity_from_stream
 
-from helpers import cylinder_flow_polar, observed_order
+from helpers import cylinder_flow_polar, observed_order, polar_samples
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def test_uniform_stream_gives_cylinder_flow(grid):
     rng = np.random.default_rng(0)
     rr = 1.0 + 10.0 * rng.random(50)
     pp = 2.0 * np.pi * rng.random(50)
-    v_r, v_phi = flow.sample_polar(rr, pp)
+    v_r, v_phi = polar_samples(flow, rr, pp)
     exp_r, exp_phi = cylinder_flow_polar(rr, pp, speed=v)
     assert np.max(np.abs(v_r - exp_r)) < 1e-12
     assert np.max(np.abs(v_phi - exp_phi)) < 1e-12
@@ -53,7 +53,6 @@ def test_boundary_constant_and_gauge(grid):
     psi = solve_stream(problem.vorticity, problem.far_field)
     # all modes vanish at r0, so psi is the gauged constant on the solid
     assert np.max(np.abs(psi.modes[:, 0])) < 1e-14
-    assert psi.boundary_constant == 0.0
 
 
 def test_path_equivalence_with_direct_solver(grid):
@@ -98,7 +97,7 @@ def test_poisson_residual_convergence():
         s = grid.nodes
         interior = slice(2, -2)
         for k in range(-5, 6):
-            pk = psi.mode(k)
+            pk = psi.modes[k + psi.K]
             lap = (np.gradient(np.gradient(pk, s), s) + np.gradient(pk, s) / s
                    - k * k * pk / s**2)
             err = max(err, np.max(np.abs((lap - problem.vorticity.coeff(k))[interior])))
@@ -119,7 +118,7 @@ def test_circulation_closure_at_infinity(grid):
     loops = []
     thetas = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
     for radius in (2.0, 5.0, 11.0):
-        _, v_phi = flow.sample_polar(np.full_like(thetas, radius), thetas)
+        _, v_phi = polar_samples(flow, radius, thetas)
         loops.append(abs(np.mean(v_phi.real) * 2.0 * np.pi * radius))
     assert loops[2] < 1e-10
     assert loops[2] <= loops[0] + 1e-12
