@@ -34,13 +34,21 @@ def modal_field(grid: RadialGrid, K: int, mode_fns: dict):
     """
     profiles = {k: np.asarray(fn(grid.nodes), dtype=complex) for k, fn in mode_fns.items()}
     fns = dict(mode_fns)
+    top = max((abs(k) for k in fns), default=0)
 
     def fn(r, phi):
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
         out = np.zeros(np.broadcast(r, phi).shape, dtype=complex)
-        for k, f in fns.items():
-            out += np.asarray(f(r), dtype=complex) * np.exp(1j * k * phi)
+        e = np.exp(1j * phi)
+        power = np.ones_like(e)  # e^{ik phi}, built by products
+        for k in range(top + 1):
+            if k > 0:
+                power = power * e
+            if k in fns:
+                out += np.asarray(fns[k](r), dtype=complex) * power
+            if k > 0 and -k in fns:
+                out += np.asarray(fns[-k](r), dtype=complex) * np.conj(power)
         return out
 
     return SpectralField.from_modes(grid, K, profiles), fn
@@ -91,9 +99,19 @@ def ellipse_potential_velocity(points, c: float, r0: float, far: FarField) -> np
     return np.conj(conj_vel)
 
 
-def _poly_bump_profile(rng, lo: float, hi: float, amplitude: complex):
-    coeffs = rng.normal(size=3)
+def _random_modes(rng, K_data: int, scale: float) -> list:
+    """[(amplitude, polynomial coefficients)] for k = 0..K_data, in draw order."""
+    modes = []
+    for k in range(0, K_data + 1):
+        if k == 0:
+            amp = complex(scale * rng.normal())
+        else:
+            amp = scale * (rng.normal() + 1j * rng.normal()) / np.sqrt(1.0 + k)
+        modes.append((amp, rng.normal(size=3)))
+    return modes
 
+
+def _poly_bump_profile(lo: float, hi: float, amplitude: complex, coeffs):
     def profile(s):
         s = np.asarray(s, dtype=float)
         t = (2.0 * s - (lo + hi)) / (hi - lo)
@@ -102,19 +120,50 @@ def _poly_bump_profile(rng, lo: float, hi: float, amplitude: complex):
     return profile
 
 
-def random_mode_profiles(rng, K_data: int, lo: float, hi: float, scale: float = 1.0) -> dict:
-    """Random smooth compactly supported modal data, conjugate-symmetric."""
+def _mode_profiles(modes, lo: float, hi: float) -> dict:
     fns = {}
-    for k in range(0, K_data + 1):
-        if k == 0:
-            amp = complex(scale * rng.normal())
-        else:
-            amp = scale * (rng.normal() + 1j * rng.normal()) / np.sqrt(1.0 + k)
-        profile = _poly_bump_profile(rng, lo, hi, amp)
+    for k, (amp, coeffs) in enumerate(modes):
+        profile = _poly_bump_profile(lo, hi, amp, coeffs)
         fns[k] = profile
         if k > 0:
             fns[-k] = (lambda s, p=profile: np.conj(p(s)))
     return fns
+
+
+def _closed_form(modes, corrections: dict, lo: float, hi: float):
+    """Vectorized fn(r, phi) of the conjugate-symmetric polynomial-bump modes.
+
+    Mode k >= 0 carries bump(r) * c_k(r) with c_k = amplitude_k * poly_k(t)
+    plus the admissibility scale lambda_k, and mode -k its conjugate; the
+    bump, t and e^{i phi} are evaluated once per call.
+    """
+    top = max(len(modes) - 1, max(corrections, default=0))
+
+    def fn(r, phi):
+        r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        t = (2.0 * r - (lo + hi)) / (hi - lo)
+        e = np.exp(1j * phi)
+        power = np.ones_like(e)
+        total = np.zeros(np.broadcast(r, phi).shape, dtype=complex)
+        for k in range(top + 1):
+            c = corrections.get(k, 0.0)
+            if k < len(modes):
+                amp, a = modes[k]
+                c = c + amp * (a[0] + a[1] * t + a[2] * t * t)
+            if k == 0:
+                total += c
+            else:
+                power = power * e
+                total += 2.0 * (c * power).real  # c_k e^{ik phi} + conj(c_k) e^{-ik phi}
+        return smooth_bump(r, lo, hi) * total
+
+    return fn
+
+
+def random_mode_profiles(rng, K_data: int, lo: float, hi: float, scale: float = 1.0) -> dict:
+    """Random smooth compactly supported modal data, conjugate-symmetric."""
+    return _mode_profiles(_random_modes(rng, K_data, scale), lo, hi)
 
 
 def random_admissible_problem(
@@ -141,12 +190,13 @@ def random_admissible_problem(
     lo, hi = support
     K_data = min(K_data, K_c, K)
 
-    w_fns = random_mode_profiles(rng, K_data, lo, hi)
-    w_field, w_fn = modal_field(grid, K, w_fns)
+    w_modes = _random_modes(rng, K_data, 1.0)
+    w_field, _ = modal_field(grid, K, _mode_profiles(w_modes, lo, hi))
 
     if with_divergence:
-        rho_fns = random_mode_profiles(rng, K_data, lo, hi, scale=0.5)
-        rho_field, rho_fn = modal_field(grid, K, rho_fns)
+        rho_modes = _random_modes(rng, K_data, 0.5)
+        rho_field, _ = modal_field(grid, K, _mode_profiles(rho_modes, lo, hi))
+        rho_fn = _closed_form(rho_modes, {}, lo, hi)
     else:
         rho_field, rho_fn = SpectralField.zeros(grid, K), None
 
@@ -166,22 +216,12 @@ def random_admissible_problem(
     corrections, _ = admissibility_corrections(w_field, rho_field, g, far_field, K_c,
                                                support=support)
     deltas = {}
-    corr_fns = {}
     for k, lam in corrections.items():
         deltas[k] = lam * smooth_bump(grid.nodes, lo, hi)
-        corr_fns[k] = lam
         if k > 0:
             deltas[-k] = np.conj(lam) * smooth_bump(grid.nodes, lo, hi)
-            corr_fns[-k] = np.conj(lam)
     w_admissible = w_field.add_modes(deltas) if deltas else w_field
-
-    def w_total(r, phi):
-        out = np.asarray(w_fn(r, phi), dtype=complex)
-        if corr_fns:
-            b = smooth_bump(np.asarray(r, dtype=float), lo, hi)
-            for k, lam in corr_fns.items():
-                out = out + lam * b * np.exp(1j * k * np.asarray(phi))
-        return out
+    w_total = _closed_form(w_modes, corrections, lo, hi)
 
     return DiskProblem(w_admissible, rho_field, g, far_field,
                        vorticity_fn=w_total, divergence_fn=rho_fn)

@@ -116,6 +116,61 @@ def polar_samples(solution, r, phi):
     return v.real, v.imag
 
 
+def reference_kernel_sum(x, sources, charge, exclusion):
+    """Direct sum of d/|d|^2 * charge at one point x, d = x - sources.
+
+    Sources with |d| <= max(exclusion, 1e-14) are dropped.
+    """
+    d = x - sources
+    dist2 = d.real**2 + d.imag**2
+    keep = dist2 > max(exclusion, 1e-14) ** 2
+    return complex(np.sum((d[keep] / dist2[keep]) * charge[keep]))
+
+
+def reference_field_values(field, fn, rr, pp):
+    """Data at every lattice point: the callable, else each mode profile
+    interpolated linearly in r at every point and synthesised with its phase."""
+    if fn is not None:
+        return np.asarray(fn(rr, pp), dtype=complex)
+    out = np.zeros(rr.shape, dtype=complex)
+    for k, row in zip(range(-field.K, field.K + 1), field.coeffs):
+        profile = (np.interp(rr, field.grid.nodes, row.real)
+                   + 1j * np.interp(rr, field.grid.nodes, row.imag))
+        out += profile * np.exp(1j * k * pp)
+    return out
+
+
+def reference_biot_savart_disk(x, problem, n_radial, n_angular, n_boundary, support=None,
+                               exclusion_radius=0.0):
+    """The disk oracle's quadrature summed one point at a time, same shape as x."""
+    grid = problem.grid
+    lo, hi = support if support is not None else (grid.r0, grid.rmax)
+    radii = lo + (np.arange(n_radial) + 0.5) * (hi - lo) / n_radial
+    angles = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    rr, pp = np.meshgrid(radii, angles, indexing="ij")
+    area = rr * (hi - lo) / n_radial * (2.0 * np.pi / n_angular)
+    w = reference_field_values(problem.vorticity, problem.vorticity_fn, rr, pp)
+    rho = reference_field_values(problem.divergence, problem.divergence_fn, rr, pp)
+    sources = (rr * np.exp(1j * pp)).ravel()
+    charge = ((rho + 1j * w) * area).ravel()
+
+    theta = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    ks = np.arange(-problem.boundary.K, problem.boundary.K + 1)
+    phases = np.exp(1j * np.outer(ks, theta))
+    g = problem.boundary.g_r @ phases + 1j * (problem.boundary.g_phi @ phases)
+    ring = grid.r0 * np.exp(1j * theta)
+    layer = g * (grid.r0 * 2.0 * np.pi / n_boundary)
+
+    x = np.asarray(x, dtype=complex)
+    out = np.empty(x.shape, dtype=complex)
+    flat = out.reshape(-1)
+    for i, xi in enumerate(x.ravel()):
+        total = reference_kernel_sum(xi, sources, charge, exclusion_radius)
+        total += reference_kernel_sum(xi, ring, layer, 0.0)
+        flat[i] = total / (2.0 * np.pi) + problem.far_field.as_complex
+    return out
+
+
 def fd_div_curl(sample, points, h):
     """Central-difference divergence and curl of a complex-packed field."""
     vxp = sample(points + h)

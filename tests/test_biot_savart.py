@@ -13,7 +13,7 @@ from divcurl.presets import (
     random_admissible_problem,
 )
 
-from helpers import cylinder_flow
+from helpers import cylinder_flow, reference_biot_savart_disk
 
 
 def test_green_function_values():
@@ -78,6 +78,62 @@ def test_rejects_boundary_and_interior_points(grid):
     with pytest.raises(ValueError, match="exclusion radius"):
         biot_savart_omega(2.0 + 0j, ExteriorProblem(identity_map(1.0), grid, 3),
                           exclusion_radius=-1.0)
+
+
+def test_support_must_lie_within_grid_span(grid):
+    w = SpectralField.zeros(grid, 3)
+    disk_problem = DiskProblem(w, w, BoundaryTrace.zeros(3))
+    ext = ExteriorProblem(identity_map(1.0), grid, 3, vorticity_fn=lambda p: np.ones(np.shape(p)))
+    for oracle, problem in ((biot_savart_disk, disk_problem), (biot_savart_omega, ext)):
+        for support in ((0.5, 4.2), (1.8, 20.0)):
+            with pytest.raises(ValueError,
+                               match="quadrature support must lie within the grid span"):
+                oracle(2.0 + 0j, problem, support=support)
+        # a reversed interval has negative cell areas: the sum would flip its sign
+        with pytest.raises(ValueError, match="lo < hi"):
+            oracle(2.0 + 0j, problem, support=(4.2, 1.8))
+
+
+def test_blocked_sum_matches_reference_direct_sum(grid):
+    rng = np.random.default_rng(6)
+    problem = random_admissible_problem(rng, grid, K=6, K_data=4, K_c=6, support=(1.8, 4.2),
+                                        with_divergence=True, boundary_modes=2,
+                                        far_field=FarField(0.3, -0.2))
+    # 960 cells: 100 points in two blocks of several points; 76,800 cells:
+    # one point per block, the cells split into two blocks
+    for n_radial, n_angular in ((24, 40), (300, 256)):
+        kwargs = {"n_radial": n_radial, "n_angular": n_angular, "n_boundary": 64,
+                  "support": (1.8, 4.2)}
+        h = (4.2 - 1.8) / n_radial
+        centre = (1.8 + 10.5 * h) * np.exp(2j * np.pi * 7 / n_angular)  # a cell centre
+        pts = rng.uniform(1.05, 7.9, 100) * np.exp(2j * np.pi * rng.random(100))
+        pts[17] = centre
+        pts = pts.reshape(10, 10)
+        for x, exclusion in ((pts, 1.5 * h), (pts, 0.0), (centre, 1.5 * h), (5.5 + 0.5j, 0.0)):
+            v = biot_savart_disk(x, problem, exclusion_radius=exclusion, **kwargs)
+            v_ref = reference_biot_savart_disk(x, problem, exclusion_radius=exclusion, **kwargs)
+            if np.ndim(x) == 0:
+                assert type(v) is complex
+            else:
+                assert v.shape == (10, 10)
+            assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+
+
+def test_interpolation_fallback_matches_reference(grid):
+    # complex, non-conjugate-symmetric modes with no callable: the oracle
+    # interpolates at the lattice radii and synthesises once per angle
+    rng = np.random.default_rng(7)
+    bump = smooth_bump(grid.nodes, 1.6, 5.0)
+    modes = {k: (rng.normal() + 1j * rng.normal()) * bump * (1.0 + 0.1 * k * grid.nodes)
+             for k in range(-4, 5)}
+    w = SpectralField.from_modes(grid, 4, modes)
+    rho = SpectralField.from_modes(grid, 4, {2: 0.5j * bump, -1: (0.3 - 0.2j) * bump})
+    problem = DiskProblem(w, rho, BoundaryTrace.zeros(4))
+    kwargs = {"n_radial": 37, "n_angular": 29, "n_boundary": 16, "support": (1.5, 5.5)}
+    pts = np.array([1.2 * np.exp(0.4j), 6.0 * np.exp(-1.7j), 3.1 * np.exp(2.2j)])
+    v = biot_savart_disk(pts, problem, **kwargs)
+    v_ref = reference_biot_savart_disk(pts, problem, **kwargs)
+    assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
 
 def test_localized_patch_far_field_circulation(grid):
