@@ -151,27 +151,35 @@ def _mode_sum(values, phi):
     return total * unit
 
 
-def _direct_terms(grid: RadialGrid, w, rho, g_r, g_phi, far: FarField) -> ModeTerms:
-    """Kernel terms of the direct solver for the modes k = -K..K (data rows w, rho)."""
+def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
+    """Kernel terms for the modes k = -K..K with a zero trace; rho None is zero divergence."""
     K = (len(w) - 1) // 2
     ks = np.arange(-K, K + 1)
     m = np.abs(ks)
     sigma = np.sign(ks)
-    rho_i = 1j * sigma[:, None] * rho
-    inner = scaled_integrals(grid.nodes, w - rho_i, m + 1)
-    outer = scaled_integrals(grid.nodes, w + rho_i, m - 1, suffix=True)
+    rho_i = None if rho is None else 1j * sigma[:, None] * rho
+    inner = scaled_integrals(grid.nodes, w if rho is None else w - rho_i, m + 1)
+    outer = scaled_integrals(grid.nodes, w if rho is None else w + rho_i, m - 1, suffix=True)
     del rho_i
     vinf = np.array([vinf_coefficients(far, int(k)) for k in ks], dtype=complex).T
-    d = 0.5 * (g_phi - 1j * sigma * g_r)
     half_i = 0.5j * sigma
     n = len(ks)
-    coef = np.array([[half_i, half_i, 2.0 * half_i * d, vinf[0]],
-                     [np.full(n, 0.5), np.full(n, -0.5), d, vinf[1]]], dtype=complex)
-    # mode 0: v_r,0 = (int s rho_0 + r0 g_r,0) / r and likewise v_phi,0 from w_0
-    coef[:, :, K] = ((0.0, 0.0, g_r[K], 0.0), (0.0, 0.0, g_phi[K], 0.0))
-    zero_integrals = (cumulative(grid.nodes, grid.nodes * rho[K]),
+    coef = np.array([[half_i, half_i, np.zeros(n), vinf[0]],
+                     [np.full(n, 0.5), np.full(n, -0.5), np.zeros(n), vinf[1]]], dtype=complex)
+    # mode 0 has no kernel rows: v_r,0 = (int s rho_0 + r0 g_r,0) / r, likewise v_phi,0
+    coef[:, :2, K] = 0.0
+    zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[K]),
                       cumulative(grid.nodes, grid.nodes * w[K]))
     return ModeTerms(ks, grid.r0, inner, outer, coef, zero_integrals)
+
+
+def _set_trace(coef, g_r, g_phi):
+    """Write the decay terms of the trace (g_r, g_phi) into coef, mode 0 as r0 g_0 / r."""
+    K = (len(g_r) - 1) // 2
+    sigma = np.sign(np.arange(-K, K + 1))
+    d = 0.5 * (g_phi - 1j * sigma * g_r)
+    coef[:, 2] = 1j * sigma * d, d
+    coef[:, 2, K] = g_r[K], g_phi[K]
 
 
 @dataclass(frozen=True)
@@ -281,7 +289,8 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
         )
 
     K = problem.K
-    terms = _direct_terms(grid, w.coeffs, rho.coeffs, g.g_r, g.g_phi, far)
+    terms = _direct_terms(grid, w.coeffs, rho.coeffs, far)
+    _set_trace(terms.coef, g.g_r, g.g_phi)
     v_r, v_phi = terms.at_nodes()
     report = _report_from_moments(problem, terms.outer.table[K + 1 :, 0], warn_tolerance)
     if not report.admissible:

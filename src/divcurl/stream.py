@@ -5,23 +5,22 @@ and Delta psi = w.  Imposing the slip form psi = const on the circle, zero
 circulation around it, and psi -> v2*x1 - v1*x2 at infinity yields one radial
 two-point problem per mode,
 
-    psi_k'' + psi_k'/r - k^2 psi_k / r^2 = w_k,
+    psi_k'' + psi_k'/r - k^2 psi_k / r^2 = w_k.
 
-solved in closed form by variation of parameters with the disk solver's
-kernel tables (quadrature.ScaledIntegrals) of w, for all modes at once.  For
-k != 0, with m = |k|,
+Its skew gradient v_r,k = -(i k / r) psi_k, v_phi,k = psi_k' is the direct
+solver's field for rho = 0, g_r = 0 and the slip-completion trace
 
-    a_k(r) = r^{-m-1} int_{r0}^r s^{m+1} w_k ds,   b_k(r) = r^{m-1} int_r^inf s^{1-m} w_k ds,
-    psi_k  = -r (a_k + b_k) / (2m) + r0 c_k (r0/r)^m + r v_phi,k^inf,
-    psi_k' = (a_k - b_k) / 2 - m c_k (r0/r)^{m+1} + v_phi,k^inf,
+    g_phi,k = 2 v_phi,k^inf - b_k(r0)  (k != 0),   g_phi,0 = 0,
 
-with c_k = b_k(r0) / (2m) - v_phi,k^inf fixed by psi_k(r0) = 0.  Mode 0
-keeps the plain cumulative integrals: psi_0' = (1/r) int_{r0}^r s w_0 ds and
-psi_0 its trapezoid integral.  Every factor is a ratio of radii, so
-nothing overflows at high modes, and the two paths agree to rounding on
-admissible data.  The discarded Neumann condition d(psi)/dn = 0 holds
-exactly when the vorticity satisfies the no-slip orthogonality relations;
-neumann_defect measures the residual slip velocity otherwise.
+the tangential slip that zeroes every moment residual, so psi_k(r0) = 0
+is the completed problem's v_r,k(r0) = 0.  solve_stream therefore builds the
+direct solver's kernel terms once (disk._direct_terms), reads b_k(r0) off
+their suffix table, sets that trace, and reads psi_k = (i r / k) v_r,k off
+the profiles; psi_0 is the trapezoid integral of
+v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  The discarded Neumann condition
+d(psi)/dn = 0 holds exactly when the completion trace vanishes, that is when
+the vorticity satisfies the no-slip orthogonality relations; neumann_defect
+measures the trace, the residual slip velocity, otherwise.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import FarField, ModeTerms, VelocitySolution, vinf_coefficients
+from .disk import FarField, ModeTerms, VelocitySolution, _direct_terms, _set_trace
 from .grids import RadialGrid, SpectralField
-from .quadrature import cumulative, scaled_integrals
+from .quadrature import cumulative
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
@@ -45,8 +44,8 @@ class StreamFunction:
     Modes k != 0 vanish at r0 so psi is constant on the solid; the constant
     itself is gauged to zero.  psi_1 grows linearly to match the far-field
     stream r * v_phi,1^inf; all other modes decay beyond the data support.
-    velocity_terms are the kernel terms of the skew gradient (-(i k / r) psi_k,
-    psi_k'), which velocity_from_stream evaluates off the nodes.
+    velocity_terms are the direct solver's kernel terms of the skew gradient
+    (-(i k / r) psi_k, psi_k'), which velocity_from_stream evaluates off nodes.
     """
 
     grid: RadialGrid
@@ -54,7 +53,7 @@ class StreamFunction:
     modes: np.ndarray
     d_modes: np.ndarray
     far_field: FarField
-    velocity_terms: ModeTerms = field(default=None, compare=False)
+    velocity_terms: ModeTerms = field(compare=False)
 
     def __post_init__(self):
         shape = (2 * self.K + 1, len(self.grid))
@@ -63,25 +62,6 @@ class StreamFunction:
             if values.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             values.setflags(write=False)
-
-
-def _velocity_terms(w: SpectralField, v: FarField) -> ModeTerms:
-    """Kernel terms of v_r,k = -(i k / r) psi_k and v_phi,k = psi_k' for every mode."""
-    grid = w.grid
-    ks = np.arange(-w.K, w.K + 1)
-    m = np.abs(ks)
-    inner = scaled_integrals(grid.nodes, w.coeffs, m + 1)
-    outer = scaled_integrals(grid.nodes, w.coeffs, m - 1, suffix=True)
-    vphi_inf = np.array([vinf_coefficients(v, int(k))[1] for k in ks], dtype=complex)
-    c = outer.table[:, 0] / (2.0 * np.maximum(m, 1)) - vphi_inf
-    half_i = 0.5j * np.sign(ks)
-    coef = np.array([[half_i, half_i, -1j * ks * c, -1j * ks * vphi_inf],
-                     [np.full(len(ks), 0.5), np.full(len(ks), -0.5), -m * c, vphi_inf]],
-                    dtype=complex)
-    # mode 0: v_r,0 = 0 and v_phi,0 = psi_0' = (1/r) int s w_0
-    coef[:, :, w.K] = 0.0
-    circulation = cumulative(grid.nodes, grid.nodes * w.coeff(0))
-    return ModeTerms(ks, grid.r0, inner, outer, coef, (None, circulation))
 
 
 def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) -> StreamFunction:
@@ -94,7 +74,12 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     grid = w.grid
     nodes = grid.nodes
     K = w.K
-    terms = _velocity_terms(w, v)
+    terms = _direct_terms(grid, w.coeffs, None, v)
+    # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment
+    # residual; coef[1, 3] is the constant term v_phi,k^inf
+    slip = 2.0 * terms.coef[1, 3] - terms.outer.table[:, 0]
+    slip[K] = 0.0
+    _set_trace(terms.coef, np.zeros_like(slip), slip)
     v_r, dpsi = terms.at_nodes()
     # psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'
     ks = np.arange(-K, K + 1)
@@ -102,10 +87,11 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     psi *= 1j * nodes / np.where(ks == 0, 1, ks)[:, None]
     psi[K] = cumulative(nodes, dpsi[K]).prefix
 
-    total_circ = terms.zero[1].total
-    if abs(total_circ) > warn_tolerance:
+    # 2 pi int s w_0 ds, the circulation the moment report prints
+    circulation = 2.0 * np.pi * abs(terms.zero[1].total)
+    if circulation > warn_tolerance:
         warnings.warn(
-            f"total vorticity circulation {abs(total_circ):.3e} is nonzero; "
+            f"total vorticity circulation {circulation:.3e} is nonzero; "
             "psi grows logarithmically and the far-field condition fails",
             stacklevel=2,
         )
@@ -129,7 +115,7 @@ def velocity_from_stream(psi: StreamFunction) -> VelocitySolution:
 
 
 def neumann_defect(psi: StreamFunction) -> float:
-    """L2(boundary) norm of d(psi)/dr at r0, the residual slip speed.
+    """L2(boundary) norm of d(psi)/dr at r0, the slip-completion trace: the residual slip speed.
 
     Zero (to tolerance) exactly when the vorticity satisfies the no-slip
     orthogonality relations; for w = 0 against a uniform stream of speed v it

@@ -105,6 +105,50 @@ def brute_force_mode_profiles(k, w_fn, rho_fn, alpha, vinf_r, vinf_phi, r0, rmax
     return v_r, v_phi
 
 
+def mp_stream_mode(k, w_fn, support, r0, vphi_inf, radii, dps=20):
+    """Continuum stream mode psi_k at radii by variation of parameters (mpmath.quad).
+
+    Solves psi'' + psi'/r - k^2 psi / r^2 = w_k on r > r0 with psi(r0) = 0 and
+    psi - r vphi_inf bounded at infinity, for data w_fn(s) (mpmath in, mpmath
+    out) supported in support = (lo, hi).  With m = |k| >= 1 the particular
+    solution built from the homogeneous pair r^{+-m} is
+
+        psi_p = -(r^{-m} int_{r0}^r s^{m+1} w ds + r^m int_r^inf s^{1-m} w ds) / (2m),
+
+    and psi = psi_p + r vphi_inf - (r0/r)^m (psi_p(r0) + r0 vphi_inf).  For
+    k = 0 the pair is (1, log r): psi_0 = int_{r0}^r s w(s) log(r/s) ds.
+    No grid enters, so this checks the solver's discretisation as well.
+    """
+    import mpmath
+
+    m = abs(k)
+    with mpmath.workdps(dps):
+        lo, hi = mpmath.mpf(support[0]), mpmath.mpf(support[1])
+        r0 = mpmath.mpf(r0)
+        vphi_inf = mpmath.mpc(complex(vphi_inf))
+
+        def integral(f, a, b):
+            a, b = max(a, lo), min(b, hi)
+            return mpmath.quad(f, [a, b]) if a < b else mpmath.mpf(0)
+
+        def psi_p(r):
+            inner = integral(lambda s: s ** (m + 1) * w_fn(s), r0, r)
+            outer = integral(lambda s: s ** (1 - m) * w_fn(s), r, hi)
+            return -(r ** -m * inner + r**m * outer) / (2 * m)
+
+        out = []
+        if m == 0:
+            for radius in radii:
+                r = mpmath.mpf(float(radius))
+                out.append(complex(integral(lambda s: s * w_fn(s) * mpmath.log(r / s), r0, r)))
+            return np.array(out)
+        c = psi_p(r0) + r0 * vphi_inf
+        for radius in radii:
+            r = mpmath.mpf(float(radius))
+            out.append(complex(psi_p(r) + r * vphi_inf - (r0 / r) ** m * c))
+        return np.array(out)
+
+
 def polar_samples(solution, r, phi):
     """(v_r, v_phi) of a real velocity field at radii r and angles phi.
 

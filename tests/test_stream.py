@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from divcurl.disk import DiskProblem, FarField, solve_disk
-from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
+from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
+from divcurl.moments import make_admissible, moment_report
 from divcurl.presets import random_admissible_problem
 from divcurl.quadrature import radial_integral
-from divcurl.stream import neumann_defect, solve_stream, velocity_from_stream
+from divcurl.stream import StreamFunction, neumann_defect, solve_stream, velocity_from_stream
 
-from helpers import cylinder_flow_polar, observed_order, polar_samples
+from helpers import cylinder_flow_polar, mp_stream_mode, observed_order, polar_samples
 
 
 @pytest.fixture
@@ -130,6 +131,18 @@ def test_nonzero_circulation_warns(grid):
     with pytest.warns(UserWarning, match="circulation"):
         solve_stream(w, FarField())
 
+    # the warning compares the circulation the moment report prints,
+    # 2 pi int s w_0 ds, with the tolerance: here 3.14e-8 > 1e-8
+    small = RadialGrid.uniform(1.0, 8.0, 801)
+    bump = smooth_bump(small.nodes, 2.0, 4.0)
+    bump /= radial_integral(small.nodes, bump, power=1).real
+    w = SpectralField.from_modes(small, 2, {0: 5e-9 * bump + 0j})
+    report = moment_report(DiskProblem(w, SpectralField.zeros(small, 2), BoundaryTrace.zeros(2),
+                                       FarField()))
+    assert not report.admissible
+    with pytest.warns(UserWarning, match=f"circulation {abs(report.circulation):.3e} "):
+        solve_stream(w, FarField())
+
 
 def test_stream_solution_reports_far_field_modes(grid):
     # velocity far field equals the prescribed constant: check far samples
@@ -140,3 +153,90 @@ def test_stream_solution_reports_far_field_modes(grid):
     flow = velocity_from_stream(psi)
     far_pts = np.array([500.0 * np.exp(1j * t) for t in (0.3, 2.1, 4.4)])
     assert np.max(np.abs(flow.sample(far_pts) - complex(1.0, 0.4))) < 1e-4
+
+
+def test_stream_is_the_slip_completion_of_the_direct_solver():
+    # complex data, not conjugate-symmetric, admissible only up to K_c = 4:
+    # the stream path equals the direct solver with rho = 0, g_r = 0 and the
+    # tangential trace g_phi,k = 2 v_phi,k^inf - b_k(r0) for every k != 0
+    grid = RadialGrid.geometric(1.0, 10.0, 500, ratio=1.006)
+    K = 24
+    far = FarField(0.7, -0.2)
+    rng = np.random.default_rng(21)
+    s = grid.nodes
+    profiles = {}
+    for k in range(-K, K + 1):
+        lo = 1.1 + 3.0 * rng.random()
+        amp = rng.normal() + 1j * rng.normal() * (k != 0)  # real w_0: no flux part
+        profiles[k] = amp * smooth_bump(s, lo, lo + 1.0 + 3.0 * rng.random())
+    zeros = SpectralField.zeros(grid, K)
+    w = make_admissible(SpectralField.from_modes(grid, K, profiles), zeros,
+                        BoundaryTrace.zeros(K), far, K_c=4)
+    assert w.conjugate_symmetry_defect() > 0.1
+    with pytest.warns(UserWarning, match="orthogonality"):
+        psi = solve_stream(w, far)
+    flow = velocity_from_stream(psi)
+
+    ks = np.arange(-K, K + 1)
+    m = np.abs(ks)
+    b0 = np.trapezoid(w.coeffs * (grid.r0 / s) ** (m[:, None] - 1.0), s, axis=1)
+    vphi_inf = np.where(m == 1, 0.5 * (far.v2 + 1j * ks * far.v1), 0.0)
+    g_phi = 2.0 * vphi_inf - b0
+    g_phi[K] = 0.0
+    completed = DiskProblem(w, zeros, BoundaryTrace(K, np.zeros(2 * K + 1), g_phi), far)
+    report = moment_report(completed)
+    assert report.max_residual <= 1e-12 and abs(report.circulation) <= 1e-12
+    direct = solve_disk(completed)
+
+    for a, b in zip(direct.profiles(), flow.profiles()):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+    pts = (1.0 + 11.0 * rng.random(3000)) * np.exp(2j * np.pi * rng.random(3000))
+    a, b = direct.sample(pts), flow.sample(pts)
+    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a))
+
+
+def _bump_mp(lo, hi):
+    import mpmath
+
+    def f(s):
+        t = (2 * s - (lo + hi)) / (hi - lo)
+        return mpmath.exp(1 - 1 / (1 - t * t))
+    return f
+
+
+def test_matches_variation_of_parameters_reference():
+    # continuum psi_k from mpmath.quad on closed-form data, against the
+    # solver at shared interior nodes of two uniform grids: second order
+    far = FarField(0.7, -0.2)
+    data = {0: (0.8, (1.5, 4.0)), 1: (0.6 - 0.9j, (2.0, 5.0)),
+            2: (-0.4 + 1.1j, (1.3, 3.5)), -3: (1.2 + 0.5j, (2.5, 6.0))}
+    radii = np.linspace(1.5, 7.5, 13)
+    reference = {}
+    for k in range(-3, 4):
+        amp, support = data.get(k, (0.0, (2.0, 3.0)))
+        vphi_inf = 0.5 * (far.v2 + 1j * k * far.v1) if abs(k) == 1 else 0.0
+        bump = _bump_mp(*support)
+        reference[k] = mp_stream_mode(k, lambda s: amp * bump(s), support, 1.0, vphi_inf, radii)
+    scale = max(np.max(np.abs(ref)) for ref in reference.values())
+
+    errors = []
+    for count in (141, 281):
+        grid = RadialGrid.uniform(1.0, 8.0, count)
+        stride = (count - 1) // 14
+        nodes = np.arange(stride, count - 1, stride)
+        assert np.allclose(grid.nodes[nodes], radii, rtol=0.0, atol=1e-13)
+        w = SpectralField.from_modes(grid, 3, {k: amp * smooth_bump(grid.nodes, *support) + 0j
+                                               for k, (amp, support) in data.items()})
+        with pytest.warns(UserWarning):
+            psi = solve_stream(w, far)
+        errors.append(max(np.max(np.abs(psi.modes[k + 3, nodes] - reference[k]))
+                          for k in range(-3, 4)))
+    assert errors[-1] < 1e-3 * scale
+    assert observed_order(errors) >= 1.9
+
+
+def test_stream_function_requires_velocity_terms(grid):
+    # without its kernel terms a StreamFunction could not be sampled
+    zeros = np.zeros((3, len(grid)), dtype=complex)
+    with pytest.raises(TypeError):
+        StreamFunction(grid, 1, zeros, zeros.copy(), FarField())
