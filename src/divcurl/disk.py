@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import BoundaryTrace, RadialGrid, SpectralField
-from .quadrature import ScaledIntegrals, cumulative, scaled_integrals
+from .quadrature import ScaledIntegrals, _bands, _locate, cumulative, scaled_integrals
 
 __all__ = [
     "FarField",
@@ -73,9 +73,6 @@ def vinf_coefficients(v: FarField, k: int) -> tuple:
     return vr, vphi
 
 
-_SAMPLE_BLOCK = 2048  # points per sampling block: (2K+1) x 2048 temporaries
-
-
 @dataclass(frozen=True)
 class ModeTerms:
     """Mode profiles as combinations of the two kernel tables, one row per mode.
@@ -101,54 +98,86 @@ class ModeTerms:
         return np.exp(np.multiply.outer(np.abs(self.ks[rows]) + 1.0, np.log(self.r0 / r)))
 
     def at_nodes(self):
-        """Node profiles (v_r, v_phi), each of shape (rows, nodes)."""
+        """Node profiles (v_r, v_phi), each of shape (rows, nodes), built band by band."""
         nodes = self.inner.nodes
-        decay = self._decay(nodes)
-        out = []
-        for c, integral in zip(self.coef, self.zero):
-            x = c[0, :, None] * self.inner.table
-            x += c[1, :, None] * self.outer.table
-            x += c[2, :, None] * decay
-            x += c[3, :, None]
+        out = tuple(np.empty(self.inner.table.shape, dtype=complex) for _ in self.coef)
+        for band in _bands(len(self.ks), len(nodes)):
+            decay = self._decay(nodes, band)
+            for c, x in zip(self.coef, out):
+                rows = x[band]
+                np.multiply(c[0, band, None], self.inner.table[band], out=rows)
+                rows += c[1, band, None] * self.outer.table[band]
+                rows += c[2, band, None] * decay
+        for c, integral, x in zip(self.coef, self.zero, out):
+            rows = np.flatnonzero(c[3])  # the constant far field: |k| = 1 only
+            x[rows] += c[3, rows, None]
             if integral is not None:
                 x[self.ks == 0] += integral.prefix / nodes
-            out.append(x)
-        return tuple(out)
-
-    def at(self, r):
-        """Per-mode Cartesian combination v_r,k + i v_phi,k at radii r (1-D).
-
-        Each kernel table is evaluated only on the range of rows where the
-        combination has a nonzero coefficient for it.
-        """
-        coef = self.coef[0] + 1j * self.coef[1]
-        out = np.zeros((len(self.ks), r.size), dtype=complex)
-        for t, evaluate in ((0, self.inner.at), (1, self.outer.at), (2, self._decay)):
-            used = np.flatnonzero(coef[t])
-            if used.size:
-                rows = slice(used[0], used[-1] + 1)
-                out[rows] += coef[t, rows, None] * evaluate(r, rows)
-        out += coef[3, :, None]
-        for mu, integral in zip((1.0, 1.0j), self.zero):
-            if integral is not None:
-                out[self.ks == 0] += mu * integral.at(r, extend=True) / r
         return out
 
+    def _add_rows(self, out, r, located, rows):
+        """Add the Cartesian combinations v_r,k + i v_phi,k of the rows to out (rows, len(r)).
 
-def _blocks(count):
-    return (slice(i, min(i + _SAMPLE_BLOCK, count)) for i in range(0, count, _SAMPLE_BLOCK))
+        Each kernel table is evaluated only on the rows where the combination
+        has a nonzero coefficient for it; the radii are located once by the
+        caller and shared by both tables.
+        """
+        coef = self.coef[0, :, rows] + 1j * self.coef[1, :, rows]
+        for t, table in enumerate((self.inner, self.outer, None)):
+            used = np.flatnonzero(coef[t])
+            if used.size:
+                sub = slice(used[0], used[-1] + 1)
+                own = slice(rows.start + sub.start, rows.start + sub.stop)
+                value = self._decay(r, own) if table is None else table._at(r, located, own)
+                out[sub] += coef[t, sub, None] * value
+        out += coef[3, :, None]
+        zero = np.flatnonzero(self.ks[rows] == 0)
+        for mu, integral in zip((1.0, 1.0j), self.zero):
+            if integral is not None and zero.size:
+                out[zero] += mu * integral.at(r, extend=True) / r
+        return out
 
+    def at(self, r):
+        """Per-mode Cartesian combination v_r,k + i v_phi,k at radii r (1-D)."""
+        r = np.asarray(r, dtype=float)
+        out = np.zeros((len(self.ks), r.size), dtype=complex)
+        return self._add_rows(out, r, _locate(self.inner.nodes, r, extend=True),
+                              slice(0, len(self.ks)))
 
-def _mode_sum(values, phi):
-    """sum over rows k = -K..K of values[k + K] e^{i (k + 1) phi}."""
-    K = (len(values) - 1) // 2
-    unit = np.exp(1j * phi)
-    phases = np.empty_like(values)
-    phases[K] = 1.0
-    phases[K + 1 :] = np.cumprod(np.broadcast_to(unit, (K, unit.size)), axis=0)
-    phases[:K] = np.conj(phases[: K : -1])
-    total = np.einsum("kj,kj->j", values, phases)
-    return total * unit
+    def _mode_sum(self, r, phi):
+        """sum over k of (v_r,k + i v_phi,k)(r) e^{i (k + 1) phi} at points (r, phi).
+
+        Walks the modes +-m in bands of m, so that one band's rows times the
+        points fit the band budget; the phases e^{i m phi} continue their
+        running product from band to band.  The first band holds the rows
+        -m1 < k < m1 in order, so a single band sums exactly as one pass over
+        all rows would.
+        """
+        K = (len(self.ks) - 1) // 2
+        located = _locate(self.inner.nodes, r, extend=True)
+        unit = np.exp(1j * phi)
+        for band in _bands(K + 1, 2 * r.size):
+            m0, m1 = band.start, band.stop
+            neg = slice(K - m1 + 1, K - max(m0, 1) + 1)  # k = -(m1 - 1) .. -max(m0, 1)
+            n = neg.stop - neg.start
+            values = np.zeros((n + m1 - m0, r.size), dtype=complex)
+            self._add_rows(values[:n], r, located, neg)
+            self._add_rows(values[n:], r, located, slice(K + m0, K + m1))
+            phases = np.empty_like(values)
+            pos = phases[n:]  # e^{i m phi}, m = m0 .. m1 - 1
+            if m0 == 0:
+                pos[0] = 1.0
+                pos[1:] = unit
+                np.cumprod(pos[1:], axis=0, out=pos[1:])
+            else:
+                run = np.empty((m1 - m0 + 1, r.size), dtype=complex)
+                run[0], run[1:] = last, unit
+                pos[:] = np.cumprod(run, axis=0, out=run)[1:]
+            last = pos[-1]
+            phases[:n] = np.conj(pos[::-1][:n])
+            part = np.einsum("kj,kj->j", values, phases)
+            total = part if m0 == 0 else total + part
+        return total * unit
 
 
 def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
@@ -157,10 +186,16 @@ def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
     ks = np.arange(-K, K + 1)
     m = np.abs(ks)
     sigma = np.sign(ks)
-    rho_i = None if rho is None else 1j * sigma[:, None] * rho
-    inner = scaled_integrals(grid.nodes, w if rho is None else w - rho_i, m + 1)
-    outer = scaled_integrals(grid.nodes, w if rho is None else w + rho_i, m - 1, suffix=True)
-    del rho_i
+    f_inner = f_outer = w
+    if rho is not None:
+        # w -+ i sigma rho, formed band by band
+        f_inner, f_outer = np.empty_like(w, dtype=complex), np.empty_like(w, dtype=complex)
+        for band in _bands(len(ks), w.shape[1]):
+            rho_i = 1j * sigma[band, None] * rho[band]
+            np.subtract(w[band], rho_i, out=f_inner[band])
+            np.add(w[band], rho_i, out=f_outer[band])
+    inner = scaled_integrals(grid.nodes, f_inner, m + 1)
+    outer = scaled_integrals(grid.nodes, f_outer, m - 1, suffix=True)
     vinf = np.array([vinf_coefficients(far, int(k)) for k in ks], dtype=complex).T
     half_i = 0.5j * sigma
     n = len(ks)
@@ -171,6 +206,11 @@ def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
     zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[K]),
                       cumulative(grid.nodes, grid.nodes * w[K]))
     return ModeTerms(ks, grid.r0, inner, outer, coef, zero_integrals)
+
+
+def _max_abs(values) -> float:
+    """max |values| of a (modes, nodes) array, band by band."""
+    return max(float(np.max(np.abs(values[band]))) for band in _bands(*values.shape))
 
 
 def _set_trace(coef, g_r, g_phi):
@@ -252,13 +292,19 @@ class VelocitySolution:
 
         Sums (v_r,k + i v_phi,k) e^{i (k+1) phi}, in which one kernel table
         per mode cancels: for k > 0 only a_k remains, for k < 0 only b_k.
+        The points go in order of radius, in blocks of 2048; ModeTerms._mode_sum
+        takes the modes of a block in row bands.
         """
         points = np.asarray(points, dtype=complex)
         flat = points.ravel()
+        # points in order of radius, so a block gathers a narrow window of
+        # table columns; each point's sum does not depend on its block
+        order = np.argsort(np.abs(flat), kind="stable")
         out = np.empty(flat.size, dtype=complex)
-        for block in _blocks(flat.size):
-            z = flat[block]
-            out[block] = _mode_sum(self.terms.at(np.abs(z)), np.angle(z))
+        # blocks of 2048 points: a band of 32 mode rows over a block fits the budget
+        for block in _bands(flat.size, 32):
+            rows = order[block]
+            out[rows] = self.terms._mode_sum(np.abs(flat[rows]), np.angle(flat[rows]))
         return out.reshape(points.shape)
 
     def boundary_trace(self) -> BoundaryTrace:
@@ -277,9 +323,7 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     grid = problem.grid
     w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
-    support_scale = max(
-        float(np.max(np.abs(w.coeffs))), float(np.max(np.abs(rho.coeffs))), 1e-300
-    )
+    support_scale = max(_max_abs(w.coeffs), _max_abs(rho.coeffs), 1e-300)
     edge = max(float(np.max(np.abs(w.coeffs[:, -1]))), float(np.max(np.abs(rho.coeffs[:, -1]))))
     if edge > 1e-12 * support_scale:
         warnings.warn(
@@ -296,7 +340,7 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
     if not report.admissible:
         warnings.warn(
             f"data violates the moment conditions (max residual "
-            f"{report.max_residual:.3e}, circulation/flux {abs(report.circulation):.3e}); "
+            f"{report.max_residual:.3e}, circulation/flux {report.circulation_flux:.3e}); "
             "the computed field will not match the boundary trace and may carry an "
             "infinite-energy 1/r tail",
             stacklevel=2,

@@ -9,7 +9,10 @@ and at k = 0 the circulation and flux around the solid must vanish:
 
     int w dx + circ(g) = 0,   int rho dx + flux(g) = 0,
 
-reported combined as 2*pi*[(int s w_0 ds + r0 g_phi,0) + i (int s rho_0 ds + r0 g_r,0)].
+that is 2 pi (int s w_0 ds + r0 g_phi,0) = 0 and 2 pi (int s rho_0 ds + r0 g_r,0) = 0.
+The two are kept apart: for complex data each is complex, and their
+combination circulation + i flux could cancel.  For real data the report
+prints them combined, as 2*pi*[(...) + i (...)].
 Residuals are oriented left minus right, so a pure far-field violation at
 k = 1 reports -(v_phi,1^inf + i v_r,1^inf).  All mode moments are taken in
 one product with the trapezoid weights times (r0/s)^{k-1} <= 1, so no power
@@ -40,14 +43,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Per-mode moment residuals plus the combined circulation/flux residual.
+    """Per-mode moment residuals plus the circulation and flux residuals.
 
     residuals[k] holds the mode-k residual for k = 1..K; index 0 is kept at
-    zero because the k = 0 condition is the separate circulation/flux entry.
+    zero because the k = 0 conditions are the separate circulation and flux
+    entries.
     """
 
     residuals: np.ndarray
     circulation: complex
+    flux: complex
     tolerance: float
 
     def __post_init__(self):
@@ -58,16 +63,25 @@ class MomentReport:
         return float(np.max(np.abs(self.residuals))) if self.residuals.size else 0.0
 
     @property
+    def circulation_flux(self) -> float:
+        """sqrt(|circulation|^2 + |flux|^2): both k = 0 residuals, with no cancellation."""
+        return float(np.hypot(abs(self.circulation), abs(self.flux)))
+
+    @property
     def admissible(self) -> bool:
-        return self.max_residual <= self.tolerance and abs(self.circulation) <= self.tolerance
+        return self.max_residual <= self.tolerance and self.circulation_flux <= self.tolerance
 
     def to_text(self) -> str:
         lines = ["k,residual_re,residual_im,residual_abs"]
         for k in range(1, self.residuals.size):
             res = self.residuals[k]
             lines.append(f"{k},{res.real:.17g},{res.imag:.17g},{abs(res):.17g}")
-        c = self.circulation
-        lines.append(f"circulation_flux,{c.real:.17g},{c.imag:.17g},{abs(c):.17g}")
+        if self.circulation.imag == 0.0 and self.flux.imag == 0.0:
+            c = complex(self.circulation.real, self.flux.real)
+            lines.append(f"circulation_flux,{c.real:.17g},{c.imag:.17g},{abs(c):.17g}")
+        else:
+            for name, c in (("circulation", self.circulation), ("flux", self.flux)):
+                lines.append(f"{name},{c.real:.17g},{c.imag:.17g},{abs(c):.17g}")
         lines.append(f"tolerance,{self.tolerance:.17g}")
         lines.append(f"admissible,{str(self.admissible).lower()}")
         return "\n".join(lines) + "\n"
@@ -94,7 +108,7 @@ def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> Mom
     """Report for modes 1..len(moments) from their weighted moments (solve_disk's b_k(r0))."""
     residuals = np.zeros(len(moments) + 1, dtype=complex)
     residuals[1:] = _mode_residuals(problem, np.arange(1, len(moments) + 1), moments)
-    return MomentReport(residuals, circulation_flux_residual(problem), tolerance)
+    return MomentReport(residuals, *_circulation_flux(problem), tolerance)
 
 
 def moment_residual(k: int, problem: DiskProblem) -> complex:
@@ -108,14 +122,24 @@ def moment_residual(k: int, problem: DiskProblem) -> complex:
     return complex(_mode_residuals(problem, [k], _weighted_moments(problem.grid, [f], [k]))[0])
 
 
-def circulation_flux_residual(problem: DiskProblem) -> complex:
-    """Combined circulation + i*flux residual of the k = 0 conditions."""
+def _circulation_flux(problem: DiskProblem) -> tuple:
+    """(circulation, flux) residuals of the k = 0 conditions, each 2 pi (...), complex."""
     grid = problem.grid
     g = problem.boundary
     weights = trapezoid_weights(grid.nodes) * grid.nodes
     circ = weights @ problem.vorticity.coeff(0) + grid.r0 * g.coeff_phi(0)
     flux = weights @ problem.divergence.coeff(0) + grid.r0 * g.coeff_r(0)
-    return complex(2.0 * np.pi * (circ + 1j * flux))
+    return complex(2.0 * np.pi * circ), complex(2.0 * np.pi * flux)
+
+
+def circulation_flux_residual(problem: DiskProblem) -> complex:
+    """Combined circulation + i*flux residual of the k = 0 conditions.
+
+    Exact for real data.  For complex data the two parts mix (a circulation
+    i and a flux -1 give 0); moment_report keeps them apart.
+    """
+    circ, flux = _circulation_flux(problem)
+    return circ + 1j * flux
 
 
 def _moments(problem: DiskProblem, K: int) -> np.ndarray:
@@ -168,20 +192,21 @@ def admissibility_corrections(
     )
 
     corrections = {}
-    circ_flux = circulation_flux_residual(problem) / (2.0 * np.pi)
-    if abs(circ_flux.imag) > skip_below * scale:
+    circ, flux = (x / (2.0 * np.pi) for x in _circulation_flux(problem))
+    if abs(flux) > skip_below * scale:
+        shown = f"{flux.real:.3e}" if flux.imag == 0.0 else f"{flux:.3e}"
         warnings.warn(
-            f"flux residual {circ_flux.imag:.3e} depends only on (rho, g_r) and cannot be "
+            f"flux residual {shown} depends only on (rho, g_r) and cannot be "
             "removed by a vorticity correction; fix the divergence data or the "
             "radial trace",
             stacklevel=2,
         )
 
-    if abs(circ_flux.real) > skip_below * scale:
+    if abs(circ) > skip_below * scale:
         m0 = float(trapezoid_weights(grid.nodes) @ (grid.nodes * bump))
         if abs(m0) < 1e-14:
             raise ValueError("bump profile has zero circulation moment; choose another support")
-        corrections[0] = complex(-circ_flux.real / m0)
+        corrections[0] = -circ / m0
 
     ks = np.arange(1, K_c + 1)
     residuals = _mode_residuals(problem, ks, _moments(problem, K_c))

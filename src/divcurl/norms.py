@@ -5,7 +5,10 @@ Volume norms use Parseval in the angle and composite trapezoid in radius:
 energy uses the full polar gradient including the frame-curvature terms, so
 constant fields contribute exactly zero.  Every volume norm sums the
 (2K+1) x M mode densities over k and takes one product with the radial
-weight vector.
+weight vector.  The density is accumulated over row bands
+(quadrature._bands), each term summed row after row in mode order, which is
+the order one einsum over the whole array takes, so banding leaves every norm
+bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .disk import VelocitySolution, vinf_coefficients
 from .grids import BoundaryTrace, SpectralField
-from .quadrature import trapezoid_weights
+from .quadrature import _bands, trapezoid_weights
 
 __all__ = [
     "l2_weighted_norm",
@@ -26,10 +29,50 @@ __all__ = [
 ]
 
 
-def _power(values) -> np.ndarray:
-    """sum_k |values_k(s_j)|^2 at every node of a (modes, nodes) complex array."""
-    flat = np.ascontiguousarray(values, dtype=complex).view(float)
-    return np.einsum("kj,kj->j", flat, flat).reshape(-1, 2).sum(axis=1)
+def _power(count, s, terms) -> np.ndarray:
+    """sum over modes and terms of |term_k(s_j)|^2 at every node.
+
+    terms(band) yields the band's rows of each (modes, nodes) complex term.
+    Each term's squares are summed row after row over the float view, with
+    the running sum carried from band to band, and the terms are added at the
+    end: the order of one einsum per whole term, so the sum is unchanged.
+    """
+    acc = {}
+    for band in _bands(count, s.size):
+        for t, values in enumerate(terms(band)):
+            flat = np.ascontiguousarray(values, dtype=complex).view(float)
+            rows = np.empty((len(flat) + 1, flat.shape[1]))
+            rows[0] = acc.get(t, 0.0)
+            np.multiply(flat, flat, out=rows[1:])
+            acc[t] = rows.sum(axis=0)
+            del flat, values, rows  # before the next term is formed
+    power = acc[0].reshape(-1, 2).sum(axis=1)
+    for t in range(1, len(acc)):
+        power += acc[t].reshape(-1, 2).sum(axis=1)
+    return power
+
+
+def _radial_derivative(f, s) -> np.ndarray:
+    """np.gradient(f, s, axis=1) written out for the grid s, bit for bit.
+
+    Inside, the three-point difference for uneven spacing (or the central
+    difference when every spacing is exactly equal, as np.gradient does);
+    one-sided first differences at the two ends.
+    """
+    d = np.diff(s)
+    out = np.empty(f.shape, dtype=np.result_type(f, float))
+    inner = out[:, 1:-1]
+    if np.all(d == d[0]):
+        np.subtract(f[:, 2:], f[:, :-2], out=inner)
+        inner /= 2.0 * d[0]
+    else:
+        d1, d2 = d[:-1], d[1:]
+        np.multiply(-d2 / (d1 * (d1 + d2)), f[:, :-2], out=inner)
+        inner += ((d2 - d1) / (d1 * d2)) * f[:, 1:-1]
+        inner += (d1 / (d2 * (d1 + d2))) * f[:, 2:]
+    out[:, 0] = (f[:, 1] - f[:, 0]) / d[0]
+    out[:, -1] = (f[:, -1] - f[:, -2]) / d[-1]
+    return out
 
 
 def _volume_norm(power, s, weight=1.0) -> float:
@@ -43,7 +86,8 @@ def l2_weighted_norm(field: SpectralField, N=0.0) -> float:
     if N < 0.0:
         raise ValueError("weight exponent must be nonnegative")
     s = field.grid.nodes
-    return _volume_norm(_power(field.coeffs), s, (1.0 + s * s) ** N)
+    power = _power(2 * field.K + 1, s, lambda band: (field.coeffs[band],))
+    return _volume_norm(power, s, (1.0 + s * s) ** N)
 
 
 def h_half_boundary_norm(g: BoundaryTrace) -> float:
@@ -62,20 +106,26 @@ def h1_seminorm(solution: VelocitySolution) -> float:
     s = solution.grid.nodes
     v_r, v_phi = solution.profiles()
     ik = 1j * np.arange(-solution.K, solution.K + 1)[:, None]
-    # polar gradient of one Fourier mode: radial derivatives plus the
-    # angular/frame terms (i k v_r - v_phi)/r and (i k v_phi + v_r)/r
-    power = _power(np.gradient(v_r, s, axis=1))
-    power += _power(np.gradient(v_phi, s, axis=1))
-    power += _power((ik * v_r - v_phi) / s)
-    power += _power((ik * v_phi + v_r) / s)
-    return _volume_norm(power, s)
+
+    def terms(band):
+        # polar gradient of one Fourier mode: radial derivatives plus the
+        # angular/frame terms (i k v_r - v_phi)/r and (i k v_phi + v_r)/r
+        r, phi, k = v_r[band], v_phi[band], ik[band]
+        yield _radial_derivative(r, s)
+        yield _radial_derivative(phi, s)
+        yield (k * r - phi) / s
+        yield (k * phi + r) / s
+
+    return _volume_norm(_power(len(ik), s, terms), s)
 
 
 def scalar_gradient_norm(field: SpectralField) -> float:
     """||grad f||_{L2} of a scalar field: |f_k'|^2 + (k/r)^2 |f_k|^2 per mode."""
     s = field.grid.nodes
     ks = np.arange(-field.K, field.K + 1)[:, None]
-    power = _power(np.gradient(field.coeffs, s, axis=1)) + _power(ks * field.coeffs / s)
+    f = field.coeffs
+    power = _power(len(ks), s, lambda band: (_radial_derivative(f[band], s),
+                                            ks[band] * f[band] / s))
     return _volume_norm(power, s)
 
 
@@ -85,7 +135,9 @@ def far_field_deviation_l2(solution: VelocitySolution) -> float:
     v_r, v_phi = solution.profiles()
     vinf = np.array([vinf_coefficients(solution.far_field, k)
                      for k in range(-solution.K, solution.K + 1)], dtype=complex)
-    return _volume_norm(_power(v_r - vinf[:, :1]) + _power(v_phi - vinf[:, 1:]), s)
+    power = _power(len(vinf), s, lambda band: (v_r[band] - vinf[band, :1],
+                                               v_phi[band] - vinf[band, 1:]))
+    return _volume_norm(power, s)
 
 
 def far_field_deviation_h1(solution: VelocitySolution) -> float:

@@ -17,10 +17,12 @@ is the completed problem's v_r,k(r0) = 0.  solve_stream therefore builds the
 direct solver's kernel terms once (disk._direct_terms), reads b_k(r0) off
 their suffix table, sets that trace, and reads psi_k = (i r / k) v_r,k off
 the profiles; psi_0 is the trapezoid integral of
-v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  The discarded Neumann condition
-d(psi)/dn = 0 holds exactly when the completion trace vanishes, that is when
-the vorticity satisfies the no-slip orthogonality relations; neumann_defect
-measures the trace, the residual slip velocity, otherwise.
+v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  The completed problem's velocity is
+kept with psi, so velocity_from_stream forms nothing again.  The discarded
+Neumann condition d(psi)/dn = 0 holds exactly when the completion trace
+vanishes, that is when the vorticity satisfies the no-slip orthogonality
+relations; neumann_defect measures the trace, the residual slip velocity,
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import FarField, ModeTerms, VelocitySolution, _direct_terms, _set_trace
+from .disk import FarField, VelocitySolution, _direct_terms, _set_trace
 from .grids import RadialGrid, SpectralField
-from .quadrature import cumulative
+from .quadrature import _bands, cumulative
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
@@ -44,8 +46,8 @@ class StreamFunction:
     Modes k != 0 vanish at r0 so psi is constant on the solid; the constant
     itself is gauged to zero.  psi_1 grows linearly to match the far-field
     stream r * v_phi,1^inf; all other modes decay beyond the data support.
-    velocity_terms are the direct solver's kernel terms of the skew gradient
-    (-(i k / r) psi_k, psi_k'), which velocity_from_stream evaluates off nodes.
+    velocity is the direct solver's solution of the completed problem, the
+    skew gradient (-(i k / r) psi_k, psi_k') with its kernel terms.
     """
 
     grid: RadialGrid
@@ -53,7 +55,7 @@ class StreamFunction:
     modes: np.ndarray
     d_modes: np.ndarray
     far_field: FarField
-    velocity_terms: ModeTerms = field(compare=False)
+    velocity: VelocitySolution = field(compare=False)
 
     def __post_init__(self):
         shape = (2 * self.K + 1, len(self.grid))
@@ -83,8 +85,10 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     v_r, dpsi = terms.at_nodes()
     # psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'
     ks = np.arange(-K, K + 1)
-    psi = v_r
-    psi *= 1j * nodes / np.where(ks == 0, 1, ks)[:, None]
+    ks = np.where(ks == 0, 1, ks)[:, None]
+    psi = np.empty_like(v_r)
+    for band in _bands(len(ks), len(nodes)):
+        np.multiply(v_r[band], 1j * nodes / ks[band], out=psi[band])
     psi[K] = cumulative(nodes, dpsi[K]).prefix
 
     # 2 pi int s w_0 ds, the circulation the moment report prints
@@ -96,7 +100,7 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
             stacklevel=2,
         )
 
-    out = StreamFunction(grid, K, psi, dpsi, v, terms)
+    out = StreamFunction(grid, K, psi, dpsi, v, VelocitySolution(terms, v_r, dpsi, v, grid))
     defect = neumann_defect(out)
     if defect > warn_tolerance:
         warnings.warn(
@@ -108,10 +112,12 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
 
 
 def velocity_from_stream(psi: StreamFunction) -> VelocitySolution:
-    """Skew gradient of psi: v_r,k = -(i k / r) psi_k, v_phi,k = psi_k'."""
-    ks = np.arange(-psi.K, psi.K + 1)
-    v_r = -1j * ks[:, None] * psi.modes / psi.grid.nodes
-    return VelocitySolution(psi.velocity_terms, v_r, psi.d_modes, psi.far_field, psi.grid)
+    """Skew gradient of psi: v_r,k = -(i k / r) psi_k, v_phi,k = psi_k'.
+
+    These are the direct solver's node profiles that psi was read from, kept
+    by solve_stream, so nothing is formed again here.
+    """
+    return psi.velocity
 
 
 def neumann_defect(psi: StreamFunction) -> float:

@@ -171,6 +171,102 @@ def reference_kernel_sum(x, sources, charge, exclusion):
     return complex(np.sum((d[keep] / dist2[keep]) * charge[keep]))
 
 
+def reference_scaled_prefix(nodes, integrand, powers, block_exponent=300.0):
+    """Whole-array scaled prefix table s_j^{-p} int_{s_0}^{s_j} t^p f, all rows at once.
+
+    The kernel's block schedule without row bands: a block ends before
+    |p| log(s_end / s_start) exceeds block_exponent for the largest |p|, and
+    one cumsum over every row sums the block.  nodes may be decreasing; the
+    suffix table is -reference_scaled_prefix(nodes[::-1], f[:, ::-1], -p)[:, ::-1].
+    """
+    logs = np.log(nodes)
+    dist = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(logs)))))
+    reach = block_exponent / max(float(np.max(np.abs(powers), initial=0.0)), 1.0)
+    half_h = 0.5 * np.diff(nodes)
+    table = np.zeros(integrand.shape, dtype=complex)
+    j0 = 0
+    while j0 < len(nodes) - 1:
+        j1 = max(int(np.searchsorted(dist, dist[j0] + reach, side="right")) - 1, j0 + 1)
+        weights = np.exp(np.multiply.outer(powers, logs[j0 : j1 + 1] - logs[j1]))
+        scaled = integrand[:, j0 : j1 + 1] * weights
+        acc = np.cumsum(half_h[j0:j1] * (scaled[:, :-1] + scaled[:, 1:]), axis=1)
+        acc += (table[:, j0] * weights[:, 0])[:, None]
+        table[:, j0 + 1 : j1 + 1] = acc / weights[:, 1:]
+        j0 = j1
+    return table
+
+
+def reference_profiles(terms):
+    """Node profiles (v_r, v_phi) of disk.ModeTerms from whole-array kernel tables.
+
+    Each table is rebuilt by reference_scaled_prefix over all rows at once and
+    every combination is one pass over the whole (modes, nodes) array.
+    """
+    nodes = terms.inner.nodes
+    inner = reference_scaled_prefix(nodes, terms.inner.integrand, terms.inner.powers)
+    outer = -reference_scaled_prefix(nodes[::-1], terms.outer.integrand[:, ::-1],
+                                     -terms.outer.powers)[:, ::-1]
+    decay = np.exp(np.multiply.outer(np.abs(terms.ks) + 1.0, np.log(terms.r0 / nodes)))
+    out = []
+    for c, integral in zip(terms.coef, terms.zero):
+        x = c[0, :, None] * inner + c[1, :, None] * outer + c[2, :, None] * decay + c[3, :, None]
+        if integral is not None:
+            x[terms.ks == 0] += integral.prefix / nodes
+        out.append(x)
+    return tuple(out)
+
+
+def reference_sample(terms, points, block=2048):
+    """Cartesian velocity at points from every mode row at once, in point blocks.
+
+    terms.at gives all rows v_r,k + i v_phi,k at the radii; the phases
+    e^{i k phi} are one cumulative product over all modes and one einsum sums
+    them, with no band over the modes.
+    """
+    flat = np.asarray(points, dtype=complex).ravel()
+    K = (len(terms.ks) - 1) // 2
+    out = np.empty(flat.size, dtype=complex)
+    for i in range(0, flat.size, block):
+        z = flat[i : i + block]
+        values = terms.at(np.abs(z))
+        unit = np.exp(1j * np.angle(z))
+        phases = np.empty_like(values)
+        phases[K] = 1.0
+        phases[K + 1 :] = np.cumprod(np.broadcast_to(unit, (K, unit.size)), axis=0)
+        phases[:K] = np.conj(phases[: K : -1])
+        out[i : i + block] = np.einsum("kj,kj->j", values, phases) * unit
+    return out.reshape(np.shape(points))
+
+
+def reference_far_field_deviation_h1(solution, weights):
+    """||v - v_inf||_{H1} from whole-array np.gradient and one einsum per term.
+
+    weights are the trapezoid node weights of the grid.
+    """
+    s = solution.grid.nodes
+    v_r, v_phi = solution.profiles()
+    K = solution.K
+    ik = 1j * np.arange(-K, K + 1)[:, None]
+    vinf = np.zeros((2 * K + 1, 2), dtype=complex)
+    far = solution.far_field
+    for k in (-1, 1):
+        vinf[K + k] = 0.5 * (far.v1 - 1j * k * far.v2), 0.5 * (far.v2 + 1j * k * far.v1)
+
+    def power(values):
+        flat = np.ascontiguousarray(values, dtype=complex).view(float)
+        return np.einsum("kj,kj->j", flat, flat).reshape(-1, 2).sum(axis=1)
+
+    def norm(p):
+        return float(np.sqrt(2.0 * np.pi * (p @ (weights * s * 1.0))))
+
+    l2 = norm(power(v_r - vinf[:, :1]) + power(v_phi - vinf[:, 1:]))
+    p = power(np.gradient(v_r, s, axis=1))
+    p += power(np.gradient(v_phi, s, axis=1))
+    p += power((ik * v_r - v_phi) / s)
+    p += power((ik * v_phi + v_r) / s)
+    return float(np.hypot(l2, norm(p)))
+
+
 def reference_field_values(field, fn, rr, pp):
     """Data at every lattice point: the callable, else each mode profile
     interpolated linearly in r at every point and synthesised with its phase."""

@@ -60,7 +60,7 @@ def test_criterion_1_cylinder_potential_flow():
     err = max(np.max(np.abs(v_r - exp_r)), np.max(np.abs(v_phi - exp_phi))) / scale
 
     report = solution.report
-    res = max(report.max_residual, abs(report.circulation))
+    res = max(report.max_residual, report.circulation_flux)
     _criterion(1, err <= 1e-10 and res <= 1e-12,
                f"field rel err {err:.3e} <= 1e-10, residuals {res:.3e} <= 1e-12")
 

@@ -24,14 +24,14 @@ from helpers import mp_mode_profiles
 R0, RMAX = 1.0, 12.0
 
 
-def admissible_highmode_problem(K, M, seed):
+def admissible_highmode_problem(K, M, seed, ratio=1.01):
     """Data in every mode 1 <= |k| <= K on a geometric grid to rmax = 12.
 
     Complex amplitudes (no conjugate symmetry) on a bump reaching down to
     r0; the tangential trace absorbs the moment residuals, so the data is
     admissible and the solve raises no warning.
     """
-    grid = RadialGrid.geometric(R0, RMAX, M, ratio=1.01)
+    grid = RadialGrid.geometric(R0, RMAX, M, ratio=ratio)
     rng = np.random.default_rng(seed)
     bump = smooth_bump(grid.nodes, R0, 11.5)
 

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.moments import (
+    admissibility_corrections,
     circulation_flux_residual,
     make_admissible,
     moment_report,
     moment_residual,
 )
 from divcurl.presets import cylinder_slip_trace, random_admissible_problem
+from divcurl.quadrature import trapezoid_weights
 
 
 @pytest.fixture
@@ -237,3 +239,41 @@ def test_report_text_round_trip(grid):
     text = report.to_text()
     assert "admissible,false" in text
     assert text.splitlines()[1].startswith("1,")
+
+
+def test_complex_circulation_and_flux_do_not_cancel():
+    # w_0 with circulation i and rho_0 with flux -1: circulation + i flux is 0,
+    # yet neither k = 0 condition holds
+    grid = RadialGrid.uniform(1.0, 8.0, 801)
+    bump = smooth_bump(grid.nodes, 2.0, 5.0)
+    moment = 2.0 * np.pi * (trapezoid_weights(grid.nodes) @ (grid.nodes * bump))
+    w = SpectralField.from_modes(grid, 2, {0: (1j / moment) * bump})
+    rho = SpectralField.from_modes(grid, 2, {0: (-1.0 / moment) * bump + 0j})
+    problem = DiskProblem(w, rho, BoundaryTrace.zeros(2))
+    assert abs(circulation_flux_residual(problem)) < 1e-14
+    report = moment_report(problem)
+    assert abs(report.circulation - 1j) < 1e-14 and abs(report.flux + 1.0) < 1e-14
+    assert not report.admissible
+    text = report.to_text()
+    assert "admissible,false" in text
+    lines = text.splitlines()
+    assert not any(line.startswith("circulation_flux,") for line in lines)
+    assert {"circulation", "flux"} <= {line.split(",")[0] for line in lines}
+    # the projection removes the complex circulation and warns about the flux
+    with pytest.warns(UserWarning, match="flux residual"):
+        corrections, _ = admissibility_corrections(w, rho, BoundaryTrace.zeros(2), FarField(), 2)
+    assert abs(corrections[0].imag) > 0.0
+    with pytest.warns(UserWarning, match="flux residual"):
+        fixed = make_admissible(w, rho, BoundaryTrace.zeros(2), FarField(), 2)
+    report = moment_report(DiskProblem(fixed, rho, BoundaryTrace.zeros(2)))
+    assert abs(report.circulation) < 1e-14 and abs(report.flux + 1.0) < 1e-14
+    assert not report.admissible
+
+
+def test_real_data_report_prints_circulation_and_flux_combined(grid):
+    rho = SpectralField.from_modes(grid, 2, {0: step_profile(grid, 1.5, 2.5)})
+    w = SpectralField.from_modes(grid, 2, {0: step_profile(grid, 1.0, 2.0)})
+    report = moment_report(DiskProblem(w, rho, BoundaryTrace.zeros(2)))
+    c = circulation_flux_residual(DiskProblem(w, rho, BoundaryTrace.zeros(2)))
+    assert f"\ncirculation_flux,{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n" in report.to_text()
+    assert report.circulation_flux == abs(c)

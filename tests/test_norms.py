@@ -17,6 +17,8 @@ from divcurl.norms import (
     h1_seminorm,
     h_half_boundary_norm,
     l2_weighted_norm,
+    scalar_gradient_norm,
+    _radial_derivative,
 )
 from divcurl.quadrature import radial_integral, trapezoid_weights
 
@@ -150,3 +152,28 @@ def test_parseval_identity():
     )
     mode_norm = l2_weighted_norm(field, 0.0)
     assert abs(np.sqrt(sample_norm_sq) - mode_norm) < 1e-10 * mode_norm
+
+
+@pytest.mark.parametrize("nodes", [
+    RadialGrid.uniform(1.0, 12.0, 4000).nodes,
+    RadialGrid.geometric(1.0, 12.0, 4000, ratio=1.0005).nodes,
+    RadialGrid.uniform(1.0, 3.0, 9).nodes,
+    RadialGrid.geometric(1.0, 3.0, 9, ratio=1.2).nodes,
+    np.arange(1.0, 10.0),  # exactly even spacing: np.gradient's central difference
+])
+def test_radial_derivative_is_np_gradient_bit_for_bit(nodes):
+    rng = np.random.default_rng(nodes.size)
+    rows = rng.normal(size=(5, nodes.size)) + 1j * rng.normal(size=(5, nodes.size))
+    for f in (rows, rows.real.copy()):
+        got = _radial_derivative(f, nodes)
+        want = np.gradient(f, nodes, axis=1)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(float), want.view(float))
+
+
+def test_scalar_gradient_norm_closed_form():
+    # f = s^2 in mode 2 on [1, 2]: |f'|^2 + (2/s)^2 |f|^2 = 8 s^2, so
+    # ||grad f||^2 = 2 pi int 8 s^3 ds = 60 pi
+    grid = RadialGrid.uniform(1.0, 2.0, 2001)
+    field = SpectralField.from_modes(grid, 3, {2: grid.nodes**2})
+    assert abs(scalar_gradient_norm(field) - np.sqrt(60.0 * np.pi)) < 1e-5
