@@ -27,7 +27,6 @@ from .disk import (
 )
 from .moments import (
     MomentReport,
-    circulation_flux_residual,
     make_admissible,
     moment_report,
     moment_residual,

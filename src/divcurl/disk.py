@@ -23,6 +23,15 @@ s_start) exceeds 300, so nothing overflows at high modes and large rmax.
 The mode-k moment integral is b_k(r0), which gives the moment report for
 free.  All integrals to infinity are exact under the compact-support
 contract of RadialGrid.
+
+Off the nodes the velocity v1 + i v2 = sum_k (v_r,k + i v_phi,k) e^{i (k+1) phi}
+keeps only i a_m + 2 i d_m (r0/r)^{m+1} for k = m > 0 and -i b_m for k = -m.
+Inside the panel [s0, s1] holding r the tables' in-panel rule makes a_m a
+sum of (s_j/r)^{m+1} and b_m of (r/s_j)^{m-1} times values at s0 and s1,
+so with the phase the mode sum is a set of polynomials in (s_j/r) e^{i phi},
+(r/s_j) e^{-i phi} and (r0/r) e^{i phi}, evaluated by Horner's rule
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+2002, section 5.1).  Each base has modulus at most the panel ratio s1/s0.
 """
 
 from __future__ import annotations
@@ -75,23 +84,27 @@ def vinf_coefficients(v: FarField, k: int) -> tuple:
 
 @dataclass(frozen=True)
 class ModeTerms:
-    """Mode profiles as combinations of the two kernel tables, one row per mode.
+    """Mode profiles from the two kernel tables, one row per mode.
 
-    Row i holds mode ks[i].  For each component c (0: v_r, 1: v_phi)
+    Row i holds mode ks[i], sigma = sign(ks[i]).  With a the scaled prefix
+    kernel (power |k|+1), b the scaled suffix kernel (power |k|-1) and
+    decay = (r0/r)^{|k|+1},
 
-        v_c(r) = coef[c, 0] a(r) + coef[c, 1] b(r) + coef[c, 2] (r0/r)^{|k|+1} + coef[c, 3]
+        v_r   = i sigma (a + b) / 2 + trace[0] decay + vinf[0]
+        v_phi =         (a - b) / 2 + trace[1] decay + vinf[1]
 
-    where a is the scaled prefix kernel (power |k|+1) and b the scaled suffix
-    kernel (power |k|-1) of the row's integrands.  Mode 0 has power 1 only:
-    its kernel rows carry zero coefficients, and its integrals are the plain
-    prefix integrals zero[c] (CumulativeIntegral or None), added as zero[c](r) / r.
+    where trace = (i sigma d_k, d_k) and vinf holds the constant far field
+    (|k| = 1 only).  Mode 0 has power 1 only: its kernel rows are not read,
+    and its integrals are the plain prefix integrals zero[c]
+    (CumulativeIntegral or None), v_c,0 = (zero[c](r) + r0 trace[c]) / r.
     """
 
     ks: np.ndarray
     r0: float
     inner: ScaledIntegrals
     outer: ScaledIntegrals
-    coef: np.ndarray
+    trace: np.ndarray
+    vinf: np.ndarray
     zero: tuple = (None, None)
 
     def _decay(self, r, rows=slice(None)):
@@ -100,84 +113,92 @@ class ModeTerms:
     def at_nodes(self):
         """Node profiles (v_r, v_phi), each of shape (rows, nodes), built band by band."""
         nodes = self.inner.nodes
-        out = tuple(np.empty(self.inner.table.shape, dtype=complex) for _ in self.coef)
+        K = (len(self.ks) - 1) // 2
+        v_r, v_phi = (np.empty(self.inner.table.shape, dtype=complex) for _ in range(2))
+        half_i = 0.5j * np.sign(self.ks)
         for band in _bands(len(self.ks), len(nodes)):
             decay = self._decay(nodes, band)
-            for c, x in zip(self.coef, out):
-                rows = x[band]
-                np.multiply(c[0, band, None], self.inner.table[band], out=rows)
-                rows += c[1, band, None] * self.outer.table[band]
-                rows += c[2, band, None] * decay
-        for c, integral, x in zip(self.coef, self.zero, out):
-            rows = np.flatnonzero(c[3])  # the constant far field: |k| = 1 only
-            x[rows] += c[3, rows, None]
+            a, b = self.inner.table[band], self.outer.table[band]
+            rows = np.add(a, b, out=v_r[band])
+            rows *= half_i[band, None]
+            rows += self.trace[0, band, None] * decay
+            rows = np.subtract(a, b, out=v_phi[band])
+            rows *= 0.5
+            rows += self.trace[1, band, None] * decay
+        decay = self._decay(nodes, slice(K, K + 1))[0]
+        for x, trace, vinf, integral in zip((v_r, v_phi), self.trace, self.vinf, self.zero):
+            x[K] = trace[K] * decay
             if integral is not None:
-                x[self.ks == 0] += integral.prefix / nodes
-        return out
+                x[K] += integral.prefix / nodes
+            rows = np.flatnonzero(vinf)  # the constant far field: |k| = 1 only
+            x[rows] += vinf[rows, None]
+        return v_r, v_phi
 
-    def _add_rows(self, out, r, located, rows):
-        """Add the Cartesian combinations v_r,k + i v_phi,k of the rows to out (rows, len(r)).
+    def _mode_sum(self, z):
+        """sum over k of (v_r,k + i v_phi,k)(r) e^{i (k+1) phi} at the points z = r e^{i phi}.
 
-        Each kernel table is evaluated only on the rows where the combination
-        has a nonzero coefficient for it; the radii are located once by the
-        caller and shared by both tables.
+        In v_r + i v_phi the suffix kernel cancels for k = m > 0, and the
+        prefix kernel and the decay cancel for k = -m < 0:
+
+            k =  m:   i a_m(r) e^{i (m+1) phi} + D_m ((r0/r) e^{i phi})^{m+1}
+            k = -m:  -i b_m(r) e^{-i (m-1) phi},
+
+        with D_m = trace[0] + i trace[1].  Inside the panel [s0, s1] holding r
+        the in-panel rule of the tables reads
+
+            a_m(r) = (s0/r)^{m+1} (T_m(s0) + w0 f_m(s0)) + (s1/r)^{m+1} w1 f_m(s1)
+            b_m(r) = (r/s1)^{m-1} (T_m(s1) + w1' f_m(s1)) + (r/s0)^{m-1} w0' f_m(s0),
+
+        T the table and f the integrand of the row, the w the panel weights of
+        r.  So every term is a power of one of five bases, u_j = (s_j/r) e^{i phi},
+        v_j = (r/s_j) e^{-i phi} and (r0/r) e^{i phi}, times a coefficient read
+        off T, f or D: seven polynomials, summed together by Horner's rule
+        from m = K down to 1, one band of modes at a time.
         """
-        coef = self.coef[0, :, rows] + 1j * self.coef[1, :, rows]
-        for t, table in enumerate((self.inner, self.outer, None)):
-            used = np.flatnonzero(coef[t])
-            if used.size:
-                sub = slice(used[0], used[-1] + 1)
-                own = slice(rows.start + sub.start, rows.start + sub.stop)
-                value = self._decay(r, own) if table is None else table._at(r, located, own)
-                out[sub] += coef[t, sub, None] * value
-        out += coef[3, :, None]
-        zero = np.flatnonzero(self.ks[rows] == 0)
-        for mu, integral in zip((1.0, 1.0j), self.zero):
-            if integral is not None and zero.size:
-                out[zero] += mu * integral.at(r, extend=True) / r
-        return out
-
-    def at(self, r):
-        """Per-mode Cartesian combination v_r,k + i v_phi,k at radii r (1-D)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros((len(self.ks), r.size), dtype=complex)
-        return self._add_rows(out, r, _locate(self.inner.nodes, r, extend=True),
-                              slice(0, len(self.ks)))
-
-    def _mode_sum(self, r, phi):
-        """sum over k of (v_r,k + i v_phi,k)(r) e^{i (k + 1) phi} at points (r, phi).
-
-        Walks the modes +-m in bands of m, so that one band's rows times the
-        points fit the band budget; the phases e^{i m phi} continue their
-        running product from band to band.  The first band holds the rows
-        -m1 < k < m1 in order, so a single band sums exactly as one pass over
-        all rows would.
-        """
+        nodes = self.inner.nodes
         K = (len(self.ks) - 1) // 2
-        located = _locate(self.inner.nodes, r, extend=True)
-        unit = np.exp(1j * phi)
-        for band in _bands(K + 1, 2 * r.size):
-            m0, m1 = band.start, band.stop
-            neg = slice(K - m1 + 1, K - max(m0, 1) + 1)  # k = -(m1 - 1) .. -max(m0, 1)
-            n = neg.stop - neg.start
-            values = np.zeros((n + m1 - m0, r.size), dtype=complex)
-            self._add_rows(values[:n], r, located, neg)
-            self._add_rows(values[n:], r, located, slice(K + m0, K + m1))
-            phases = np.empty_like(values)
-            pos = phases[n:]  # e^{i m phi}, m = m0 .. m1 - 1
-            if m0 == 0:
-                pos[0] = 1.0
-                pos[1:] = unit
-                np.cumprod(pos[1:], axis=0, out=pos[1:])
-            else:
-                run = np.empty((m1 - m0 + 1, r.size), dtype=complex)
-                run[0], run[1:] = last, unit
-                pos[:] = np.cumprod(run, axis=0, out=run)[1:]
-            last = pos[-1]
-            phases[:n] = np.conj(pos[::-1][:n])
-            part = np.einsum("kj,kj->j", values, phases)
-            total = part if m0 == 0 else total + part
-        return total * unit
+        r = np.abs(z)
+        rc, idx, frac = _locate(nodes, r, extend=True)
+        unit = z / r
+        nxt = idx + 1
+        s0, s1 = nodes[idx], nodes[nxt]
+        back = np.conj(unit)
+        rs = np.minimum(r, nodes[-1])  # beyond the last node the suffix is zero
+        u0, u1, ud = s0 / r * unit, s1 / r * unit, self.r0 / r * unit
+        v0, v1 = rs / s0 * back, rs / s1 * back
+        bases = np.array([u0, u0, u1, v1, v1, v0, ud])
+        acc = np.zeros_like(bases)
+        bands = _bands(K, bases.size)
+        coef = np.empty((len(bases), bands[0].stop if bands else 0, r.size), dtype=complex)
+        d_coef = self.trace[0] + 1j * self.trace[1]
+        ends = (idx, idx, nxt, nxt, nxt, idx)
+        for band in reversed(bands):
+            c = coef[:, : band.stop - band.start]
+            pos = slice(K + 1 + band.start, K + 1 + band.stop)  # k = m, m = start + 1 .. stop
+            neg = slice(K - band.stop, K - band.start)  # k = -m, read backwards
+            t_a, f_a = self.inner.table[pos], self.inner.integrand[pos]
+            t_b, f_b = self.outer.table[neg][::-1], self.outer.integrand[neg][::-1]
+            for out, rows, at in zip(c, (t_a, f_a, f_a, t_b, f_b, f_b), ends):
+                rows.take(at, axis=1, out=out, mode="clip")
+            c[-1] = d_coef[pos, None]
+            for i in range(c.shape[1] - 1, -1, -1):
+                acc *= bases
+                acc += c[:, i]
+        ta, fa0, fa1, tb, fb1, fb0, d = acc
+        h, hb = 0.5 * (rc - s0), 0.5 * (s1 - rc)
+        a = u0 * u0 * (ta + (h * (2.0 - frac)) * fa0) + u1 * u1 * ((h * frac) * fa1)
+        b = tb + (hb * (1.0 + frac)) * fb1 + (hb * (1.0 - frac)) * fb0
+        total = 1j * (a - b) + ud * ud * d
+        # mode 0, (zero(r) + r0 g_0) / r, and the constant far field of k = -1, +1
+        zero = (self.trace[0, K] + 1j * self.trace[1, K]) * (self.r0 / r)
+        for mu, integral in zip((1.0, 1.0j), self.zero):
+            if integral is not None:
+                zero += mu * integral.at(r, extend=True) / r
+        total += unit * zero
+        if K:
+            vinf = self.vinf[0] + 1j * self.vinf[1]
+            total += vinf[K - 1] + vinf[K + 1] * unit * unit
+        return total
 
 
 def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
@@ -197,15 +218,10 @@ def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
     inner = scaled_integrals(grid.nodes, f_inner, m + 1)
     outer = scaled_integrals(grid.nodes, f_outer, m - 1, suffix=True)
     vinf = np.array([vinf_coefficients(far, int(k)) for k in ks], dtype=complex).T
-    half_i = 0.5j * sigma
-    n = len(ks)
-    coef = np.array([[half_i, half_i, np.zeros(n), vinf[0]],
-                     [np.full(n, 0.5), np.full(n, -0.5), np.zeros(n), vinf[1]]], dtype=complex)
-    # mode 0 has no kernel rows: v_r,0 = (int s rho_0 + r0 g_r,0) / r, likewise v_phi,0
-    coef[:, :2, K] = 0.0
     zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[K]),
                       cumulative(grid.nodes, grid.nodes * w[K]))
-    return ModeTerms(ks, grid.r0, inner, outer, coef, zero_integrals)
+    return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
+                     zero_integrals)
 
 
 def _max_abs(values) -> float:
@@ -213,13 +229,13 @@ def _max_abs(values) -> float:
     return max(float(np.max(np.abs(values[band]))) for band in _bands(*values.shape))
 
 
-def _set_trace(coef, g_r, g_phi):
-    """Write the decay terms of the trace (g_r, g_phi) into coef, mode 0 as r0 g_0 / r."""
+def _set_trace(trace, g_r, g_phi):
+    """Write the decay coefficients of the trace (g_r, g_phi) into trace, mode 0 as r0 g_0 / r."""
     K = (len(g_r) - 1) // 2
     sigma = np.sign(np.arange(-K, K + 1))
     d = 0.5 * (g_phi - 1j * sigma * g_r)
-    coef[:, 2] = 1j * sigma * d, d
-    coef[:, 2, K] = g_r[K], g_phi[K]
+    trace[:] = 1j * sigma * d, d
+    trace[:, K] = g_r[K], g_phi[K]
 
 
 @dataclass(frozen=True)
@@ -290,10 +306,11 @@ class VelocitySolution:
     def sample(self, points) -> np.ndarray:
         """Cartesian velocity v1 + i v2 at complex points.
 
-        Sums (v_r,k + i v_phi,k) e^{i (k+1) phi}, in which one kernel table
-        per mode cancels: for k > 0 only a_k remains, for k < 0 only b_k.
-        The points go in order of radius, in blocks of 2048; ModeTerms._mode_sum
-        takes the modes of a block in row bands.
+        Sums (v_r,k + i v_phi,k) e^{i (k+1) phi} as polynomials in
+        (s/r) e^{i phi} and (r/s) e^{-i phi}, s a node of the point's panel,
+        by Horner's rule (ModeTerms._mode_sum): no power or phase is formed
+        per mode and point.  The points go in order of radius, in blocks
+        whose Horner accumulators fill one band.
         """
         points = np.asarray(points, dtype=complex)
         flat = points.ravel()
@@ -301,10 +318,10 @@ class VelocitySolution:
         # table columns; each point's sum does not depend on its block
         order = np.argsort(np.abs(flat), kind="stable")
         out = np.empty(flat.size, dtype=complex)
-        # blocks of 2048 points: a band of 32 mode rows over a block fits the budget
-        for block in _bands(flat.size, 32):
+        # the seven Horner accumulators of a block fill one band
+        for block in _bands(flat.size, 7):
             rows = order[block]
-            out[rows] = self.terms._mode_sum(np.abs(flat[rows]), np.angle(flat[rows]))
+            out[rows] = self.terms._mode_sum(flat[rows])
         return out.reshape(points.shape)
 
     def boundary_trace(self) -> BoundaryTrace:
@@ -334,7 +351,7 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     K = problem.K
     terms = _direct_terms(grid, w.coeffs, rho.coeffs, far)
-    _set_trace(terms.coef, g.g_r, g.g_phi)
+    _set_trace(terms.trace, g.g_r, g.g_phi)
     v_r, v_phi = terms.at_nodes()
     report = _report_from_moments(problem, terms.outer.table[K + 1 :, 0], warn_tolerance)
     if not report.admissible:

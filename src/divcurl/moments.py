@@ -14,10 +14,10 @@ The two are kept apart: for complex data each is complex, and their
 combination circulation + i flux could cancel.  For real data the report
 prints them combined, as 2*pi*[(...) + i (...)].
 Residuals are oriented left minus right, so a pure far-field violation at
-k = 1 reports -(v_phi,1^inf + i v_r,1^inf).  All mode moments are taken in
-one product with the trapezoid weights times (r0/s)^{k-1} <= 1, so no power
-of a radius overflows; the disk solver reads the same moments off its
-kernel as b_k(r0).
+k = 1 reports -(v_phi,1^inf + i v_r,1^inf).  The mode moments are taken row
+band by row band (quadrature._bands), each row one product with the
+trapezoid weights times (r0/s)^{k-1} <= 1, so no power of a radius
+overflows; the disk solver reads the same moments off its kernel as b_k(r0).
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ import numpy as np
 
 from .disk import DiskProblem, FarField, vinf_coefficients
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
-from .quadrature import trapezoid_weights
+from .quadrature import _bands, trapezoid_weights
 
 __all__ = [
     "MomentReport",
     "moment_residual",
-    "circulation_flux_residual",
     "moment_report",
     "make_admissible",
     "admissibility_corrections",
@@ -88,10 +87,22 @@ class MomentReport:
 
 
 def _weighted_moments(grid, f, ks) -> np.ndarray:
-    """r0^{k-1} int_{r0}^inf s^{-k+1} f_k ds for the rows f_k of f, k in ks."""
+    """r0^{k-1} int_{r0}^inf s^{-k+1} f_k ds for k in ks; f(band) gives the band's rows f_k.
+
+    The weight table (r0/s)^{k-1} times the trapezoid weights is formed one
+    row band at a time; every row keeps the sum one einsum over the whole
+    array takes, so the bands leave each moment bit for bit as it was.
+    """
     s = grid.nodes
-    scales = np.exp(np.multiply.outer(np.asarray(ks) - 1.0, np.log(grid.r0 / s)))
-    return np.einsum("kj,kj->k", np.asarray(f, dtype=complex), scales * trapezoid_weights(s))
+    ks = np.asarray(ks)
+    log_ratio = np.log(grid.r0 / s)
+    weights = trapezoid_weights(s)
+    out = np.empty(len(ks), dtype=complex)
+    for band in _bands(len(ks), len(s)):
+        scales = np.exp(np.multiply.outer(ks[band] - 1.0, log_ratio))
+        scales *= weights
+        out[band] = np.einsum("kj,kj->k", np.asarray(f(band), dtype=complex), scales)
+    return out
 
 
 def _mode_residuals(problem: DiskProblem, ks, moments) -> np.ndarray:
@@ -114,12 +125,13 @@ def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> Mom
 def moment_residual(k: int, problem: DiskProblem) -> complex:
     """Left minus right of the mode-k solvability condition, k >= 1."""
     if k < 1:
-        raise ValueError("moment conditions are indexed by k >= 1; "
-                         "k = 0 is circulation_flux_residual")
+        raise ValueError("moment conditions are indexed by k >= 1; the k = 0 "
+                         "conditions are moment_report's circulation and flux")
     if k > problem.K:
         raise ValueError(f"mode {k} outside the resolved band K = {problem.K}")
     f = problem.vorticity.coeff(k) + 1j * problem.divergence.coeff(k)
-    return complex(_mode_residuals(problem, [k], _weighted_moments(problem.grid, [f], [k]))[0])
+    moment = _weighted_moments(problem.grid, lambda band: f[None], [k])
+    return complex(_mode_residuals(problem, [k], moment)[0])
 
 
 def _circulation_flux(problem: DiskProblem) -> tuple:
@@ -132,22 +144,11 @@ def _circulation_flux(problem: DiskProblem) -> tuple:
     return complex(2.0 * np.pi * circ), complex(2.0 * np.pi * flux)
 
 
-def circulation_flux_residual(problem: DiskProblem) -> complex:
-    """Combined circulation + i*flux residual of the k = 0 conditions.
-
-    Exact for real data.  For complex data the two parts mix (a circulation
-    i and a flux -1 give 0); moment_report keeps them apart.
-    """
-    circ, flux = _circulation_flux(problem)
-    return circ + 1j * flux
-
-
 def _moments(problem: DiskProblem, K: int) -> np.ndarray:
-    """Weighted moments of the data for the modes k = 1..K."""
-    ks = np.arange(1, K + 1)
-    rows = ks + problem.K
-    f = problem.vorticity.coeffs[rows] + 1j * problem.divergence.coeffs[rows]
-    return _weighted_moments(problem.grid, f, ks)
+    """Weighted moments of the data for the modes k = 1..K, w_k + i rho_k band by band."""
+    w, rho = problem.vorticity.coeffs[problem.K + 1 :], problem.divergence.coeffs[problem.K + 1 :]
+    return _weighted_moments(problem.grid, lambda band: w[band] + 1j * rho[band],
+                             np.arange(1, K + 1))
 
 
 def moment_report(problem: DiskProblem, K: int = None, tolerance: float = 1e-8) -> MomentReport:
@@ -210,7 +211,8 @@ def admissibility_corrections(
 
     ks = np.arange(1, K_c + 1)
     residuals = _mode_residuals(problem, ks, _moments(problem, K_c))
-    bump_moments = _weighted_moments(grid, np.broadcast_to(bump, (K_c, bump.size)), ks)
+    bump_moments = _weighted_moments(
+        grid, lambda band: np.broadcast_to(bump, (band.stop - band.start, bump.size)), ks)
     for k, res, m_k in zip(ks, residuals, bump_moments):
         if abs(res) <= skip_below * scale:
             continue

@@ -106,6 +106,8 @@ def h1_seminorm(solution: VelocitySolution) -> float:
     s = solution.grid.nodes
     v_r, v_phi = solution.profiles()
     ik = 1j * np.arange(-solution.K, solution.K + 1)[:, None]
+    # x * (1 / s) is what complex division by the real s computes, for less time
+    inv_s = np.reciprocal(s)
 
     def terms(band):
         # polar gradient of one Fourier mode: radial derivatives plus the
@@ -113,8 +115,8 @@ def h1_seminorm(solution: VelocitySolution) -> float:
         r, phi, k = v_r[band], v_phi[band], ik[band]
         yield _radial_derivative(r, s)
         yield _radial_derivative(phi, s)
-        yield (k * r - phi) / s
-        yield (k * phi + r) / s
+        yield (k * r - phi) * inv_s
+        yield (k * phi + r) * inv_s
 
     return _volume_norm(_power(len(ik), s, terms), s)
 

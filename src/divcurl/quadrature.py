@@ -125,38 +125,6 @@ class ScaledIntegrals:
     suffix: bool
     table: np.ndarray
 
-    def at(self, r, rows=slice(None)):
-        """Scaled integrals of the given rows at radii r, shape (rows, len(r)).
-
-        Off the nodes the integrand t^{+-p} f is interpolated linearly inside
-        one panel, as CumulativeIntegral.at does, and the result is scaled by
-        the actual radius.  Radii beyond the last node are allowed: a prefix
-        then keeps its total, a suffix is zero.
-        """
-        r = np.asarray(r, dtype=float)
-        return self._at(r, _locate(self.nodes, r, extend=True), rows)
-
-    def _at(self, r, located, rows):
-        """at(r, rows) for radii already located on the grid by _locate."""
-        rc, idx, frac = located
-        s0, s1 = self.nodes[idx], self.nodes[idx + 1]
-        p = self.powers[rows][:, None]
-        integrand = self.integrand[rows]
-        table = self.table[rows]
-        f0 = integrand.take(idx, axis=1)
-        f1 = integrand.take(idx + 1, axis=1)
-        if not self.suffix:
-            h = 0.5 * (rc - s0)
-            e0 = np.exp(p * np.log(s0 / r))
-            e1 = np.exp(p * np.log(s1 / r))
-            return e0 * (table.take(idx, axis=1) + (h * (2.0 - frac)) * f0) + e1 * ((h * frac) * f1)
-        h = 0.5 * (s1 - rc)
-        # beyond the last node the suffix vanishes; any finite scale will do
-        rs = np.minimum(r, self.nodes[-1])
-        e0 = np.exp(p * np.log(rs / s0))
-        e1 = np.exp(p * np.log(rs / s1))
-        return e1 * (table.take(idx + 1, axis=1) + (h * (1.0 + frac)) * f1) + e0 * ((h * (1.0 - frac)) * f0)
-
 
 def _scaled_table(nodes, integrand, powers, suffix):
     """Prefix (or suffix) table of the rows, band by band.
@@ -186,7 +154,8 @@ def _scaled_table(nodes, integrand, powers, suffix):
             scaled = f[:, j0 : j1 + 1] * weights
             acc = np.cumsum(half_h[j0:j1] * (scaled[:, :-1] + scaled[:, 1:]), axis=1)
             acc += (out[:, j0] * weights[:, 0])[:, None]
-            np.divide(acc, weights[:, 1:], out=out[:, j0 + 1 : j1 + 1])
+            # x * (1 / w) is what complex division by a real w computes, for half the time
+            np.multiply(acc, np.reciprocal(weights[:, 1:]), out=out[:, j0 + 1 : j1 + 1])
         if suffix:
             np.negative(out, out=out)
     return table

@@ -78,10 +78,10 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     K = w.K
     terms = _direct_terms(grid, w.coeffs, None, v)
     # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment
-    # residual; coef[1, 3] is the constant term v_phi,k^inf
-    slip = 2.0 * terms.coef[1, 3] - terms.outer.table[:, 0]
+    # residual
+    slip = 2.0 * terms.vinf[1] - terms.outer.table[:, 0]
     slip[K] = 0.0
-    _set_trace(terms.coef, np.zeros_like(slip), slip)
+    _set_trace(terms.trace, np.zeros_like(slip), slip)
     v_r, dpsi = terms.at_nodes()
     # psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'
     ks = np.arange(-K, K + 1)

@@ -9,6 +9,9 @@ from bisect import bisect_right
 
 import numpy as np
 
+from divcurl.disk import vinf_coefficients
+from divcurl.quadrature import _locate
+
 
 def mp_mode_profiles(k, nodes, w_k, rho_k, g_r_k, g_phi_k, vinf, radii, dps=60):
     """High-precision (mpmath) evaluation of the mode-k trapezoid formulas at radii.
@@ -68,6 +71,31 @@ def mp_mode_profiles(k, nodes, w_k, rho_k, g_r_k, g_phi_k, vinf, radii, dps=60):
             v_r.append(complex(0.5j * decay * a + 0.5j * grow * b + 1j * alpha * decay + vinf_r))
             v_phi.append(complex(0.5 * decay * a - 0.5 * grow * b + alpha * decay + vinf_phi))
         return np.array(v_r), np.array(v_phi)
+
+
+def mp_sample(problem, points, dps=60):
+    """Cartesian velocity at complex points from the mp_mode_profiles of every mode.
+
+    Sums (v_r,k + i v_phi,k)(r) e^{i (k+1) phi} over k = -K..K in double
+    precision, each profile from the dps-digit trapezoid formulas.  Returns
+    (values, scale) with scale = max over the points of sum_k |v_r,k + i v_phi,k|,
+    the size of the terms the sum cancels.
+    """
+    points = np.asarray(points, dtype=complex)
+    r, phi = np.abs(points), np.angle(points)
+    g = problem.boundary
+    vinf = lambda k: vinf_coefficients(problem.far_field, k)
+    total = np.zeros(points.shape, dtype=complex)
+    size = np.zeros(points.shape)
+    radii, at = np.unique(r, return_inverse=True)
+    for k in range(-problem.K, problem.K + 1):
+        v_r, v_phi = mp_mode_profiles(
+            k, problem.grid.nodes, problem.vorticity.coeff(k), problem.divergence.coeff(k),
+            g.coeff_r(k), g.coeff_phi(k), vinf, radii, dps)
+        v = (v_r + 1j * v_phi)[at].reshape(points.shape)
+        total += v * np.exp(1j * (k + 1) * phi)
+        size += np.abs(v)
+    return total, float(np.max(size))
 
 
 def brute_force_mode_profiles(k, w_fn, rho_fn, alpha, vinf_r, vinf_phi, r0, rmax, targets,
@@ -196,6 +224,22 @@ def reference_scaled_prefix(nodes, integrand, powers, block_exponent=300.0):
     return table
 
 
+def mode_coefficients(terms):
+    """disk.ModeTerms as one generic linear combination per component c (0: v_r, 1: v_phi):
+
+        v_c = coef[c, 0] a + coef[c, 1] b + coef[c, 2] (r0/r)^{|k|+1} + coef[c, 3],
+
+    with the kernel coefficients of mode 0 zero (its integrals are terms.zero).
+    """
+    half_i = 0.5j * np.sign(terms.ks)
+    n = len(terms.ks)
+    coef = np.array([[half_i, half_i, terms.trace[0], terms.vinf[0]],
+                     [np.full(n, 0.5), np.full(n, -0.5), terms.trace[1], terms.vinf[1]]],
+                    dtype=complex)
+    coef[:, :2, n // 2] = 0.0
+    return coef
+
+
 def reference_profiles(terms):
     """Node profiles (v_r, v_phi) of disk.ModeTerms from whole-array kernel tables.
 
@@ -208,7 +252,7 @@ def reference_profiles(terms):
                                      -terms.outer.powers)[:, ::-1]
     decay = np.exp(np.multiply.outer(np.abs(terms.ks) + 1.0, np.log(terms.r0 / nodes)))
     out = []
-    for c, integral in zip(terms.coef, terms.zero):
+    for c, integral in zip(mode_coefficients(terms), terms.zero):
         x = c[0, :, None] * inner + c[1, :, None] * outer + c[2, :, None] * decay + c[3, :, None]
         if integral is not None:
             x[terms.ks == 0] += integral.prefix / nodes
@@ -216,10 +260,54 @@ def reference_profiles(terms):
     return tuple(out)
 
 
+def scaled_integrals_at(kernel, r):
+    """Scaled integrals of every row of a quadrature.ScaledIntegrals at radii r.
+
+    Off the nodes the integrand t^{+-p} f is interpolated linearly inside one
+    panel, as CumulativeIntegral.at does, and the result is scaled by the
+    actual radius with one exp(p log(ratio)) per row and radius.  Radii beyond
+    the last node are allowed: a prefix keeps its total, a suffix is zero.
+    """
+    rc, idx, frac = _locate(kernel.nodes, r, extend=True)
+    s0, s1 = kernel.nodes[idx], kernel.nodes[idx + 1]
+    p = kernel.powers[:, None]
+    f0, f1 = kernel.integrand[:, idx], kernel.integrand[:, idx + 1]
+    if not kernel.suffix:
+        h = 0.5 * (rc - s0)
+        e0 = np.exp(p * np.log(s0 / r))
+        e1 = np.exp(p * np.log(s1 / r))
+        return e0 * (kernel.table[:, idx] + (h * (2.0 - frac)) * f0) + e1 * ((h * frac) * f1)
+    h = 0.5 * (s1 - rc)
+    rs = np.minimum(r, kernel.nodes[-1])
+    e0 = np.exp(p * np.log(rs / s0))
+    e1 = np.exp(p * np.log(rs / s1))
+    return e1 * (kernel.table[:, idx + 1] + (h * (1.0 + frac)) * f1) + e0 * ((h * (1.0 - frac)) * f0)
+
+
+def mode_values(terms, r):
+    """Per-mode Cartesian combinations v_r,k + i v_phi,k of disk.ModeTerms at radii r.
+
+    Every mode row is evaluated with both kernel tables, the decay and the
+    constant, in the generic form of mode_coefficients; mode 0 adds its
+    cumulative integrals over r.
+    """
+    r = np.asarray(r, dtype=float)
+    coef = mode_coefficients(terms)
+    coef = coef[0] + 1j * coef[1]
+    decay = np.exp(np.multiply.outer(np.abs(terms.ks) + 1.0, np.log(terms.r0 / r)))
+    out = (coef[0, :, None] * scaled_integrals_at(terms.inner, r)
+           + coef[1, :, None] * scaled_integrals_at(terms.outer, r)
+           + coef[2, :, None] * decay + coef[3, :, None])
+    for mu, integral in zip((1.0, 1.0j), terms.zero):
+        if integral is not None:
+            out[terms.ks == 0] += mu * integral.at(r, extend=True) / r
+    return out
+
+
 def reference_sample(terms, points, block=2048):
     """Cartesian velocity at points from every mode row at once, in point blocks.
 
-    terms.at gives all rows v_r,k + i v_phi,k at the radii; the phases
+    mode_values gives all rows v_r,k + i v_phi,k at the radii; the phases
     e^{i k phi} are one cumulative product over all modes and one einsum sums
     them, with no band over the modes.
     """
@@ -228,7 +316,7 @@ def reference_sample(terms, points, block=2048):
     out = np.empty(flat.size, dtype=complex)
     for i in range(0, flat.size, block):
         z = flat[i : i + block]
-        values = terms.at(np.abs(z))
+        values = mode_values(terms, np.abs(z))
         unit = np.exp(1j * np.angle(z))
         phases = np.empty_like(values)
         phases[K] = 1.0

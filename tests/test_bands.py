@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from divcurl.disk import solve_disk
+from divcurl.moments import moment_report
 from divcurl.grids import RadialGrid
 from divcurl.norms import far_field_deviation_h1
 from divcurl.quadrature import _BAND_BYTES, _bands, scaled_integrals, trapezoid_weights
@@ -96,4 +97,5 @@ def test_temporaries_stay_within_a_few_bands(highmode):
     _, solve = transient_bytes(lambda: solve_disk(problem))
     _, sample = transient_bytes(lambda: solution.sample(points))
     _, h1 = transient_bytes(lambda: far_field_deviation_h1(solution))
-    assert max(solve, sample, h1) < bound, (solve, sample, h1)
+    _, report = transient_bytes(lambda: moment_report(problem))
+    assert max(solve, sample, h1, report) < bound, (solve, sample, h1, report)

@@ -7,7 +7,7 @@ from divcurl.disk import DiskProblem, FarField, solve_disk, vinf_coefficients
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.presets import cylinder_slip_trace, random_admissible_problem
 
-from helpers import brute_force_mode_profiles, cylinder_flow_polar, mp_mode_profiles, polar_samples
+from helpers import brute_force_mode_profiles, cylinder_flow_polar, mp_sample, polar_samples
 
 
 def test_vinf_coefficients_horizontal_flow():
@@ -306,16 +306,22 @@ def test_polar_sampling_at_nodes_equals_profiles(complex_solution):
 
 
 def test_off_node_profiles_match_the_in_panel_interpolation_rule(complex_solution):
+    # the Horner mode sum against the 60-digit in-panel formulas of every mode,
+    # each times its phase e^{i (k+1) phi}
     problem, solution = complex_solution
-    nodes = problem.grid.nodes
     rng = np.random.default_rng(13)
     radii = np.sort(1.0 + 5.0 * rng.random(6))
-    g = problem.boundary
-    vinf = lambda k: vinf_coefficients(problem.far_field, k)
-    for k in range(-problem.K, problem.K + 1):
-        ref_r, ref_phi = mp_mode_profiles(
-            k, nodes, problem.vorticity.coeff(k), problem.divergence.coeff(k),
-            g.coeff_r(k), g.coeff_phi(k), vinf, radii)
-        got = solution.terms.at(radii)[k + problem.K]
-        scale = max(np.max(np.abs(ref_r)), np.max(np.abs(ref_phi)))
-        assert np.max(np.abs(got - (ref_r + 1j * ref_phi))) <= 1e-13 * scale, k
+    points = np.multiply.outer(radii, np.exp(1j * np.array([0.0, 0.9, 2.6, 4.4])))
+    want, scale = mp_sample(problem, points)
+    assert np.max(np.abs(solution.sample(points) - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("K", [0, 1])
+def test_lowest_bands_sample_the_mode_formulas(grid, K):
+    # no Horner step at K = 0; a single one, with both far-field constants, at K = 1
+    problem = complex_data_problem(grid, K=K)
+    solution = solve_disk(problem, warn_tolerance=np.inf)
+    rng = np.random.default_rng(17)
+    points = (1.0 + 7.0 * rng.random(12)) * np.exp(2j * np.pi * rng.random(12))
+    want, scale = mp_sample(problem, points)
+    assert np.max(np.abs(solution.sample(points) - want)) <= 1e-13 * scale

@@ -19,7 +19,7 @@ from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.moments import moment_report
 from divcurl.norms import h1_seminorm
 
-from helpers import mp_mode_profiles
+from helpers import mp_mode_profiles, mp_sample, reference_sample
 
 R0, RMAX = 1.0, 12.0
 
@@ -71,6 +71,30 @@ def test_high_modes_match_60_digit_trapezoid_sums(highmode):
         assert scale > 1e-6
         assert np.max(np.abs(solution.v_r[row, interior] - ref_r)) <= 1e-12 * scale, k
         assert np.max(np.abs(solution.v_phi[row, interior] - ref_phi)) <= 1e-12 * scale, k
+
+
+def test_high_mode_samples_match_60_digit_mode_sums(highmode):
+    # panel ratios up to 1.0097: the Horner bases (s1/r) e^{i phi} and
+    # (r/s0) e^{-i phi} reach |u|^{129} ~ 3.5 at a panel's ends, as the direct
+    # powers did
+    problem, solution = highmode
+    radii = np.array([1.003, 2.5, 7.9])
+    points = np.multiply.outer(radii, np.exp(1j * np.array([0.4, 2.9, 5.1])))
+    want, scale = mp_sample(problem, points)
+    assert np.max(np.abs(solution.sample(points) - want)) <= 1e-13 * scale
+
+
+def test_samples_far_beyond_rmax_are_finite_without_warnings(highmode):
+    problem, solution = highmode
+    rng = np.random.default_rng(6)
+    radii = RMAX * np.geomspace(0.5, 100.0, 64)
+    points = radii * np.exp(2j * np.pi * rng.random(64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = solution.sample(points)
+    assert np.all(np.isfinite(v))
+    want = reference_sample(solution.terms, points)
+    assert np.max(np.abs(v - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_kernel_moments_match_the_vectorised_report(highmode):
