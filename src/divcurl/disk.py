@@ -12,8 +12,14 @@ m = |k| and sigma = sign(k),
 
 with d_k = (g_phi,k - i sigma g_r,k) / 2, so alpha_k = r0^{m+1} d_k.  For
 k < 0 this is the conjugated positive-mode problem written out; for real
-data v_{-k} = conj(v_k).  Mode 0 has power 1 only and keeps the plain
-cumulative integrals:
+data v_{-k} = conj(v_k).  So real data (w, rho, g and v_inf whose modes
+are exactly mirrored, f_{-k} = conj(f_k), as conjugate_symmetry_defect()
+== 0 says of a field) is solved on k >= 0: the integrands, kernel tables
+and node profiles are formed for those rows and rows k < 0 are written as
+their conjugates, the real-input half spectrum of the FFT (Press et al.,
+Numerical Recipes, 3rd ed., section 12.3).  The kernel weights are real, so
+conjugation commutes with every step and the result is the full pass's bit
+for bit.  Mode 0 has power 1 only and keeps the plain cumulative integrals:
 
     v_r,0 = (int_{r0}^r s rho_0 ds + r0 g_r,0) / r,   v_phi,0 likewise with w_0, g_phi,0.
 
@@ -37,12 +43,13 @@ so with the phase the mode sum is a set of polynomials in (s_j/r) e^{i phi},
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grids import BoundaryTrace, RadialGrid, SpectralField
-from .quadrature import ScaledIntegrals, _bands, _locate, cumulative, scaled_integrals
+from .quadrature import (ScaledIntegrals, _bands, _locate, _mirror, _mirror_defect,
+                         _mirrored_integrals, cumulative, scaled_integrals)
 
 __all__ = [
     "FarField",
@@ -97,6 +104,8 @@ class ModeTerms:
     (|k| = 1 only).  Mode 0 has power 1 only: its kernel rows are not read,
     and its integrals are the plain prefix integrals zero[c]
     (CumulativeIntegral or None), v_c,0 = (zero[c](r) + r0 trace[c]) / r.
+    mirrored says that row -m of every table, integrand, trace and vinf is
+    the conjugate of row m, so the node profiles are too.
     """
 
     ks: np.ndarray
@@ -106,17 +115,21 @@ class ModeTerms:
     trace: np.ndarray
     vinf: np.ndarray
     zero: tuple = (None, None)
+    mirrored: bool = False
 
     def _decay(self, r, rows=slice(None)):
         return np.exp(np.multiply.outer(np.abs(self.ks[rows]) + 1.0, np.log(self.r0 / r)))
 
     def at_nodes(self):
-        """Node profiles (v_r, v_phi), each of shape (rows, nodes), built band by band."""
+        """Node profiles (v_r, v_phi), each of shape (rows, nodes), built band by band.
+
+        Mirrored terms build the rows k > 0 and write rows k < 0 as their conjugates.
+        """
         nodes = self.inner.nodes
         K = (len(self.ks) - 1) // 2
         v_r, v_phi = (np.empty(self.inner.table.shape, dtype=complex) for _ in range(2))
         half_i = 0.5j * np.sign(self.ks)
-        for band in _bands(len(self.ks), len(nodes)):
+        for band in _bands(len(self.ks), len(nodes), K + 1 if self.mirrored else 0):
             decay = self._decay(nodes, band)
             a, b = self.inner.table[band], self.outer.table[band]
             rows = np.add(a, b, out=v_r[band])
@@ -127,6 +140,8 @@ class ModeTerms:
             rows += self.trace[1, band, None] * decay
         decay = self._decay(nodes, slice(K, K + 1))[0]
         for x, trace, vinf, integral in zip((v_r, v_phi), self.trace, self.vinf, self.zero):
+            if self.mirrored:
+                _mirror(x)
             x[K] = trace[K] * decay
             if integral is not None:
                 x[K] += integral.prefix / nodes
@@ -202,40 +217,58 @@ class ModeTerms:
 
 
 def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
-    """Kernel terms for the modes k = -K..K with a zero trace; rho None is zero divergence."""
+    """Kernel terms for the modes k = -K..K with a zero trace; rho None is zero divergence.
+
+    When w, rho and the far field are exactly mirrored (a real field's
+    modes), the integrands and kernel tables are formed for k >= 0 only and
+    rows k < 0 are their conjugates, bit for bit what the full pass gives.
+    """
     K = (len(w) - 1) // 2
     ks = np.arange(-K, K + 1)
     m = np.abs(ks)
     sigma = np.sign(ks)
+    vinf = np.array([vinf_coefficients(far, int(k)) for k in ks], dtype=complex).T
+    mirrored = (_mirror_defect(w) == 0.0 and (rho is None or _mirror_defect(rho) == 0.0)
+                and _mirror_defect(vinf.T) == 0.0)
     f_inner = f_outer = w
     if rho is not None:
         # w -+ i sigma rho, formed band by band
         f_inner, f_outer = np.empty_like(w, dtype=complex), np.empty_like(w, dtype=complex)
-        for band in _bands(len(ks), w.shape[1]):
+        for band in _bands(len(ks), w.shape[1], K if mirrored else 0):
             rho_i = 1j * sigma[band, None] * rho[band]
             np.subtract(w[band], rho_i, out=f_inner[band])
             np.add(w[band], rho_i, out=f_outer[band])
-    inner = scaled_integrals(grid.nodes, f_inner, m + 1)
-    outer = scaled_integrals(grid.nodes, f_outer, m - 1, suffix=True)
-    vinf = np.array([vinf_coefficients(far, int(k)) for k in ks], dtype=complex).T
+        if mirrored:
+            _mirror(f_inner)
+            _mirror(f_outer)
+    kernel = _mirrored_integrals if mirrored else scaled_integrals
+    inner = kernel(grid.nodes, f_inner, m + 1.0)
+    outer = kernel(grid.nodes, f_outer, m - 1.0, suffix=True)
     zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[K]),
                       cumulative(grid.nodes, grid.nodes * w[K]))
     return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
-                     zero_integrals)
+                     zero_integrals, mirrored)
 
 
-def _max_abs(values) -> float:
-    """max |values| of a (modes, nodes) array, band by band."""
-    return max(float(np.max(np.abs(values[band]))) for band in _bands(*values.shape))
+def _max_abs(values, name) -> float:
+    """max |values| of a (modes, nodes) array, band by band; ValueError if one is not finite."""
+    scale = float(np.max([np.max(np.abs(values[band])) for band in _bands(*values.shape)]))
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} has non-finite coefficients")
+    return scale
 
 
-def _set_trace(trace, g_r, g_phi):
-    """Write the decay coefficients of the trace (g_r, g_phi) into trace, mode 0 as r0 g_0 / r."""
+def _with_trace(terms: ModeTerms, g_r, g_phi) -> ModeTerms:
+    """terms with the decay coefficients of the trace (g_r, g_phi), mode 0 as r0 g_0 / r.
+
+    The terms stay mirrored when the trace is mirrored too.
+    """
     K = (len(g_r) - 1) // 2
     sigma = np.sign(np.arange(-K, K + 1))
     d = 0.5 * (g_phi - 1j * sigma * g_r)
-    trace[:] = 1j * sigma * d, d
+    trace = np.array([1j * sigma * d, d])
     trace[:, K] = g_r[K], g_phi[K]
+    return replace(terms, trace=trace, mirrored=terms.mirrored and _mirror_defect(trace.T) == 0.0)
 
 
 @dataclass(frozen=True)
@@ -340,7 +373,10 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     grid = problem.grid
     w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
-    support_scale = max(_max_abs(w.coeffs), _max_abs(rho.coeffs), 1e-300)
+    support_scale = max(_max_abs(w.coeffs, "vorticity"), _max_abs(rho.coeffs, "divergence"),
+                        1e-300)
+    if not (np.all(np.isfinite(g.g_r)) and np.all(np.isfinite(g.g_phi))):
+        raise ValueError("boundary trace has non-finite coefficients")
     edge = max(float(np.max(np.abs(w.coeffs[:, -1]))), float(np.max(np.abs(rho.coeffs[:, -1]))))
     if edge > 1e-12 * support_scale:
         warnings.warn(
@@ -350,8 +386,7 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
         )
 
     K = problem.K
-    terms = _direct_terms(grid, w.coeffs, rho.coeffs, far)
-    _set_trace(terms.trace, g.g_r, g.g_phi)
+    terms = _with_trace(_direct_terms(grid, w.coeffs, rho.coeffs, far), g.g_r, g.g_phi)
     v_r, v_phi = terms.at_nodes()
     report = _report_from_moments(problem, terms.outer.table[K + 1 :, 0], warn_tolerance)
     if not report.admissible:

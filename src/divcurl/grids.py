@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .quadrature import _mirror_defect
+
 __all__ = [
     "RadialGrid",
     "SpectralField",
@@ -132,11 +134,11 @@ class SpectralField:
         return SpectralField(self.grid, self.K, coeffs)
 
     def conjugate_symmetry_defect(self) -> float:
-        """Max |f_{-k} - conj(f_k)|, zero (to rounding) for real-valued fields."""
-        defect = 0.0
-        for k in range(0, self.K + 1):
-            defect = max(defect, float(np.max(np.abs(self.coeff(-k) - np.conj(self.coeff(k))))))
-        return defect
+        """Max |f_{-k} - conj(f_k)|: zero (to rounding) for real-valued fields, NaN with NaN data.
+
+        Exactly zero is the solver's test for solving on k >= 0 alone.
+        """
+        return _mirror_defect(self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ constant fields contribute exactly zero.  Every volume norm sums the
 weight vector.  The density is accumulated over row bands
 (quadrature._bands), each term summed row after row in mode order, which is
 the order one einsum over the whole array takes, so banding leaves every norm
-bit for bit as it was.
+bit for bit as it was.  For real data (a solution whose terms are mirrored,
+v_{-k} = conj(v_k)) the velocity norms sum row 0 plus twice rows 1..K, which
+forms half the rows and matches the whole-array einsum to rounding, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -29,16 +32,26 @@ __all__ = [
 ]
 
 
-def _power(count, s, terms) -> np.ndarray:
+def _power(count, s, terms, mirrored=False) -> np.ndarray:
     """sum over modes and terms of |term_k(s_j)|^2 at every node.
 
     terms(band) yields the band's rows of each (modes, nodes) complex term.
     Each term's squares are summed row after row over the float view, with
     the running sum carried from band to band, and the terms are added at the
     end: the order of one einsum per whole term, so the sum is unchanged.
+    Mirrored terms (row K - m the conjugate of row K + m) are summed as row K
+    plus twice the sum of rows K+1..2K.
     """
+    if not mirrored:
+        return _squares(_bands(count, s.size), terms)
+    K = count // 2
+    return _squares([slice(K, K + 1)], terms) + 2.0 * _squares(_bands(count, s.size, K + 1), terms)
+
+
+def _squares(bands, terms) -> np.ndarray:
+    """sum over the rows of the bands and over the terms of |term_k(s_j)|^2, as in _power."""
     acc = {}
-    for band in _bands(count, s.size):
+    for band in bands:
         for t, values in enumerate(terms(band)):
             flat = np.ascontiguousarray(values, dtype=complex).view(float)
             rows = np.empty((len(flat) + 1, flat.shape[1]))
@@ -46,10 +59,7 @@ def _power(count, s, terms) -> np.ndarray:
             np.multiply(flat, flat, out=rows[1:])
             acc[t] = rows.sum(axis=0)
             del flat, values, rows  # before the next term is formed
-    power = acc[0].reshape(-1, 2).sum(axis=1)
-    for t in range(1, len(acc)):
-        power += acc[t].reshape(-1, 2).sum(axis=1)
-    return power
+    return sum(a.reshape(-1, 2).sum(axis=1) for a in acc.values())
 
 
 def _radial_derivative(f, s) -> np.ndarray:
@@ -118,7 +128,7 @@ def h1_seminorm(solution: VelocitySolution) -> float:
         yield (k * r - phi) * inv_s
         yield (k * phi + r) * inv_s
 
-    return _volume_norm(_power(len(ik), s, terms), s)
+    return _volume_norm(_power(len(ik), s, terms, solution.terms.mirrored), s)
 
 
 def scalar_gradient_norm(field: SpectralField) -> float:
@@ -138,7 +148,8 @@ def far_field_deviation_l2(solution: VelocitySolution) -> float:
     vinf = np.array([vinf_coefficients(solution.far_field, k)
                      for k in range(-solution.K, solution.K + 1)], dtype=complex)
     power = _power(len(vinf), s, lambda band: (v_r[band] - vinf[band, :1],
-                                               v_phi[band] - vinf[band, 1:]))
+                                               v_phi[band] - vinf[band, 1:]),
+                   solution.terms.mirrored)
     return _volume_norm(power, s)
 
 

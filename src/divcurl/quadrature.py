@@ -28,7 +28,9 @@ _BAND_BYTES (2^20 bytes, 16 rows at M = 4000), and every temporary of a
 pass then fits in a 2 MB L2 cache.  The block schedule comes from the
 largest power of all rows, so the banded tables equal the whole-array ones
 bit for bit.  The node profiles, the off-node sampler and the volume norms
-walk the same bands.
+walk the same bands.  Rows mirrored about the middle one (row K - m the
+conjugate of row K + m, as a real field's modes are) are tabulated for rows
+K..2K only (_mirrored_integrals); _mirror_defect is the test for them.
 """
 
 from __future__ import annotations
@@ -52,10 +54,28 @@ _BLOCK_EXPONENT = 300.0
 _BAND_BYTES = 1 << 20
 
 
-def _bands(count, width):
-    """Slices covering range(count) whose complex rows of the given width fit _BAND_BYTES."""
+def _bands(count, width, start=0):
+    """Slices covering range(start, count) whose complex rows of the given width fit _BAND_BYTES."""
     step = max(1, _BAND_BYTES // (16 * width))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+    return [slice(i, min(i + step, count)) for i in range(start, count, step)]
+
+
+def _mirror_defect(rows) -> float:
+    """max over m = 0..K of |rows[K - m] - conj(rows[K + m])|, in one pass over row bands.
+
+    Row k + K holds mode k.  Zero exactly when the rows are mirrored, as the
+    modes of a real field are; a NaN in any row pair gives NaN.
+    """
+    K = len(rows) // 2
+    return float(np.max([np.max(np.abs(rows[K - b.stop + 1 : K - b.start + 1][::-1]
+                                       - np.conj(rows[K + b.start : K + b.stop])))
+                         for b in _bands(K + 1, rows.shape[1])]))
+
+
+def _mirror(rows):
+    """Write rows 0..K-1 as the conjugates of rows 2K..K+1 (mode -m from mode m)."""
+    K = len(rows) // 2
+    np.conjugate(rows[K + 1 :][::-1], out=rows[:K])
 
 
 def _locate(nodes, r, extend: bool = False):
@@ -126,8 +146,8 @@ class ScaledIntegrals:
     table: np.ndarray
 
 
-def _scaled_table(nodes, integrand, powers, suffix):
-    """Prefix (or suffix) table of the rows, band by band.
+def _scaled_table(nodes, integrand, powers, suffix, table):
+    """Prefix (or suffix) table of the rows, written into table band by band.
 
     The suffix is the prefix over the reversed grid with the opposite power;
     the reversed panels have negative width, hence its sign flip.  Each band
@@ -143,7 +163,6 @@ def _scaled_table(nodes, integrand, powers, suffix):
     while cuts[-1] < len(nodes) - 1:
         j0 = cuts[-1]
         cuts.append(max(int(np.searchsorted(dist, dist[j0] + reach, side="right")) - 1, j0 + 1))
-    table = np.empty(integrand.shape, dtype=complex)
     view = table[:, ::-1] if suffix else table
     for band in _bands(len(powers), len(nodes)):
         f, p, out = integrand[band], powers[band], view[band]
@@ -158,7 +177,6 @@ def _scaled_table(nodes, integrand, powers, suffix):
             np.multiply(acc, np.reciprocal(weights[:, 1:]), out=out[:, j0 + 1 : j1 + 1])
         if suffix:
             np.negative(out, out=out)
-    return table
 
 
 def scaled_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIntegrals:
@@ -168,7 +186,23 @@ def scaled_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIn
     powers = np.asarray(powers, dtype=float)
     if integrand.shape != (powers.size, nodes.size):
         raise ValueError("integrand must hold one row per power, sampled at every node")
-    table = _scaled_table(nodes, integrand, powers, suffix)
+    table = np.empty(integrand.shape, dtype=complex)
+    _scaled_table(nodes, integrand, powers, suffix, table)
+    return ScaledIntegrals(nodes, integrand, powers, suffix, table)
+
+
+def _mirrored_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIntegrals:
+    """scaled_integrals of 2K+1 mirrored rows (row K - m the conjugate of row K + m, same power).
+
+    Only rows K..2K are tabulated, straight into the full table, and rows
+    0..K-1 are written as their conjugates.  The weights are real, so
+    conjugation commutes with every step and the table equals scaled_integrals'
+    bit for bit.  nodes, integrand and powers are float, complex and float arrays.
+    """
+    K = len(powers) // 2
+    table = np.empty(integrand.shape, dtype=complex)
+    _scaled_table(nodes, integrand[K:], powers[K:], suffix, table[K:])
+    _mirror(table)
     return ScaledIntegrals(nodes, integrand, powers, suffix, table)
 
 

@@ -17,12 +17,14 @@ is the completed problem's v_r,k(r0) = 0.  solve_stream therefore builds the
 direct solver's kernel terms once (disk._direct_terms), reads b_k(r0) off
 their suffix table, sets that trace, and reads psi_k = (i r / k) v_r,k off
 the profiles; psi_0 is the trapezoid integral of
-v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  The completed problem's velocity is
-kept with psi, so velocity_from_stream forms nothing again.  The discarded
-Neumann condition d(psi)/dn = 0 holds exactly when the completion trace
-vanishes, that is when the vorticity satisfies the no-slip orthogonality
-relations; neumann_defect measures the trace, the residual slip velocity,
-otherwise.
+v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  For real vorticity and far field the
+trace is mirrored like the table it is read from, so psi is formed on
+k >= 0 and mirrored, as the direct solver's profiles are.  The completed
+problem's velocity is kept with psi, so velocity_from_stream forms nothing
+again.  The discarded Neumann condition d(psi)/dn = 0 holds exactly when the
+completion trace vanishes, that is when the vorticity satisfies the no-slip
+orthogonality relations; neumann_defect measures the trace, the residual
+slip velocity, otherwise.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import FarField, VelocitySolution, _direct_terms, _set_trace
+from .disk import FarField, VelocitySolution, _direct_terms, _max_abs, _with_trace
 from .grids import RadialGrid, SpectralField
-from .quadrature import _bands, cumulative
+from .quadrature import _bands, _mirror, cumulative
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
@@ -76,19 +78,22 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     grid = w.grid
     nodes = grid.nodes
     K = w.K
+    _max_abs(w.coeffs, "vorticity")  # raises on non-finite data
     terms = _direct_terms(grid, w.coeffs, None, v)
     # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment
-    # residual
+    # residual; it is mirrored when the table is
     slip = 2.0 * terms.vinf[1] - terms.outer.table[:, 0]
     slip[K] = 0.0
-    _set_trace(terms.trace, np.zeros_like(slip), slip)
+    terms = _with_trace(terms, np.zeros_like(slip), slip)
     v_r, dpsi = terms.at_nodes()
     # psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'
     ks = np.arange(-K, K + 1)
     ks = np.where(ks == 0, 1, ks)[:, None]
     psi = np.empty_like(v_r)
-    for band in _bands(len(ks), len(nodes)):
+    for band in _bands(len(ks), len(nodes), K + 1 if terms.mirrored else 0):
         np.multiply(v_r[band], 1j * nodes / ks[band], out=psi[band])
+    if terms.mirrored:
+        _mirror(psi)
     psi[K] = cumulative(nodes, dpsi[K]).prefix
 
     # 2 pi int s w_0 ds, the circulation the moment report prints

@@ -13,59 +13,99 @@ from divcurl.disk import vinf_coefficients
 from divcurl.quadrature import _locate
 
 
-def mp_mode_profiles(k, nodes, w_k, rho_k, g_r_k, g_phi_k, vinf, radii, dps=60):
-    """High-precision (mpmath) evaluation of the mode-k trapezoid formulas at radii.
+class MpGrid:
+    """Radial nodes, half panel widths and target radii of the mpmath references in dps digits.
+
+    Built once per reference and shared by every mode and both integrals of a
+    mode: at[i] holds (panel index, radius, fraction inside the panel, half
+    the partial panel width) of radii[i], cuts the panel indices in order,
+    and power(p) the nodes' p-th powers (modes k and -k use the same two).
+    """
+
+    def __init__(self, nodes, radii, dps=60):
+        import mpmath
+
+        self.dps = dps
+        self._powers = {}
+        with mpmath.workdps(dps):
+            self.s = s = [mpmath.mpf(float(x)) for x in nodes]
+            self.half = [(b - a) / 2 for a, b in zip(s[:-1], s[1:])]
+            self.at = []
+            for radius in radii:
+                idx = min(max(bisect_right(nodes, radius) - 1, 0), len(s) - 2)
+                r = mpmath.mpf(float(radius))
+                self.at.append((idx, r, (r - s[idx]) / (s[idx + 1] - s[idx]), (r - s[idx]) / 2))
+        self.cuts = sorted({idx for idx, _, _, _ in self.at})
+
+    def power(self, p):
+        if p not in self._powers:
+            self._powers[p] = [x**p for x in self.s]
+        return self._powers[p]
+
+
+def mp_mode_profiles(k, grid, w_k, rho_k, g_r_k, g_phi_k, vinf):
+    """High-precision (mpmath) evaluation of the mode-k trapezoid formulas at grid's radii.
 
     Same sums as the solver: composite trapezoid of s^{k+1}(w - i rho) from
     r0 and of s^{-k+1}(w + i rho) to rmax, with the integrand interpolated
     linearly inside one panel off the nodes (CumulativeIntegral.at).  The
-    suffix is summed directly and every power is formed in dps digits, so
-    neither overflow nor cancellation enters the reference.  vinf(k) gives
-    the far-field pair (v_r,k^inf, v_phi,k^inf); k < 0 solves the conjugated
-    problem for -k, k = 0 the radial/azimuthal cumulative formulas.
+    suffix is summed directly and every power is formed in grid.dps digits,
+    so neither overflow nor cancellation enters the reference.  grid is an
+    MpGrid; vinf(k) gives the far-field pair (v_r,k^inf, v_phi,k^inf); k < 0
+    solves the conjugated problem for -k, k = 0 the radial/azimuthal
+    cumulative formulas.
     """
     import mpmath
 
     if k < 0:
-        v_r, v_phi = mp_mode_profiles(-k, nodes, np.conj(w_k), np.conj(rho_k), np.conj(g_r_k),
-                                      np.conj(g_phi_k), vinf, radii, dps)
+        v_r, v_phi = mp_mode_profiles(-k, grid, np.conj(w_k), np.conj(rho_k), np.conj(g_r_k),
+                                      np.conj(g_phi_k), vinf)
         return np.conj(v_r), np.conj(v_phi)
-    with mpmath.workdps(dps):
-        s = [mpmath.mpf(float(x)) for x in nodes]
-        r0 = s[0]
+    with mpmath.workdps(grid.dps):
+        r0 = grid.s[0]
+
+        def real_integrals(values, power):
+            """(prefix, suffix) of s^power * values (real) at each radius."""
+            f = [x * q for x, q in zip(values.tolist(), grid.power(power))]
+            panels = [h * (a + b) for h, a, b in zip(grid.half, f[:-1], f[1:])]
+            # whole panels below and above each radius's panel, summed once
+            # from the inner end and once from the outer end
+            cuts = grid.cuts
+            below, total = {}, 0
+            for lo, hi in zip([0] + cuts, cuts):
+                below[hi] = total = total + mpmath.fsum(panels[lo:hi])
+            above, total = {}, 0
+            for lo, hi in zip(cuts[::-1], [len(panels)] + cuts[:0:-1]):
+                above[lo] = total = total + mpmath.fsum(panels[lo + 1 : hi + 1])
+            out = []
+            for idx, _, frac, half in grid.at:
+                f_at = f[idx] + (f[idx + 1] - f[idx]) * frac
+                partial = half * (f[idx] + f_at)
+                out.append((below[idx] + partial, above[idx] + panels[idx] - partial))
+            return out
 
         def integrals(values, power):
-            """(prefix, suffix) of s^power * values at each radius."""
-            f = [mpmath.mpc(complex(v)) * si**power for v, si in zip(values, s)]
-            panels = [(s[t + 1] - s[t]) / 2 * (f[t] + f[t + 1]) for t in range(len(s) - 1)]
-            out = []
-            for radius in radii:
-                idx = min(max(bisect_right(nodes, radius) - 1, 0), len(s) - 2)
-                r = mpmath.mpf(float(radius))
-                frac = (r - s[idx]) / (s[idx + 1] - s[idx])
-                f_at = f[idx] + (f[idx + 1] - f[idx]) * frac
-                partial = (r - s[idx]) / 2 * (f[idx] + f_at)
-                out.append((mpmath.fsum(panels[:idx]) + partial,
-                            mpmath.fsum(panels[idx + 1:]) + panels[idx] - partial))
-            return out
+            """(prefix, suffix) of s^power * values at each radius, one real part at a time."""
+            parts = zip(real_integrals(values.real, power), real_integrals(values.imag, power))
+            return [(mpmath.mpc(a_re, a_im), mpmath.mpc(b_re, b_im))
+                    for (a_re, b_re), (a_im, b_im) in parts]
 
         w_k = np.asarray(w_k, dtype=complex)
         rho_k = np.asarray(rho_k, dtype=complex)
         g_r_k = mpmath.mpc(complex(g_r_k))
         g_phi_k = mpmath.mpc(complex(g_phi_k))
         vinf_r, vinf_phi = (mpmath.mpc(complex(x)) for x in vinf(k))
+        radii = [r for _, r, _, _ in grid.at]
         v_r, v_phi = [], []
         if k == 0:
-            for radius, (a_rho, _), (a_w, _) in zip(radii, integrals(rho_k, 1), integrals(w_k, 1)):
-                r = mpmath.mpf(float(radius))
+            for r, (a_rho, _), (a_w, _) in zip(radii, integrals(rho_k, 1), integrals(w_k, 1)):
                 v_r.append(complex((a_rho + r0 * g_r_k) / r))
                 v_phi.append(complex((a_w + r0 * g_phi_k) / r))
             return np.array(v_r), np.array(v_phi)
         alpha = r0 ** (k + 1) * (g_phi_k - 1j * g_r_k) / 2
         inner = integrals(w_k - 1j * rho_k, k + 1)
         outer = integrals(w_k + 1j * rho_k, 1 - k)
-        for radius, (a, _), (_, b) in zip(radii, inner, outer):
-            r = mpmath.mpf(float(radius))
+        for r, (a, _), (_, b) in zip(radii, inner, outer):
             decay = r ** (-k - 1)
             grow = r ** (k - 1)
             v_r.append(complex(0.5j * decay * a + 0.5j * grow * b + 1j * alpha * decay + vinf_r))
@@ -77,9 +117,9 @@ def mp_sample(problem, points, dps=60):
     """Cartesian velocity at complex points from the mp_mode_profiles of every mode.
 
     Sums (v_r,k + i v_phi,k)(r) e^{i (k+1) phi} over k = -K..K in double
-    precision, each profile from the dps-digit trapezoid formulas.  Returns
-    (values, scale) with scale = max over the points of sum_k |v_r,k + i v_phi,k|,
-    the size of the terms the sum cancels.
+    precision, each profile from the dps-digit trapezoid formulas on one
+    shared MpGrid.  Returns (values, scale) with scale = max over the points
+    of sum_k |v_r,k + i v_phi,k|, the size of the terms the sum cancels.
     """
     points = np.asarray(points, dtype=complex)
     r, phi = np.abs(points), np.angle(points)
@@ -88,10 +128,11 @@ def mp_sample(problem, points, dps=60):
     total = np.zeros(points.shape, dtype=complex)
     size = np.zeros(points.shape)
     radii, at = np.unique(r, return_inverse=True)
+    grid = MpGrid(problem.grid.nodes, radii, dps)
     for k in range(-problem.K, problem.K + 1):
         v_r, v_phi = mp_mode_profiles(
-            k, problem.grid.nodes, problem.vorticity.coeff(k), problem.divergence.coeff(k),
-            g.coeff_r(k), g.coeff_phi(k), vinf, radii, dps)
+            k, grid, problem.vorticity.coeff(k), problem.divergence.coeff(k),
+            g.coeff_r(k), g.coeff_phi(k), vinf)
         v = (v_r + 1j * v_phi)[at].reshape(points.shape)
         total += v * np.exp(1j * (k + 1) * phi)
         size += np.abs(v)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,19 @@ def test_lowest_bands_sample_the_mode_formulas(grid, K):
     points = (1.0 + 7.0 * rng.random(12)) * np.exp(2j * np.pi * rng.random(12))
     want, scale = mp_sample(problem, points)
     assert np.max(np.abs(solution.sample(points) - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["vorticity", "divergence", "boundary"])
+def test_non_finite_data_raises_naming_the_field(name):
+    problem = random_admissible_problem(np.random.default_rng(2), RadialGrid.uniform(1.0, 8.0, 401),
+                                        K=4, K_c=4, with_divergence=True, boundary_modes=2)
+    if name == "boundary":
+        g_phi = np.array(problem.boundary.g_phi)
+        g_phi[1] = np.nan
+        bad = BoundaryTrace(4, problem.boundary.g_r, g_phi)
+    else:
+        coeffs = np.array(getattr(problem, name).coeffs)
+        coeffs[6, 100] = np.nan  # one coefficient of mode 2
+        bad = SpectralField(problem.grid, 4, coeffs)
+    with pytest.raises(ValueError, match=name):
+        solve_disk(replace(problem, **{name: bad}))

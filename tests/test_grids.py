@@ -114,6 +114,21 @@ def test_conjugate_symmetry_of_real_samples(grid):
     assert back.conjugate_symmetry_defect() < 1e-14
 
 
+def test_conjugate_symmetry_defect_propagates_nan(grid):
+    # the pair of mode +-2 holds both an asymmetry of 1.0 and a NaN
+    K = 3
+    coeffs = np.zeros((2 * K + 1, len(grid)), dtype=complex)
+    coeffs[K - 2, 4] = 1.0
+    assert SpectralField(grid, K, coeffs).conjugate_symmetry_defect() == 1.0
+    coeffs[K + 2, 7] = np.nan
+    assert np.isnan(SpectralField(grid, K, coeffs).conjugate_symmetry_defect())
+    coeffs[K + 2, 7] = 0.0
+    coeffs[K, 3] = 0.5j  # a complex mode 0 is asymmetric too
+    assert SpectralField(grid, K, coeffs).conjugate_symmetry_defect() == 1.0
+    coeffs[K - 2, 4] = 0.0
+    assert SpectralField(grid, K, coeffs).conjugate_symmetry_defect() == 1.0
+
+
 def test_spectral_field_accessors(grid):
     field = SpectralField.zeros(grid, 3)
     assert list(field.modes()) == list(range(-3, 4))

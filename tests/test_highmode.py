@@ -19,34 +19,37 @@ from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.moments import moment_report
 from divcurl.norms import h1_seminorm
 
-from helpers import mp_mode_profiles, mp_sample, reference_sample
+from helpers import MpGrid, mp_mode_profiles, mp_sample, reference_sample
 
 R0, RMAX = 1.0, 12.0
 
 
-def admissible_highmode_problem(K, M, seed, ratio=1.01):
+def admissible_highmode_problem(K, M, seed, ratio=1.01, real=False):
     """Data in every mode 1 <= |k| <= K on a geometric grid to rmax = 12.
 
     Complex amplitudes (no conjugate symmetry) on a bump reaching down to
-    r0; the tangential trace absorbs the moment residuals, so the data is
-    admissible and the solve raises no warning.
+    r0, or with real=True the modes of real fields (mode -k the conjugate of
+    mode k, exactly); the tangential trace absorbs the moment residuals, so
+    the data is admissible and the solve raises no warning.
     """
     grid = RadialGrid.geometric(R0, RMAX, M, ratio=ratio)
     rng = np.random.default_rng(seed)
     bump = smooth_bump(grid.nodes, R0, 11.5)
 
-    def field():
-        amp = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+    def modes(scale):
+        amp = scale * (rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1))
         amp[K] = 0.0  # no circulation or flux
-        return SpectralField(grid, K, amp[:, None] * bump)
+        if real:
+            amp[:K] = np.conj(amp[K + 1 :][::-1])
+        return amp
 
-    w, rho = field(), field()
-    g_r = 0.1 * (rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1))
-    g_phi = 0.1 * (rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1))
-    g_r[K] = g_phi[K] = 0.0
+    w, rho = (SpectralField(grid, K, modes(1.0)[:, None] * bump) for _ in range(2))
+    g_r, g_phi = modes(0.1), modes(0.1)
     far = FarField(0.3, -0.2)
     residuals = moment_report(DiskProblem(w, rho, BoundaryTrace(K, g_r, g_phi), far)).residuals
     g_phi[K + 1 :] -= residuals[1:]
+    if real:
+        g_phi[:K] = np.conj(g_phi[K + 1 :][::-1])
     return DiskProblem(w, rho, BoundaryTrace(K, g_r, g_phi), far)
 
 
@@ -62,10 +65,11 @@ def test_high_modes_match_60_digit_trapezoid_sums(highmode):
     interior = [int(np.argmin(np.abs(nodes - r))) for r in (2.0, 4.1, 8.0)]
     vinf = lambda k: vinf_coefficients(problem.far_field, k)
     g = problem.boundary
+    grid = MpGrid(nodes, nodes[interior])
     for k in (1, -1, 20, 50, -50, 100, 128, -128):
         ref_r, ref_phi = mp_mode_profiles(
-            k, nodes, problem.vorticity.coeff(k), problem.divergence.coeff(k),
-            g.coeff_r(k), g.coeff_phi(k), vinf, nodes[interior])
+            k, grid, problem.vorticity.coeff(k), problem.divergence.coeff(k),
+            g.coeff_r(k), g.coeff_phi(k), vinf)
         row = k + problem.K
         scale = max(np.max(np.abs(ref_r)), np.max(np.abs(ref_phi)))
         assert scale > 1e-6

@@ -240,3 +240,10 @@ def test_stream_function_requires_velocity_terms(grid):
     zeros = np.zeros((3, len(grid)), dtype=complex)
     with pytest.raises(TypeError):
         StreamFunction(grid, 1, zeros, zeros.copy(), FarField())
+
+
+def test_non_finite_vorticity_raises(grid):
+    coeffs = np.zeros((7, len(grid)), dtype=complex)
+    coeffs[5, 300] = np.inf
+    with pytest.raises(ValueError, match="vorticity"):
+        solve_stream(SpectralField(grid, 3, coeffs), FarField(1.0, 0.0))
