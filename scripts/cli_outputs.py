@@ -11,18 +11,25 @@ DIR/<name>.stderr.  Two trees give byte-identical outputs exactly when
     python3 scripts/cli_outputs.py --out B     (in the other)
     diff -r A B
 
-prints nothing.  The exit code is 1 when any run exits nonzero.
+prints nothing.  With --against B the second run compares its outputs with
+B itself: it prints each file that is not byte-identical with the largest
+absolute difference of its numbers, or "non-numeric" when the files differ
+in more than their numbers, or the side it is missing from.  The exit code
+is 1 when any run exits nonzero or, with --against, any file differs.
 """
 
 import argparse
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = ("cylinder", "ellipse", "vortex_patch")
 ORACLE_POINTS = "6.0,1.0;-4.5,5.0;0.5,-7.0"
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)", re.IGNORECASE)
 
 
 def invocations():
@@ -36,10 +43,42 @@ def invocations():
     return runs
 
 
+def largest_difference(a: str, b: str):
+    """Largest |x - y| over the numbers of two texts that differ in their numbers only, else None.
+
+    Numbers that are not equal as text and whose difference is not a number
+    (nan against a value, inf against inf) count as an infinite difference.
+    """
+    xs, ys = NUMBER.findall(a), NUMBER.findall(b)
+    if len(xs) != len(ys) or NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return None
+    diffs = [0.0 if x == y else abs(float(x) - float(y)) for x, y in zip(xs, ys)]
+    return max((math.inf if math.isnan(d) else d for d in diffs), default=0.0)
+
+
+def differences(out: pathlib.Path, against: pathlib.Path) -> list:
+    """(relative path, note) of each file under out or against not byte-identical in the other."""
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    mine, theirs = files(out), files(against)
+    found = []
+    for rel in sorted(mine | theirs):
+        if rel not in theirs or rel not in mine:
+            found.append((rel, f"only in {out if rel in mine else against}"))
+            continue
+        a, b = (out / rel).read_bytes(), (against / rel).read_bytes()
+        if a != b:
+            d = largest_difference(a.decode(errors="replace"), b.decode(errors="replace"))
+            found.append((rel, "non-numeric" if d is None else f"largest difference {d:.3g}"))
+    return found
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="directory for the outputs")
+    parser.add_argument("--against", help="directory of earlier outputs to compare with")
     args = parser.parse_args()
     out = pathlib.Path(args.out).resolve()
     out.mkdir(parents=True, exist_ok=True)
@@ -54,6 +93,12 @@ def main():
         (out / f"{name}.stderr").write_text(proc.stderr)
         failed += proc.returncode != 0
         print(f"{name}: exit {proc.returncode}")
+    if args.against is not None:
+        found = differences(out, pathlib.Path(args.against).resolve())
+        for rel, note in found:
+            print(f"{rel}: {note}")
+        print(f"{len(found)} files differ" if found else "every file is byte-identical")
+        failed += bool(found)
     return 1 if failed else 0
 
 

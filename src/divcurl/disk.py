@@ -13,13 +13,15 @@ m = |k| and sigma = sign(k),
 with d_k = (g_phi,k - i sigma g_r,k) / 2, so alpha_k = r0^{m+1} d_k.  For
 k < 0 this is the conjugated positive-mode problem written out; for real
 data v_{-k} = conj(v_k).  So real data (w, rho, g and v_inf whose modes
-are exactly mirrored, f_{-k} = conj(f_k), as conjugate_symmetry_defect()
-== 0 says of a field) is solved on k >= 0: the integrands, kernel tables
-and node profiles are formed for those rows and rows k < 0 are written as
-their conjugates, the real-input half spectrum of the FFT (Press et al.,
-Numerical Recipes, 3rd ed., section 12.3).  The kernel weights are real, so
+are exactly mirrored, f_{-k} = conj(f_k), as one scan of each field finds)
+is solved and held on k >= 0 alone, the real-input half spectrum of the
+FFT (Press et al., Numerical Recipes, 3rd ed., section 12.3): the
+integrands, kernel tables and node profiles have the rows k = 0..K, the
+sampler reads mode -m off the conjugated rows +m, and the full (2K+1)-row
+profiles are built only when asked for.  The kernel weights are real, so
 conjugation commutes with every step and the result is the full pass's bit
-for bit.  Mode 0 has power 1 only and keeps the plain cumulative integrals:
+for bit.  Zero divergence forms no w -+ i sigma rho.  Mode 0 has power 1
+only and keeps the plain cumulative integrals:
 
     v_r,0 = (int_{r0}^r s rho_0 ds + r0 g_r,0) / r,   v_phi,0 likewise with w_0, g_phi,0.
 
@@ -44,12 +46,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .grids import BoundaryTrace, RadialGrid, SpectralField
-from .quadrature import (ScaledIntegrals, _bands, _locate, _mirror, _mirror_defect,
-                         _mirrored_integrals, cumulative, scaled_integrals)
+from .quadrature import ScaledIntegrals, _bands, _locate, _unfold, cumulative, scaled_integrals
 
 __all__ = [
     "FarField",
@@ -104,8 +106,9 @@ class ModeTerms:
     (|k| = 1 only).  Mode 0 has power 1 only: its kernel rows are not read,
     and its integrals are the plain prefix integrals zero[c]
     (CumulativeIntegral or None), v_c,0 = (zero[c](r) + r0 trace[c]) / r.
-    mirrored says that row -m of every table, integrand, trace and vinf is
-    the conjugate of row m, so the node profiles are too.
+    ks is -K..K, or 0..K for real data (mirrored): row -m of every table,
+    integrand, trace, vinf and profile is then the conjugate of row m and
+    is not held.
     """
 
     ks: np.ndarray
@@ -115,21 +118,30 @@ class ModeTerms:
     trace: np.ndarray
     vinf: np.ndarray
     zero: tuple = (None, None)
-    mirrored: bool = False
+
+    @property
+    def K(self) -> int:
+        return int(self.ks[-1])
+
+    @property
+    def zero_row(self) -> int:
+        """Row of mode 0."""
+        return int(-self.ks[0])
+
+    @property
+    def mirrored(self) -> bool:
+        """Only the rows k >= 0 are held."""
+        return self.zero_row == 0
 
     def _decay(self, r, rows=slice(None)):
         return np.exp(np.multiply.outer(np.abs(self.ks[rows]) + 1.0, np.log(self.r0 / r)))
 
     def at_nodes(self):
-        """Node profiles (v_r, v_phi), each of shape (rows, nodes), built band by band.
-
-        Mirrored terms build the rows k > 0 and write rows k < 0 as their conjugates.
-        """
+        """Node profiles (v_r, v_phi) on the rows ks, each (rows, nodes), built band by band."""
         nodes = self.inner.nodes
-        K = (len(self.ks) - 1) // 2
         v_r, v_phi = (np.empty(self.inner.table.shape, dtype=complex) for _ in range(2))
         half_i = 0.5j * np.sign(self.ks)
-        for band in _bands(len(self.ks), len(nodes), K + 1 if self.mirrored else 0):
+        for band in _bands(len(self.ks), len(nodes)):
             decay = self._decay(nodes, band)
             a, b = self.inner.table[band], self.outer.table[band]
             rows = np.add(a, b, out=v_r[band])
@@ -138,13 +150,12 @@ class ModeTerms:
             rows = np.subtract(a, b, out=v_phi[band])
             rows *= 0.5
             rows += self.trace[1, band, None] * decay
-        decay = self._decay(nodes, slice(K, K + 1))[0]
+        zero = self.zero_row
+        decay = self._decay(nodes, slice(zero, zero + 1))[0]
         for x, trace, vinf, integral in zip((v_r, v_phi), self.trace, self.vinf, self.zero):
-            if self.mirrored:
-                _mirror(x)
-            x[K] = trace[K] * decay
+            x[zero] = trace[zero] * decay
             if integral is not None:
-                x[K] += integral.prefix / nodes
+                x[zero] += integral.prefix / nodes
             rows = np.flatnonzero(vinf)  # the constant far field: |k| = 1 only
             x[rows] += vinf[rows, None]
         return v_r, v_phi
@@ -168,10 +179,11 @@ class ModeTerms:
         r.  So every term is a power of one of five bases, u_j = (s_j/r) e^{i phi},
         v_j = (r/s_j) e^{-i phi} and (r0/r) e^{i phi}, times a coefficient read
         off T, f or D: seven polynomials, summed together by Horner's rule
-        from m = K down to 1, one band of modes at a time.
+        from m = K down to 1, one band of modes at a time.  Mirrored terms
+        gather the k = -m coefficients from the rows +m and conjugate them.
         """
         nodes = self.inner.nodes
-        K = (len(self.ks) - 1) // 2
+        K, zero = self.K, self.zero_row
         r = np.abs(z)
         rc, idx, frac = _locate(nodes, r, extend=True)
         unit = z / r
@@ -189,12 +201,17 @@ class ModeTerms:
         ends = (idx, idx, nxt, nxt, nxt, idx)
         for band in reversed(bands):
             c = coef[:, : band.stop - band.start]
-            pos = slice(K + 1 + band.start, K + 1 + band.stop)  # k = m, m = start + 1 .. stop
-            neg = slice(K - band.stop, K - band.start)  # k = -m, read backwards
+            pos = slice(zero + 1 + band.start, zero + 1 + band.stop)  # k = m, m = start + 1 .. stop
             t_a, f_a = self.inner.table[pos], self.inner.integrand[pos]
-            t_b, f_b = self.outer.table[neg][::-1], self.outer.integrand[neg][::-1]
+            if zero:  # k = -m, read backwards
+                neg = slice(K - band.stop, K - band.start)
+                t_b, f_b = self.outer.table[neg][::-1], self.outer.integrand[neg][::-1]
+            else:  # mirrored: the rows +m, conjugated once gathered
+                t_b, f_b = self.outer.table[pos], self.outer.integrand[pos]
             for out, rows, at in zip(c, (t_a, f_a, f_a, t_b, f_b, f_b), ends):
                 rows.take(at, axis=1, out=out, mode="clip")
+            if not zero:
+                np.conjugate(c[3:6], out=c[3:6])
             c[-1] = d_coef[pos, None]
             for i in range(c.shape[1] - 1, -1, -1):
                 acc *= bases
@@ -205,70 +222,85 @@ class ModeTerms:
         b = tb + (hb * (1.0 + frac)) * fb1 + (hb * (1.0 - frac)) * fb0
         total = 1j * (a - b) + ud * ud * d
         # mode 0, (zero(r) + r0 g_0) / r, and the constant far field of k = -1, +1
-        zero = (self.trace[0, K] + 1j * self.trace[1, K]) * (self.r0 / r)
+        mode0 = (self.trace[0, zero] + 1j * self.trace[1, zero]) * (self.r0 / r)
         for mu, integral in zip((1.0, 1.0j), self.zero):
             if integral is not None:
-                zero += mu * integral.at(r, extend=True) / r
-        total += unit * zero
+                mode0 += mu * integral.at(r, extend=True) / r
+        total += unit * mode0
         if K:
-            vinf = self.vinf[0] + 1j * self.vinf[1]
-            total += vinf[K - 1] + vinf[K + 1] * unit * unit
+            minus = self.vinf[:, zero - 1] if zero else np.conj(self.vinf[:, 1])
+            plus = self.vinf[:, zero + 1]
+            total += (minus[0] + 1j * minus[1]) + (plus[0] + 1j * plus[1]) * unit * unit
         return total
 
 
-def _direct_terms(grid: RadialGrid, w, rho, far: FarField) -> ModeTerms:
-    """Kernel terms for the modes k = -K..K with a zero trace; rho None is zero divergence.
+def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool) -> ModeTerms:
+    """Kernel terms with a zero trace; rho None is zero divergence.
 
-    When w, rho and the far field are exactly mirrored (a real field's
-    modes), the integrands and kernel tables are formed for k >= 0 only and
-    rows k < 0 are their conjugates, bit for bit what the full pass gives.
+    mirrored says that w and rho are exactly mirrored (a real field's
+    modes).  If the far field is too, the integrands and kernel tables are
+    formed and held for k = 0..K only, else for k = -K..K.
     """
     K = (len(w) - 1) // 2
-    ks = np.arange(-K, K + 1)
-    m = np.abs(ks)
+    vinf = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
+    ks = np.arange(0 if mirrored and _scan(vinf.T, "far field")[1] else -K, K + 1)
+    rows = slice(K + ks[0], None)
+    w, vinf = w[rows], vinf[:, rows]
     sigma = np.sign(ks)
-    vinf = np.array([vinf_coefficients(far, int(k)) for k in ks], dtype=complex).T
-    mirrored = (_mirror_defect(w) == 0.0 and (rho is None or _mirror_defect(rho) == 0.0)
-                and _mirror_defect(vinf.T) == 0.0)
     f_inner = f_outer = w
     if rho is not None:
         # w -+ i sigma rho, formed band by band
+        rho = rho[rows]
         f_inner, f_outer = np.empty_like(w, dtype=complex), np.empty_like(w, dtype=complex)
-        for band in _bands(len(ks), w.shape[1], K if mirrored else 0):
+        for band in _bands(len(ks), w.shape[1]):
             rho_i = 1j * sigma[band, None] * rho[band]
             np.subtract(w[band], rho_i, out=f_inner[band])
             np.add(w[band], rho_i, out=f_outer[band])
-        if mirrored:
-            _mirror(f_inner)
-            _mirror(f_outer)
-    kernel = _mirrored_integrals if mirrored else scaled_integrals
-    inner = kernel(grid.nodes, f_inner, m + 1.0)
-    outer = kernel(grid.nodes, f_outer, m - 1.0, suffix=True)
-    zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[K]),
-                      cumulative(grid.nodes, grid.nodes * w[K]))
+    inner = scaled_integrals(grid.nodes, f_inner, np.abs(ks) + 1.0)
+    outer = scaled_integrals(grid.nodes, f_outer, np.abs(ks) - 1.0, suffix=True)
+    zero = -ks[0]
+    zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[zero]),
+                      cumulative(grid.nodes, grid.nodes * w[zero]))
     return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
-                     zero_integrals, mirrored)
+                     zero_integrals)
 
 
-def _max_abs(values, name) -> float:
-    """max |values| of a (modes, nodes) array, band by band; ValueError if one is not finite."""
-    scale = float(np.max([np.max(np.abs(values[band])) for band in _bands(*values.shape)]))
-    if not np.isfinite(scale):
-        raise ValueError(f"{name} has non-finite coefficients")
-    return scale
+def _scan(values, name) -> tuple:
+    """(max |values|, exact-mirror flag) of a (modes, columns) array, one pass over row bands.
+
+    Row k + K holds mode k; the flag says that row K - m equals conj(row K + m)
+    for every m = 0..K, as a real field's modes do.  A row k < 0 that equals
+    its mirror has its modulus, so moduli are taken there only once a band
+    breaks the mirror.  ValueError if a value in either half is not finite.
+    """
+    K = len(values) // 2
+    scale, mirrored = 0.0, True
+    for band in _bands(K + 1, values.shape[1]):
+        pos = values[K + band.start : K + band.stop]
+        neg = values[K - band.stop + 1 : K - band.start + 1][::-1]
+        top = np.max(np.abs(pos))
+        mirrored = mirrored and np.array_equal(neg, np.conj(pos))
+        if not mirrored:
+            top = np.maximum(top, np.max(np.abs(neg)))  # NaN stays NaN
+        if not np.isfinite(top):
+            raise ValueError(f"{name} has non-finite coefficients")
+        scale = max(scale, float(top))
+    return scale, mirrored
 
 
 def _with_trace(terms: ModeTerms, g_r, g_phi) -> ModeTerms:
     """terms with the decay coefficients of the trace (g_r, g_phi), mode 0 as r0 g_0 / r.
 
-    The terms stay mirrored when the trace is mirrored too.
+    g_r and g_phi hold the modes -K..K or the rows of terms.ks; the rows of
+    terms.ks are read.
     """
-    K = (len(g_r) - 1) // 2
-    sigma = np.sign(np.arange(-K, K + 1))
+    g_r, g_phi = g_r[-len(terms.ks) :], g_phi[-len(terms.ks) :]
+    sigma = np.sign(terms.ks)
     d = 0.5 * (g_phi - 1j * sigma * g_r)
     trace = np.array([1j * sigma * d, d])
-    trace[:, K] = g_r[K], g_phi[K]
-    return replace(terms, trace=trace, mirrored=terms.mirrored and _mirror_defect(trace.T) == 0.0)
+    zero = terms.zero_row
+    trace[:, zero] = g_r[zero], g_phi[zero]
+    return replace(terms, trace=trace)
 
 
 @dataclass(frozen=True)
@@ -313,24 +345,34 @@ class DiskProblem:
 class VelocitySolution:
     """Assembled velocity field for k in [-K, K]: node profiles and their kernel terms.
 
-    v_r and v_phi have shape (2K+1, len(grid)); row k + K holds mode k.  They
-    are the per-mode view; sample is the one evaluator off the nodes.
+    rows holds the node profiles (v_r, v_phi) on the modes terms.ks, as
+    ModeTerms.at_nodes builds them (k = 0..K only for real data).  v_r and
+    v_phi are the per-mode view, shape (2K+1, len(grid)) with row k + K
+    holding mode k, built from rows on first access; sample is the one
+    evaluator off the nodes.
     """
 
     terms: ModeTerms = field(compare=False)
-    v_r: np.ndarray = field(compare=False)
-    v_phi: np.ndarray = field(compare=False)
+    rows: tuple = field(compare=False)
     far_field: FarField
     grid: RadialGrid
     report: object = field(default=None, compare=False)
 
     def __post_init__(self):
-        for values in (self.v_r, self.v_phi):
+        for values in self.rows:
             values.setflags(write=False)
 
     @property
     def K(self) -> int:
-        return (len(self.terms.ks) - 1) // 2
+        return self.terms.K
+
+    @cached_property
+    def v_r(self) -> np.ndarray:
+        return _unfold(self.rows[0], self.K)
+
+    @cached_property
+    def v_phi(self) -> np.ndarray:
+        return _unfold(self.rows[1], self.K)
 
     def profiles(self):
         """Node-value matrices (v_r, v_phi), shape (2K+1, len(grid))."""
@@ -358,7 +400,7 @@ class VelocitySolution:
         return out.reshape(points.shape)
 
     def boundary_trace(self) -> BoundaryTrace:
-        return BoundaryTrace(self.K, self.v_r[:, 0], self.v_phi[:, 0])
+        return BoundaryTrace(self.K, *(_unfold(values[:, 0], self.K) for values in self.rows))
 
 
 def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySolution:
@@ -373,10 +415,10 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     grid = problem.grid
     w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
-    support_scale = max(_max_abs(w.coeffs, "vorticity"), _max_abs(rho.coeffs, "divergence"),
-                        1e-300)
-    if not (np.all(np.isfinite(g.g_r)) and np.all(np.isfinite(g.g_phi))):
-        raise ValueError("boundary trace has non-finite coefficients")
+    w_scale, w_mirrored = _scan(w.coeffs, "vorticity")
+    rho_scale, rho_mirrored = _scan(rho.coeffs, "divergence")
+    g_mirrored = _scan(np.stack((g.g_r, g.g_phi), axis=1), "boundary trace")[1]
+    support_scale = max(w_scale, rho_scale, 1e-300)
     edge = max(float(np.max(np.abs(w.coeffs[:, -1]))), float(np.max(np.abs(rho.coeffs[:, -1]))))
     if edge > 1e-12 * support_scale:
         warnings.warn(
@@ -385,10 +427,12 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
             stacklevel=2,
         )
 
-    K = problem.K
-    terms = _with_trace(_direct_terms(grid, w.coeffs, rho.coeffs, far), g.g_r, g.g_phi)
-    v_r, v_phi = terms.at_nodes()
-    report = _report_from_moments(problem, terms.outer.table[K + 1 :, 0], warn_tolerance)
+    terms = _direct_terms(grid, w.coeffs, rho.coeffs if rho_scale else None, far,
+                          w_mirrored and rho_mirrored and g_mirrored)
+    terms = _with_trace(terms, g.g_r, g.g_phi)
+    rows = terms.at_nodes()
+    report = _report_from_moments(problem, terms.outer.table[terms.zero_row + 1 :, 0],
+                                  warn_tolerance)
     if not report.admissible:
         warnings.warn(
             f"data violates the moment conditions (max residual "
@@ -397,4 +441,4 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
             "infinite-energy 1/r tail",
             stacklevel=2,
         )
-    return VelocitySolution(terms, v_r, v_phi, far, grid, report)
+    return VelocitySolution(terms, rows, far, grid, report)

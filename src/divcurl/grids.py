@@ -181,9 +181,9 @@ class BoundaryTrace:
 
     @classmethod
     def from_samples(cls, gr_samples, gphi_samples, K: int) -> "BoundaryTrace":
-        """Angular DFT of polar-frame samples on equispaced angles."""
-        g_r = _dft_coefficients(np.asarray(gr_samples, dtype=complex)[None, :], K)[:, 0]
-        g_phi = _dft_coefficients(np.asarray(gphi_samples, dtype=complex)[None, :], K)[:, 0]
+        """Angular DFT of polar-frame samples on equispaced angles (see analyze)."""
+        g_r = _dft_coefficients(np.asarray(gr_samples)[None, :], K)[:, 0]
+        g_phi = _dft_coefficients(np.asarray(gphi_samples)[None, :], K)[:, 0]
         return cls(K, g_r, g_phi)
 
     def padded(self, K: int) -> "BoundaryTrace":
@@ -204,25 +204,34 @@ def equispaced_angles(count: int) -> np.ndarray:
 
 
 def _dft_coefficients(samples: np.ndarray, K: int) -> np.ndarray:
-    """Rows of discrete angular Fourier coefficients for k = -K..K."""
+    """Rows of discrete angular Fourier coefficients for k = -K..K.
+
+    Real samples (complex ones with zero imaginary parts too) take the
+    real-input transform for k = 0..K and get the rows k < 0 as their
+    conjugates, so their modes are exactly mirrored (Press et al., Numerical
+    Recipes, 3rd ed., section 12.3).
+    """
     n = samples.shape[-1]
     if n < 2 * K + 1:
         raise ValueError(
             f"{n} angular samples cannot resolve modes |k| <= {K} without aliasing; "
             f"need at least {2 * K + 1} equispaced angles"
         )
-    transform = np.fft.fft(samples, axis=-1) / n
-    ks = np.arange(-K, K + 1)
-    return np.moveaxis(transform[..., ks % n], -1, 0)
+    if np.iscomplexobj(samples) and np.any(samples.imag):
+        transform = np.fft.fft(samples, axis=-1) / n
+        return np.moveaxis(transform[..., np.arange(-K, K + 1) % n], -1, 0)
+    half = np.moveaxis(np.fft.rfft(samples.real, axis=-1)[..., : K + 1] / n, -1, 0)
+    return np.concatenate((np.conj(half[:0:-1]), half))
 
 
 def analyze(grid: RadialGrid, samples, K: int) -> SpectralField:
     """Angular Fourier analysis of samples on the (node, angle) tensor lattice.
 
     samples[j, a] is the field value at radius nodes[j] and angle 2*pi*a/n.
-    Exact inverse of synthesize on band-limited data with n >= 2K+1.
+    Exact inverse of synthesize on band-limited data with n >= 2K+1.  The
+    modes of real samples are exactly mirrored, f_{-k} = conj(f_k).
     """
-    samples = np.asarray(samples, dtype=complex)
+    samples = np.asarray(samples)
     if samples.shape[0] != len(grid):
         raise ValueError("sample rows must match radial node count")
     return SpectralField(grid, K, _dft_coefficients(samples, K))

@@ -8,17 +8,17 @@ constant fields contribute exactly zero.  Every volume norm sums the
 weight vector.  The density is accumulated over row bands
 (quadrature._bands), each term summed row after row in mode order, which is
 the order one einsum over the whole array takes, so banding leaves every norm
-bit for bit as it was.  For real data (a solution whose terms are mirrored,
-v_{-k} = conj(v_k)) the velocity norms sum row 0 plus twice rows 1..K, which
-forms half the rows and matches the whole-array einsum to rounding, not bit
-for bit.
+bit for bit as it was.  The velocity norms read the profiles a solution
+holds: for real data (mirrored terms, v_{-k} = conj(v_k)) those are the rows
+k = 0..K, summed as row 0 plus twice rows 1..K, which matches the
+whole-array einsum to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .disk import VelocitySolution, vinf_coefficients
+from .disk import VelocitySolution
 from .grids import BoundaryTrace, SpectralField
 from .quadrature import _bands, trapezoid_weights
 
@@ -39,13 +39,12 @@ def _power(count, s, terms, mirrored=False) -> np.ndarray:
     Each term's squares are summed row after row over the float view, with
     the running sum carried from band to band, and the terms are added at the
     end: the order of one einsum per whole term, so the sum is unchanged.
-    Mirrored terms (row K - m the conjugate of row K + m) are summed as row K
-    plus twice the sum of rows K+1..2K.
+    Mirrored terms (the rows k = 0..K of modes with row -m the conjugate of
+    row m) are summed as row 0 plus twice the sum of rows 1..K.
     """
     if not mirrored:
         return _squares(_bands(count, s.size), terms)
-    K = count // 2
-    return _squares([slice(K, K + 1)], terms) + 2.0 * _squares(_bands(count, s.size, K + 1), terms)
+    return _squares([slice(0, 1)], terms) + 2.0 * _squares(_bands(count, s.size, 1), terms)
 
 
 def _squares(bands, terms) -> np.ndarray:
@@ -114,8 +113,8 @@ def h1_seminorm(solution: VelocitySolution) -> float:
     field has zero gradient (its frame terms cancel exactly).
     """
     s = solution.grid.nodes
-    v_r, v_phi = solution.profiles()
-    ik = 1j * np.arange(-solution.K, solution.K + 1)[:, None]
+    v_r, v_phi = solution.rows
+    ik = 1j * solution.terms.ks[:, None]
     # x * (1 / s) is what complex division by the real s computes, for less time
     inv_s = np.reciprocal(s)
 
@@ -144,11 +143,10 @@ def scalar_gradient_norm(field: SpectralField) -> float:
 def far_field_deviation_l2(solution: VelocitySolution) -> float:
     """||v - v_inf||_{L2} over the grid span (finite only for admissible data)."""
     s = solution.grid.nodes
-    v_r, v_phi = solution.profiles()
-    vinf = np.array([vinf_coefficients(solution.far_field, k)
-                     for k in range(-solution.K, solution.K + 1)], dtype=complex)
-    power = _power(len(vinf), s, lambda band: (v_r[band] - vinf[band, :1],
-                                               v_phi[band] - vinf[band, 1:]),
+    v_r, v_phi = solution.rows
+    vinf = solution.terms.vinf
+    power = _power(len(v_r), s, lambda band: (v_r[band] - vinf[0, band, None],
+                                              v_phi[band] - vinf[1, band, None]),
                    solution.terms.mirrored)
     return _volume_norm(power, s)
 

@@ -28,9 +28,7 @@ _BAND_BYTES (2^20 bytes, 16 rows at M = 4000), and every temporary of a
 pass then fits in a 2 MB L2 cache.  The block schedule comes from the
 largest power of all rows, so the banded tables equal the whole-array ones
 bit for bit.  The node profiles, the off-node sampler and the volume norms
-walk the same bands.  Rows mirrored about the middle one (row K - m the
-conjugate of row K + m, as a real field's modes are) are tabulated for rows
-K..2K only (_mirrored_integrals); _mirror_defect is the test for them.
+walk the same bands.
 """
 
 from __future__ import annotations
@@ -72,10 +70,19 @@ def _mirror_defect(rows) -> float:
                          for b in _bands(K + 1, rows.shape[1])]))
 
 
-def _mirror(rows):
-    """Write rows 0..K-1 as the conjugates of rows 2K..K+1 (mode -m from mode m)."""
-    K = len(rows) // 2
-    np.conjugate(rows[K + 1 :][::-1], out=rows[:K])
+def _unfold(rows, K):
+    """Rows k = -K..K of a mirrored array from its rows k = 0..K: mode -m is conj(mode m).
+
+    The new array is read-only; rows already covering -K..K are returned as
+    they are.
+    """
+    if len(rows) == 2 * K + 1:
+        return rows
+    full = np.empty((2 * K + 1,) + rows.shape[1:], dtype=rows.dtype)
+    full[K:] = rows
+    np.conjugate(rows[:0:-1], out=full[:K])
+    full.setflags(write=False)
+    return full
 
 
 def _locate(nodes, r, extend: bool = False):
@@ -188,21 +195,6 @@ def scaled_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIn
         raise ValueError("integrand must hold one row per power, sampled at every node")
     table = np.empty(integrand.shape, dtype=complex)
     _scaled_table(nodes, integrand, powers, suffix, table)
-    return ScaledIntegrals(nodes, integrand, powers, suffix, table)
-
-
-def _mirrored_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIntegrals:
-    """scaled_integrals of 2K+1 mirrored rows (row K - m the conjugate of row K + m, same power).
-
-    Only rows K..2K are tabulated, straight into the full table, and rows
-    0..K-1 are written as their conjugates.  The weights are real, so
-    conjugation commutes with every step and the table equals scaled_integrals'
-    bit for bit.  nodes, integrand and powers are float, complex and float arrays.
-    """
-    K = len(powers) // 2
-    table = np.empty(integrand.shape, dtype=complex)
-    _scaled_table(nodes, integrand[K:], powers[K:], suffix, table[K:])
-    _mirror(table)
     return ScaledIntegrals(nodes, integrand, powers, suffix, table)
 
 

@@ -18,25 +18,26 @@ direct solver's kernel terms once (disk._direct_terms), reads b_k(r0) off
 their suffix table, sets that trace, and reads psi_k = (i r / k) v_r,k off
 the profiles; psi_0 is the trapezoid integral of
 v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  For real vorticity and far field the
-trace is mirrored like the table it is read from, so psi is formed on
-k >= 0 and mirrored, as the direct solver's profiles are.  The completed
-problem's velocity is kept with psi, so velocity_from_stream forms nothing
-again.  The discarded Neumann condition d(psi)/dn = 0 holds exactly when the
-completion trace vanishes, that is when the vorticity satisfies the no-slip
-orthogonality relations; neumann_defect measures the trace, the residual
-slip velocity, otherwise.
+terms hold the rows k >= 0 only, and so do psi and psi', as the direct
+solver's profiles do; modes and d_modes build the full rows on first
+access.  The completed problem's velocity is kept with psi, so
+velocity_from_stream forms nothing again.  The discarded Neumann condition
+d(psi)/dn = 0 holds exactly when the completion trace vanishes, that is
+when the vorticity satisfies the no-slip orthogonality relations;
+neumann_defect measures the trace, the residual slip velocity, otherwise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .disk import FarField, VelocitySolution, _direct_terms, _max_abs, _with_trace
+from .disk import FarField, VelocitySolution, _direct_terms, _scan, _with_trace
 from .grids import RadialGrid, SpectralField
-from .quadrature import _bands, _mirror, cumulative
+from .quadrature import _bands, _unfold, cumulative
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
@@ -49,23 +50,33 @@ class StreamFunction:
     itself is gauged to zero.  psi_1 grows linearly to match the far-field
     stream r * v_phi,1^inf; all other modes decay beyond the data support.
     velocity is the direct solver's solution of the completed problem, the
-    skew gradient (-(i k / r) psi_k, psi_k') with its kernel terms.
+    skew gradient (-(i k / r) psi_k, psi_k') with its kernel terms.  psi and
+    d_psi hold the modes velocity.terms.ks; modes and d_modes are the full
+    view, shape (2K+1, len(grid)) with row k + K holding mode k.
     """
 
     grid: RadialGrid
     K: int
-    modes: np.ndarray
-    d_modes: np.ndarray
+    psi: np.ndarray
+    d_psi: np.ndarray
     far_field: FarField
     velocity: VelocitySolution = field(compare=False)
 
     def __post_init__(self):
-        shape = (2 * self.K + 1, len(self.grid))
-        for name in ("modes", "d_modes"):
+        shape = (len(self.velocity.terms.ks), len(self.grid))
+        for name in ("psi", "d_psi"):
             values = getattr(self, name)
             if values.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             values.setflags(write=False)
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        return _unfold(self.psi, self.K)
+
+    @cached_property
+    def d_modes(self) -> np.ndarray:
+        return _unfold(self.d_psi, self.K)
 
 
 def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) -> StreamFunction:
@@ -77,24 +88,20 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     """
     grid = w.grid
     nodes = grid.nodes
-    K = w.K
-    _max_abs(w.coeffs, "vorticity")  # raises on non-finite data
-    terms = _direct_terms(grid, w.coeffs, None, v)
-    # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment
-    # residual; it is mirrored when the table is
+    mirrored = _scan(w.coeffs, "vorticity")[1]  # raises on non-finite data
+    terms = _direct_terms(grid, w.coeffs, None, v, mirrored)
+    zero = terms.zero_row
+    # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment residual
     slip = 2.0 * terms.vinf[1] - terms.outer.table[:, 0]
-    slip[K] = 0.0
+    slip[zero] = 0.0
     terms = _with_trace(terms, np.zeros_like(slip), slip)
     v_r, dpsi = terms.at_nodes()
     # psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'
-    ks = np.arange(-K, K + 1)
-    ks = np.where(ks == 0, 1, ks)[:, None]
+    ks = np.where(terms.ks == 0, 1, terms.ks)[:, None]
     psi = np.empty_like(v_r)
-    for band in _bands(len(ks), len(nodes), K + 1 if terms.mirrored else 0):
+    for band in _bands(len(ks), len(nodes)):
         np.multiply(v_r[band], 1j * nodes / ks[band], out=psi[band])
-    if terms.mirrored:
-        _mirror(psi)
-    psi[K] = cumulative(nodes, dpsi[K]).prefix
+    psi[zero] = cumulative(nodes, dpsi[zero]).prefix
 
     # 2 pi int s w_0 ds, the circulation the moment report prints
     circulation = 2.0 * np.pi * abs(terms.zero[1].total)
@@ -105,7 +112,7 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
             stacklevel=2,
         )
 
-    out = StreamFunction(grid, K, psi, dpsi, v, VelocitySolution(terms, v_r, dpsi, v, grid))
+    out = StreamFunction(grid, w.K, psi, dpsi, v, VelocitySolution(terms, (v_r, dpsi), v, grid))
     defect = neumann_defect(out)
     if defect > warn_tolerance:
         warnings.warn(
@@ -132,5 +139,5 @@ def neumann_defect(psi: StreamFunction) -> float:
     orthogonality relations; for w = 0 against a uniform stream of speed v it
     equals the classical slip value 2 |v| sqrt(pi r0).
     """
-    boundary = psi.d_modes[:, 0]
+    boundary = _unfold(psi.d_psi[:, 0], psi.K)
     return float(np.sqrt(2.0 * np.pi * psi.grid.r0 * np.sum(np.abs(boundary) ** 2)))

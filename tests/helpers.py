@@ -6,6 +6,7 @@ closed-form classical flows.
 """
 
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 
@@ -265,6 +266,36 @@ def reference_scaled_prefix(nodes, integrand, powers, block_exponent=300.0):
     return table
 
 
+def unfold_rows(rows, K):
+    """Rows k = -K..K of an array held on k = 0..K, row -m the conjugate of row m.
+
+    Arrays that already hold 2K+1 rows are returned as they are.
+    """
+    return rows if len(rows) == 2 * K + 1 else np.concatenate((np.conj(rows[:0:-1]), rows))
+
+
+def full_terms(terms):
+    """disk.ModeTerms on every mode -K..K.
+
+    Terms held on k = 0..K (real data) get the rows k = -m written as the
+    conjugates of the rows m, in every table, integrand, power, trace and
+    far-field coefficient; terms on -K..K are returned as they are.
+    """
+    if terms.ks[0] < 0 or terms.K == 0:
+        return terms
+
+    def unfold(rows):
+        return unfold_rows(rows, terms.K)
+
+    def kernel(k):
+        return replace(k, integrand=unfold(k.integrand), powers=unfold(k.powers),
+                       table=unfold(k.table))
+
+    return replace(terms, ks=np.arange(-terms.K, terms.K + 1), inner=kernel(terms.inner),
+                   outer=kernel(terms.outer), trace=unfold(terms.trace.T).T,
+                   vinf=unfold(terms.vinf.T).T)
+
+
 def mode_coefficients(terms):
     """disk.ModeTerms as one generic linear combination per component c (0: v_r, 1: v_phi):
 
@@ -282,11 +313,13 @@ def mode_coefficients(terms):
 
 
 def reference_profiles(terms):
-    """Node profiles (v_r, v_phi) of disk.ModeTerms from whole-array kernel tables.
+    """Node profiles (v_r, v_phi) of disk.ModeTerms from whole-array kernel tables, k = -K..K.
 
-    Each table is rebuilt by reference_scaled_prefix over all rows at once and
-    every combination is one pass over the whole (modes, nodes) array.
+    Each table is rebuilt by reference_scaled_prefix over all rows -K..K at
+    once (full_terms) and every combination is one pass over the whole
+    (modes, nodes) array.
     """
+    terms = full_terms(terms)
     nodes = terms.inner.nodes
     inner = reference_scaled_prefix(nodes, terms.inner.integrand, terms.inner.powers)
     outer = -reference_scaled_prefix(nodes[::-1], terms.outer.integrand[:, ::-1],
@@ -350,10 +383,12 @@ def reference_sample(terms, points, block=2048):
 
     mode_values gives all rows v_r,k + i v_phi,k at the radii; the phases
     e^{i k phi} are one cumulative product over all modes and one einsum sums
-    them, with no band over the modes.
+    them, with no band over the modes.  Terms held on k >= 0 are unfolded
+    to -K..K first (full_terms).
     """
+    terms = full_terms(terms)
     flat = np.asarray(points, dtype=complex).ravel()
-    K = (len(terms.ks) - 1) // 2
+    K = terms.K
     out = np.empty(flat.size, dtype=complex)
     for i in range(0, flat.size, block):
         z = flat[i : i + block]
@@ -370,11 +405,12 @@ def reference_sample(terms, points, block=2048):
 def reference_far_field_deviation_h1(solution, weights):
     """||v - v_inf||_{H1} from whole-array np.gradient and one einsum per term.
 
-    weights are the trapezoid node weights of the grid.
+    weights are the trapezoid node weights of the grid.  Profiles held on
+    k >= 0 (real data) are unfolded to -K..K first.
     """
     s = solution.grid.nodes
-    v_r, v_phi = solution.profiles()
     K = solution.K
+    v_r, v_phi = (unfold_rows(rows, K) for rows in solution.rows)
     ik = 1j * np.arange(-K, K + 1)[:, None]
     vinf = np.zeros((2 * K + 1, 2), dtype=complex)
     far = solution.far_field

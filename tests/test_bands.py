@@ -12,18 +12,19 @@ its buffers to it) bounds the temporaries.
 """
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from divcurl import disk, quadrature
+from divcurl import disk, quadrature, stream
 from divcurl.disk import solve_disk
 from divcurl.moments import moment_report
-from divcurl.grids import RadialGrid, SpectralField
+from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
 from divcurl.norms import far_field_deviation_h1
 from divcurl.quadrature import _BAND_BYTES, _bands, scaled_integrals, trapezoid_weights
-from divcurl.stream import solve_stream
+from divcurl.stream import neumann_defect, solve_stream
 
 from helpers import (
     reference_far_field_deviation_h1,
@@ -90,7 +91,8 @@ def test_node_profiles_and_h1_equal_the_whole_array_path(highmode):
             assert got == want
 
 
-def test_real_data_tabulates_the_rows_k_ge_0_only(monkeypatch):
+def counted_rows(monkeypatch):
+    """The row counts quadrature._scaled_table receives, call by call."""
     rows = []
     table = quadrature._scaled_table
 
@@ -99,36 +101,111 @@ def test_real_data_tabulates_the_rows_k_ge_0_only(monkeypatch):
         return table(nodes, integrand, powers, suffix, out)
 
     monkeypatch.setattr(quadrature, "_scaled_table", counted)
+    return rows
+
+
+def one_ulp_off(problem, name, row):
+    """problem with one value of mode row - K of w, rho or g moved by one ulp."""
+    K = problem.K
+    if name == "boundary":
+        g_phi = np.array(problem.boundary.g_phi)
+        g_phi.real[row] = np.nextafter(g_phi.real[row], np.inf)
+        return replace(problem, boundary=BoundaryTrace(K, problem.boundary.g_r, g_phi))
+    coeffs = np.array(getattr(problem, name).coeffs)
+    coeffs.real[row, 200] = np.nextafter(coeffs.real[row, 200], np.inf)
+    return replace(problem, **{name: SpectralField(problem.grid, K, coeffs)})
+
+
+def test_real_data_tabulates_the_rows_k_ge_0_only(monkeypatch):
+    rows = counted_rows(monkeypatch)
     K = 12
     problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
     solution = solve_disk(problem)
     assert rows == [K + 1, K + 1] and solution.terms.mirrored
-    # one ulp off the mirror in one row of w: the full rows, both tables
-    coeffs = np.array(problem.vorticity.coeffs)
-    coeffs.real[K - 3, 200] = np.nextafter(coeffs.real[K - 3, 200], np.inf)
-    rows.clear()
-    broken = solve_disk(replace(problem, vorticity=SpectralField(problem.grid, K, coeffs)))
+    assert [len(x) for x in solution.rows] == [K + 1, K + 1]
+
+
+@pytest.mark.parametrize("name", ["vorticity", "divergence", "boundary"])
+def test_one_ulp_off_the_mirror_takes_the_full_rows(monkeypatch, name):
+    rows = counted_rows(monkeypatch)
+    K = 12
+    problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # one ulp may tip the moment report
+        broken = solve_disk(one_ulp_off(problem, name, K - 3))
     assert rows == [2 * K + 1, 2 * K + 1] and not broken.terms.mirrored
+
+
+@pytest.mark.parametrize("name", ["vorticity", "divergence"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_data_in_a_negative_mode_only_raises(name, value):
+    K = 12
+    problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
+    coeffs = np.array(getattr(problem, name).coeffs)
+    coeffs[K - 5, 100] = value
+    bad = replace(problem, **{name: SpectralField(problem.grid, K, coeffs)})
+    with pytest.raises(ValueError, match=name):
+        solve_disk(bad)
+
+
+def test_zero_divergence_equals_the_zero_array_path_byte_for_byte(monkeypatch):
+    K = 12
+    problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
+    problem = replace(problem, divergence=SpectralField.zeros(problem.grid, K))
+    points = (1.0 + 11.5 * np.linspace(0.0, 1.0, 97)) * np.exp(1j * np.linspace(0.0, 6.0, 97))
+    scan = disk._scan
+
+    def solve():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rho = 0 breaks admissibility
+            solution = solve_disk(problem)
+        return (solution.terms.inner.table, solution.terms.outer.table, *solution.rows,
+                solution.sample(points), np.array(far_field_deviation_h1(solution)),
+                solution.boundary_trace().g_r, solution.boundary_trace().g_phi,
+                solution.report.residuals), solution.terms
+    skipped, terms = solve()
+    assert terms.zero[0] is None  # no w -+ i sigma rho was formed
+    # a nonzero divergence scale: the zero array goes through w -+ i sigma rho
+    monkeypatch.setattr(disk, "_scan", lambda values, name: (
+        max(scan(values, name)[0], float(name == "divergence")), scan(values, name)[1]))
+    formed, terms = solve()
+    assert terms.zero[0] is not None
+    for got, want in zip(skipped, formed):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_real_data_equals_the_general_path_bit_for_bit(highmode):
     problem, half, points = highmode[1]
+    K = problem.K
     with pytest.warns(UserWarning, match="no-slip"):  # the data is not no-slip
         half_stream = solve_stream(problem.vorticity, problem.far_field)
+    scan = disk._scan
     with pytest.MonkeyPatch.context() as patch:  # the mirror test fails: the general path
-        patch.setattr(disk, "_mirror_defect", lambda rows: 1.0)
+        for module in (disk, stream):
+            patch.setattr(module, "_scan", lambda values, name: (scan(values, name)[0], False))
         full = solve_disk(problem)
         with pytest.warns(UserWarning, match="no-slip"):
             full_stream = solve_stream(problem.vorticity, problem.far_field)
-    assert half_stream.velocity.terms.mirrored
+    assert half.terms.mirrored and half_stream.velocity.terms.mirrored
     assert not full.terms.mirrored and not full_stream.velocity.terms.mirrored
-    pairs = [(half.terms.inner.table, full.terms.inner.table),
-             (half.terms.outer.table, full.terms.outer.table),
+    assert len(half.terms.inner.table) == K + 1 and len(full.terms.inner.table) == 2 * K + 1
+    # the public per-mode views have every row and are built once
+    views = [(half.v_r, full.v_r), (half.v_phi, full.v_phi),
              *zip(half.profiles(), full.profiles()),
-             (half_stream.modes, full_stream.modes), (half_stream.d_modes, full_stream.d_modes),
-             (half.sample(points[:1024]), full.sample(points[:1024]))]
+             (half_stream.modes, full_stream.modes), (half_stream.d_modes, full_stream.d_modes)]
+    for got, want in views:
+        assert got.shape == want.shape == (2 * K + 1, M)
+    assert half.profiles()[0] is half.v_r and half_stream.modes is half_stream.modes
+    assert not half.v_r.flags.writeable and not half_stream.d_modes.flags.writeable
+    pairs = [(half.terms.inner.table, full.terms.inner.table[K:]),
+             (half.terms.outer.table, full.terms.outer.table[K:]),
+             *views,
+             (half.sample(points[:1024]), full.sample(points[:1024])),
+             (half.boundary_trace().g_r, full.boundary_trace().g_r),
+             (half.boundary_trace().g_phi, full.boundary_trace().g_phi)]
     for got, want in pairs:
         assert np.array_equal(got.view(float), want.view(float))
+    assert neumann_defect(half_stream) == neumann_defect(full_stream)
 
 
 def test_banded_sampling_matches_the_whole_array_path(highmode):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,30 @@ def test_exterior_solution_reproduces_physical_boundary_trace():
     got = solution.boundary_samples(theta)
     expected = boundary_fn(m.inverse(r0 * np.exp(1j * theta)))
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_real_data_pulled_back_to_the_disk_takes_the_half_path():
+    # the angular transforms of real samples are exactly mirrored, so the
+    # mapped problem is solved on the modes k >= 0 alone
+    c, r0 = 0.5, 1.0
+    m = joukowski_map(c, r0)
+    far = FarField(1.0, -0.4)
+    grid = RadialGrid.uniform(r0, 10.0, 301)
+
+    def bump(points):
+        d = np.abs(np.asarray(points, dtype=complex) - 3.0)
+        return np.exp(-2.0 * d * d)
+
+    ext = ExteriorProblem(m, grid, 8, vorticity_fn=bump, divergence_fn=bump,
+                          boundary_fn=potential_slip_boundary_fn(m, far), far_field=far)
+    pulled = pullback_problem(ext)
+    assert pulled.vorticity.conjugate_symmetry_defect() == 0.0
+    assert pulled.divergence.conjugate_symmetry_defect() == 0.0
+    for g in (pulled.boundary.g_r, pulled.boundary.g_phi):
+        assert np.array_equal(g[::-1], np.conj(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the bump is not admissible
+        assert solve_exterior(ext).disk_solution.terms.mirrored
 
 
 def test_identity_map_reduction_matches_disk_path(grid):

@@ -111,7 +111,12 @@ def test_conjugate_symmetry_of_real_samples(grid):
     samples = synthesize(sym, angles)
     assert np.max(np.abs(samples.imag)) < 1e-12
     back = analyze(grid, samples.real + 0j, K)
-    assert back.conjugate_symmetry_defect() < 1e-14
+    # the real-input transform mirrors the modes exactly
+    assert back.conjugate_symmetry_defect() == 0.0
+    assert np.array_equal(analyze(grid, samples.real, K).coeffs, back.coeffs)
+    assert np.max(np.abs(back.coeffs - sym.coeffs)) < 1e-13
+    trace = BoundaryTrace.from_samples(samples.real[0], samples.real[1] + 0j, K)
+    assert np.array_equal(trace.g_r, back.coeffs[:, 0]) and np.array_equal(trace.g_phi, back.coeffs[:, 1])
 
 
 def test_conjugate_symmetry_defect_propagates_nan(grid):

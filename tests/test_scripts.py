@@ -1,6 +1,8 @@
 """Smoke runs of the experiment scripts at tiny sizes: they import library names."""
 
+import importlib.util
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -19,13 +21,47 @@ def test_script_runs(argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def load_cli_outputs():
+    spec = importlib.util.spec_from_file_location("cli_outputs", SCRIPTS / "cli_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_cli_outputs_writes_every_run(tmp_path):
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "cli_outputs.py"), "--out", str(tmp_path)],
+    out, empty = tmp_path / "out", tmp_path / "empty"
+    empty.mkdir()
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "cli_outputs.py"), "--out", str(out),
+                           "--against", str(empty)],
                           capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    runs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+    runs = sorted(p.name for p in out.iterdir() if p.is_dir())
     assert len(runs) == 11 and "stream-vortex_patch" in runs and "oracle-vortex_patch" in runs
     for name in runs:
-        assert any((tmp_path / name).iterdir()), name
-        assert (tmp_path / f"{name}.stdout").exists() and (tmp_path / f"{name}.stderr").exists()
-    assert (tmp_path / "oracle-vortex_patch" / "oracle_report.txt").exists()
+        assert f"{name}: exit 0" in proc.stdout.splitlines(), proc.stderr
+        assert any((out / name).iterdir()), name
+        assert (out / f"{name}.stdout").exists() and (out / f"{name}.stderr").exists()
+    assert (out / "oracle-vortex_patch" / "oracle_report.txt").exists()
+    # nothing to compare with: every file differs, and the exit code says so
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    assert proc.returncode == 1 and f"{len(files)} files differ" in proc.stdout
+    assert f"{files[0].relative_to(out)}: only in {out}" in proc.stdout
+
+    differences = load_cli_outputs().differences
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    assert differences(out, copy) == []
+    report = copy / "solve-cylinder" / "compat_report.txt"
+    report.write_text(report.read_text().replace("tolerance,1e-08", "tolerance,1.5e-08"))
+    (copy / "check-cylinder.stdout").write_text("changed\n")
+    assert differences(out, copy) == [
+        (pathlib.Path("check-cylinder.stdout"), "non-numeric"),
+        (pathlib.Path("solve-cylinder/compat_report.txt"), "largest difference 5e-09")]
+
+
+def test_largest_difference_reads_the_numbers():
+    largest_difference = load_cli_outputs().largest_difference
+    assert largest_difference("x,1.0,-2e-3\n", "x,1.0,-2e-3\n") == 0.0
+    assert largest_difference("x,1.0,-2e-3\n", "x,1.25,-2.5e-3\n") == 0.25
+    assert largest_difference("x,nan\n", "x,1\n") == float("inf")
+    assert largest_difference("x,1\n", "y,1\n") is None
+    assert largest_difference("1,2\n", "1,2,3\n") is None
