@@ -10,11 +10,17 @@ In complex form both volume terms collapse to d/|d|^2 * (rho + i w) with
 d = x - y, and the layers to d/|d|^2 * (g_r + i g_phi).  This module sums the
 representation by direct quadrature (midpoint cells in radius, equispaced
 angles), independent of the spectral solver it cross-validates.  The sum is
-blocked, point x cell blocks of about _BLOCK_PAIRS pairs with one
-matrix-vector product each, but it is still a direct sum: every point meets
-every cell, O(points x cells), with no far-field approximation.  On a mapped
-domain the same sums run in disk-plane coordinates against the
+blocked, point x cell blocks of about _BLOCK_PAIRS pairs in real arithmetic
+with two real matrix products each, but it is still a direct sum: every point
+meets every cell, O(points x cells), with no far-field approximation.  On a
+mapped domain the same sums run in disk-plane coordinates against the
 Jacobian-weighted data and the result is pushed forward through conj(Phi').
+
+Data callables must be pointwise and follow NumPy broadcasting.  A disk
+problem's vorticity_fn(r, phi) and divergence_fn(r, phi) are called once with
+the lattice's radius column and angle row, and their values are broadcast to
+the lattice; a mapped problem's callables get the full lattice of mapped cell
+points.  Values that are not finite or do not broadcast raise ValueError.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .grids import equispaced_angles, synthesize_boundary
 __all__ = ["green_function", "biot_savart_disk", "biot_savart_omega"]
 
 _BOUNDARY_EPS = 1e-12
-_BLOCK_PAIRS = 1 << 16
+_BLOCK_PAIRS = 1 << 14
 
 
 def _check_exterior(z, r0: float):
@@ -57,17 +63,17 @@ def green_function(x, y, m: ConformalMap = None) -> float:
 
 
 def _volume_cells(grid, support, n_radial: int, n_angular: int):
-    """The (radius x angle) midpoint cell lattice over support, with the cell areas."""
+    """The (radius x angle) midpoint cell lattice over support, kept separable:
+    a radius column, an angle row and the cell areas (a column)."""
     lo, hi = support if support is not None else (grid.r0, grid.rmax)
     if lo < grid.r0 - 1e-12 or hi > grid.rmax + 1e-12:
         raise ValueError("quadrature support must lie within the grid span")
     if lo >= hi:
         raise ValueError("quadrature support must be an interval lo < hi")
-    radii = lo + (np.arange(n_radial) + 0.5) * (hi - lo) / n_radial
-    angles = equispaced_angles(n_angular)
-    rr, pp = np.meshgrid(radii, angles, indexing="ij")
-    area = rr * (hi - lo) / n_radial * (2.0 * np.pi / n_angular)
-    return rr, pp, area
+    radii = (lo + (np.arange(n_radial) + 0.5) * (hi - lo) / n_radial)[:, None]
+    angles = equispaced_angles(n_angular)[None, :]
+    area = radii * (hi - lo) / n_radial * (2.0 * np.pi / n_angular)
+    return radii, angles, area
 
 
 def _kernel_sum(points: np.ndarray, sources: np.ndarray, charge: np.ndarray,
@@ -75,32 +81,60 @@ def _kernel_sum(points: np.ndarray, sources: np.ndarray, charge: np.ndarray,
     """sum_j d/|d|^2 charge_j with d = x - sources_j, for every point x.
 
     Pairs with |d| <= max(exclusion, 1e-14) contribute nothing.  Each block
-    holds about _BLOCK_PAIRS point x source pairs.
+    holds about _BLOCK_PAIRS point x source pairs and runs in real
+    arithmetic: with d = a + ib and inv = 1/(a^2 + b^2) it adds the matrix
+    products (a inv) @ [Re q, Im q] and (b inv) @ [Re q, Im q] to two sums,
+    which give sum (a Re q - b Im q) inv + i sum (a Im q + b Re q) inv.
     """
     cut = max(exclusion, 1e-14) ** 2
-    out = np.zeros(points.size, dtype=complex)
+    q = np.ascontiguousarray(charge, dtype=complex).view(float).reshape(-1, 2)
+    x_re, x_im = points.real[:, None], points.imag[:, None]
+    s_re, s_im = sources.real.copy(), sources.imag.copy()
+    sum_a, sum_b = np.zeros((points.size, 2)), np.zeros((points.size, 2))
     rows = max(1, _BLOCK_PAIRS // max(sources.size, 1))
     cols = max(1, _BLOCK_PAIRS // rows)
     for i in range(0, points.size, rows):
         for j in range(0, sources.size, cols):
-            d = points[i:i + rows, None] - sources[j:j + cols]
-            dist2 = d.real**2 + d.imag**2
-            inv = 1.0 / np.where(dist2 > cut, dist2, np.inf)
-            out[i:i + rows] += (d * inv) @ charge[j:j + cols]
-    return out
+            a = x_re[i:i + rows] - s_re[j:j + cols]
+            b = x_im[i:i + rows] - s_im[j:j + cols]
+            inv = a * a
+            inv += b * b
+            if inv.min() <= cut:
+                inv[inv <= cut] = np.inf
+            np.divide(1.0, inv, out=inv)
+            a *= inv
+            b *= inv
+            sum_a[i:i + rows] += a @ q[j:j + cols]
+            sum_b[i:i + rows] += b @ q[j:j + cols]
+    return (sum_a[:, 0] - sum_b[:, 1]) + 1j * (sum_a[:, 1] + sum_b[:, 0])
 
 
-def _field_values(field, fn, rr, pp):
-    """Data on the cell lattice: the closed form, else the mode profiles
-    interpolated at the lattice radii rr[:, 0] and synthesised at its angles pp[0]."""
+def _lattice_values(name: str, values, shape) -> np.ndarray:
+    """Data values broadcast to the lattice shape; raises unless that works and all are finite."""
+    values = np.asarray(values, dtype=complex)
+    try:
+        values = np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"{name} data of shape {values.shape} does not broadcast "
+                         f"to the {shape} oracle lattice") from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} data is not finite on the oracle lattice")
+    return values
+
+
+def _field_values(name: str, field, fn, radii, angles):
+    """Data on the lattice of a radius column and an angle row: the closed form
+    called on (column, row), else the mode profiles interpolated at the radii
+    and synthesised at the angles."""
+    shape = (radii.size, angles.size)
     if fn is not None:
-        return np.asarray(fn(rr, pp), dtype=complex)
+        return _lattice_values(name, fn(radii, angles), shape)
     nodes = field.grid.nodes
-    radii = rr[:, 0]
+    radii = radii.ravel()
     profiles = np.array([np.interp(radii, nodes, row.real) + 1j * np.interp(radii, nodes, row.imag)
                          for row in field.coeffs])
     ks = np.arange(-field.K, field.K + 1)
-    return profiles.T @ np.exp(1j * np.outer(ks, pp[0]))
+    return _lattice_values(name, profiles.T @ np.exp(1j * np.outer(ks, angles.ravel())), shape)
 
 
 def _points(x, exclusion_radius: float):
@@ -129,10 +163,11 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
     _check_exterior(points, problem.grid.r0)
 
     grid = problem.grid
-    rr, pp, area = _volume_cells(grid, support, n_radial, n_angular)
-    w_vals = _field_values(problem.vorticity, problem.vorticity_fn, rr, pp)
-    rho_vals = _field_values(problem.divergence, problem.divergence_fn, rr, pp)
-    sources = (rr * np.exp(1j * pp)).ravel()
+    radii, angles, area = _volume_cells(grid, support, n_radial, n_angular)
+    w_vals = _field_values("vorticity", problem.vorticity, problem.vorticity_fn, radii, angles)
+    rho_vals = _field_values("divergence", problem.divergence, problem.divergence_fn,
+                             radii, angles)
+    sources = (radii * np.exp(1j * angles)).ravel()
     charge = ((rho_vals + 1j * w_vals) * area).ravel()
 
     theta = equispaced_angles(n_boundary)
@@ -160,15 +195,16 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     z = np.asarray(m.forward(points), dtype=complex)
     _check_exterior(z, m.r0)
 
-    rr, pp, area = _volume_cells(problem.grid, support, n_radial, n_angular)
-    cells = rr * np.exp(1j * pp)
+    radii, angles, area = _volume_cells(problem.grid, support, n_radial, n_angular)
+    cells = radii * np.exp(1j * angles)
     jac = np.abs(m.d_inverse(cells)) ** 2
     y = m.inverse(cells)
-    w_vals = (np.asarray(problem.vorticity_fn(y), dtype=complex) * jac
-              if problem.vorticity_fn is not None else np.zeros_like(rr, dtype=complex))
-    rho_vals = (np.asarray(problem.divergence_fn(y), dtype=complex) * jac
-                if problem.divergence_fn is not None else np.zeros_like(rr, dtype=complex))
-    charge = ((rho_vals + 1j * w_vals) * area).ravel()
+    charge = np.zeros(cells.shape, dtype=complex)
+    for name, fn, unit in (("divergence", problem.divergence_fn, 1.0),
+                           ("vorticity", problem.vorticity_fn, 1j)):
+        if fn is not None:
+            charge += unit * (_lattice_values(name, fn(y), cells.shape) * jac)
+    charge = (charge * area).ravel()
 
     theta = equispaced_angles(n_boundary)
     ring = m.r0 * np.exp(1j * theta)

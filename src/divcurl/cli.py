@@ -228,8 +228,7 @@ def _build_scalar_data(cfg, section, grid, K, m, notes):
             notes.append(f"{section}: gaussian_patch interpreted in physical coordinates "
                          "and pulled back with the map Jacobian")
         angles = equispaced_angles(max(4 * K, 2 * K + 1, 64))
-        rr, pp = np.meshgrid(grid.nodes, angles, indexing="ij")
-        return analyze(grid, fn(rr, pp), K), fn
+        return analyze(grid, fn(grid.nodes[:, None], angles[None, :]), K), fn
     if preset == "file":
         if mapped:
             raise ConfigError(f"[{section}] file ingestion is only supported on disk domains")

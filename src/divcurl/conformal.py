@@ -161,7 +161,10 @@ class ExteriorProblem:
 
     vorticity_fn/divergence_fn take complex points of Omega and return values;
     boundary_fn takes complex boundary points and returns the complex velocity
-    g1 + i g2 there.  Any of them may be None (zero data).
+    g1 + i g2 there.  Any of them may be None (zero data).  The callables must
+    be pointwise and follow NumPy broadcasting: the pullback and the oracle
+    call them on whole lattices of points, mapped from a disk-plane lattice
+    of a radius column and an angle row.
     """
 
     map: ConformalMap
@@ -185,7 +188,11 @@ class ExteriorProblem:
 
 
 def _weighted_sampler(m: ConformalMap, data_fn):
-    """(r, phi) -> |(Phi^-1)'|^2 * data(Phi^-1(z)) on the disk-plane lattice."""
+    """(r, phi) -> |(Phi^-1)'|^2 * data(Phi^-1(z)) at z = r e^{i phi}, broadcast.
+
+    On a lattice of a radius column and an angle row e^{i phi} is formed once
+    per angle; data_fn then sees the full lattice of points Phi^-1(z).
+    """
     if data_fn is None:
         return None
 
@@ -216,13 +223,12 @@ def pullback_problem(problem: ExteriorProblem) -> DiskProblem:
     """
     m = problem.map
     grid = problem.grid
-    angles = equispaced_angles(problem.n_angles)
-    rr, pp = np.meshgrid(grid.nodes, angles, indexing="ij")
+    r, phi = grid.nodes[:, None], equispaced_angles(problem.n_angles)[None, :]
 
     q_fn = _weighted_sampler(m, problem.vorticity_fn)
     rc_fn = _weighted_sampler(m, problem.divergence_fn)
-    q = analyze(grid, q_fn(rr, pp), problem.K) if q_fn else SpectralField.zeros(grid, problem.K)
-    rc = analyze(grid, rc_fn(rr, pp), problem.K) if rc_fn else SpectralField.zeros(grid, problem.K)
+    q = analyze(grid, q_fn(r, phi), problem.K) if q_fn else SpectralField.zeros(grid, problem.K)
+    rc = analyze(grid, rc_fn(r, phi), problem.K) if rc_fn else SpectralField.zeros(grid, problem.K)
     g_hat = pullback_boundary_trace(m, problem.boundary_fn, problem.K, problem.n_angles)
     return DiskProblem(q, rc, g_hat, problem.far_field, vorticity_fn=q_fn, divergence_fn=rc_fn)
 

@@ -310,7 +310,9 @@ class DiskProblem:
     vorticity/divergence are spectral fields on a shared grid; the boundary
     trace is padded to the field band if narrower.  Optional callables
     vorticity_fn(r, phi) and divergence_fn(r, phi) give the same data in
-    closed form for quadrature oracles.
+    closed form for quadrature oracles.  They must be pointwise and follow
+    NumPy broadcasting: the oracle and the pullback call them with a radius
+    column and an angle row, and broadcast the result to the lattice.
     """
 
     vorticity: SpectralField

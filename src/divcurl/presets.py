@@ -13,7 +13,7 @@ from .conformal import ConformalMap, ExteriorProblem
 from .disk import DiskProblem, FarField
 from .grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from .moments import admissibility_corrections
-from .quadrature import radial_integral
+from .quadrature import _bands, radial_integral
 
 __all__ = [
     "modal_field",
@@ -133,29 +133,52 @@ def _mode_profiles(modes, lo: float, hi: float) -> dict:
 def _closed_form(modes, corrections: dict, lo: float, hi: float):
     """Vectorized fn(r, phi) of the conjugate-symmetric polynomial-bump modes.
 
-    Mode k >= 0 carries bump(r) * c_k(r) with c_k = amplitude_k * poly_k(t)
-    plus the admissibility scale lambda_k, and mode -k its conjugate; the
-    bump, t and e^{i phi} are evaluated once per call.
+    Mode k >= 0 carries bump(r) * c_k(t) with c_k(t) = beta_k0 + beta_k1 t +
+    beta_k2 t^2 (amplitude_k * poly_k plus the admissibility scale lambda_k),
+    and mode -k its conjugate, so
+
+        fn = bump(r) * [c_0(t) + Q_0(phi) + t Q_1(phi) + t^2 Q_2(phi)],
+        Q_j(phi) = sum_{k >= 1} 2 Re(beta_kj e^{ik phi}).
+
+    r and phi are transformed at their own shapes: on a lattice of a radius
+    column and an angle row only the row is summed over the modes.  The
+    values are real unless c_0 has an imaginary part.
     """
     top = max(len(modes) - 1, max(corrections, default=0))
+    beta = np.zeros((top + 1, 3), dtype=complex)
+    for k, (amp, a) in enumerate(modes):
+        beta[k] = amp * np.asarray(a)
+    for k, lam in corrections.items():
+        beta[k, 0] += lam
+    # Re(w_k beta_k e^{ik phi}) = w_k (Re beta_k Re e^{ik phi} - Im beta_k Im e^{ik phi}),
+    # w_0 = 1 and w_k = 2: rows matching the float view of the powers
+    weight = np.full((top + 1, 1, 1), 2.0)
+    weight[0] = 1.0
+    rows = (weight * np.stack([beta.real, -beta.imag], axis=1)).reshape(2 * top + 2, 3)
+
+    def angular_sums(phi):
+        """Re c_0 + (Q_0, Q_1, Q_2) at phi, one band of angles at a time."""
+        flat = phi.ravel()
+        e = np.exp(1j * flat)
+        q = np.empty((flat.size, 3))
+        bands = _bands(flat.size, top + 1)
+        powers = np.empty((bands[0].stop if bands else 0, top + 1), dtype=complex)
+        for band in bands:
+            p = powers[:band.stop - band.start]  # p[:, k] = e^{ik phi}
+            p[:, 0] = 1.0
+            for k in range(1, top + 1):
+                np.multiply(p[:, k - 1], e[band], out=p[:, k])
+            np.matmul(p.view(float), rows, out=q[band])
+        return np.moveaxis(q.reshape(phi.shape + (3,)), -1, 0)
 
     def fn(r, phi):
         r = np.asarray(r, dtype=float)
-        phi = np.asarray(phi, dtype=float)
         t = (2.0 * r - (lo + hi)) / (hi - lo)
-        e = np.exp(1j * phi)
-        power = np.ones_like(e)
-        total = np.zeros(np.broadcast(r, phi).shape, dtype=complex)
-        for k in range(top + 1):
-            c = corrections.get(k, 0.0)
-            if k < len(modes):
-                amp, a = modes[k]
-                c = c + amp * (a[0] + a[1] * t + a[2] * t * t)
-            if k == 0:
-                total += c
-            else:
-                power = power * e
-                total += 2.0 * (c * power).real  # c_k e^{ik phi} + conj(c_k) e^{-ik phi}
+        q0, q1, q2 = angular_sums(np.asarray(phi, dtype=float))
+        total = q0 + t * (q1 + t * q2)
+        c0 = beta[0].imag
+        if c0.any():
+            total = total + 1j * (c0[0] + t * (c0[1] + t * c0[2]))
         return smooth_bump(r, lo, hi) * total
 
     return fn

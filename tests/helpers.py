@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from divcurl.disk import vinf_coefficients
+from divcurl.grids import smooth_bump
 from divcurl.quadrature import _locate
 
 
@@ -430,6 +431,34 @@ def reference_far_field_deviation_h1(solution, weights):
     p += power((ik * v_r - v_phi) / s)
     p += power((ik * v_phi + v_r) / s)
     return float(np.hypot(l2, norm(p)))
+
+
+def reference_closed_form(modes, corrections, lo, hi):
+    """fn(r, phi) of the polynomial-bump modes summed one mode at a time on the
+    broadcast shape: c_k = lambda_k + amplitude_k * poly_k(t) per mode, with
+    2 Re(c_k e^{ik phi}) for k > 0 and e^{ik phi} built by products."""
+    top = max(len(modes) - 1, max(corrections, default=0))
+
+    def fn(r, phi):
+        r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        t = (2.0 * r - (lo + hi)) / (hi - lo)
+        e = np.exp(1j * phi)
+        power = np.ones_like(e)
+        total = np.zeros(np.broadcast(r, phi).shape, dtype=complex)
+        for k in range(top + 1):
+            c = corrections.get(k, 0.0)
+            if k < len(modes):
+                amp, a = modes[k]
+                c = c + amp * (a[0] + a[1] * t + a[2] * t * t)
+            if k == 0:
+                total += c
+            else:
+                power = power * e
+                total += 2.0 * (c * power).real
+        return smooth_bump(r, lo, hi) * total
+
+    return fn
 
 
 def reference_field_values(field, fn, rr, pp):

@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
 
-from divcurl.biot_savart import biot_savart_disk, biot_savart_omega, green_function
-from divcurl.conformal import ExteriorProblem, identity_map, joukowski_map
+from divcurl.biot_savart import (
+    _BLOCK_PAIRS,
+    _field_values,
+    _volume_cells,
+    biot_savart_disk,
+    biot_savart_omega,
+    green_function,
+)
+from divcurl.cli import ProblemConfig, _build_scalar_data
+from divcurl.conformal import (
+    ExteriorProblem,
+    _weighted_sampler,
+    identity_map,
+    joukowski_map,
+    pullback_problem,
+)
 from divcurl.disk import DiskProblem, FarField, solve_disk
-from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
+from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, analyze, smooth_bump
 from divcurl.presets import (
     cylinder_slip_trace,
     ellipse_potential_velocity,
+    modal_field,
     potential_slip_boundary_fn,
     random_admissible_exterior_problem,
     random_admissible_problem,
@@ -99,9 +114,10 @@ def test_blocked_sum_matches_reference_direct_sum(grid):
     problem = random_admissible_problem(rng, grid, K=6, K_data=4, K_c=6, support=(1.8, 4.2),
                                         with_divergence=True, boundary_modes=2,
                                         far_field=FarField(0.3, -0.2))
-    # 960 cells: 100 points in two blocks of several points; 76,800 cells:
-    # one point per block, the cells split into two blocks
-    for n_radial, n_angular in ((24, 40), (300, 256)):
+    # 960 cells: 17 points per block, so the 100 points take six blocks;
+    # 25,600 cells: one point per block, its cells split over two blocks
+    assert 1 < _BLOCK_PAIRS // 960 < 100 and 25_600 // 2 < _BLOCK_PAIRS < 25_600
+    for n_radial, n_angular in ((24, 40), (100, 256)):
         kwargs = {"n_radial": n_radial, "n_angular": n_angular, "n_boundary": 64,
                   "support": (1.8, 4.2)}
         h = (4.2 - 1.8) / n_radial
@@ -117,6 +133,76 @@ def test_blocked_sum_matches_reference_direct_sum(grid):
             else:
                 assert v.shape == (10, 10)
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+
+
+def _gaussian_patch(grid, K, m):
+    """The CLI gaussian_patch callable on the map m, as `divcurl` builds it."""
+    cfg = ProblemConfig()
+    kind = "disk" if m.label == "identity" else "joukowski"
+    for key, value in (("kind", kind), ("preset", "gaussian_patch"), ("x0", "2.1"),
+                       ("y0", "-1.3"), ("sigma", "0.6")):
+        cfg.set("domain" if key == "kind" else "vorticity", key, value)
+    return _build_scalar_data(cfg, "vorticity", grid, K, m, [])
+
+
+@pytest.mark.parametrize("m", [identity_map(1.0), joukowski_map(0.5, 1.0)], ids=repr)
+def test_separable_lattice_is_bit_identical_to_the_meshgrid(grid, m):
+    # the oracle and the pullback call pointwise data on (radius column, angle
+    # row); that must give exactly the values of the full meshgrid lattice
+    K = 6
+    _, modal_fn = modal_field(grid, K, {0: lambda s: smooth_bump(s, 1.8, 4.2) + 0j,
+                                        2: lambda s: (0.3 - 0.8j) * smooth_bump(s, 2.0, 5.0),
+                                        -2: lambda s: (0.3 + 0.8j) * smooth_bump(s, 2.0, 5.0)})
+    field, patch_fn = _gaussian_patch(grid, K, m)
+    radii, angles, area = _volume_cells(grid, (1.5, 6.5), 70, 96)
+    rr, pp = np.meshgrid(radii.ravel(), angles.ravel(), indexing="ij")
+    for fn in (modal_fn, patch_fn):
+        values = _field_values("vorticity", field, fn, radii, angles)
+        assert values.shape == rr.shape
+        assert np.array_equal(values, np.asarray(fn(rr, pp), dtype=complex))
+    assert np.array_equal(np.broadcast_to(area, rr.shape),
+                          rr * (6.5 - 1.5) / 70 * (2.0 * np.pi / 96))
+
+    def physical(p):
+        return np.exp(-np.abs(p - (2.1 - 1.3j)) ** 2 / 0.72) * (1.0 + 0.2j * p.real)
+
+    ext = ExteriorProblem(m, grid, K, vorticity_fn=physical, divergence_fn=physical)
+    pulled = pullback_problem(ext)
+    rr, pp = np.meshgrid(grid.nodes, 2.0 * np.pi * np.arange(ext.n_angles) / ext.n_angles,
+                         indexing="ij")
+    expected = analyze(grid, _weighted_sampler(m, physical)(rr, pp), K).coeffs
+    assert np.array_equal(pulled.vorticity.coeffs, expected)
+    assert np.array_equal(pulled.divergence.coeffs, expected)
+
+
+def _poisoned(bad, shape_fn):
+    """Callable that is NaN/inf at one lattice point, or has a shape the lattice
+    cannot take, as bad says."""
+    def fn(*args):
+        values = shape_fn(*args)
+        if bad == "shape":
+            return values.ravel()[:7]
+        values = np.array(values, dtype=complex)
+        values.flat[values.size // 2] = np.nan if bad == "nan" else np.inf
+        return values
+    return fn
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
+@pytest.mark.parametrize("name", ["vorticity", "divergence"])
+def test_oracles_reject_bad_data_naming_the_field(grid, name, bad):
+    zeros = SpectralField.zeros(grid, 3)
+    disk_fn = _poisoned(bad, lambda r, phi: smooth_bump(r, 1.5, 2.5) * np.cos(phi))
+    disk_problem = DiskProblem(zeros, zeros, BoundaryTrace.zeros(3),
+                               **{f"{name}_fn": disk_fn})
+    omega_fn = _poisoned(bad, lambda p: smooth_bump(np.abs(p), 1.5, 2.5) + 0j * p)
+    omega_problem = ExteriorProblem(joukowski_map(0.5, 1.0), grid, 3,
+                                    **{f"{name}_fn": omega_fn})
+    message = "does not broadcast" if bad == "shape" else "not finite"
+    for oracle, problem in ((biot_savart_disk, disk_problem),
+                            (biot_savart_omega, omega_problem)):
+        with pytest.raises(ValueError, match=f"{name} data .*{message}"):
+            oracle(3.0 + 0j, problem, n_radial=20, n_angular=16, support=(1.4, 2.6))
 
 
 def test_interpolation_fallback_matches_reference(grid):

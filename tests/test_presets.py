@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
 from divcurl.disk import FarField
 from divcurl.grids import RadialGrid, analyze, equispaced_angles
-from divcurl.presets import modal_field, random_admissible_problem
+from divcurl.presets import _closed_form, _random_modes, modal_field, random_admissible_problem
+
+from helpers import reference_closed_form
 
 
 def test_random_problem_closed_forms_match_node_coefficients():
@@ -30,3 +33,34 @@ def test_modal_field_callable_matches_per_mode_phases():
     phi = rng.uniform(0.0, 2.0 * np.pi, size=(40, 25))
     ref = sum(f(r) * np.exp(1j * k * phi) for k, f in mode_fns.items())
     assert np.max(np.abs(fn(r, phi) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K_data, K_c", [(8, 12), (3, 20), (0, 0)])
+def test_closed_form_matches_the_per_mode_sum(K_data, K_c):
+    # K_c > K_data: the top modes carry only their admissibility scale;
+    # K_data = K_c = 0: no angular term at all
+    rng = np.random.default_rng(13 + K_c)
+    lo, hi = 1.8, 4.2
+    modes = _random_modes(rng, K_data, 1.0)
+    corrections = {k: complex(rng.normal(), rng.normal()) for k in range(K_c + 1)}
+    radii = lo - 0.1 + (np.arange(90) + 0.5) * (hi - lo + 0.2) / 90
+    angles = equispaced_angles(128)
+    rr, pp = np.meshgrid(radii, angles, indexing="ij")
+    r_scatter = rng.uniform(lo - 0.1, hi + 0.1, size=(17, 23))
+    phi_scatter = rng.uniform(-np.pi, np.pi, size=(17, 23))
+    cases = [((rr, pp), (rr, pp)),
+             ((radii[:, None], angles[None, :]), (rr, pp)),
+             ((r_scatter, phi_scatter), (r_scatter, phi_scatter)),
+             ((2.9, 0.7), (2.9, 0.7)),
+             ((radii, 1.3), (radii, 1.3))]
+    for real_c0 in (False, True):
+        if real_c0:  # the imaginary part of c_0 is zero for real data
+            corrections[0] = corrections[0].real
+            modes[0] = (complex(modes[0][0].real), modes[0][1])
+        fn = _closed_form(modes, corrections, lo, hi)
+        ref = reference_closed_form(modes, corrections, lo, hi)
+        for args, ref_args in cases:
+            value = np.asarray(fn(*args))
+            expected = np.asarray(ref(*ref_args), dtype=complex)
+            assert value.shape == expected.shape
+            assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(expected))
