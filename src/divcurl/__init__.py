@@ -17,7 +17,7 @@ from .grids import (
     synthesize,
     synthesize_boundary,
 )
-from .quadrature import CumulativeIntegral, cumulative, radial_integral
+from .quadrature import CumulativeIntegral, cumulative
 from .disk import (
     DiskProblem,
     FarField,
@@ -29,7 +29,6 @@ from .moments import (
     MomentReport,
     make_admissible,
     moment_report,
-    moment_residual,
 )
 from .norms import (
     far_field_deviation_h1,

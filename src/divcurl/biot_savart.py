@@ -164,11 +164,13 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
 
     grid = problem.grid
     radii, angles, area = _volume_cells(grid, support, n_radial, n_angular)
-    w_vals = _field_values("vorticity", problem.vorticity, problem.vorticity_fn, radii, angles)
-    rho_vals = _field_values("divergence", problem.divergence, problem.divergence_fn,
-                             radii, angles)
+    charge = np.zeros((radii.size, angles.size), dtype=complex)
+    for name, field, fn, unit in (("divergence", problem.divergence, problem.divergence_fn, 1.0),
+                                  ("vorticity", problem.vorticity, problem.vorticity_fn, 1j)):
+        if fn is not None or field.coeffs.any():  # a zero field with no callable adds nothing
+            charge += unit * _field_values(name, field, fn, radii, angles)
     sources = (radii * np.exp(1j * angles)).ravel()
-    charge = ((rho_vals + 1j * w_vals) * area).ravel()
+    charge = (charge * area).ravel()
 
     theta = equispaced_angles(n_boundary)
     g_r, g_phi = synthesize_boundary(problem.boundary, theta)

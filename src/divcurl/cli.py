@@ -27,10 +27,11 @@ from .biot_savart import biot_savart_disk
 from .conformal import ExteriorSolution, identity_map, joukowski_map, _weighted_sampler
 from .disk import DiskProblem, FarField, solve_disk
 from .fieldio import fmt, interpolate_to_polar, load_gridded_samples, write_field_dump
-from .grids import BoundaryTrace, RadialGrid, SpectralField, analyze, equispaced_angles, smooth_bump
+from .grids import (BoundaryTrace, RadialGrid, SpectralField, analysis_angles, analyze,
+                    equispaced_angles, smooth_bump)
 from .moments import make_admissible, moment_report
 from .norms import far_field_deviation_h1, h1_seminorm, h_half_boundary_norm, l2_weighted_norm
-from .presets import modal_field
+from .presets import modal_field, potential_slip_trace
 from .stream import solve_stream, velocity_from_stream
 
 EXIT_OK = 0
@@ -227,8 +228,7 @@ def _build_scalar_data(cfg, section, grid, K, m, notes):
         if mapped:
             notes.append(f"{section}: gaussian_patch interpreted in physical coordinates "
                          "and pulled back with the map Jacobian")
-        angles = equispaced_angles(max(4 * K, 2 * K + 1, 64))
-        return analyze(grid, fn(grid.nodes[:, None], angles[None, :]), K), fn
+        return analyze(grid, fn(grid.nodes[:, None], analysis_angles(K)[None, :]), K), fn
     if preset == "file":
         if mapped:
             raise ConfigError(f"[{section}] file ingestion is only supported on disk domains")
@@ -239,8 +239,7 @@ def _build_scalar_data(cfg, section, grid, K, m, notes):
             raise IOError(f"cannot read {path}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        angles = equispaced_angles(max(4 * K, 2 * K + 1, 64))
-        values, report = interpolate_to_polar(samples, grid.nodes, angles)
+        values, report = interpolate_to_polar(samples, grid.nodes, analysis_angles(K))
         notes.append(f"{section}: interpolated {path} "
                      f"(outside points zeroed: {report['outside_points']}, "
                      f"interpolation error estimate: {report['interpolation_error_estimate']:.3e})")
@@ -275,9 +274,7 @@ def _build_boundary(cfg, K, far, notes):
     if preset == "zero":
         return BoundaryTrace.zeros(K)
     if preset == "potential_slip":
-        v = far.as_complex
-        return BoundaryTrace.from_coeffs(
-            K, tangential={1: 1j * np.conj(v), -1: -1j * v})
+        return potential_slip_trace(K, far)
     if preset == "coefficients":
         radial, tangential = _parse_coefficients(_param(cfg, "boundary", "coefficients"), K)
         return BoundaryTrace.from_coeffs(K, radial=radial, tangential=tangential)

@@ -185,7 +185,7 @@ class ModeTerms:
         nodes = self.inner.nodes
         K, zero = self.K, self.zero_row
         r = np.abs(z)
-        rc, idx, frac = _locate(nodes, r, extend=True)
+        rc, idx, frac = _locate(nodes, r)
         unit = z / r
         nxt = idx + 1
         s0, s1 = nodes[idx], nodes[nxt]
@@ -225,7 +225,7 @@ class ModeTerms:
         mode0 = (self.trace[0, zero] + 1j * self.trace[1, zero]) * (self.r0 / r)
         for mu, integral in zip((1.0, 1.0j), self.zero):
             if integral is not None:
-                mode0 += mu * integral.at(r, extend=True) / r
+                mode0 += mu * integral.at(r) / r
         total += unit * mode0
         if K:
             minus = self.vinf[:, zero - 1] if zero else np.conj(self.vinf[:, 1])

@@ -15,6 +15,7 @@ __all__ = [
     "synthesize",
     "synthesize_boundary",
     "equispaced_angles",
+    "analysis_angles",
     "smooth_bump",
 ]
 
@@ -35,7 +36,6 @@ class RadialGrid:
     """
 
     nodes: np.ndarray
-    grading: str = "custom"
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -62,7 +62,7 @@ class RadialGrid:
     def uniform(cls, r0: float, rmax: float, count: int) -> "RadialGrid":
         if rmax <= r0:
             raise ValueError("rmax must exceed r0")
-        return cls(np.linspace(r0, rmax, count), grading="uniform")
+        return cls(np.linspace(r0, rmax, count))
 
     @classmethod
     def geometric(cls, r0: float, rmax: float, count: int, ratio: float = 1.01) -> "RadialGrid":
@@ -77,7 +77,7 @@ class RadialGrid:
         h0 = (rmax - r0) * (ratio - 1.0) / (ratio**m - 1.0)
         nodes = np.concatenate(([r0], r0 + np.cumsum(h0 * ratio ** np.arange(m))))
         nodes[-1] = rmax
-        return cls(nodes, grading="geometric")
+        return cls(nodes)
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,6 @@ class SpectralField:
             raise ValueError(f"mode {k} outside resolved band |k| <= {self.K}")
         return self.coeffs[k + self.K]
 
-    def modes(self):
-        return range(-self.K, self.K + 1)
-
     @classmethod
     def zeros(cls, grid: RadialGrid, K: int) -> "SpectralField":
         return cls(grid, K, np.zeros((2 * K + 1, len(grid)), dtype=complex))
@@ -136,7 +133,8 @@ class SpectralField:
     def conjugate_symmetry_defect(self) -> float:
         """Max |f_{-k} - conj(f_k)|: zero (to rounding) for real-valued fields, NaN with NaN data.
 
-        Exactly zero is the solver's test for solving on k >= 0 alone.
+        On finite data it is zero exactly when disk._scan's test for solving
+        on k >= 0 alone, f_{-k} == conj(f_k) bit for bit, passes.
         """
         return _mirror_defect(self.coeffs)
 
@@ -201,6 +199,11 @@ class BoundaryTrace:
 
 def equispaced_angles(count: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(count) / count
+
+
+def analysis_angles(K: int) -> np.ndarray:
+    """max(4K, 64) equispaced angles: the samples analyzed into the modes |k| <= K, K >= 1."""
+    return equispaced_angles(max(4 * K, 64))
 
 
 def _dft_coefficients(samples: np.ndarray, K: int) -> np.ndarray:

@@ -33,11 +33,13 @@ from .quadrature import _bands, trapezoid_weights
 
 __all__ = [
     "MomentReport",
-    "moment_residual",
     "moment_report",
     "make_admissible",
     "admissibility_corrections",
 ]
+
+# admissibility_corrections leaves residuals below this, relative to the data scale
+_SKIP_BELOW = 1e-14
 
 
 @dataclass(frozen=True)
@@ -122,18 +124,6 @@ def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> Mom
     return MomentReport(residuals, *_circulation_flux(problem), tolerance)
 
 
-def moment_residual(k: int, problem: DiskProblem) -> complex:
-    """Left minus right of the mode-k solvability condition, k >= 1."""
-    if k < 1:
-        raise ValueError("moment conditions are indexed by k >= 1; the k = 0 "
-                         "conditions are moment_report's circulation and flux")
-    if k > problem.K:
-        raise ValueError(f"mode {k} outside the resolved band K = {problem.K}")
-    f = problem.vorticity.coeff(k) + 1j * problem.divergence.coeff(k)
-    moment = _weighted_moments(problem.grid, lambda band: f[None], [k])
-    return complex(_mode_residuals(problem, [k], moment)[0])
-
-
 def _circulation_flux(problem: DiskProblem) -> tuple:
     """(circulation, flux) residuals of the k = 0 conditions, each 2 pi (...), complex."""
     grid = problem.grid
@@ -151,9 +141,8 @@ def _moments(problem: DiskProblem, K: int) -> np.ndarray:
                              np.arange(1, K + 1))
 
 
-def moment_report(problem: DiskProblem, K: int = None, tolerance: float = 1e-8) -> MomentReport:
-    K = problem.K if K is None else K
-    return _report_from_moments(problem, _moments(problem, K), tolerance)
+def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport:
+    return _report_from_moments(problem, _moments(problem, problem.K), tolerance)
 
 
 def _default_support(grid):
@@ -168,13 +157,12 @@ def admissibility_corrections(
     v: FarField,
     K_c: int,
     support: tuple = None,
-    skip_below: float = 1e-14,
 ) -> tuple:
     """Per-mode scales lambda_k and the shared bump profile that zero the residuals.
 
     Returns (corrections, bump_nodes) where corrections maps k >= 0 to the
     complex scale of the bump added to mode k (and conj to mode -k).  Modes
-    whose residual is already below skip_below (relative to the data scale)
+    whose residual is already below _SKIP_BELOW (relative to the data scale)
     are left untouched, which makes the projection idempotent.
     """
     if K_c > w.K:
@@ -194,7 +182,7 @@ def admissibility_corrections(
 
     corrections = {}
     circ, flux = (x / (2.0 * np.pi) for x in _circulation_flux(problem))
-    if abs(flux) > skip_below * scale:
+    if abs(flux) > _SKIP_BELOW * scale:
         shown = f"{flux.real:.3e}" if flux.imag == 0.0 else f"{flux:.3e}"
         warnings.warn(
             f"flux residual {shown} depends only on (rho, g_r) and cannot be "
@@ -203,7 +191,7 @@ def admissibility_corrections(
             stacklevel=2,
         )
 
-    if abs(circ) > skip_below * scale:
+    if abs(circ) > _SKIP_BELOW * scale:
         m0 = float(trapezoid_weights(grid.nodes) @ (grid.nodes * bump))
         if abs(m0) < 1e-14:
             raise ValueError("bump profile has zero circulation moment; choose another support")
@@ -214,7 +202,7 @@ def admissibility_corrections(
     bump_moments = _weighted_moments(
         grid, lambda band: np.broadcast_to(bump, (band.stop - band.start, bump.size)), ks)
     for k, res, m_k in zip(ks, residuals, bump_moments):
-        if abs(res) <= skip_below * scale:
+        if abs(res) <= _SKIP_BELOW * scale:
             continue
         if abs(m_k) < 1e-14 * max(1.0, float(np.max(bump))):
             raise ValueError(
@@ -240,7 +228,11 @@ def make_admissible(
     real-valued fields real.  Only w is modified: the flux half of the k = 0
     condition involves (rho, g_r) alone and is the caller's responsibility.
     """
-    corrections, bump = admissibility_corrections(w, rho, g, v, K_c, support)
+    return _with_corrections(w, *admissibility_corrections(w, rho, g, v, K_c, support))
+
+
+def _with_corrections(w: SpectralField, corrections: dict, bump) -> SpectralField:
+    """w with lambda_k * bump added to each corrected mode k and its conjugate to mode -k."""
     deltas = {}
     for k, lam in corrections.items():
         deltas[k] = lam * bump

@@ -12,12 +12,12 @@ import numpy as np
 from .conformal import ConformalMap, ExteriorProblem
 from .disk import DiskProblem, FarField
 from .grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
-from .moments import admissibility_corrections
-from .quadrature import _bands, radial_integral
+from .moments import _with_corrections, admissibility_corrections
+from .quadrature import _bands, cumulative
 
 __all__ = [
     "modal_field",
-    "cylinder_slip_trace",
+    "potential_slip_trace",
     "potential_slip_boundary_fn",
     "ellipse_potential_velocity",
     "random_mode_profiles",
@@ -54,12 +54,14 @@ def modal_field(grid: RadialGrid, K: int, mode_fns: dict):
     return SpectralField.from_modes(grid, K, profiles), fn
 
 
-def cylinder_slip_trace(K: int, speed: float = 1.0) -> BoundaryTrace:
-    """Tangential trace of the classical potential flow past the disk.
+def potential_slip_trace(K: int, far: FarField) -> BoundaryTrace:
+    """Tangential trace of the zero-circulation potential flow past the disk, far field `far`.
 
-    g_phi(phi) = -2 v sin(phi), i.e. g_phi,1 = i v and its conjugate mirror.
+    With V = v1 + i v2, g_phi,1 = i conj(V) and g_phi,-1 = -i V; for V = v
+    real this is g_phi(phi) = -2 v sin(phi).
     """
-    return BoundaryTrace.from_coeffs(K, tangential={1: 1j * speed, -1: -1j * speed})
+    v = far.as_complex
+    return BoundaryTrace.from_coeffs(K, tangential={1: 1j * np.conj(v), -1: -1j * v})
 
 
 def potential_slip_boundary_fn(m: ConformalMap, far: FarField):
@@ -199,7 +201,6 @@ def random_admissible_problem(
     with_divergence: bool = False,
     boundary_modes: int = 0,
     far_field: FarField = FarField(),
-    boundary_scale: float = 0.3,
 ) -> DiskProblem:
     """Random smooth compactly supported data projected onto the admissible set.
 
@@ -226,24 +227,19 @@ def random_admissible_problem(
     radial = {}
     tangential = {}
     for k in range(1, boundary_modes + 1):
-        gr = boundary_scale * (rng.normal() + 1j * rng.normal()) / (1.0 + k)
-        gp = boundary_scale * (rng.normal() + 1j * rng.normal()) / (1.0 + k)
+        gr = 0.3 * (rng.normal() + 1j * rng.normal()) / (1.0 + k)
+        gp = 0.3 * (rng.normal() + 1j * rng.normal()) / (1.0 + k)
         radial[k], radial[-k] = gr, np.conj(gr)
         tangential[k], tangential[-k] = gp, np.conj(gp)
     if with_divergence:
         # balance the flux half of the k = 0 condition, which no vorticity
         # correction can reach
-        radial[0] = -radial_integral(grid.nodes, rho_field.coeff(0), power=1) / grid.r0
+        radial[0] = -cumulative(grid.nodes, grid.nodes * rho_field.coeff(0)).total / grid.r0
     g = BoundaryTrace.from_coeffs(K, radial=radial, tangential=tangential)
 
-    corrections, _ = admissibility_corrections(w_field, rho_field, g, far_field, K_c,
-                                               support=support)
-    deltas = {}
-    for k, lam in corrections.items():
-        deltas[k] = lam * smooth_bump(grid.nodes, lo, hi)
-        if k > 0:
-            deltas[-k] = np.conj(lam) * smooth_bump(grid.nodes, lo, hi)
-    w_admissible = w_field.add_modes(deltas) if deltas else w_field
+    corrections, bump = admissibility_corrections(w_field, rho_field, g, far_field, K_c,
+                                                  support=support)
+    w_admissible = _with_corrections(w_field, corrections, bump)
     w_total = _closed_form(w_modes, corrections, lo, hi)
 
     return DiskProblem(w_admissible, rho_field, g, far_field,
@@ -258,7 +254,6 @@ def random_admissible_exterior_problem(
     K_data: int = 6,
     K_c: int = 10,
     support: tuple = None,
-    n_angles: int = 0,
 ) -> ExteriorProblem:
     """Solenoidal no-slip exterior problem whose pullback is admissible.
 
@@ -275,5 +270,4 @@ def random_admissible_exterior_problem(
         dphi = 1.0 / m.d_inverse(z)
         return np.abs(dphi) ** 2 * w_disk_fn(np.abs(z), np.angle(z))
 
-    kwargs = {"n_angles": n_angles} if n_angles else {}
-    return ExteriorProblem(m, grid, K, vorticity_fn=w_fn, **kwargs)
+    return ExteriorProblem(m, grid, K, vorticity_fn=w_fn)

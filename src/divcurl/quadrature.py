@@ -2,9 +2,11 @@
 
 All solver integrals reduce to integrals of s^p f(s) over subranges of the
 radial grid.  CumulativeIntegral stores prefix sums once per integrand, so a
-full per-mode solve costs O(M) instead of O(M^2), and supports evaluation at
-arbitrary radii by linear interpolation of the integrand inside one panel
-(consistent with the trapezoid rule, second order in node spacing).
+full per-mode solve costs O(M) instead of O(M^2), and its at evaluates them
+at arbitrary radii by linear interpolation of the integrand inside one panel
+(consistent with the trapezoid rule, second order in node spacing).  Radii
+beyond the last node saturate at the total, which is exact for integrands
+supported inside the span; radii below the first node raise.
 
 ScaledIntegrals is the batched mode kernel: for many rows f_i and powers p_i
 at once it tabulates the power-kernel integrals already multiplied back by
@@ -40,7 +42,6 @@ __all__ = [
     "CumulativeIntegral",
     "ScaledIntegrals",
     "cumulative",
-    "radial_integral",
     "scaled_integrals",
     "trapezoid_weights",
 ]
@@ -85,15 +86,11 @@ def _unfold(rows, K):
     return full
 
 
-def _locate(nodes, r, extend: bool = False):
-    """(clipped radii, panel index, fraction inside the panel) of radii r.
-
-    r must lie in the grid span; with extend=True radii beyond the last node
-    are allowed and clipped to it.
-    """
+def _locate(nodes, r):
+    """(radii clipped to the last node, panel index, fraction in the panel) of radii r >= r0."""
     lo, hi = nodes[0], nodes[-1]
     slack = _RANGE_SLACK * (hi - lo)
-    if np.any(r < lo - slack) or (not extend and np.any(r > hi + slack)):
+    if np.any(r < lo - slack):
         raise ValueError(f"radius outside grid span [{lo}, {hi}]")
     rc = np.clip(r, lo, hi)
     idx = np.clip(np.searchsorted(nodes, rc, side="right") - 1, 0, len(nodes) - 2)
@@ -113,13 +110,13 @@ class CumulativeIntegral:
     def total(self) -> complex:
         return complex(self.prefix[-1])
 
-    def at(self, r, extend: bool = False):
-        """Integral from nodes[0] to r, vectorized; r must lie in the grid span.
+    def at(self, r):
+        """Integral from nodes[0] to r, vectorized; r must not lie below nodes[0].
 
-        With extend=True radii beyond the last node saturate at the total,
-        which is exact for integrands supported inside the span.
+        Radii beyond the last node saturate at the total, which is exact for
+        integrands supported inside the span.
         """
-        rc, idx, frac = _locate(self.nodes, np.asarray(r, dtype=float), extend)
+        rc, idx, frac = _locate(self.nodes, np.asarray(r, dtype=float))
         f0 = self.integrand[idx]
         f1 = self.integrand[idx + 1]
         f_at = f0 + (f1 - f0) * frac
@@ -196,18 +193,6 @@ def scaled_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIn
     table = np.empty(integrand.shape, dtype=complex)
     _scaled_table(nodes, integrand, powers, suffix, table)
     return ScaledIntegrals(nodes, integrand, powers, suffix, table)
-
-
-def radial_integral(nodes, values, power: int = 0, lo: float = None, hi: float = None) -> complex:
-    """Composite trapezoid of s^power * f(s) over [lo, hi] within the grid span."""
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    acc = cumulative(nodes, nodes**power * values)
-    lo = nodes[0] if lo is None else lo
-    hi = nodes[-1] if hi is None else hi
-    if hi < lo:
-        raise ValueError("integration range reversed")
-    return complex(acc.at(hi) - acc.at(lo))
 
 
 def trapezoid_weights(nodes) -> np.ndarray:

@@ -15,28 +15,29 @@ solver's field for rho = 0, g_r = 0 and the slip-completion trace
 the tangential slip that zeroes every moment residual, so psi_k(r0) = 0
 is the completed problem's v_r,k(r0) = 0.  solve_stream therefore builds the
 direct solver's kernel terms once (disk._direct_terms), reads b_k(r0) off
-their suffix table, sets that trace, and reads psi_k = (i r / k) v_r,k off
-the profiles; psi_0 is the trapezoid integral of
-v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  For real vorticity and far field the
-terms hold the rows k >= 0 only, and so do psi and psi', as the direct
-solver's profiles do; modes and d_modes build the full rows on first
-access.  The completed problem's velocity is kept with psi, so
-velocity_from_stream forms nothing again.  The discarded Neumann condition
-d(psi)/dn = 0 holds exactly when the completion trace vanishes, that is
-when the vorticity satisfies the no-slip orthogonality relations;
-neumann_defect measures the trace, the residual slip velocity, otherwise.
+their suffix table, sets that trace, and keeps the completed problem's
+velocity: StreamFunction is a view of it.  psi' is its v_phi rows, and psi
+is read off its v_r rows on first access, psi_k = (i r / k) v_r,k, with
+psi_0 the trapezoid integral of v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  For
+real vorticity and far field the rows are k >= 0 only, as the direct
+solver's profiles are; modes and d_modes build the full rows on first
+access, and velocity_from_stream forms nothing again.  The discarded
+Neumann condition d(psi)/dn = 0 holds exactly when the completion trace
+vanishes, that is when the vorticity satisfies the no-slip orthogonality
+relations; neumann_defect measures the trace, the residual slip velocity,
+otherwise.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .disk import FarField, VelocitySolution, _direct_terms, _scan, _with_trace
-from .grids import RadialGrid, SpectralField
+from .grids import SpectralField
 from .quadrature import _bands, _unfold, cumulative
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
@@ -44,39 +45,43 @@ __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_de
 
 @dataclass(frozen=True)
 class StreamFunction:
-    """Per-mode stream profiles psi_k and their radial derivatives.
+    """Per-mode stream profiles psi_k and their radial derivatives, a view of velocity.
 
     Modes k != 0 vanish at r0 so psi is constant on the solid; the constant
     itself is gauged to zero.  psi_1 grows linearly to match the far-field
     stream r * v_phi,1^inf; all other modes decay beyond the data support.
     velocity is the direct solver's solution of the completed problem, the
     skew gradient (-(i k / r) psi_k, psi_k') with its kernel terms.  psi and
-    d_psi hold the modes velocity.terms.ks; modes and d_modes are the full
-    view, shape (2K+1, len(grid)) with row k + K holding mode k.
+    d_psi hold the modes velocity.terms.ks, read-only; modes and d_modes are
+    the full view, shape (2K+1, len(grid)) with row k + K holding mode k.
     """
 
-    grid: RadialGrid
-    K: int
-    psi: np.ndarray
-    d_psi: np.ndarray
-    far_field: FarField
-    velocity: VelocitySolution = field(compare=False)
+    velocity: VelocitySolution
 
-    def __post_init__(self):
-        shape = (len(self.velocity.terms.ks), len(self.grid))
-        for name in ("psi", "d_psi"):
-            values = getattr(self, name)
-            if values.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
-            values.setflags(write=False)
+    @property
+    def d_psi(self) -> np.ndarray:
+        return self.velocity.rows[1]
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'."""
+        terms, nodes = self.velocity.terms, self.velocity.grid.nodes
+        v_r = self.velocity.rows[0]
+        ks = np.where(terms.ks == 0, 1, terms.ks)[:, None]
+        psi = np.empty_like(v_r)
+        for band in _bands(len(ks), len(nodes)):
+            np.multiply(v_r[band], 1j * nodes / ks[band], out=psi[band])
+        psi[terms.zero_row] = cumulative(nodes, self.d_psi[terms.zero_row]).prefix
+        psi.setflags(write=False)
+        return psi
 
     @cached_property
     def modes(self) -> np.ndarray:
-        return _unfold(self.psi, self.K)
+        return _unfold(self.psi, self.velocity.K)
 
     @cached_property
     def d_modes(self) -> np.ndarray:
-        return _unfold(self.d_psi, self.K)
+        return _unfold(self.d_psi, self.velocity.K)
 
 
 def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) -> StreamFunction:
@@ -87,7 +92,6 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     Neumann defect (residual boundary slip) is reported in a warning.
     """
     grid = w.grid
-    nodes = grid.nodes
     mirrored = _scan(w.coeffs, "vorticity")[1]  # raises on non-finite data
     terms = _direct_terms(grid, w.coeffs, None, v, mirrored)
     zero = terms.zero_row
@@ -95,13 +99,6 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     slip = 2.0 * terms.vinf[1] - terms.outer.table[:, 0]
     slip[zero] = 0.0
     terms = _with_trace(terms, np.zeros_like(slip), slip)
-    v_r, dpsi = terms.at_nodes()
-    # psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'
-    ks = np.where(terms.ks == 0, 1, terms.ks)[:, None]
-    psi = np.empty_like(v_r)
-    for band in _bands(len(ks), len(nodes)):
-        np.multiply(v_r[band], 1j * nodes / ks[band], out=psi[band])
-    psi[zero] = cumulative(nodes, dpsi[zero]).prefix
 
     # 2 pi int s w_0 ds, the circulation the moment report prints
     circulation = 2.0 * np.pi * abs(terms.zero[1].total)
@@ -112,7 +109,7 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
             stacklevel=2,
         )
 
-    out = StreamFunction(grid, w.K, psi, dpsi, v, VelocitySolution(terms, (v_r, dpsi), v, grid))
+    out = StreamFunction(VelocitySolution(terms, terms.at_nodes(), v, grid))
     defect = neumann_defect(out)
     if defect > warn_tolerance:
         warnings.warn(
@@ -139,5 +136,5 @@ def neumann_defect(psi: StreamFunction) -> float:
     orthogonality relations; for w = 0 against a uniform stream of speed v it
     equals the classical slip value 2 |v| sqrt(pi r0).
     """
-    boundary = _unfold(psi.d_psi[:, 0], psi.K)
-    return float(np.sqrt(2.0 * np.pi * psi.grid.r0 * np.sum(np.abs(boundary) ** 2)))
+    boundary = _unfold(psi.d_psi[:, 0], psi.velocity.K)
+    return float(np.sqrt(2.0 * np.pi * psi.velocity.grid.r0 * np.sum(np.abs(boundary) ** 2)))

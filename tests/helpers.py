@@ -343,7 +343,7 @@ def scaled_integrals_at(kernel, r):
     actual radius with one exp(p log(ratio)) per row and radius.  Radii beyond
     the last node are allowed: a prefix keeps its total, a suffix is zero.
     """
-    rc, idx, frac = _locate(kernel.nodes, r, extend=True)
+    rc, idx, frac = _locate(kernel.nodes, r)
     s0, s1 = kernel.nodes[idx], kernel.nodes[idx + 1]
     p = kernel.powers[:, None]
     f0, f1 = kernel.integrand[:, idx], kernel.integrand[:, idx + 1]
@@ -375,7 +375,7 @@ def mode_values(terms, r):
            + coef[2, :, None] * decay + coef[3, :, None])
     for mu, integral in zip((1.0, 1.0j), terms.zero):
         if integral is not None:
-            out[terms.ks == 0] += mu * integral.at(r, extend=True) / r
+            out[terms.ks == 0] += mu * integral.at(r) / r
     return out
 
 

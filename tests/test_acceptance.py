@@ -15,11 +15,12 @@ from divcurl.grids import (
     BoundaryTrace,
     RadialGrid,
     SpectralField,
+    analysis_angles,
     analyze,
     equispaced_angles,
     synthesize,
 )
-from divcurl.moments import make_admissible, moment_report, moment_residual
+from divcurl.moments import make_admissible, moment_report
 from divcurl.norms import (
     far_field_deviation_h1,
     h1_seminorm,
@@ -27,9 +28,9 @@ from divcurl.norms import (
     l2_weighted_norm,
 )
 from divcurl.presets import (
-    cylinder_slip_trace,
     ellipse_potential_velocity,
     potential_slip_boundary_fn,
+    potential_slip_trace,
     random_admissible_problem,
 )
 from divcurl.quadrature import trapezoid_weights
@@ -48,7 +49,8 @@ def test_criterion_1_cylinder_potential_flow():
     grid = RadialGrid.uniform(1.0, 12.0, 401)
     K = 4
     zeros = SpectralField.zeros(grid, K)
-    problem = DiskProblem(zeros, zeros, cylinder_slip_trace(K, 1.0), FarField(1.0, 0.0))
+    far = FarField(1.0, 0.0)
+    problem = DiskProblem(zeros, zeros, potential_slip_trace(K, far), far)
     solution = solve_disk(problem)
 
     rng = np.random.default_rng(10)
@@ -70,7 +72,7 @@ def test_criterion_2_impossibility_witness():
     K = 4
     zeros = SpectralField.zeros(grid, K)
     problem = DiskProblem(zeros, zeros, BoundaryTrace.zeros(K), FarField(1.0, 0.0))
-    residual = moment_residual(1, problem)
+    residual = moment_report(problem).residuals[1]
     err = abs(residual - (-1j))
     _criterion(2, err <= 1e-12, f"k=1 residual {residual} vs -i, err {err:.3e} <= 1e-12")
 
@@ -170,7 +172,7 @@ def test_criterion_5_conformal_path():
     w_fn = disk_problem.vorticity_fn
     ident = ExteriorProblem(identity_map(r0), grid, K,
                             vorticity_fn=lambda p: w_fn(np.abs(p), np.angle(p)))
-    angles = equispaced_angles(ident.n_angles)
+    angles = analysis_angles(ident.K)
     rr, pp = np.meshgrid(grid.nodes, angles, indexing="ij")
     resampled = DiskProblem(analyze(grid, w_fn(rr, pp), K),
                             SpectralField.zeros(grid, K), BoundaryTrace.zeros(K))

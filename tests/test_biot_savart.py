@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divcurl import biot_savart
 from divcurl.biot_savart import (
     _BLOCK_PAIRS,
     _field_values,
@@ -18,15 +19,17 @@ from divcurl.conformal import (
     pullback_problem,
 )
 from divcurl.disk import DiskProblem, FarField, solve_disk
-from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, analyze, smooth_bump
+from divcurl.grids import (BoundaryTrace, RadialGrid, SpectralField, analysis_angles, analyze,
+                           smooth_bump)
 from divcurl.presets import (
-    cylinder_slip_trace,
     ellipse_potential_velocity,
     modal_field,
     potential_slip_boundary_fn,
+    potential_slip_trace,
     random_admissible_exterior_problem,
     random_admissible_problem,
 )
+from divcurl.quadrature import trapezoid_weights
 
 from helpers import cylinder_flow, reference_biot_savart_disk
 
@@ -168,8 +171,7 @@ def test_separable_lattice_is_bit_identical_to_the_meshgrid(grid, m):
 
     ext = ExteriorProblem(m, grid, K, vorticity_fn=physical, divergence_fn=physical)
     pulled = pullback_problem(ext)
-    rr, pp = np.meshgrid(grid.nodes, 2.0 * np.pi * np.arange(ext.n_angles) / ext.n_angles,
-                         indexing="ij")
+    rr, pp = np.meshgrid(grid.nodes, analysis_angles(K), indexing="ij")
     expected = analyze(grid, _weighted_sampler(m, physical)(rr, pp), K).coeffs
     assert np.array_equal(pulled.vorticity.coeffs, expected)
     assert np.array_equal(pulled.divergence.coeffs, expected)
@@ -231,9 +233,7 @@ def test_localized_patch_far_field_circulation(grid):
     problem = DiskProblem(w, rho, BoundaryTrace.zeros(2),
                           vorticity_fn=lambda r, phi: smooth_bump(r, 1.5, 2.5)
                           * np.ones_like(np.asarray(phi, dtype=float)))
-    from divcurl.quadrature import radial_integral
-
-    circulation = 2.0 * np.pi * radial_integral(grid.nodes, bump, power=1).real
+    circulation = 2.0 * np.pi * (trapezoid_weights(grid.nodes) @ (grid.nodes * bump))
     far_point = 250.0 * np.exp(0.7j)  # |x| = 100 * support radius
     v = biot_savart_disk(far_point, problem, n_radial=400, n_angular=128,
                          support=(1.5, 2.5))
@@ -256,8 +256,9 @@ def test_matches_solver_on_admissible_data(grid):
 
 def test_matches_solver_with_boundary_layers(grid):
     # potential flow: everything is carried by the single layers
+    far = FarField(1.0, 0.0)
     problem = DiskProblem(SpectralField.zeros(grid, 3), SpectralField.zeros(grid, 3),
-                          cylinder_slip_trace(3, 1.0), FarField(1.0, 0.0))
+                          potential_slip_trace(3, far), far)
     pts = np.array([1.6 * np.exp(0.5j), 2.5 * np.exp(-1.0j), 4.0 * np.exp(2.8j)])
     v_orc = biot_savart_disk(pts, problem, n_radial=20, n_angular=16, n_boundary=256)
     v_exact = cylinder_flow(pts)
@@ -314,6 +315,27 @@ def test_interpolated_field_fallback_without_callable(grid):
     v_ref = solution.sample(pts)
     v = biot_savart_disk(pts, stripped, n_radial=300, n_angular=128, support=(1.8, 4.2))
     assert np.max(np.abs(v - v_ref)) < 1e-5
+
+
+def test_zero_field_without_callable_is_not_evaluated(grid, monkeypatch):
+    # zero divergence with no callable adds nothing to the charge, so the
+    # oracle skips it and still equals the reference sum
+    rng = np.random.default_rng(8)
+    problem = random_admissible_problem(rng, grid, K=6, K_data=4, K_c=6, support=(1.8, 4.2))
+    assert problem.divergence_fn is None and not problem.divergence.coeffs.any()
+    evaluated = []
+
+    def recording(name, *args):
+        evaluated.append(name)
+        return _field_values(name, *args)
+
+    monkeypatch.setattr(biot_savart, "_field_values", recording)
+    kwargs = {"n_radial": 24, "n_angular": 40, "n_boundary": 64, "support": (1.8, 4.2)}
+    pts = np.array([1.3 * np.exp(0.9j), 5.4 * np.exp(-0.4j)])
+    v = biot_savart_disk(pts, problem, **kwargs)
+    assert evaluated == ["vorticity"]
+    v_ref = reference_biot_savart_disk(pts, problem, **kwargs)
+    assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
 
 
 def test_omega_identity_reduces_to_disk(grid):

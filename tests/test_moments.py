@@ -5,13 +5,8 @@ from hypothesis import strategies as st
 
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
-from divcurl.moments import (
-    admissibility_corrections,
-    make_admissible,
-    moment_report,
-    moment_residual,
-)
-from divcurl.presets import cylinder_slip_trace, random_admissible_problem
+from divcurl.moments import admissibility_corrections, make_admissible, moment_report
+from divcurl.presets import potential_slip_trace, random_admissible_problem
 from divcurl.quadrature import trapezoid_weights
 
 
@@ -26,35 +21,26 @@ def zeros_problem(grid, K=4, g=None, far=FarField()):
 
 
 def test_zero_data_residuals(grid):
-    problem = zeros_problem(grid)
+    report = moment_report(zeros_problem(grid))
     for k in range(1, 5):
-        assert moment_residual(k, problem) == 0.0
-    report = moment_report(problem)
+        assert report.residuals[k] == 0.0
     assert report.circulation == 0.0 and report.flux == 0.0
 
 
 def test_far_field_violation(grid):
     v = 2.5
-    problem = zeros_problem(grid, far=FarField(v, 0.0))
-    assert abs(moment_residual(1, problem) + 1j * v) < 1e-15
+    residuals = moment_report(zeros_problem(grid, far=FarField(v, 0.0))).residuals
+    assert abs(residuals[1] + 1j * v) < 1e-15
     for k in range(2, 5):
-        assert moment_residual(k, problem) == 0.0
+        assert residuals[k] == 0.0
 
 
 def test_cylinder_trace_is_admissible(grid):
     v = 2.5
-    problem = zeros_problem(grid, g=cylinder_slip_trace(4, v), far=FarField(v, 0.0))
-    assert abs(moment_residual(1, problem)) < 1e-15
-    report = moment_report(problem)
+    far = FarField(v, 0.0)
+    report = moment_report(zeros_problem(grid, g=potential_slip_trace(4, far), far=far))
+    assert abs(report.residuals[1]) < 1e-15
     assert report.admissible and report.max_residual < 1e-15
-
-
-def test_moment_residual_validation(grid):
-    problem = zeros_problem(grid)
-    with pytest.raises(ValueError):
-        moment_residual(0, problem)
-    with pytest.raises(ValueError):
-        moment_residual(9, problem)
 
 
 def step_profile(grid, lo, hi, value=1.0):
@@ -94,7 +80,7 @@ def test_no_slip_orthogonality_examples(grid):
     rho = SpectralField.zeros(grid, K)
 
     def no_slip_residual(k, w):
-        return moment_residual(k, DiskProblem(w, rho, BoundaryTrace.zeros(K), FarField()))
+        return moment_report(DiskProblem(w, rho, BoundaryTrace.zeros(K), FarField())).residuals[k]
 
     assert no_slip_residual(2, rho) == 0.0
 
@@ -121,9 +107,9 @@ def test_moment_residual_linearity(a, b, k):
     rho = SpectralField.zeros(grid, 4)
     g = BoundaryTrace.zeros(4)
     combo = SpectralField.from_modes(grid, 4, {k: a * bump1 + b * bump2})
-    lhs = moment_residual(k, DiskProblem(combo, rho, g))
-    rhs = a * moment_residual(k, DiskProblem(w1, rho, g)) + b * moment_residual(
-        k, DiskProblem(w2, rho, g))
+    lhs = moment_report(DiskProblem(combo, rho, g)).residuals[k]
+    rhs = (a * moment_report(DiskProblem(w1, rho, g)).residuals[k]
+           + b * moment_report(DiskProblem(w2, rho, g)).residuals[k])
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -161,10 +147,10 @@ def test_make_admissible_random_violations(grid):
     g = BoundaryTrace.zeros(K)
     far = FarField(0.8, -0.4)
     w2 = make_admissible(w, rho, g, far, 8)
-    problem = DiskProblem(w2, rho, g, far)
+    report = moment_report(DiskProblem(w2, rho, g, far))
     for k in range(1, 9):
-        assert abs(moment_residual(k, problem)) < 1e-10
-    assert moment_report(problem).circulation_flux < 1e-10
+        assert abs(report.residuals[k]) < 1e-10
+    assert report.circulation_flux < 1e-10
     # conjugate symmetry preserved
     assert w2.conjugate_symmetry_defect() < 1e-13
 
@@ -229,8 +215,10 @@ def test_residual_conjugation_for_real_data(grid):
     conj_w = SpectralField(grid, 6, np.conj(problem.vorticity.coeffs[::-1]))
     conj_problem = DiskProblem(conj_w, problem.divergence, problem.boundary,
                                problem.far_field)
+    conj_residuals = moment_report(conj_problem).residuals
+    residuals = moment_report(problem).residuals
     for k in range(1, 6):
-        assert abs(moment_residual(k, conj_problem) - moment_residual(k, problem)) < 1e-13
+        assert abs(conj_residuals[k] - residuals[k]) < 1e-13
 
 
 def test_report_text_round_trip(grid):

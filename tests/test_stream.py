@@ -5,7 +5,7 @@ from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.moments import make_admissible, moment_report
 from divcurl.presets import random_admissible_problem
-from divcurl.quadrature import radial_integral
+from divcurl.quadrature import trapezoid_weights
 from divcurl.stream import StreamFunction, neumann_defect, solve_stream, velocity_from_stream
 
 from helpers import cylinder_flow_polar, mp_stream_mode, observed_order, polar_samples
@@ -32,9 +32,10 @@ def test_uniform_stream_gives_cylinder_flow(grid):
         psi = solve_stream(SpectralField.zeros(grid, 2), FarField(v, 0.0))
     r = grid.nodes
     phis = np.array([0.4, 1.9, 3.7, 5.6])
+    K = psi.velocity.K
     for phi in phis:
-        values = (psi.modes[psi.K + 1] * np.exp(1j * phi)
-                  + psi.modes[psi.K - 1] * np.exp(-1j * phi)).real
+        values = (psi.modes[K + 1] * np.exp(1j * phi)
+                  + psi.modes[K - 1] * np.exp(-1j * phi)).real
         expected = -v * r * np.sin(phi) * (1.0 - 1.0 / r**2)
         assert np.max(np.abs(values - expected)) < 1e-12 * np.max(1.0 + np.abs(expected))
 
@@ -98,7 +99,7 @@ def test_poisson_residual_convergence():
         s = grid.nodes
         interior = slice(2, -2)
         for k in range(-5, 6):
-            pk = psi.modes[k + psi.K]
+            pk = psi.modes[k + psi.velocity.K]
             lap = (np.gradient(np.gradient(pk, s), s) + np.gradient(pk, s) / s
                    - k * k * pk / s**2)
             err = max(err, np.max(np.abs((lap - problem.vorticity.coeff(k))[interior])))
@@ -113,7 +114,7 @@ def test_circulation_closure_at_infinity(grid):
     rng = np.random.default_rng(5)
     problem = random_admissible_problem(rng, grid, K=4, K_data=3, K_c=4,
                                         support=(1.5, 4.0))
-    assert abs(radial_integral(grid.nodes, problem.vorticity.coeff(0), power=1)) < 1e-12
+    assert abs(trapezoid_weights(grid.nodes) @ (grid.nodes * problem.vorticity.coeff(0))) < 1e-12
     psi = solve_stream(problem.vorticity, problem.far_field)
     flow = velocity_from_stream(psi)
     loops = []
@@ -135,7 +136,7 @@ def test_nonzero_circulation_warns(grid):
     # 2 pi int s w_0 ds, with the tolerance: here 3.14e-8 > 1e-8
     small = RadialGrid.uniform(1.0, 8.0, 801)
     bump = smooth_bump(small.nodes, 2.0, 4.0)
-    bump /= radial_integral(small.nodes, bump, power=1).real
+    bump /= trapezoid_weights(small.nodes) @ (small.nodes * bump)
     w = SpectralField.from_modes(small, 2, {0: 5e-9 * bump + 0j})
     report = moment_report(DiskProblem(w, SpectralField.zeros(small, 2), BoundaryTrace.zeros(2),
                                        FarField()))
@@ -236,10 +237,18 @@ def test_matches_variation_of_parameters_reference():
 
 
 def test_stream_function_requires_velocity_terms(grid):
-    # without its kernel terms a StreamFunction could not be sampled
-    zeros = np.zeros((3, len(grid)), dtype=complex)
+    # a StreamFunction is a view of its velocity: psi' is the v_phi rows, and
+    # psi is read off the v_r rows once, read-only, so they cannot disagree
     with pytest.raises(TypeError):
-        StreamFunction(grid, 1, zeros, zeros.copy(), FarField())
+        StreamFunction()
+    problem = random_admissible_problem(np.random.default_rng(7), grid, K=4, K_data=3, K_c=4)
+    psi = solve_stream(problem.vorticity, problem.far_field)
+    v_r, v_phi = psi.velocity.rows
+    assert psi.d_psi is v_phi
+    assert psi.psi is psi.psi and not psi.psi.flags.writeable
+    nonzero = psi.velocity.terms.ks != 0
+    ks = psi.velocity.terms.ks[nonzero, None]
+    assert np.array_equal(psi.psi[nonzero], 1j * grid.nodes / ks * v_r[nonzero])
 
 
 def test_non_finite_vorticity_raises(grid):
