@@ -40,6 +40,17 @@ so with the phase the mode sum is a set of polynomials in (s_j/r) e^{i phi},
 (r/s_j) e^{-i phi} and (r0/r) e^{i phi}, evaluated by Horner's rule
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
 2002, section 5.1).  Each base has modulus at most the panel ratio s1/s0.
+
+The independent halves of a solve run side by side when the pass is large
+enough to pay for the hand-off and the process may use two CPUs
+(quadrature._together): the vorticity scan on the worker thread and the
+divergence scan here; the prefix table a_k, with its integrand
+w - i sigma rho, on the worker and the suffix table b_k, with
+w + i sigma rho, here; the first half of the node-profile bands on the
+worker; and in sample the inner half of the points, in order of radius,
+on the worker.  Mode 0 and the constant far field are added to the
+samples on the calling thread, which keeps every call to
+CumulativeIntegral.at there.
 """
 
 from __future__ import annotations
@@ -51,7 +62,8 @@ from functools import cached_property
 import numpy as np
 
 from .grids import BoundaryTrace, RadialGrid, SpectralField
-from .quadrature import ScaledIntegrals, _bands, _locate, _unfold, cumulative, scaled_integrals
+from .quadrature import (ScaledIntegrals, _bands, _locate, _side_by_side, _together, _unfold,
+                         cumulative, scaled_integrals)
 
 __all__ = [
     "FarField",
@@ -137,19 +149,29 @@ class ModeTerms:
         return np.exp(np.multiply.outer(np.abs(self.ks[rows]) + 1.0, np.log(self.r0 / r)))
 
     def at_nodes(self):
-        """Node profiles (v_r, v_phi) on the rows ks, each (rows, nodes), built band by band."""
+        """Node profiles (v_r, v_phi) on the rows ks, each (rows, nodes), built band by band.
+
+        The first half of the bands is built on the worker thread
+        (quadrature._together); the bands write disjoint rows.
+        """
         nodes = self.inner.nodes
         v_r, v_phi = (np.empty(self.inner.table.shape, dtype=complex) for _ in range(2))
         half_i = 0.5j * np.sign(self.ks)
-        for band in _bands(len(self.ks), len(nodes)):
-            decay = self._decay(nodes, band)
-            a, b = self.inner.table[band], self.outer.table[band]
-            rows = np.add(a, b, out=v_r[band])
-            rows *= half_i[band, None]
-            rows += self.trace[0, band, None] * decay
-            rows = np.subtract(a, b, out=v_phi[band])
-            rows *= 0.5
-            rows += self.trace[1, band, None] * decay
+
+        def build(bands):
+            for band in bands:
+                decay = self._decay(nodes, band)
+                a, b = self.inner.table[band], self.outer.table[band]
+                rows = np.add(a, b, out=v_r[band])
+                rows *= half_i[band, None]
+                rows += self.trace[0, band, None] * decay
+                rows = np.subtract(a, b, out=v_phi[band])
+                rows *= 0.5
+                rows += self.trace[1, band, None] * decay
+
+        bands = _bands(len(self.ks), len(nodes))
+        half = len(bands) // 2
+        _together(lambda: build(bands[:half]), lambda: build(bands[half:]), v_r.size)
         zero = self.zero_row
         decay = self._decay(nodes, slice(zero, zero + 1))[0]
         for x, trace, vinf, integral in zip((v_r, v_phi), self.trace, self.vinf, self.zero):
@@ -161,7 +183,8 @@ class ModeTerms:
         return v_r, v_phi
 
     def _mode_sum(self, z):
-        """sum over k of (v_r,k + i v_phi,k)(r) e^{i (k+1) phi} at the points z = r e^{i phi}.
+        """sum over k != 0 of (v_r,k + i v_phi,k)(r) e^{i (k+1) phi} at the points z = r e^{i phi},
+        without the constant far field of k = -1, +1 (VelocitySolution.sample adds it and mode 0).
 
         In v_r + i v_phi the suffix kernel cancels for k = m > 0, and the
         prefix kernel and the decay cancel for k = -m < 0:
@@ -220,18 +243,7 @@ class ModeTerms:
         h, hb = 0.5 * (rc - s0), 0.5 * (s1 - rc)
         a = u0 * u0 * (ta + (h * (2.0 - frac)) * fa0) + u1 * u1 * ((h * frac) * fa1)
         b = tb + (hb * (1.0 + frac)) * fb1 + (hb * (1.0 - frac)) * fb0
-        total = 1j * (a - b) + ud * ud * d
-        # mode 0, (zero(r) + r0 g_0) / r, and the constant far field of k = -1, +1
-        mode0 = (self.trace[0, zero] + 1j * self.trace[1, zero]) * (self.r0 / r)
-        for mu, integral in zip((1.0, 1.0j), self.zero):
-            if integral is not None:
-                mode0 += mu * integral.at(r) / r
-        total += unit * mode0
-        if K:
-            minus = self.vinf[:, zero - 1] if zero else np.conj(self.vinf[:, 1])
-            plus = self.vinf[:, zero + 1]
-            total += (minus[0] + 1j * minus[1]) + (plus[0] + 1j * plus[1]) * unit * unit
-        return total
+        return 1j * (a - b) + ud * ud * d
 
 
 def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool) -> ModeTerms:
@@ -246,18 +258,21 @@ def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool) -> Mo
     ks = np.arange(0 if mirrored and _scan(vinf.T, "far field")[1] else -K, K + 1)
     rows = slice(K + ks[0], None)
     w, vinf = w[rows], vinf[:, rows]
+    rho = None if rho is None else rho[rows]
     sigma = np.sign(ks)
-    f_inner = f_outer = w
-    if rho is not None:
-        # w -+ i sigma rho, formed band by band
-        rho = rho[rows]
-        f_inner, f_outer = np.empty_like(w, dtype=complex), np.empty_like(w, dtype=complex)
-        for band in _bands(len(ks), w.shape[1]):
-            rho_i = 1j * sigma[band, None] * rho[band]
-            np.subtract(w[band], rho_i, out=f_inner[band])
-            np.add(w[band], rho_i, out=f_outer[band])
-    inner = scaled_integrals(grid.nodes, f_inner, np.abs(ks) + 1.0)
-    outer = scaled_integrals(grid.nodes, f_outer, np.abs(ks) - 1.0, suffix=True)
+
+    def table(combine, powers, suffix):
+        # the integrand combine(w, i sigma rho), formed band by band, and its table
+        f = w
+        if rho is not None:
+            f = np.empty_like(w, dtype=complex)
+            for band in _bands(len(ks), w.shape[1]):
+                combine(w[band], 1j * sigma[band, None] * rho[band], out=f[band])
+        return scaled_integrals(grid.nodes, f, powers, suffix)
+
+    # the prefix table on the worker thread, the suffix table here
+    inner, outer = _together(lambda: table(np.subtract, np.abs(ks) + 1.0, False),
+                             lambda: table(np.add, np.abs(ks) - 1.0, True), 2 * w.size)
     zero = -ks[0]
     zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[zero]),
                       cumulative(grid.nodes, grid.nodes * w[zero]))
@@ -387,18 +402,41 @@ class VelocitySolution:
         (s/r) e^{i phi} and (r/s) e^{-i phi}, s a node of the point's panel,
         by Horner's rule (ModeTerms._mode_sum): no power or phase is formed
         per mode and point.  The points go in order of radius, in blocks
-        whose Horner accumulators fill one band.
+        whose Horner accumulators fill one band; the inner half of them is
+        summed on the worker thread (quadrature._together).  Mode 0 and the
+        constant far field are added here, to all points at once.
         """
         points = np.asarray(points, dtype=complex)
         flat = points.ravel()
+        terms = self.terms
+        r = np.abs(flat)
         # points in order of radius, so a block gathers a narrow window of
         # table columns; each point's sum does not depend on its block
-        order = np.argsort(np.abs(flat), kind="stable")
+        order = np.argsort(r, kind="stable")
         out = np.empty(flat.size, dtype=complex)
-        # the seven Horner accumulators of a block fill one band
-        for block in _bands(flat.size, 7):
-            rows = order[block]
-            out[rows] = self.terms._mode_sum(flat[rows])
+
+        def fill(part):
+            # the seven Horner accumulators of a block fill one band
+            for block in _bands(part.size, 7):
+                rows = part[block]
+                out[rows] = terms._mode_sum(flat[rows])
+
+        # each point's Horner sum passes over seven accumulators per mode; a
+        # small pass keeps its points in one call, which has a cost per mode
+        size = 7 * terms.K * flat.size
+        half = flat.size // 2 if _side_by_side(size) else 0
+        _together(lambda: fill(order[:half]), lambda: fill(order[half:]), size)
+        # mode 0, (zero(r) + r0 g_0) / r, and the constant far field of k = -1, +1
+        zero, unit = terms.zero_row, flat / r
+        mode0 = (terms.trace[0, zero] + 1j * terms.trace[1, zero]) * (terms.r0 / r)
+        for mu, integral in zip((1.0, 1.0j), terms.zero):
+            if integral is not None:
+                mode0 += mu * integral.at(r) / r
+        out += unit * mode0
+        if terms.K:
+            minus = terms.vinf[:, zero - 1] if zero else np.conj(terms.vinf[:, 1])
+            plus = terms.vinf[:, zero + 1]
+            out += (minus[0] + 1j * minus[1]) + (plus[0] + 1j * plus[1]) * unit * unit
         return out.reshape(points.shape)
 
     def boundary_trace(self) -> BoundaryTrace:
@@ -417,8 +455,9 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     grid = problem.grid
     w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
-    w_scale, w_mirrored = _scan(w.coeffs, "vorticity")
-    rho_scale, rho_mirrored = _scan(rho.coeffs, "divergence")
+    (w_scale, w_mirrored), (rho_scale, rho_mirrored) = _together(
+        lambda: _scan(w.coeffs, "vorticity"), lambda: _scan(rho.coeffs, "divergence"),
+        w.coeffs.size + rho.coeffs.size)
     g_mirrored = _scan(np.stack((g.g_r, g.g_phi), axis=1), "boundary trace")[1]
     support_scale = max(w_scale, rho_scale, 1e-300)
     edge = max(float(np.max(np.abs(w.coeffs[:, -1]))), float(np.max(np.abs(rho.coeffs[:, -1]))))

@@ -11,7 +11,11 @@ the order one einsum over the whole array takes, so banding leaves every norm
 bit for bit as it was.  The velocity norms read the profiles a solution
 holds: for real data (mirrored terms, v_{-k} = conj(v_k)) those are the rows
 k = 0..K, summed as row 0 plus twice rows 1..K, which matches the
-whole-array einsum to rounding, not bit for bit.
+whole-array einsum to rounding, not bit for bit.  The first half of a
+norm's terms is squared on the worker thread (quadrature._together): the
+two radial derivatives of the gradient energy, the v_r deviation of the L2
+deviation.  Each term keeps its own sum and the terms are added in order at
+the end, so the split leaves every norm bit for bit as it was.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .disk import VelocitySolution
 from .grids import BoundaryTrace, SpectralField
-from .quadrature import _bands, trapezoid_weights
+from .quadrature import _bands, _together, trapezoid_weights
 
 __all__ = [
     "l2_weighted_norm",
@@ -35,30 +39,36 @@ __all__ = [
 def _power(count, s, terms, mirrored=False) -> np.ndarray:
     """sum over modes and terms of |term_k(s_j)|^2 at every node.
 
-    terms(band) yields the band's rows of each (modes, nodes) complex term.
+    terms[t](band) gives the band's rows of the (modes, nodes) complex term t.
     Each term's squares are summed row after row over the float view, with
     the running sum carried from band to band, and the terms are added at the
-    end: the order of one einsum per whole term, so the sum is unchanged.
-    Mirrored terms (the rows k = 0..K of modes with row -m the conjugate of
-    row m) are summed as row 0 plus twice the sum of rows 1..K.
+    end, in term order: the order of one einsum per whole term, so the sum is
+    unchanged.  Mirrored terms (the rows k = 0..K of modes with row -m the
+    conjugate of row m) are summed as (sum over t of row 0) plus twice (sum
+    over t of rows 1..K).  The first half of the terms is squared on the
+    worker thread (quadrature._together), the rest on this one.
     """
-    if not mirrored:
-        return _squares(_bands(count, s.size), terms)
-    return _squares([slice(0, 1)], terms) + 2.0 * _squares(_bands(count, s.size, 1), terms)
+    groups = [[slice(0, 1)], _bands(count, s.size, 1)] if mirrored else [_bands(count, s.size)]
+    half = len(terms) // 2
+    first, second = _together(lambda: [_squares(bands, terms[:half]) for bands in groups],
+                              lambda: [_squares(bands, terms[half:]) for bands in groups],
+                              len(terms) * count * s.size)
+    sums = [sum(a + b) for a, b in zip(first, second)]
+    return sums[0] + 2.0 * sums[1] if mirrored else sums[0]
 
 
-def _squares(bands, terms) -> np.ndarray:
-    """sum over the rows of the bands and over the terms of |term_k(s_j)|^2, as in _power."""
+def _squares(bands, terms) -> list:
+    """Per term, the sum over the rows of the bands of |term_k(s_j)|^2, as in _power."""
     acc = {}
     for band in bands:
-        for t, values in enumerate(terms(band)):
-            flat = np.ascontiguousarray(values, dtype=complex).view(float)
+        for t, term in enumerate(terms):
+            flat = np.ascontiguousarray(term(band), dtype=complex).view(float)
             rows = np.empty((len(flat) + 1, flat.shape[1]))
             rows[0] = acc.get(t, 0.0)
             np.multiply(flat, flat, out=rows[1:])
             acc[t] = rows.sum(axis=0)
-            del flat, values, rows  # before the next term is formed
-    return sum(a.reshape(-1, 2).sum(axis=1) for a in acc.values())
+            del flat, rows  # before the next term is formed
+    return [a.reshape(-1, 2).sum(axis=1) for a in acc.values()]
 
 
 def _radial_derivative(f, s) -> np.ndarray:
@@ -95,7 +105,7 @@ def l2_weighted_norm(field: SpectralField, N=0.0) -> float:
     if N < 0.0:
         raise ValueError("weight exponent must be nonnegative")
     s = field.grid.nodes
-    power = _power(2 * field.K + 1, s, lambda band: (field.coeffs[band],))
+    power = _power(2 * field.K + 1, s, [lambda band: field.coeffs[band]])
     return _volume_norm(power, s, (1.0 + s * s) ** N)
 
 
@@ -118,15 +128,12 @@ def h1_seminorm(solution: VelocitySolution) -> float:
     # x * (1 / s) is what complex division by the real s computes, for less time
     inv_s = np.reciprocal(s)
 
-    def terms(band):
-        # polar gradient of one Fourier mode: radial derivatives plus the
-        # angular/frame terms (i k v_r - v_phi)/r and (i k v_phi + v_r)/r
-        r, phi, k = v_r[band], v_phi[band], ik[band]
-        yield _radial_derivative(r, s)
-        yield _radial_derivative(phi, s)
-        yield (k * r - phi) * inv_s
-        yield (k * phi + r) * inv_s
-
+    # polar gradient of one Fourier mode: radial derivatives (on the worker
+    # thread) plus the angular/frame terms (i k v_r - v_phi)/r and (i k v_phi + v_r)/r
+    terms = [lambda band: _radial_derivative(v_r[band], s),
+             lambda band: _radial_derivative(v_phi[band], s),
+             lambda band: (ik[band] * v_r[band] - v_phi[band]) * inv_s,
+             lambda band: (ik[band] * v_phi[band] + v_r[band]) * inv_s]
     return _volume_norm(_power(len(ik), s, terms, solution.terms.mirrored), s)
 
 
@@ -135,8 +142,8 @@ def scalar_gradient_norm(field: SpectralField) -> float:
     s = field.grid.nodes
     ks = np.arange(-field.K, field.K + 1)[:, None]
     f = field.coeffs
-    power = _power(len(ks), s, lambda band: (_radial_derivative(f[band], s),
-                                            ks[band] * f[band] / s))
+    power = _power(len(ks), s, [lambda band: _radial_derivative(f[band], s),
+                                lambda band: ks[band] * f[band] / s])
     return _volume_norm(power, s)
 
 
@@ -145,8 +152,8 @@ def far_field_deviation_l2(solution: VelocitySolution) -> float:
     s = solution.grid.nodes
     v_r, v_phi = solution.rows
     vinf = solution.terms.vinf
-    power = _power(len(v_r), s, lambda band: (v_r[band] - vinf[0, band, None],
-                                              v_phi[band] - vinf[1, band, None]),
+    power = _power(len(v_r), s, [lambda band: v_r[band] - vinf[0, band, None],
+                                 lambda band: v_phi[band] - vinf[1, band, None]],
                    solution.terms.mirrored)
     return _volume_norm(power, s)
 

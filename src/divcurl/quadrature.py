@@ -26,15 +26,33 @@ Borges & Daripa, J. Comput. Phys. 169 (2001)).
 
 Every row is independent, so the tables are built in row bands: _bands
 cuts the rows so that one complex band of the grid's width stays within
-_BAND_BYTES (2^20 bytes, 16 rows at M = 4000), and every temporary of a
-pass then fits in a 2 MB L2 cache.  The block schedule comes from the
-largest power of all rows, so the banded tables equal the whole-array ones
-bit for bit.  The node profiles, the off-node sampler and the volume norms
-walk the same bands.
+_BAND_BYTES (2^20 bytes, 16 rows at M = 4000).  That bounds each temporary
+of a pass, per thread: a pass holds a few such operands at once, and on
+each of the two threads below.  The block schedule comes from the largest
+power of all rows, so the banded tables equal the whole-array ones bit for
+bit.  The node profiles, the off-node sampler and the volume norms walk the
+same bands.
+
+The solver's passes come in independent halves: the prefix and the suffix
+table, the two data scans, the two halves of the node-profile bands and of
+the sample points, and the radial-derivative and frame terms of the
+gradient energy.  _together runs the first half on one worker thread and
+the second on the calling thread.  numpy releases the interpreter lock
+inside its loops over whole bands, so the two halves share the host's
+cores.  A pass over less than two bands' worth of values, or a process
+that may run on one CPU only, runs its halves one after the other on the
+calling thread: there the hand-off, or the two threads taking turns on
+one core, costs more than the overlap saves.  The split is fixed, never
+dynamic, and every row, point and sum is formed by the same operations in
+the same order as one thread would, so results do not depend on it bit
+for bit.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 import numpy as np
 
@@ -51,6 +69,75 @@ _RANGE_SLACK = 1e-9
 _BLOCK_EXPONENT = 300.0
 # bytes of one complex temporary in a banded pass: 2^20 keeps each operand in L2
 _BAND_BYTES = 1 << 20
+
+
+# _together runs the halves of a pass of at least this many complex values side by side
+_SIDE_BY_SIDE = 2 * (_BAND_BYTES // 16)
+# the inbox of _together's worker thread, started on first use
+_inbox = None
+
+
+def _drop_worker():
+    """Forget the worker in a forked child: its thread did not survive the fork."""
+    global _inbox
+    _inbox = None
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _serve(inbox):
+    """The worker: run each call put in the inbox, pass back (ok, result or error)."""
+    while True:
+        call, box, done = inbox.get()
+        try:
+            box[:] = True, call()
+        except BaseException as error:  # raised again in the calling thread
+            box[:] = False, error
+        del call, box  # keep nothing of a finished call alive
+        done.release()
+
+
+def _side_by_side(size) -> bool:
+    """Whether a pass over size values runs its halves on two threads.
+
+    It does from _SIDE_BY_SIDE values on, when this process may run on more
+    than one CPU (its affinity mask where the platform has one).
+    """
+    if size < _SIDE_BY_SIDE:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _together(first, second, size):
+    """(first(), second()), with first run on the worker thread and second on this one.
+
+    size is the number of values the two calls pass over together; unless
+    _side_by_side(size), both run here, first then second.  Neither call is
+    still running when this returns or raises, and if first raises, its
+    exception is raised.  The worker runs leaf work only: first never calls
+    _together, so the single worker cannot wait on itself.
+    """
+    global _inbox
+    if not _side_by_side(size):
+        return first(), second()
+    if _inbox is None:
+        _inbox = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(_inbox,), name="divcurl-worker",
+                         daemon=True).start()
+    box, done = [], threading.Lock()
+    done.acquire()  # released by the worker when first has finished
+    _inbox.put((first, box, done))
+    try:
+        last = second()
+    finally:
+        done.acquire()  # first has finished, whatever second did
+        ok, value = box
+        if not ok:
+            raise value
+    return value, last
 
 
 def _bands(count, width, start=0):

@@ -18,11 +18,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from divcurl import disk, quadrature, stream
+from divcurl import disk, norms, quadrature, stream
 from divcurl.disk import solve_disk
 from divcurl.moments import moment_report
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
-from divcurl.norms import far_field_deviation_h1
+from divcurl.norms import far_field_deviation_h1, far_field_deviation_l2, h1_seminorm
 from divcurl.quadrature import _BAND_BYTES, _bands, scaled_integrals, trapezoid_weights
 from divcurl.stream import neumann_defect, solve_stream
 
@@ -31,6 +31,7 @@ from helpers import (
     reference_profiles,
     reference_sample,
     reference_scaled_prefix,
+    sequential_power,
 )
 from test_highmode import admissible_highmode_problem
 
@@ -91,6 +92,31 @@ def test_node_profiles_and_h1_equal_the_whole_array_path(highmode):
             assert got == want
 
 
+def test_norms_equal_the_sequential_sums_bit_for_bit(highmode, monkeypatch, two_cpus):
+    # each term summed in band order and the terms added in term order, the
+    # mirrored ones as row 0 plus twice rows 1..K, whichever thread squares them
+    # and the per-node sums too, since the radial product can round a drift away
+    powers = []
+    volume_norm = norms._volume_norm
+
+    def recorded(power, s, weight=1.0):
+        powers.append(power)
+        return volume_norm(power, s, weight)
+
+    monkeypatch.setattr(norms, "_volume_norm", recorded)
+    for _, solution, _ in highmode:
+        got = h1_seminorm(solution), far_field_deviation_l2(solution)
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_power", lambda count, s, terms, mirrored=False:
+                          sequential_power(count, s, lambda band: [t(band) for t in terms],
+                                           mirrored))
+            want = h1_seminorm(solution), far_field_deviation_l2(solution)
+        assert got == want
+        for threaded, sequential in zip(powers[:2], powers[2:]):
+            assert threaded.tobytes() == sequential.tobytes()
+        powers.clear()
+
+
 def counted_rows(monkeypatch):
     """The row counts quadrature._scaled_table receives, call by call."""
     rows = []
@@ -146,6 +172,20 @@ def test_non_finite_data_in_a_negative_mode_only_raises(name, value):
     bad = replace(problem, **{name: SpectralField(problem.grid, K, coeffs)})
     with pytest.raises(ValueError, match=name):
         solve_disk(bad)
+
+
+def test_non_finite_vorticity_and_divergence_name_the_vorticity(two_cpus):
+    # the two scans run side by side; the vorticity's error is the one raised
+    K = 40
+    problem = admissible_highmode_problem(K=K, M=M, seed=9, ratio=1.0005, real=True)
+    assert 2 * (2 * K + 1) * M >= quadrature._SIDE_BY_SIDE
+    bad = {}
+    for name in ("vorticity", "divergence"):
+        coeffs = np.array(getattr(problem, name).coeffs)
+        coeffs[K + 2, 100] = np.nan
+        bad[name] = SpectralField(problem.grid, K, coeffs)
+    with pytest.raises(ValueError, match="vorticity"):
+        solve_disk(replace(problem, **bad))
 
 
 def test_zero_divergence_equals_the_zero_array_path_byte_for_byte(monkeypatch):

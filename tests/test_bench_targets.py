@@ -4,6 +4,14 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import threading
+
+import numpy as np
+import pytest
+
+from divcurl import disk, moments, norms, stream
+
+from test_highmode import admissible_highmode_problem
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -31,3 +39,43 @@ def test_every_traced_name_exists_in_divcurl():
             # the pair counter binds the oracle's lattice keywords by name
             params = inspect.signature(target).parameters
             assert {"n_radial", "n_angular", "n_boundary"} <= set(params)
+
+
+def test_traced_targets_run_on_the_calling_thread(two_cpus):
+    # the tracer keeps one span stack and one counter for the process, so the
+    # worker thread of quadrature._together must call none of its targets
+    spans = _spans_module()
+    threads = set()
+
+    class ThreadTracer(spans.Tracer):
+        def _open(self, name):
+            threads.add(threading.current_thread())
+            return super()._open(name)
+
+        def counting(self, fn, name):
+            counted = super().counting(fn, name)
+
+            def wrapper(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return counted(*args, **kwargs)
+
+            return wrapper
+
+    problem = admissible_highmode_problem(K=128, M=4000, seed=7, ratio=1.0005, real=True)
+    rng = np.random.default_rng(3)
+    points = (1.0 + 11.5 * rng.random(8192)) * np.exp(2j * np.pi * rng.random(8192))
+    tracer = ThreadTracer()
+    with tracer.active(0):
+        solution = disk.solve_disk(problem)
+        moments.moment_report(problem)
+        at_calls = tracer.counters["quadrature.at_calls"]
+        solution.sample(points)
+        at_calls = tracer.counters["quadrature.at_calls"] - at_calls
+        norms.far_field_deviation_h1(solution)
+        norms.l2_weighted_norm(problem.vorticity, 2.0)
+        with pytest.warns(UserWarning, match="no-slip"):  # the data is not no-slip
+            stream.solve_stream(problem.vorticity, problem.far_field)
+    assert threads == {threading.main_thread()}
+    # one evaluation of each mode-0 integral (rho and w) for all the points
+    assert at_calls == 2
+    assert {span[0] for span in tracer.spans} >= {"disk.solve", "disk.sample", "norms.h1"}

@@ -1,11 +1,20 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divcurl.quadrature import cumulative, trapezoid_weights
+from divcurl.disk import solve_disk
+from divcurl.quadrature import _SIDE_BY_SIDE, _together, cumulative, trapezoid_weights
 
 from helpers import observed_order
+from test_highmode import admissible_highmode_problem
 
 
 def test_linear_weight_exact():
@@ -74,3 +83,79 @@ def test_linearity(a, b):
     combined = cumulative(nodes, nodes * (a * f + b * g)).total
     split = a * cumulative(nodes, nodes * f).total + b * cumulative(nodes, nodes * g).total
     assert abs(combined - split) < 1e-12
+
+
+def test_together_runs_large_passes_side_by_side_and_small_ones_here(two_cpus, monkeypatch):
+    here = threading.current_thread()
+    large = [_together(threading.current_thread, threading.current_thread, _SIDE_BY_SIDE)
+             for _ in range(3)]
+    assert all(second is here for _, second in large)
+    assert len({first for first, _ in large}) == 1 and large[0][0] is not here
+    small = _together(threading.current_thread, threading.current_thread, _SIDE_BY_SIDE - 1)
+    assert small == (here, here)
+    # on one CPU the two threads would only take turns
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_cpu = _together(threading.current_thread, threading.current_thread, _SIDE_BY_SIDE)
+    assert one_cpu == (here, here)
+
+
+def test_together_raises_only_after_both_calls_returned(two_cpus):
+    done = []
+
+    def first_fails():
+        raise KeyError("first")
+
+    def second_finishes():
+        time.sleep(0.2)
+        done.append("second")
+
+    def first_finishes():
+        time.sleep(0.2)
+        done.append("first")
+
+    def second_fails():
+        raise IndexError("second")
+
+    with pytest.raises(KeyError):
+        _together(first_fails, second_finishes, _SIDE_BY_SIDE)
+    assert done == ["second"]
+    with pytest.raises(IndexError):  # first is left running by no error
+        _together(first_finishes, second_fails, _SIDE_BY_SIDE)
+    assert done == ["second", "first"]
+    with pytest.raises(KeyError):  # both raise: first's error
+        _together(first_fails, second_fails, _SIDE_BY_SIDE)
+    with pytest.raises(KeyError):  # a small pass: second does not start
+        _together(first_fails, second_finishes, 0)
+    assert done == ["second", "first"]
+
+
+class _Result:
+    pass
+
+
+def test_the_worker_keeps_nothing_of_a_finished_call(two_cpus):
+    result, _ = _together(_Result, lambda: None, _SIDE_BY_SIDE)
+    ref = weakref.ref(result)
+    del result
+    assert ref() is None
+
+
+def _solve_in_child(problem, expected):
+    rows = solve_disk(problem).rows
+    sys.exit(0 if all(np.array_equal(a, b) for a, b in zip(rows, expected)) else 1)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_child_forked_after_the_worker_started_solves(two_cpus):
+    # K = 40, M = 4000: every pass is large enough to run side by side
+    problem = admissible_highmode_problem(K=40, M=4000, seed=9, ratio=1.0005, real=True)
+    expected = solve_disk(problem).rows  # the worker thread runs from here on
+    child = multiprocessing.get_context("fork").Process(target=_solve_in_child,
+                                                        args=(problem, expected))
+    child.start()
+    child.join(20)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
