@@ -235,10 +235,6 @@ class ExteriorSolution:
     disk_solution: VelocitySolution
     map: ConformalMap
 
-    @property
-    def report(self):
-        return self.disk_solution.report
-
     def sample_image(self, z) -> np.ndarray:
         """Cartesian velocity v1 + i v2 in Omega at Phi^-1(z), from disk-plane points z.
 

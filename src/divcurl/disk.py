@@ -40,6 +40,17 @@ so with the phase the mode sum is a set of polynomials in (s_j/r) e^{i phi},
 (r/s_j) e^{-i phi} and (r0/r) e^{i phi}, evaluated by Horner's rule
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
 2002, section 5.1).  Each base has modulus at most the panel ratio s1/s0.
+Off the data's support most of those coefficients are zero: where the
+panel lies below the support only b_m and the decay remain (the prefix and
+both integrands are zero there), and above it only a_m and the decay.  A
+large sample is therefore cut, in order of radius, into three groups,
+below, on and above the support, and each group sums only the polynomials
+whose coefficients can be nonzero.  The terms left out are exact zeros,
+so every nonzero part of a sample is the full sum's bit for bit; a part
+that is exactly zero kept its sign too in every case tried (signed-zero
+data, and traces that put zeros on the axes).
+The support is the first and last node column where some mode of w or rho
+is nonzero, read off the column maxima of the scan of each field.
 
 The independent halves of a solve run side by side when the pass is large
 enough to pay for the hand-off and the process may use two CPUs
@@ -47,8 +58,8 @@ enough to pay for the hand-off and the process may use two CPUs
 divergence scan here; the prefix table a_k, with its integrand
 w - i sigma rho, on the worker and the suffix table b_k, with
 w + i sigma rho, here; the first half of the node-profile bands on the
-worker; and in sample the inner half of the points, in order of radius,
-on the worker.  Mode 0 and the constant far field are added to the
+worker; and in sample the inner half of each radius group on the
+worker.  Mode 0 and the constant far field are added to the
 samples on the calling thread, which keeps every call to
 CumulativeIntegral.at there.
 """
@@ -62,8 +73,8 @@ from functools import cached_property
 import numpy as np
 
 from .grids import BoundaryTrace, RadialGrid, SpectralField
-from .quadrature import (ScaledIntegrals, _bands, _locate, _side_by_side, _together, _unfold,
-                         cumulative, scaled_integrals)
+from .quadrature import (_SIDE_BY_SIDE, ScaledIntegrals, _bands, _locate, _scaled, _support,
+                         _together, _unfold, cumulative)
 
 __all__ = [
     "FarField",
@@ -103,6 +114,10 @@ def vinf_coefficients(v: FarField, k: int) -> tuple:
     return vr, vphi
 
 
+# the polynomials of ModeTerms._mode_sum that can be nonzero below and above the data's support
+_BELOW, _ABOVE = (3, 6), (0, 6)
+
+
 @dataclass(frozen=True)
 class ModeTerms:
     """Mode profiles from the two kernel tables, one row per mode.
@@ -120,7 +135,8 @@ class ModeTerms:
     (CumulativeIntegral or None), v_c,0 = (zero[c](r) + r0 trace[c]) / r.
     ks is -K..K, or 0..K for real data (mirrored): row -m of every table,
     integrand, trace, vinf and profile is then the conjugate of row m and
-    is not held.
+    is not held.  span = (lo, hi) is the data's support: every mode of w
+    and rho is zero outside the node columns lo..hi-1 ((0, 0) for zero data).
     """
 
     ks: np.ndarray
@@ -129,6 +145,7 @@ class ModeTerms:
     outer: ScaledIntegrals
     trace: np.ndarray
     vinf: np.ndarray
+    span: tuple
     zero: tuple = (None, None)
 
     @property
@@ -182,7 +199,21 @@ class ModeTerms:
             x[rows] += vinf[rows, None]
         return v_r, v_phi
 
-    def _mode_sum(self, z):
+    def _groups(self, r):
+        """(start, stop, polynomials of _mode_sum) for the points below, on and
+        above the data's support, r their radii in ascending order.
+
+        A point's panel [s_idx, s_idx+1] lies below the support when
+        idx + 1 < lo, that is r < s_{lo-1}, and above it when idx >= hi, that
+        is r >= s_hi; there the tables and integrands of the panel are zero
+        but for T_b below and T_a above.
+        """
+        nodes, (lo, hi) = self.inner.nodes, self.span
+        below = int(np.searchsorted(r, nodes[lo - 1])) if lo >= 2 else 0
+        above = int(np.searchsorted(r, nodes[hi])) if hi <= len(nodes) - 2 else len(r)
+        return [(0, below, _BELOW), (below, above, range(7)), (above, len(r), _ABOVE)]
+
+    def _mode_sum(self, z, polys=range(7)):
         """sum over k != 0 of (v_r,k + i v_phi,k)(r) e^{i (k+1) phi} at the points z = r e^{i phi},
         without the constant far field of k = -1, +1 (VelocitySolution.sample adds it and mode 0).
 
@@ -204,6 +235,10 @@ class ModeTerms:
         off T, f or D: seven polynomials, summed together by Horner's rule
         from m = K down to 1, one band of modes at a time.  Mirrored terms
         gather the k = -m coefficients from the rows +m and conjugate them.
+
+        polys picks the polynomials summed, in the order (T_a, f_a(s0),
+        f_a(s1), T_b, f_b(s1), f_b(s0), D); the others count as +0.0, as
+        off the data's support their coefficients are zeros (_groups).
         """
         nodes = self.inner.nodes
         K, zero = self.K, self.zero_row
@@ -216,7 +251,7 @@ class ModeTerms:
         rs = np.minimum(r, nodes[-1])  # beyond the last node the suffix is zero
         u0, u1, ud = s0 / r * unit, s1 / r * unit, self.r0 / r * unit
         v0, v1 = rs / s0 * back, rs / s1 * back
-        bases = np.array([u0, u0, u1, v1, v1, v0, ud])
+        bases = np.array([(u0, u0, u1, v1, v1, v0, ud)[i] for i in polys])
         acc = np.zeros_like(bases)
         bands = _bands(K, bases.size)
         coef = np.empty((len(bases), bands[0].stop if bands else 0, r.size), dtype=complex)
@@ -226,19 +261,26 @@ class ModeTerms:
             c = coef[:, : band.stop - band.start]
             pos = slice(zero + 1 + band.start, zero + 1 + band.stop)  # k = m, m = start + 1 .. stop
             t_a, f_a = self.inner.table[pos], self.inner.integrand[pos]
-            if zero:  # k = -m, read backwards
-                neg = slice(K - band.stop, K - band.start)
-                t_b, f_b = self.outer.table[neg][::-1], self.outer.integrand[neg][::-1]
-            else:  # mirrored: the rows +m, conjugated once gathered
-                t_b, f_b = self.outer.table[pos], self.outer.integrand[pos]
-            for out, rows, at in zip(c, (t_a, f_a, f_a, t_b, f_b, f_b), ends):
-                rows.take(at, axis=1, out=out, mode="clip")
-            if not zero:
-                np.conjugate(c[3:6], out=c[3:6])
-            c[-1] = d_coef[pos, None]
+            # k = -m: the rows -m, reversed once gathered, or for mirrored terms
+            # the rows +m, conjugated once gathered (take copies a reversed view)
+            neg = slice(K - band.stop, K - band.start) if zero else pos
+            t_b, f_b = self.outer.table[neg], self.outer.integrand[neg]
+            sources = (t_a, f_a, f_a, t_b, f_b, f_b)
+            for out, i in zip(c, polys):
+                if i == 6:
+                    out[:] = d_coef[pos, None]
+                    continue
+                sources[i].take(ends[i], axis=1, out=out, mode="clip")
+                if i >= 3 and zero:
+                    out[:] = out[::-1]
+                elif i >= 3:
+                    np.conjugate(out, out=out)
             for i in range(c.shape[1] - 1, -1, -1):
                 acc *= bases
                 acc += c[:, i]
+        if len(polys) < 7:
+            acc, summed = np.zeros((7, r.size), dtype=complex), acc
+            acc[list(polys)] = summed
         ta, fa0, fa1, tb, fb1, fb0, d = acc
         h, hb = 0.5 * (rc - s0), 0.5 * (s1 - rc)
         a = u0 * u0 * (ta + (h * (2.0 - frac)) * fa0) + u1 * u1 * ((h * frac) * fa1)
@@ -246,12 +288,14 @@ class ModeTerms:
         return 1j * (a - b) + ud * ud * d
 
 
-def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool) -> ModeTerms:
+def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool,
+                  span: tuple) -> ModeTerms:
     """Kernel terms with a zero trace; rho None is zero divergence.
 
     mirrored says that w and rho are exactly mirrored (a real field's
     modes).  If the far field is too, the integrands and kernel tables are
-    formed and held for k = 0..K only, else for k = -K..K.
+    formed and held for k = 0..K only, else for k = -K..K.  span is the
+    data's support, the columns (lo, hi) outside which w and rho are zero.
     """
     K = (len(w) - 1) // 2
     vinf = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
@@ -268,7 +312,7 @@ def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool) -> Mo
             f = np.empty_like(w, dtype=complex)
             for band in _bands(len(ks), w.shape[1]):
                 combine(w[band], 1j * sigma[band, None] * rho[band], out=f[band])
-        return scaled_integrals(grid.nodes, f, powers, suffix)
+        return _scaled(grid.nodes, f, powers, suffix, span)
 
     # the prefix table on the worker thread, the suffix table here
     inner, outer = _together(lambda: table(np.subtract, np.abs(ks) + 1.0, False),
@@ -277,30 +321,32 @@ def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool) -> Mo
     zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[zero]),
                       cumulative(grid.nodes, grid.nodes * w[zero]))
     return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
-                     zero_integrals)
+                     span, zero_integrals)
 
 
 def _scan(values, name) -> tuple:
-    """(max |values|, exact-mirror flag) of a (modes, columns) array, one pass over row bands.
+    """(max |values| of each column, exact-mirror flag) of a (modes, columns) array,
+    one pass over row bands.
 
     Row k + K holds mode k; the flag says that row K - m equals conj(row K + m)
     for every m = 0..K, as a real field's modes do.  A row k < 0 that equals
     its mirror has its modulus, so moduli are taken there only once a band
-    breaks the mirror.  ValueError if a value in either half is not finite.
+    breaks the mirror.  The column maxima give the field's scale and its
+    support (quadrature._support).  ValueError if a value in either half is
+    not finite.
     """
     K = len(values) // 2
-    scale, mirrored = 0.0, True
+    top, mirrored = np.zeros(values.shape[1]), True
     for band in _bands(K + 1, values.shape[1]):
         pos = values[K + band.start : K + band.stop]
         neg = values[K - band.stop + 1 : K - band.start + 1][::-1]
-        top = np.max(np.abs(pos))
+        np.maximum(top, np.max(np.abs(pos), axis=0), out=top)
         mirrored = mirrored and np.array_equal(neg, np.conj(pos))
         if not mirrored:
-            top = np.maximum(top, np.max(np.abs(neg)))  # NaN stays NaN
-        if not np.isfinite(top):
-            raise ValueError(f"{name} has non-finite coefficients")
-        scale = max(scale, float(top))
-    return scale, mirrored
+            np.maximum(top, np.max(np.abs(neg), axis=0), out=top)  # NaN stays NaN
+    if not np.isfinite(np.max(top)):
+        raise ValueError(f"{name} has non-finite coefficients")
+    return top, mirrored
 
 
 def _with_trace(terms: ModeTerms, g_r, g_phi) -> ModeTerms:
@@ -402,9 +448,11 @@ class VelocitySolution:
         (s/r) e^{i phi} and (r/s) e^{-i phi}, s a node of the point's panel,
         by Horner's rule (ModeTerms._mode_sum): no power or phase is formed
         per mode and point.  The points go in order of radius, in blocks
-        whose Horner accumulators fill one band; the inner half of them is
-        summed on the worker thread (quadrature._together).  Mode 0 and the
-        constant far field are added here, to all points at once.
+        whose Horner accumulators fill one band.  A large sample is cut into
+        the points below, on and above the data's support (ModeTerms._groups),
+        and the inner half of each group is summed on the worker thread
+        (quadrature._together).  Mode 0 and the constant far field are added
+        here, to all points at once.
         """
         points = np.asarray(points, dtype=complex)
         flat = points.ravel()
@@ -415,17 +463,22 @@ class VelocitySolution:
         order = np.argsort(r, kind="stable")
         out = np.empty(flat.size, dtype=complex)
 
-        def fill(part):
-            # the seven Horner accumulators of a block fill one band
-            for block in _bands(part.size, 7):
+        def fill(part, polys=range(7)):
+            # the Horner accumulators of a block fill one band
+            for block in _bands(part.size, len(polys)):
                 rows = part[block]
-                out[rows] = terms._mode_sum(flat[rows])
+                out[rows] = terms._mode_sum(flat[rows], polys)
 
         # each point's Horner sum passes over seven accumulators per mode; a
         # small pass keeps its points in one call, which has a cost per mode
         size = 7 * terms.K * flat.size
-        half = flat.size // 2 if _side_by_side(size) else 0
-        _together(lambda: fill(order[:half]), lambda: fill(order[half:]), size)
+        if size < _SIDE_BY_SIDE:
+            fill(order)
+        else:
+            groups = [(order[i:j], polys) for i, j, polys in terms._groups(r[order])]
+            _together(lambda: [fill(part[: part.size // 2], polys) for part, polys in groups],
+                      lambda: [fill(part[part.size // 2 :], polys) for part, polys in groups],
+                      size)
         # mode 0, (zero(r) + r0 g_0) / r, and the constant far field of k = -1, +1
         zero, unit = terms.zero_row, flat / r
         mode0 = (terms.trace[0, zero] + 1j * terms.trace[1, zero]) * (terms.r0 / r)
@@ -455,21 +508,20 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     grid = problem.grid
     w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
-    (w_scale, w_mirrored), (rho_scale, rho_mirrored) = _together(
+    (w_top, w_mirrored), (rho_top, rho_mirrored) = _together(
         lambda: _scan(w.coeffs, "vorticity"), lambda: _scan(rho.coeffs, "divergence"),
         w.coeffs.size + rho.coeffs.size)
     g_mirrored = _scan(np.stack((g.g_r, g.g_phi), axis=1), "boundary trace")[1]
-    support_scale = max(w_scale, rho_scale, 1e-300)
-    edge = max(float(np.max(np.abs(w.coeffs[:, -1]))), float(np.max(np.abs(rho.coeffs[:, -1]))))
-    if edge > 1e-12 * support_scale:
+    top = np.maximum(w_top, rho_top)
+    if top[-1] > 1e-12 * max(float(np.max(top)), 1e-300):
         warnings.warn(
             "data is nonzero at the truncation radius rmax; integrals to infinity "
             "are truncated there (compact-support contract violated)",
             stacklevel=2,
         )
 
-    terms = _direct_terms(grid, w.coeffs, rho.coeffs if rho_scale else None, far,
-                          w_mirrored and rho_mirrored and g_mirrored)
+    terms = _direct_terms(grid, w.coeffs, rho.coeffs if np.max(rho_top) else None, far,
+                          w_mirrored and rho_mirrored and g_mirrored, _support(top))
     terms = _with_trace(terms, g.g_r, g.g_phi)
     rows = terms.at_nodes()
     report = _report_from_moments(problem, terms.outer.table[terms.zero_row + 1 :, 0],

@@ -21,6 +21,7 @@ __all__ = [
 
 
 def _frozen_array(values, dtype=None):
+    """A read-only copy of values that owns its data: the one copy a constructed field makes."""
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -38,14 +39,14 @@ class RadialGrid:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
+        nodes = _frozen_array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 9:
             raise ValueError("need at least 9 radial nodes")
         if nodes[0] <= 0.0:
             raise ValueError("inner radius must be positive")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("radial nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", _frozen_array(nodes))
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def r0(self) -> float:
@@ -95,13 +96,13 @@ class SpectralField:
     def __post_init__(self):
         if self.K < 0:
             raise ValueError("K must be nonnegative")
-        coeffs = np.array(self.coeffs, dtype=complex)
+        coeffs = _frozen_array(self.coeffs, dtype=complex)
         if coeffs.shape != (2 * self.K + 1, len(self.grid)):
             raise ValueError(
                 f"coeffs shape {coeffs.shape} does not match "
                 f"(2K+1, nodes) = {(2 * self.K + 1, len(self.grid))}"
             )
-        object.__setattr__(self, "coeffs", _frozen_array(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, k: int) -> np.ndarray:
         if abs(k) > self.K:
@@ -151,10 +152,10 @@ class BoundaryTrace:
         if self.K < 0:
             raise ValueError("K must be nonnegative")
         for name in ("g_r", "g_phi"):
-            arr = np.array(getattr(self, name), dtype=complex)
+            arr = _frozen_array(getattr(self, name), dtype=complex)
             if arr.shape != (2 * self.K + 1,):
                 raise ValueError(f"{name} must have shape (2K+1,) = ({2 * self.K + 1},)")
-            object.__setattr__(self, name, _frozen_array(arr))
+            object.__setattr__(self, name, arr)
 
     def coeff_r(self, k: int) -> complex:
         return complex(self.g_r[k + self.K]) if abs(k) <= self.K else 0.0 + 0.0j

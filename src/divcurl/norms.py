@@ -46,13 +46,14 @@ def _power(count, s, terms, mirrored=False) -> np.ndarray:
     unchanged.  Mirrored terms (the rows k = 0..K of modes with row -m the
     conjugate of row m) are summed as (sum over t of row 0) plus twice (sum
     over t of rows 1..K).  The first half of the terms is squared on the
-    worker thread (quadrature._together), the rest on this one.
+    worker thread (quadrature._together), the rest on this one; a single
+    term has no first half and is squared here, with no hand-off.
     """
     groups = [[slice(0, 1)], _bands(count, s.size, 1)] if mirrored else [_bands(count, s.size)]
     half = len(terms) // 2
     first, second = _together(lambda: [_squares(bands, terms[:half]) for bands in groups],
                               lambda: [_squares(bands, terms[half:]) for bands in groups],
-                              len(terms) * count * s.size)
+                              len(terms) * count * s.size if half else 0)
     sums = [sum(a + b) for a, b in zip(first, second)]
     return sums[0] + 2.0 * sums[1] if mirrored else sums[0]
 

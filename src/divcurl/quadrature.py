@@ -24,6 +24,23 @@ from block to block is rescaled by the same ratios.  A suffix is summed
 directly, from the outer end inwards (the recursive mode convolutions of
 Borges & Daripa, J. Comput. Phys. 169 (2001)).
 
+The solver's data are compactly supported (RadialGrid), and a table does
+only the work its data need.  Let span = (lo, hi) be the columns from the
+first to past the last one where some row is nonzero.  A prefix is exactly
+zero up to the first panel that touches the data, and past the last one
+it is the carried sum rescaled; a suffix is the mirror image.  So
+_scaled_table sums panels and takes cumsums only on the panels that touch
+the support, writes the zeros directly (+0.0 for a prefix, -0.0 for the
+negated suffix), and on the far side forms only the weights and the
+rescaled carry.  Each term skipped is an exact zero: adding it can change
+no more than the sign of a zero, and the block carry settles that sign the
+same way with or without it, so the tables are the whole-grid pass's bit
+for bit.  The one exception is a carry with a -0.0 part, which only an
+underflow makes; its block sums its zero panels after all.  solve_disk
+and solve_stream read the span off the data scan they already run
+(disk._scan); scaled_integrals, called directly, derives it from its
+integrand.
+
 Every row is independent, so the tables are built in row bands: _bands
 cuts the rows so that one complex band of the grid's width stays within
 _BAND_BYTES (2^20 bytes, 16 rows at M = 4000).  That bounds each temporary
@@ -237,37 +254,82 @@ class ScaledIntegrals:
     table: np.ndarray
 
 
-def _scaled_table(nodes, integrand, powers, suffix, table):
+def _support(columns) -> tuple:
+    """Half-open range (lo, hi) from the first nonzero entry of columns to the last, or (0, 0)."""
+    nonzero = np.flatnonzero(columns)
+    return (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+
+
+def _negative_zero(values) -> bool:
+    """Whether a real or imaginary part of the complex values is -0.0."""
+    parts = values.view(float)
+    return bool(np.any(np.signbit(parts[parts == 0.0])))
+
+
+def _scaled_table(nodes, integrand, powers, suffix, table, span):
     """Prefix (or suffix) table of the rows, written into table band by band.
 
+    The integrand is zero outside the columns span = (lo, hi), half-open.
     The suffix is the prefix over the reversed grid with the opposite power;
     the reversed panels have negative width, hence its sign flip.  Each band
     is written through the reversed view and negated while it is in cache.
+    Before the first panel that touches the data a prefix is +0.0 (a suffix,
+    negated, -0.0), written directly; past the last one a block's running
+    sum stays where that panel left it, so only the weights are formed there.
+    A block carry with a -0.0 part sums its zero panels after all, since
+    they may turn that part into +0.0.
     """
+    M = len(nodes)
+    lo, hi = span
     if suffix:
         nodes, integrand, powers = nodes[::-1], integrand[:, ::-1], -powers
+        lo, hi = M - hi, M - lo
+    # the panels [first, last) touch the data; columns 0..first are zeros
+    first, last = (max(lo - 1, 0), min(hi, M - 1)) if lo < hi else (M - 1, M - 1)
     logs = np.log(nodes)
     dist = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(logs)))))
     reach = _BLOCK_EXPONENT / max(float(np.max(np.abs(powers), initial=0.0)), 1.0)
     half_h = 0.5 * np.diff(nodes)
     cuts = [0]
-    while cuts[-1] < len(nodes) - 1:
+    while cuts[-1] < M - 1:
         j0 = cuts[-1]
         cuts.append(max(int(np.searchsorted(dist, dist[j0] + reach, side="right")) - 1, j0 + 1))
     view = table[:, ::-1] if suffix else table
-    for band in _bands(len(powers), len(nodes)):
+    for band in _bands(len(powers), M):
         f, p, out = integrand[band], powers[band], view[band]
-        out[:, 0] = 0.0
+        out[:, : first + 1] = complex(-0.0, -0.0) if suffix else 0.0
         for j0, j1 in zip(cuts[:-1], cuts[1:]):
+            if j1 <= first:
+                continue
+            a, b = max(j0, first), min(j1, last)  # the block's panels [a, b) touch the data
             # (s_j / s_j1)^p lies in [e^-300, e^300] inside the block
-            weights = np.exp(np.multiply.outer(p, logs[j0 : j1 + 1] - logs[j1]))
-            scaled = f[:, j0 : j1 + 1] * weights
-            acc = np.cumsum(half_h[j0:j1] * (scaled[:, :-1] + scaled[:, 1:]), axis=1)
-            acc += (out[:, j0] * weights[:, 0])[:, None]
+            weights = np.exp(np.multiply.outer(p, logs[a : j1 + 1] - logs[j1]))
+            if a > first:  # a == j0: the carry from the block before
+                carry = out[:, a] * weights[:, 0]
+                if b < j1 and _negative_zero(carry):
+                    b = j1
+            else:
+                carry = np.zeros(len(p), dtype=complex)  # the zeros' carry, +0.0
             # x * (1 / w) is what complex division by a real w computes, for half the time
-            np.multiply(acc, np.reciprocal(weights[:, 1:]), out=out[:, j0 + 1 : j1 + 1])
+            inverse = np.reciprocal(weights[:, 1:])
+            if a < b:
+                scaled = f[:, a : b + 1] * weights[:, : b + 1 - a]
+                acc = np.cumsum(half_h[a:b] * (scaled[:, :-1] + scaled[:, 1:]), axis=1)
+                acc += carry[:, None]
+                np.multiply(acc, inverse[:, : b - a], out=out[:, a + 1 : b + 1])
+                carry = acc[:, -1]
+            if b < j1:  # past the data: the carried sum, rescaled
+                rest = max(a, b)
+                np.multiply(carry[:, None], inverse[:, rest - a :], out=out[:, rest + 1 : j1 + 1])
         if suffix:
-            np.negative(out, out=out)
+            np.negative(out[:, first + 1 :], out=out[:, first + 1 :])
+
+
+def _scaled(nodes, integrand, powers, suffix, span) -> ScaledIntegrals:
+    """ScaledIntegrals of an integrand that is zero outside the columns span."""
+    table = np.empty(integrand.shape, dtype=complex)
+    _scaled_table(nodes, integrand, powers, suffix, table, span)
+    return ScaledIntegrals(nodes, integrand, powers, suffix, table)
 
 
 def scaled_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIntegrals:
@@ -277,9 +339,7 @@ def scaled_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIn
     powers = np.asarray(powers, dtype=float)
     if integrand.shape != (powers.size, nodes.size):
         raise ValueError("integrand must hold one row per power, sampled at every node")
-    table = np.empty(integrand.shape, dtype=complex)
-    _scaled_table(nodes, integrand, powers, suffix, table)
-    return ScaledIntegrals(nodes, integrand, powers, suffix, table)
+    return _scaled(nodes, integrand, powers, suffix, _support(np.any(integrand != 0, axis=0)))
 
 
 def trapezoid_weights(nodes) -> np.ndarray:

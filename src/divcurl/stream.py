@@ -20,12 +20,11 @@ velocity: StreamFunction is a view of it.  psi' is its v_phi rows, and psi
 is read off its v_r rows on first access, psi_k = (i r / k) v_r,k, with
 psi_0 the trapezoid integral of v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  For
 real vorticity and far field the rows are k >= 0 only, as the direct
-solver's profiles are; modes and d_modes build the full rows on first
-access, and velocity_from_stream forms nothing again.  The discarded
-Neumann condition d(psi)/dn = 0 holds exactly when the completion trace
-vanishes, that is when the vorticity satisfies the no-slip orthogonality
-relations; neumann_defect measures the trace, the residual slip velocity,
-otherwise.
+solver's profiles are, and velocity_from_stream forms nothing again.  The
+discarded Neumann condition d(psi)/dn = 0 holds exactly when the completion
+trace vanishes, that is when the vorticity satisfies the no-slip
+orthogonality relations; neumann_defect measures the trace, the residual
+slip velocity, otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from .disk import FarField, VelocitySolution, _direct_terms, _scan, _with_trace
 from .grids import SpectralField
-from .quadrature import _bands, _unfold, cumulative
+from .quadrature import _bands, _support, _unfold, cumulative
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
@@ -52,8 +51,7 @@ class StreamFunction:
     stream r * v_phi,1^inf; all other modes decay beyond the data support.
     velocity is the direct solver's solution of the completed problem, the
     skew gradient (-(i k / r) psi_k, psi_k') with its kernel terms.  psi and
-    d_psi hold the modes velocity.terms.ks, read-only; modes and d_modes are
-    the full view, shape (2K+1, len(grid)) with row k + K holding mode k.
+    d_psi hold the modes velocity.terms.ks, read-only.
     """
 
     velocity: VelocitySolution
@@ -75,14 +73,6 @@ class StreamFunction:
         psi.setflags(write=False)
         return psi
 
-    @cached_property
-    def modes(self) -> np.ndarray:
-        return _unfold(self.psi, self.velocity.K)
-
-    @cached_property
-    def d_modes(self) -> np.ndarray:
-        return _unfold(self.d_psi, self.velocity.K)
-
 
 def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) -> StreamFunction:
     """Solve the exterior Poisson problem for psi, all radial problems at once.
@@ -92,8 +82,8 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     Neumann defect (residual boundary slip) is reported in a warning.
     """
     grid = w.grid
-    mirrored = _scan(w.coeffs, "vorticity")[1]  # raises on non-finite data
-    terms = _direct_terms(grid, w.coeffs, None, v, mirrored)
+    top, mirrored = _scan(w.coeffs, "vorticity")  # raises on non-finite data
+    terms = _direct_terms(grid, w.coeffs, None, v, mirrored, _support(top))
     zero = terms.zero_row
     # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment residual
     slip = 2.0 * terms.vinf[1] - terms.outer.table[:, 0]

@@ -220,7 +220,7 @@ def test_ellipse_potential_flow_against_classical_oracle():
     ext = ExteriorProblem(m, grid, 4,
                           boundary_fn=potential_slip_boundary_fn(m, far), far_field=far)
     solution = solve_exterior(ext)
-    assert solution.report.admissible
+    assert solution.disk_solution.report.admissible
 
     rng = np.random.default_rng(2)
     pts = []

@@ -145,6 +145,42 @@ def test_spectral_field_accessors(grid):
     assert np.max(np.abs(field.coeff(1))) == 0.0  # original untouched
 
 
+def test_constructed_fields_own_one_read_only_copy():
+    # each field copies the caller's array once, owns it and freezes it
+    grid_nodes = np.linspace(1.0, 4.0, 40)
+    coeffs = np.arange(7 * 40, dtype=float).reshape(7, 40) * (1.0 - 0.5j)
+    g = np.arange(7) * (0.25 + 1j)
+    made = [(RadialGrid(grid_nodes).nodes, grid_nodes)]
+    field = SpectralField(RadialGrid(grid_nodes), 3, coeffs)
+    trace = BoundaryTrace(3, g, -g)
+    made += [(field.coeffs, coeffs), (trace.g_r, g), (trace.g_phi, -g)]
+    for held, given in made:
+        assert not np.shares_memory(held, given)
+        assert held.base is None and not held.flags.writeable
+        assert held.tobytes() == np.asarray(given, dtype=held.dtype).tobytes()
+    coeffs[0, 0] = 99.0
+    assert field.coeffs[0, 0] == 0.0
+
+
+def test_a_field_is_built_with_one_copy_of_its_coefficients():
+    # tracemalloc (numpy reports its buffers to it): the peak while building
+    # holds the caller's array and one copy, not a second copy on top
+    import tracemalloc
+
+    grid = RadialGrid.uniform(1.0, 12.0, 4000)
+    coeffs = np.ones((257, 4000), dtype=complex)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        field = SpectralField(grid, 128, coeffs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert coeffs.nbytes <= peak < 1.5 * coeffs.nbytes, peak
+    assert field.coeffs.tobytes() == coeffs.tobytes()
+
+
 def test_boundary_trace_round_trip():
     K = 4
     trace = BoundaryTrace.from_coeffs(K, radial={2: 1.0 - 0.5j, -2: 1.0 + 0.5j},

@@ -20,6 +20,7 @@ from divcurl.norms import (
     scalar_gradient_norm,
     _radial_derivative,
 )
+from divcurl import norms, quadrature
 from divcurl.quadrature import trapezoid_weights
 
 
@@ -178,3 +179,27 @@ def test_scalar_gradient_norm_closed_form():
     grid = RadialGrid.uniform(1.0, 2.0, 2001)
     field = SpectralField.from_modes(grid, 3, {2: grid.nodes**2})
     assert abs(scalar_gradient_norm(field) - np.sqrt(60.0 * np.pi)) < 1e-5
+
+
+def test_single_term_norm_hands_the_worker_nothing(monkeypatch, two_cpus):
+    # l2_weighted_norm squares one term: its pass has no first half for the
+    # worker thread, so it runs here, with the same sum as before
+    from helpers import sequential_power
+
+    grid = RadialGrid.geometric(1.0, 12.0, 4000, ratio=1.0005)
+    rng = np.random.default_rng(4)
+    shape = (257, 4000)
+    field = SpectralField(grid, 128, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    side_by_side = []
+    together = norms._together
+
+    def recorded(first, second, size):
+        side_by_side.append(quadrature._side_by_side(size))
+        return together(first, second, size)
+
+    monkeypatch.setattr(norms, "_together", recorded)
+    got = l2_weighted_norm(field, 2.0)
+    assert side_by_side == [False]
+    s = grid.nodes
+    power = sequential_power(257, s, lambda band: [field.coeffs[band]])
+    assert got == norms._volume_norm(power, s, (1.0 + s * s) ** 2.0)

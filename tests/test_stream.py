@@ -5,7 +5,7 @@ from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.moments import make_admissible, moment_report
 from divcurl.presets import random_admissible_problem
-from divcurl.quadrature import trapezoid_weights
+from divcurl.quadrature import _unfold, trapezoid_weights
 from divcurl.stream import StreamFunction, neumann_defect, solve_stream, velocity_from_stream
 
 from helpers import cylinder_flow_polar, mp_stream_mode, observed_order, polar_samples
@@ -18,7 +18,7 @@ def grid():
 
 def test_zero_vorticity_zero_far_field(grid):
     psi = solve_stream(SpectralField.zeros(grid, 3), FarField())
-    assert np.max(np.abs(psi.modes)) == 0.0
+    assert np.max(np.abs(_unfold(psi.psi, psi.velocity.K))) == 0.0
     assert neumann_defect(psi) == 0.0
     v = velocity_from_stream(psi)
     assert np.max(np.abs(v.sample(np.array([2.0 + 1.0j])))) == 0.0
@@ -33,9 +33,9 @@ def test_uniform_stream_gives_cylinder_flow(grid):
     r = grid.nodes
     phis = np.array([0.4, 1.9, 3.7, 5.6])
     K = psi.velocity.K
+    modes = _unfold(psi.psi, K)
     for phi in phis:
-        values = (psi.modes[K + 1] * np.exp(1j * phi)
-                  + psi.modes[K - 1] * np.exp(-1j * phi)).real
+        values = (modes[K + 1] * np.exp(1j * phi) + modes[K - 1] * np.exp(-1j * phi)).real
         expected = -v * r * np.sin(phi) * (1.0 - 1.0 / r**2)
         assert np.max(np.abs(values - expected)) < 1e-12 * np.max(1.0 + np.abs(expected))
 
@@ -54,7 +54,7 @@ def test_boundary_constant_and_gauge(grid):
     problem = random_admissible_problem(rng, grid, K=6, K_data=4, K_c=6)
     psi = solve_stream(problem.vorticity, problem.far_field)
     # all modes vanish at r0, so psi is the gauged constant on the solid
-    assert np.max(np.abs(psi.modes[:, 0])) < 1e-14
+    assert np.max(np.abs(_unfold(psi.psi, psi.velocity.K)[:, 0])) < 1e-14
 
 
 def test_path_equivalence_with_direct_solver(grid):
@@ -98,8 +98,9 @@ def test_poisson_residual_convergence():
         err = 0.0
         s = grid.nodes
         interior = slice(2, -2)
+        modes = _unfold(psi.psi, psi.velocity.K)
         for k in range(-5, 6):
-            pk = psi.modes[k + psi.velocity.K]
+            pk = modes[k + psi.velocity.K]
             lap = (np.gradient(np.gradient(pk, s), s) + np.gradient(pk, s) / s
                    - k * k * pk / s**2)
             err = max(err, np.max(np.abs((lap - problem.vorticity.coeff(k))[interior])))
@@ -230,8 +231,8 @@ def test_matches_variation_of_parameters_reference():
                                                for k, (amp, support) in data.items()})
         with pytest.warns(UserWarning):
             psi = solve_stream(w, far)
-        errors.append(max(np.max(np.abs(psi.modes[k + 3, nodes] - reference[k]))
-                          for k in range(-3, 4)))
+        modes = _unfold(psi.psi, psi.velocity.K)
+        errors.append(max(np.max(np.abs(modes[k + 3, nodes] - reference[k])) for k in range(-3, 4)))
     assert errors[-1] < 1e-3 * scale
     assert observed_order(errors) >= 1.9
 
