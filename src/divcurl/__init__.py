@@ -48,7 +48,7 @@ from .conformal import (
     solve_exterior,
     verify_map,
 )
-from .biot_savart import biot_savart_disk, biot_savart_omega, green_function
+from .biot_savart import biot_savart_disk, biot_savart_omega
 from .stream import StreamFunction, neumann_defect, solve_stream, velocity_from_stream
 
 __version__ = "0.1.0"

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformal import ConformalMap, ExteriorProblem
+from .conformal import ExteriorProblem
 from .disk import DiskProblem
 from .grids import equispaced_angles, synthesize_boundary
 
-__all__ = ["green_function", "biot_savart_disk", "biot_savart_omega"]
+__all__ = ["biot_savart_disk", "biot_savart_omega"]
 
 _BOUNDARY_EPS = 1e-12
 _BLOCK_PAIRS = 1 << 14
@@ -49,19 +49,6 @@ def _check_exterior(z, r0: float):
     return z
 
 
-def green_function(x, y, m: ConformalMap = None) -> float:
-    """G(x, y) = ln|Phi(x) - Phi(y)| / (2 pi); identity map when m is None."""
-    x = complex(x)
-    y = complex(y)
-    if x == y:
-        raise ValueError("Green's function is singular at coincident points")
-    if m is not None:
-        _check_exterior(m.forward(np.array([x, y])), m.r0)
-        x = complex(m.forward(x))
-        y = complex(m.forward(y))
-    return float(np.log(np.abs(x - y)) / (2.0 * np.pi))
-
-
 def _volume_cells(grid, support, n_radial: int, n_angular: int):
     """The (radius x angle) midpoint cell lattice over support, kept separable:
     a radius column, an angle row and the cell areas (a column)."""
@@ -76,17 +63,16 @@ def _volume_cells(grid, support, n_radial: int, n_angular: int):
     return radii, angles, area
 
 
-def _kernel_sum(points: np.ndarray, sources: np.ndarray, charge: np.ndarray,
-                exclusion: float) -> np.ndarray:
+def _kernel_sum(points: np.ndarray, sources: np.ndarray, charge: np.ndarray) -> np.ndarray:
     """sum_j d/|d|^2 charge_j with d = x - sources_j, for every point x.
 
-    Pairs with |d| <= max(exclusion, 1e-14) contribute nothing.  Each block
+    Pairs with |d| <= 1e-14 (coincident points) contribute nothing.  Each block
     holds about _BLOCK_PAIRS point x source pairs and runs in real
     arithmetic: with d = a + ib and inv = 1/(a^2 + b^2) it adds the matrix
     products (a inv) @ [Re q, Im q] and (b inv) @ [Re q, Im q] to two sums,
     which give sum (a Re q - b Im q) inv + i sum (a Im q + b Re q) inv.
     """
-    cut = max(exclusion, 1e-14) ** 2
+    cut = 1e-28  # (1e-14)^2
     q = np.ascontiguousarray(charge, dtype=complex).view(float).reshape(-1, 2)
     x_re, x_im = points.real[:, None], points.imag[:, None]
     s_re, s_im = sources.real.copy(), sources.imag.copy()
@@ -137,29 +123,22 @@ def _field_values(name: str, field, fn, radii, angles):
     return _lattice_values(name, profiles.T @ np.exp(1j * np.outer(ks, angles.ravel())), shape)
 
 
-def _points(x, exclusion_radius: float):
-    if exclusion_radius < 0.0:
-        raise ValueError("exclusion radius must be nonnegative")
-    return np.asarray(x, dtype=complex)
-
-
-def _evaluate(points, sources, charge, ring, layer, vinf: complex, exclusion: float):
+def _evaluate(points, sources, charge, ring, layer, vinf: complex):
     flat = np.ravel(points)
-    total = _kernel_sum(flat, sources, charge, exclusion) + _kernel_sum(flat, ring, layer, 0.0)
+    total = _kernel_sum(flat, sources, charge) + _kernel_sum(flat, ring, layer)
     return (total / (2.0 * np.pi) + vinf).reshape(points.shape)
 
 
 def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: int = 256,
-                     n_boundary: int = 512, support=None, exclusion_radius: float = 0.0):
+                     n_boundary: int = 512, support=None):
     """Velocity v1 + i v2 at exterior points by direct quadrature.
 
     support restricts the volume sum to the annulus actually carrying data;
     the lattice is built once and reused for every point.  x may be a complex
-    scalar or array; exclusion_radius drops the cells next to an evaluation
-    point inside the data support (the excised contribution is O(h * |w|),
-    first order).
+    scalar or array; a cell centre that coincides with an evaluation point
+    is dropped from the sum.
     """
-    points = _points(x, exclusion_radius)
+    points = np.asarray(x, dtype=complex)
     _check_exterior(points, problem.grid.r0)
 
     grid = problem.grid
@@ -177,13 +156,12 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
     ring = grid.r0 * np.exp(1j * theta)
     layer = (g_r + 1j * g_phi) * (grid.r0 * 2.0 * np.pi / n_boundary)
 
-    out = _evaluate(points, sources, charge, ring, layer,
-                    problem.far_field.as_complex, exclusion_radius)
+    out = _evaluate(points, sources, charge, ring, layer, problem.far_field.as_complex)
     return complex(out) if points.ndim == 0 else out
 
 
 def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angular: int = 256,
-                      n_boundary: int = 512, support=None, exclusion_radius: float = 0.0):
+                      n_boundary: int = 512, support=None):
     """Velocity in Omega by the mapped integral representation.
 
     The volume kernels depend only on Phi(p) - Phi(y), so with disk-plane
@@ -192,7 +170,7 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     covariant trace, and the whole field (far-field term included) is pushed
     forward through conj(Phi'(p)).  support is a disk-plane radial interval.
     """
-    points = _points(p, exclusion_radius)
+    points = np.asarray(p, dtype=complex)
     m = problem.map
     z = np.asarray(m.forward(points), dtype=complex)
     _check_exterior(z, m.r0)
@@ -218,7 +196,6 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     else:
         layer = np.zeros_like(ring)
 
-    vhat = _evaluate(z, cells.ravel(), charge, ring, layer,
-                     problem.far_field.as_complex, exclusion_radius)
+    vhat = _evaluate(z, cells.ravel(), charge, ring, layer, problem.far_field.as_complex)
     out = m.pushforward(z, vhat)
     return complex(out) if points.ndim == 0 else out

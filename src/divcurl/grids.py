@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .quadrature import _mirror_defect
-
 __all__ = [
     "RadialGrid",
     "SpectralField",
@@ -130,14 +128,6 @@ class SpectralField:
                 raise ValueError(f"mode {k} outside |k| <= {self.K}")
             coeffs[k + self.K] = coeffs[k + self.K] + np.asarray(delta, dtype=complex)
         return SpectralField(self.grid, self.K, coeffs)
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Max |f_{-k} - conj(f_k)|: zero (to rounding) for real-valued fields, NaN with NaN data.
-
-        On finite data it is zero exactly when disk._scan's test for solving
-        on k >= 0 alone, f_{-k} == conj(f_k) bit for bit, passes.
-        """
-        return _mirror_defect(self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,7 @@ same way with or without it, so the tables are the whole-grid pass's bit
 for bit.  The one exception is a carry with a -0.0 part, which only an
 underflow makes; its block sums its zero panels after all.  solve_disk
 and solve_stream read the span off the data scan they already run
-(disk._scan); scaled_integrals, called directly, derives it from its
-integrand.
+(disk._scan).
 
 Every row is independent, so the tables are built in row bands: _bands
 cuts the rows so that one complex band of the grid's width stays within
@@ -77,7 +76,6 @@ __all__ = [
     "CumulativeIntegral",
     "ScaledIntegrals",
     "cumulative",
-    "scaled_integrals",
     "trapezoid_weights",
 ]
 
@@ -161,18 +159,6 @@ def _bands(count, width, start=0):
     """Slices covering range(start, count) whose complex rows of the given width fit _BAND_BYTES."""
     step = max(1, _BAND_BYTES // (16 * width))
     return [slice(i, min(i + step, count)) for i in range(start, count, step)]
-
-
-def _mirror_defect(rows) -> float:
-    """max over m = 0..K of |rows[K - m] - conj(rows[K + m])|, in one pass over row bands.
-
-    Row k + K holds mode k.  Zero exactly when the rows are mirrored, as the
-    modes of a real field are; a NaN in any row pair gives NaN.
-    """
-    K = len(rows) // 2
-    return float(np.max([np.max(np.abs(rows[K - b.stop + 1 : K - b.start + 1][::-1]
-                                       - np.conj(rows[K + b.start : K + b.stop])))
-                         for b in _bands(K + 1, rows.shape[1])]))
 
 
 def _unfold(rows, K):
@@ -330,16 +316,6 @@ def _scaled(nodes, integrand, powers, suffix, span) -> ScaledIntegrals:
     table = np.empty(integrand.shape, dtype=complex)
     _scaled_table(nodes, integrand, powers, suffix, table, span)
     return ScaledIntegrals(nodes, integrand, powers, suffix, table)
-
-
-def scaled_integrals(nodes, integrand, powers, suffix: bool = False) -> ScaledIntegrals:
-    """Batched kernel: scaled prefix (or suffix) integrals of every integrand row."""
-    nodes = np.asarray(nodes, dtype=float)
-    integrand = np.asarray(integrand, dtype=complex)
-    powers = np.asarray(powers, dtype=float)
-    if integrand.shape != (powers.size, nodes.size):
-        raise ValueError("integrand must hold one row per power, sampled at every node")
-    return _scaled(nodes, integrand, powers, suffix, _support(np.any(integrand != 0, axis=0)))
 
 
 def trapezoid_weights(nodes) -> np.ndarray:

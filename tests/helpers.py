@@ -231,14 +231,14 @@ def polar_samples(solution, r, phi):
     return v.real, v.imag
 
 
-def reference_kernel_sum(x, sources, charge, exclusion):
+def reference_kernel_sum(x, sources, charge):
     """Direct sum of d/|d|^2 * charge at one point x, d = x - sources.
 
-    Sources with |d| <= max(exclusion, 1e-14) are dropped.
+    Sources with |d| <= 1e-14 (coincident with x) are dropped.
     """
     d = x - sources
     dist2 = d.real**2 + d.imag**2
-    keep = dist2 > max(exclusion, 1e-14) ** 2
+    keep = dist2 > 1e-14 ** 2
     return complex(np.sum((d[keep] / dist2[keep]) * charge[keep]))
 
 
@@ -265,6 +265,11 @@ def reference_scaled_prefix(nodes, integrand, powers, block_exponent=300.0):
         table[:, j0 + 1 : j1 + 1] = acc / weights[:, 1:]
         j0 = j1
     return table
+
+
+def mirror_defect(coeffs):
+    """max |f_{-k} - conj(f_k)| over the rows k = -K..K: 0.0 for a real field, NaN with NaN data."""
+    return np.max(np.abs(coeffs[::-1] - np.conj(coeffs)))
 
 
 def unfold_rows(rows, K):
@@ -497,8 +502,7 @@ def reference_field_values(field, fn, rr, pp):
     return out
 
 
-def reference_biot_savart_disk(x, problem, n_radial, n_angular, n_boundary, support=None,
-                               exclusion_radius=0.0):
+def reference_biot_savart_disk(x, problem, n_radial, n_angular, n_boundary, support=None):
     """The disk oracle's quadrature summed one point at a time, same shape as x."""
     grid = problem.grid
     lo, hi = support if support is not None else (grid.r0, grid.rmax)
@@ -522,8 +526,8 @@ def reference_biot_savart_disk(x, problem, n_radial, n_angular, n_boundary, supp
     out = np.empty(x.shape, dtype=complex)
     flat = out.reshape(-1)
     for i, xi in enumerate(x.ravel()):
-        total = reference_kernel_sum(xi, sources, charge, exclusion_radius)
-        total += reference_kernel_sum(xi, ring, layer, 0.0)
+        total = reference_kernel_sum(xi, sources, charge)
+        total += reference_kernel_sum(xi, ring, layer)
         flat[i] = total / (2.0 * np.pi) + problem.far_field.as_complex
     return out
 

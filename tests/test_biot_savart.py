@@ -8,7 +8,6 @@ from divcurl.biot_savart import (
     _volume_cells,
     biot_savart_disk,
     biot_savart_omega,
-    green_function,
 )
 from divcurl.cli import ProblemConfig, _build_scalar_data
 from divcurl.conformal import (
@@ -34,42 +33,22 @@ from divcurl.quadrature import trapezoid_weights
 from helpers import cylinder_flow, reference_biot_savart_disk
 
 
-def test_green_function_values():
-    assert green_function(0.0 + 0j, 1.0 + 0j) == 0.0
-    assert abs(green_function(0.0 + 0j, complex(np.e, 0.0)) - 1.0 / (2.0 * np.pi)) < 1e-15
-    with pytest.raises(ValueError):
-        green_function(1.0 + 0j, 1.0 + 0j)
-
-
-def test_green_function_symmetry():
-    rng = np.random.default_rng(0)
-    m = joukowski_map(0.4, 1.0)
-    for _ in range(100):
-        x = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-        y = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-        if x == y:
-            continue
-        assert green_function(x, y) == green_function(y, x)
-        if min(abs(m.forward(x)), abs(m.forward(y))) > 1.01:
-            assert abs(green_function(x, y, m) - green_function(y, x, m)) < 1e-15
-
-
 def test_green_function_gradient_matches_kernel():
+    # the oracle sums grad_x G(x, y) with G = ln|x - y| / (2 pi): check its
+    # own kernel against a central difference of G
     x = 1.7 + 0.9j
     y = -0.4 + 0.3j
     h = 1e-6
-    gx = (green_function(x + h, y) - green_function(x - h, y)) / (2 * h)
-    gy = (green_function(x + 1j * h, y) - green_function(x - 1j * h, y)) / (2 * h)
-    d = x - y
-    kernel = d / abs(d) ** 2 / (2.0 * np.pi)
+
+    def green(z):
+        return np.log(abs(z - y)) / (2.0 * np.pi)
+
+    gx = (green(x + h) - green(x - h)) / (2 * h)
+    gy = (green(x + 1j * h) - green(x - 1j * h)) / (2 * h)
+    kernel = biot_savart._kernel_sum(np.array([x]), np.array([y]), np.array([1.0 + 0j]))[0]
+    kernel /= 2.0 * np.pi
     assert abs(gx - kernel.real) < 1e-9
     assert abs(gy - kernel.imag) < 1e-9
-
-
-def test_translation_structure():
-    shift = 2.3 - 1.1j
-    assert abs(green_function(1.0 + 2j, 3.0 - 1j)
-               - green_function(1.0 + 2j + shift, 3.0 - 1j + shift)) < 1e-15
 
 
 @pytest.fixture
@@ -91,11 +70,6 @@ def test_rejects_boundary_and_interior_points(grid):
         biot_savart_disk(1.0 + 0j, problem)
     with pytest.raises(ValueError, match="inside"):
         biot_savart_disk(0.5 + 0j, problem)
-    with pytest.raises(ValueError, match="exclusion radius"):
-        biot_savart_disk(2.0 + 0j, problem, exclusion_radius=-1.0)
-    with pytest.raises(ValueError, match="exclusion radius"):
-        biot_savart_omega(2.0 + 0j, ExteriorProblem(identity_map(1.0), grid, 3),
-                          exclusion_radius=-1.0)
 
 
 def test_support_must_lie_within_grid_span(grid):
@@ -128,9 +102,9 @@ def test_blocked_sum_matches_reference_direct_sum(grid):
         pts = rng.uniform(1.05, 7.9, 100) * np.exp(2j * np.pi * rng.random(100))
         pts[17] = centre
         pts = pts.reshape(10, 10)
-        for x, exclusion in ((pts, 1.5 * h), (pts, 0.0), (centre, 1.5 * h), (5.5 + 0.5j, 0.0)):
-            v = biot_savart_disk(x, problem, exclusion_radius=exclusion, **kwargs)
-            v_ref = reference_biot_savart_disk(x, problem, exclusion_radius=exclusion, **kwargs)
+        for x in (pts, 5.5 + 0.5j):
+            v = biot_savart_disk(x, problem, **kwargs)
+            v_ref = reference_biot_savart_disk(x, problem, **kwargs)
             if np.ndim(x) == 0:
                 assert type(v) is complex
             else:
@@ -279,27 +253,6 @@ def test_agreement_improves_with_refinement(grid):
     assert errors[1] < errors[0] and errors[2] < errors[1]
     # observed order at least one (far better here: the integrand is smooth)
     assert np.log2(errors[0] / errors[2]) / 2.0 >= 1.0
-
-
-def test_singular_cell_exclusion_inside_support(grid):
-    # inside the data support the excised-cell error is first order in the
-    # cell size; verify the budget C * h * |w| rather than spectral accuracy
-    rng = np.random.default_rng(3)
-    problem = random_admissible_problem(rng, grid, K=6, K_data=4, K_c=6,
-                                        support=(1.8, 4.2))
-    solution = solve_disk(problem)
-    point = 3.0 * np.exp(1.0j)  # inside the support annulus
-    v_ref = complex(solution.sample(np.array([point]))[0])
-    w_scale = float(np.max(np.abs(problem.vorticity.coeffs))) * (2 * 6 + 1)
-    errors = []
-    for n_r in (150, 300, 600):
-        h = (4.2 - 1.8) / n_r
-        v = biot_savart_disk(point, problem, exclusion_radius=2.0 * h,
-                             n_radial=n_r, n_angular=int(n_r * 1.6), support=(1.8, 4.2))
-        err = abs(v - v_ref)
-        errors.append(err)
-        assert err < 20.0 * h * w_scale
-    assert errors[-1] < errors[0]
 
 
 def test_interpolated_field_fallback_without_callable(grid):

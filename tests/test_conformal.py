@@ -34,7 +34,7 @@ from divcurl.presets import (
 )
 from divcurl.quadrature import trapezoid_weights
 
-from helpers import observed_order
+from helpers import mirror_defect, observed_order
 
 
 def test_joukowski_point_values():
@@ -264,8 +264,8 @@ def test_real_data_pulled_back_to_the_disk_takes_the_half_path():
     ext = ExteriorProblem(m, grid, 8, vorticity_fn=bump, divergence_fn=bump,
                           boundary_fn=potential_slip_boundary_fn(m, far), far_field=far)
     pulled = pullback_problem(ext)
-    assert pulled.vorticity.conjugate_symmetry_defect() == 0.0
-    assert pulled.divergence.conjugate_symmetry_defect() == 0.0
+    assert mirror_defect(pulled.vorticity.coeffs) == 0.0
+    assert mirror_defect(pulled.divergence.coeffs) == 0.0
     for g in (pulled.boundary.g_r, pulled.boundary.g_phi):
         assert np.array_equal(g[::-1], np.conj(g))
     with warnings.catch_warnings():

@@ -140,8 +140,6 @@ def test_kernel_over_several_blocks_matches_the_whole_grid(suffix):
     table = _scaled(grid.nodes, f, powers, suffix, _support(np.any(f != 0, axis=0))).table
     want = _scaled(grid.nodes, f, powers, suffix, (0, grid.nodes.size)).table
     assert table.tobytes() == want.tobytes()
-    derived = quadrature.scaled_integrals(grid.nodes, f, powers, suffix).table
-    assert derived.tobytes() == want.tobytes()
 
 
 def test_underflowing_carry_matches_the_whole_grid(monkeypatch):
