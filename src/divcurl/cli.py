@@ -44,22 +44,6 @@ class ConfigError(ValueError):
     pass
 
 
-class ProblemConfig:
-    """Resolved run settings; every consumed key is echoed in report headers."""
-
-    def __init__(self):
-        self.values = {}
-
-    def set(self, section, key, value):
-        self.values[f"{section}.{key}"] = value
-
-    def get(self, section, key):
-        return self.values[f"{section}.{key}"]
-
-    def header_lines(self):
-        return [f"# {key} = {self.values[key]}" for key in sorted(self.values)]
-
-
 _DEFAULTS = {
     "domain": {"kind": "disk", "r0": "1.0", "c": "0.5"},
     "grid": {"nodes": "400", "rmax": "12.0", "grading": "geometric", "ratio": "1.005"},
@@ -78,51 +62,55 @@ _DEFAULTS = {
 }
 
 def _read_config(path, overrides):
+    """The parsed file with the command-line overrides set on it."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    cfg = configparser.ConfigParser()
     try:
-        parser.read(path)
+        cfg.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-
-    def raw(section, key, fallback=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return _DEFAULTS.get(section, {}).get(key, fallback)
-
-    cfg = ProblemConfig()
-    for section, keys in _DEFAULTS.items():
-        for key in keys:
-            cfg.set(section, key, raw(section, key))
     for key, value in overrides.items():
         if value is not None:
             section, name = key.split(".")
+            if not cfg.has_section(section):
+                # a [DEFAULT] key reaches only the sections the file names
+                cfg.read_dict({section: _DEFAULTS[section]})
             cfg.set(section, name, str(value))
-    # data preset parameters are preset-specific, pull whatever is present
-    for section in ("vorticity", "divergence", "boundary"):
-        if parser.has_section(section):
-            for key, value in parser.items(section):
-                cfg.set(section, key, value)
     return cfg
 
 
-def _float(cfg, section, key):
+def _value(cfg, section, key, default=None):
+    """[section] key from the file (a [DEFAULT] key counts), else _DEFAULTS, else default."""
     try:
-        return float(cfg.get(section, key))
-    except (KeyError, ValueError) as exc:
+        if cfg.has_option(section, key):
+            return cfg.get(section, key)
+    except configparser.Error as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    value = _DEFAULTS.get(section, {}).get(key, default)
+    if value is None:
+        raise ConfigError(f"[{section}] preset requires key '{key}'")
+    return value
+
+
+def _float(cfg, section, key, default=None):
+    text = _value(cfg, section, key, default)
+    try:
+        return float(text)
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {key} must be a number") from exc
 
 
-def _int(cfg, section, key):
+def _int(cfg, section, key, default=None):
+    text = _value(cfg, section, key, default)
     try:
-        return int(cfg.get(section, key))
-    except (KeyError, ValueError) as exc:
+        return int(text)
+    except ValueError as exc:
         raise ConfigError(f"[{section}] {key} must be an integer") from exc
 
 
-def _bool(cfg, section, key):
-    text = str(cfg.get(section, key)).strip().lower()
+def _bool(cfg, section, key, default=None):
+    text = str(_value(cfg, section, key, default)).strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
@@ -134,7 +122,7 @@ def _build_grid(cfg):
     r0 = _float(cfg, "domain", "r0")
     rmax = _float(cfg, "grid", "rmax")
     nodes = _int(cfg, "grid", "nodes")
-    grading = cfg.get("grid", "grading")
+    grading = _value(cfg, "grid", "grading")
     if r0 <= 0.0:
         raise ConfigError("[domain] r0 must be positive")
     if rmax <= r0:
@@ -152,7 +140,7 @@ def _build_grid(cfg):
 
 
 def _build_map(cfg):
-    kind = cfg.get("domain", "kind")
+    kind = _value(cfg, "domain", "kind")
     if kind == "disk":
         return identity_map(_float(cfg, "domain", "r0"))
     if kind == "joukowski":
@@ -161,15 +149,6 @@ def _build_map(cfg):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError(f"[domain] kind must be disk or joukowski, got '{kind}'")
-
-
-def _param(cfg, section, key, default=None):
-    try:
-        return cfg.get(section, key)
-    except KeyError:
-        if default is None:
-            raise ConfigError(f"[{section}] preset requires key '{key}'") from None
-        return default
 
 
 def _radial_window(r, lo, hi, taper):
@@ -182,40 +161,39 @@ def _radial_window(r, lo, hi, taper):
 
 def _build_scalar_data(cfg, section, grid, K, m, notes):
     """(SpectralField, disk-frame callable or None) for one data section."""
-    preset = _param(cfg, section, "preset", "zero")
+    preset = _value(cfg, section, "preset")
     span = grid.rmax - grid.r0
-    mapped = cfg.get("domain", "kind") != "disk"
+    mapped = _value(cfg, "domain", "kind") != "disk"
     if preset == "zero":
         return SpectralField.zeros(grid, K), None
     if mapped and preset in ("annular_bump", "mode_bump"):
         notes.append(f"{section}: {preset} interpreted as the Jacobian-weighted "
                      "right-hand side in mapped (disk-frame) coordinates")
     if preset == "annular_bump":
-        amp = float(_param(cfg, section, "amplitude", "1.0"))
-        lo = float(_param(cfg, section, "lo", str(grid.r0 + span / 3.0)))
-        hi = float(_param(cfg, section, "hi", str(grid.r0 + 2.0 * span / 3.0)))
+        amp = _float(cfg, section, "amplitude", 1.0)
+        lo = _float(cfg, section, "lo", grid.r0 + span / 3.0)
+        hi = _float(cfg, section, "hi", grid.r0 + 2.0 * span / 3.0)
         field, fn = modal_field(grid, K, {0: lambda s: amp * smooth_bump(s, lo, hi)})
         return field, fn
     if preset == "mode_bump":
-        k = int(_param(cfg, section, "mode", "1"))
+        k = _int(cfg, section, "mode", 1)
         if not 1 <= k <= K:
             raise ConfigError(f"[{section}] mode must lie in 1..K")
-        amp = complex(float(_param(cfg, section, "re", "1.0")),
-                      float(_param(cfg, section, "im", "0.0")))
-        lo = float(_param(cfg, section, "lo", str(grid.r0 + span / 3.0)))
-        hi = float(_param(cfg, section, "hi", str(grid.r0 + 2.0 * span / 3.0)))
+        amp = complex(_float(cfg, section, "re", 1.0), _float(cfg, section, "im", 0.0))
+        lo = _float(cfg, section, "lo", grid.r0 + span / 3.0)
+        hi = _float(cfg, section, "hi", grid.r0 + 2.0 * span / 3.0)
         field, fn = modal_field(grid, K, {
             k: lambda s: amp * smooth_bump(s, lo, hi),
             -k: lambda s: np.conj(amp) * smooth_bump(s, lo, hi),
         })
         return field, fn
     if preset == "gaussian_patch":
-        x0 = float(_param(cfg, section, "x0"))
-        y0 = float(_param(cfg, section, "y0"))
-        sigma = float(_param(cfg, section, "sigma"))
-        amp = float(_param(cfg, section, "amplitude", "1.0"))
-        lo = float(_param(cfg, section, "lo", str(grid.r0 + 0.02 * span)))
-        hi = float(_param(cfg, section, "hi", str(grid.rmax - 0.02 * span)))
+        x0 = _float(cfg, section, "x0")
+        y0 = _float(cfg, section, "y0")
+        sigma = _float(cfg, section, "sigma")
+        amp = _float(cfg, section, "amplitude", 1.0)
+        lo = _float(cfg, section, "lo", grid.r0 + 0.02 * span)
+        hi = _float(cfg, section, "hi", grid.rmax - 0.02 * span)
         center = complex(x0, y0)
         taper = 0.1 * (hi - lo)
 
@@ -232,7 +210,7 @@ def _build_scalar_data(cfg, section, grid, K, m, notes):
     if preset == "file":
         if mapped:
             raise ConfigError(f"[{section}] file ingestion is only supported on disk domains")
-        path = _param(cfg, section, "path")
+        path = _value(cfg, section, "path")
         try:
             samples = load_gridded_samples(path)
         except OSError as exc:
@@ -270,13 +248,13 @@ def _parse_coefficients(text, K):
 
 
 def _build_boundary(cfg, K, far, notes):
-    preset = _param(cfg, "boundary", "preset", "zero")
+    preset = _value(cfg, "boundary", "preset")
     if preset == "zero":
         return BoundaryTrace.zeros(K)
     if preset == "potential_slip":
         return potential_slip_trace(K, far)
     if preset == "coefficients":
-        radial, tangential = _parse_coefficients(_param(cfg, "boundary", "coefficients"), K)
+        radial, tangential = _parse_coefficients(_value(cfg, "boundary", "coefficients"), K)
         return BoundaryTrace.from_coeffs(K, radial=radial, tangential=tangential)
     raise ConfigError(f"[boundary] unknown preset '{preset}'")
 
@@ -293,8 +271,8 @@ def build_problem(cfg):
     w, w_fn = _build_scalar_data(cfg, "vorticity", grid, K, m, notes)
     rho, rho_fn = _build_scalar_data(cfg, "divergence", grid, K, m, notes)
     g = _build_boundary(cfg, K, far, notes)
-    mapped = cfg.get("domain", "kind") != "disk"
-    if mapped and _param(cfg, "boundary", "preset", "zero") != "zero":
+    mapped = _value(cfg, "domain", "kind") != "disk"
+    if mapped and _value(cfg, "boundary", "preset") != "zero":
         notes.append("boundary: trace specified in mapped (disk-frame) coordinates")
 
     if _bool(cfg, "solve", "make_admissible"):
@@ -309,7 +287,7 @@ def build_problem(cfg):
 
 
 def _solve(cfg, problem):
-    solver = cfg.get("solve", "solver")
+    solver = _value(cfg, "solve", "solver")
     tol = _float(cfg, "solve", "tolerance")
     if solver == "direct":
         return solve_disk(problem, warn_tolerance=tol)
@@ -335,21 +313,26 @@ def _write_text(path, lines):
 
 
 def _report_header(cfg, notes):
+    """Every built-in key and every key of the data sections the file names, then the notes."""
+    keys = [(section, key) for section, names in _DEFAULTS.items() for key in names]
+    keys += [(section, key) for section in ("vorticity", "divergence", "boundary")
+             if cfg.has_section(section) for key in cfg.options(section)]
+    values = {f"{section}.{key}": _value(cfg, section, key) for section, key in keys}
     lines = ["# divcurl report"]
-    lines.extend(cfg.header_lines())
+    lines.extend(f"# {key} = {values[key]}" for key in sorted(values))
     lines.extend(f"# note: {note}" for note in notes)
     return lines
 
 
 def _dump_field(cfg, field, out_dir, notes):
-    mode = cfg.get("output", "field")
+    mode = _value(cfg, "output", "field")
     if mode == "none":
         return
     grid = field.disk_solution.grid
     if mode == "polar":
         nr = _int(cfg, "output", "nr")
         nphi = _int(cfg, "output", "nphi")
-        rout_text = cfg.get("output", "rout")
+        rout_text = _value(cfg, "output", "rout")
         rout = float(rout_text) if rout_text else grid.rmax
         radii = np.linspace(grid.r0, min(rout, grid.rmax), nr)
         angles = equispaced_angles(nphi)

@@ -526,12 +526,21 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
     rows = terms.at_nodes()
     report = _report_from_moments(problem, terms.outer.table[terms.zero_row + 1 :, 0],
                                   warn_tolerance)
-    if not report.admissible:
+    if report.max_residual > warn_tolerance:
         warnings.warn(
             f"data violates the moment conditions (max residual "
             f"{report.max_residual:.3e}, circulation/flux {report.circulation_flux:.3e}); "
             "the computed field will not match the boundary trace and may carry an "
             "infinite-energy 1/r tail",
+            stacklevel=2,
+        )
+    elif not report.admissible:
+        gamma, q = (f"{c.real:.3e}" if c.imag == 0.0 else f"{c:.3e}"
+                    for c in (report.circulation, report.flux))
+        warnings.warn(
+            f"data violates the k = 0 moment conditions (circulation Gamma {gamma}, "
+            f"flux Q {q}); the computed field meets the boundary trace and carries the "
+            "infinite-energy tail (Q e_r + Gamma e_phi)/(2 pi r)",
             stacklevel=2,
         )
     return VelocitySolution(terms, rows, far, grid, report)

@@ -1,3 +1,5 @@
+import configparser
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from divcurl.biot_savart import (
     biot_savart_disk,
     biot_savart_omega,
 )
-from divcurl.cli import ProblemConfig, _build_scalar_data
+from divcurl.cli import _build_scalar_data
 from divcurl.conformal import (
     ExteriorProblem,
     _weighted_sampler,
@@ -114,11 +116,10 @@ def test_blocked_sum_matches_reference_direct_sum(grid):
 
 def _gaussian_patch(grid, K, m):
     """The CLI gaussian_patch callable on the map m, as `divcurl` builds it."""
-    cfg = ProblemConfig()
-    kind = "disk" if m.label == "identity" else "joukowski"
-    for key, value in (("kind", kind), ("preset", "gaussian_patch"), ("x0", "2.1"),
-                       ("y0", "-1.3"), ("sigma", "0.6")):
-        cfg.set("domain" if key == "kind" else "vorticity", key, value)
+    cfg = configparser.ConfigParser()
+    cfg.read_dict({"domain": {"kind": "disk" if m.label == "identity" else "joukowski"},
+                   "vorticity": {"preset": "gaussian_patch", "x0": "2.1", "y0": "-1.3",
+                                 "sigma": "0.6"}})
     return _build_scalar_data(cfg, "vorticity", grid, K, m, [])
 
 

@@ -1,0 +1,148 @@
+"""How the CLI reads its problem file: report headers, overrides and config errors."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from divcurl.cli import EXIT_CONFIG, main
+
+HEADERS = pathlib.Path(__file__).with_name("cli_headers.json")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# [DEFAULT] keys reach only the sections the file names: rmax and amplitude
+# apply, weight does not ([norms] is not named)
+DEFAULT_SECTION = """
+[DEFAULT]
+rmax = 9.0
+amplitude = 0.5
+weight = 3.0
+
+[grid]
+nodes = 120
+grading = uniform
+
+[modes]
+k = 4
+
+[vorticity]
+preset = annular_bump
+lo = 2.0
+hi = 4.0
+
+[output]
+field = none
+"""
+
+# option names are case-insensitive; unknown keys are echoed in data sections only
+UNKNOWN_AND_UPPER = """
+[grid]
+NODES = 150
+Grading = uniform
+unknown = 1
+
+[modes]
+K = 3
+
+[boundary]
+preset = potential_slip
+Extra = yes
+
+[far_field]
+v1 = 1.0
+
+[output]
+field = none
+"""
+
+# no [grid] or [solve] section: an override fills the section with the
+# built-in defaults, which the file's [DEFAULT] does not change
+OVERRIDES = """
+[DEFAULT]
+rmax = 20.0
+tolerance = 1e-6
+
+[boundary]
+preset = potential_slip
+
+[far_field]
+v1 = 1.0
+
+[output]
+field = none
+"""
+
+INADMISSIBLE = "[far_field]\nv1 = 1.0\n[output]\nfield = none\n"
+
+CASES = {
+    "default_section": (DEFAULT_SECTION, ["solve"]),
+    "unknown_and_upper": (UNKNOWN_AND_UPPER, ["check"]),
+    "every_override": (OVERRIDES, ["solve", "--modes", "5", "--grid-nodes", "130",
+                                   "--rmax", "9.5", "--solver", "direct", "--strict"]),
+    "one_override": (OVERRIDES, ["check", "--grid-nodes", "130"]),
+    "strict_inadmissible": (INADMISSIBLE, ["check", "--strict", "--modes", "3"]),
+}
+
+
+def run_case(tmp_path, name):
+    """(exit code, {report file: its '#' header lines}) of one case."""
+    text, argv = CASES[name]
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_path / name
+    code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+    headers = {}
+    for report in sorted(os.listdir(out)):
+        lines = (out / report).read_text().splitlines()
+        headers[report] = "\n".join(line for line in lines if line.startswith("#"))
+    return code, headers
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_headers_are_pinned(tmp_path, name):
+    # cli_headers.json pins each case's exit code and report headers; it was
+    # written once and is not regenerated from the code under test
+    expected = json.loads(HEADERS.read_text())[name]
+    code, headers = run_case(tmp_path, name)
+    assert code == expected["exit"]
+    assert headers == expected["headers"]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["preset = mode_bump", "mode = two"], "[vorticity] mode must be an integer"),
+    (["preset = annular_bump", "amplitude = big"], "[vorticity] amplitude must be a number"),
+    (["preset = gaussian_patch", "x0 = 2.0", "sigma = 0.5"],
+     "[vorticity] preset requires key 'y0'"),
+    (["preset = gaussian_patch", "x0 = 2.0", "y0 = ", "sigma = 0.5"],
+     "[vorticity] y0 must be a number"),
+])
+def test_bad_preset_values_name_their_key(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[vorticity]\n" + "\n".join(lines) + "\n")
+    assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["[grid]\nnodes = 1%\n", "[grid]\nnodes = %(missing)s\n"])
+def test_percent_in_a_value_is_a_config_error(tmp_path, text):
+    cfg = tmp_path / "pct.cfg"
+    cfg.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from divcurl.cli import entry; entry()", "check",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: [grid] nodes")
+    assert "Traceback" not in proc.stderr
+
+
+def test_interpolation_stays_on(tmp_path):
+    cfg = tmp_path / "interp.cfg"
+    cfg.write_text("[grid]\nnodes = %(base)s0\nbase = 15\ngrading = uniform\n"
+                   "[modes]\nk = 2\n[output]\nfield = none\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "# grid.nodes = 150\n" in (out / "compat_report.txt").read_text()

@@ -243,6 +243,32 @@ def test_incompatible_data_warns_but_solves(grid):
     assert abs(solution.report.residuals[1] + 1j) < 1e-14
 
 
+def test_circulation_only_warning_says_the_trace_is_met():
+    # a swirl of circulation 22.75 and nothing else: every k >= 1 residual is
+    # zero, the field meets g = 0 exactly and only the 1/r tail is left
+    grid = RadialGrid.uniform(1.0, 12.0, 2201)
+    w = SpectralField.from_modes(grid, 4, {0: smooth_bump(grid.nodes, 2.0, 4.0)})
+    problem = DiskProblem(w, SpectralField.zeros(grid, 4), BoundaryTrace.zeros(4))
+    with pytest.warns(UserWarning, match="moment conditions") as record:
+        solution = solve_disk(problem)
+    (message,) = [str(r.message) for r in record]
+    assert "meets the boundary trace" in message and "will not match" not in message
+    assert "circulation Gamma 2.275e+01, flux Q 0.000e+00" in message
+    assert solution.report.max_residual == 0.0
+    assert abs(solution.report.circulation_flux - 22.75) < 0.01
+    trace = solution.boundary_trace()
+    assert np.max(np.abs(trace.g_r)) == 0.0 and np.max(np.abs(trace.g_phi)) == 0.0
+
+
+def test_mode_residual_warning_says_the_trace_is_missed(grid):
+    w = SpectralField.zeros(grid, 2)
+    problem = DiskProblem(w, w, BoundaryTrace.zeros(2), FarField(1.0, 0.0))
+    with pytest.warns(UserWarning, match="moment conditions") as record:
+        solve_disk(problem)
+    (message,) = [str(r.message) for r in record]
+    assert "will not match the boundary trace" in message and "meets" not in message
+
+
 def test_truncation_contract_warning(grid):
     # data touching rmax violates the compact-support contract (and, being a
     # net swirl, the circulation condition as well: two warnings)
