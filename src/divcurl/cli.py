@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import warnings
@@ -96,9 +97,12 @@ def _value(cfg, section, key, default=None):
 def _float(cfg, section, key, default=None):
     text = _value(cfg, section, key, default)
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} must be a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite")
+    return value
 
 
 def _int(cfg, section, key, default=None):
@@ -109,6 +113,13 @@ def _int(cfg, section, key, default=None):
         raise ConfigError(f"[{section}] {key} must be an integer") from exc
 
 
+def _count(cfg, section, key):
+    value = _int(cfg, section, key)
+    if value < 1:
+        raise ConfigError(f"[{section}] {key} must be at least 1")
+    return value
+
+
 def _bool(cfg, section, key, default=None):
     text = str(_value(cfg, section, key, default)).strip().lower()
     if text in ("1", "true", "yes", "on"):
@@ -116,6 +127,36 @@ def _bool(cfg, section, key, default=None):
     if text in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"[{section}] {key} must be a boolean, got '{text}'")
+
+
+def _settings(cfg):
+    """The [solve], [output], [norms] and [oracle] values, read and checked before any output."""
+    solver = _value(cfg, "solve", "solver")
+    if solver not in ("direct", "stream"):
+        raise ConfigError(f"[solve] solver must be direct or stream, got '{solver}'")
+    field = _value(cfg, "output", "field")
+    if field not in ("polar", "cartesian", "none"):
+        raise ConfigError(f"[output] field must be polar, cartesian or none, got '{field}'")
+    rout = _float(cfg, "output", "rout") if _value(cfg, "output", "rout") else None
+    if rout is not None and rout < _float(cfg, "domain", "r0"):
+        raise ConfigError("[output] rout must be at least r0")
+    weight = _float(cfg, "norms", "weight")
+    if weight < 0.0:
+        raise ConfigError("[norms] weight must not be negative")
+    return {
+        "solver": solver,
+        "tolerance": _float(cfg, "solve", "tolerance"),
+        "strict": _bool(cfg, "solve", "strict"),
+        "field": field,
+        "polar": (_count(cfg, "output", "nr"), _count(cfg, "output", "nphi"), rout),
+        "x1": (_float(cfg, "output", "x1min"), _float(cfg, "output", "x1max"),
+               _count(cfg, "output", "n1")),
+        "x2": (_float(cfg, "output", "x2min"), _float(cfg, "output", "x2max"),
+               _count(cfg, "output", "n2")),
+        "weight": weight,
+        "oracle": {key: _count(cfg, "oracle", key) for key in ("n_radial", "n_angular",
+                                                                "n_boundary")},
+    }
 
 
 def _build_grid(cfg):
@@ -234,13 +275,18 @@ def _parse_coefficients(text, K):
             continue
         parts = chunk.split(",")
         if len(parts) != 5:
-            raise ConfigError("boundary coefficients entries must be "
+            raise ConfigError("[boundary] coefficients entries must be "
                               "'k,gr_re,gr_im,gphi_re,gphi_im'")
-        k = int(parts[0])
+        try:
+            k, values = int(parts[0]), [float(part) for part in parts[1:]]
+        except ValueError as exc:
+            raise ConfigError(f"[boundary] coefficients entry '{chunk}' must be numbers") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"[boundary] coefficients entry '{chunk}' must be finite")
         if abs(k) > K:
-            raise ConfigError(f"boundary coefficient mode {k} outside |k| <= {K}")
-        radial[k] = complex(float(parts[1]), float(parts[2]))
-        tangential[k] = complex(float(parts[3]), float(parts[4]))
+            raise ConfigError(f"[boundary] coefficients mode {k} outside |k| <= {K}")
+        radial[k] = complex(values[0], values[1])
+        tangential[k] = complex(values[2], values[3])
     for k in [k for k in radial if k > 0 and -k not in radial]:
         radial[-k] = np.conj(radial[k])
         tangential[-k] = np.conj(tangential[k])
@@ -277,8 +323,8 @@ def build_problem(cfg):
 
     if _bool(cfg, "solve", "make_admissible"):
         k_c = _int(cfg, "solve", "k_c")
-        if k_c > K:
-            raise ConfigError("[solve] k_c cannot exceed the mode band K")
+        if not 0 <= k_c <= K:
+            raise ConfigError("[solve] k_c must lie in 0..K")
         w = make_admissible(w, rho, g, far, k_c)
         w_fn = None
         notes.append(f"vorticity projected onto the admissible set for k <= {k_c}")
@@ -286,22 +332,19 @@ def build_problem(cfg):
     return problem, m, notes
 
 
-def _solve(cfg, problem):
-    solver = _value(cfg, "solve", "solver")
-    tol = _float(cfg, "solve", "tolerance")
-    if solver == "direct":
+def _solve(settings, problem):
+    tol = settings["tolerance"]
+    if settings["solver"] == "direct":
         return solve_disk(problem, warn_tolerance=tol)
-    if solver == "stream":
-        if float(np.max(np.abs(problem.divergence.coeffs))) > 1e-14:
-            raise ConfigError("stream solver requires solenoidal data (zero divergence)")
-        trace_mag = max(float(np.max(np.abs(problem.boundary.g_r))),
-                        float(np.max(np.abs(problem.boundary.g_phi))))
-        if trace_mag > 1e-14:
-            raise ConfigError("stream solver requires the no-slip boundary (zero trace)")
-        psi = solve_stream(problem.vorticity, problem.far_field, warn_tolerance=tol)
-        solution = velocity_from_stream(psi)
-        return replace(solution, report=moment_report(problem, tolerance=tol))
-    raise ConfigError(f"[solve] solver must be direct or stream, got '{solver}'")
+    if float(np.max(np.abs(problem.divergence.coeffs))) > 1e-14:
+        raise ConfigError("stream solver requires solenoidal data (zero divergence)")
+    trace_mag = max(float(np.max(np.abs(problem.boundary.g_r))),
+                    float(np.max(np.abs(problem.boundary.g_phi))))
+    if trace_mag > 1e-14:
+        raise ConfigError("stream solver requires the no-slip boundary (zero trace)")
+    psi = solve_stream(problem.vorticity, problem.far_field, warn_tolerance=tol)
+    solution = velocity_from_stream(psi)
+    return replace(solution, report=moment_report(problem, tolerance=tol))
 
 
 def _write_text(path, lines):
@@ -324,34 +367,26 @@ def _report_header(cfg, notes):
     return lines
 
 
-def _dump_field(cfg, field, out_dir, notes):
-    mode = _value(cfg, "output", "field")
+def _dump_field(settings, field, out_dir, notes):
+    mode = settings["field"]
     if mode == "none":
         return
     grid = field.disk_solution.grid
     if mode == "polar":
-        nr = _int(cfg, "output", "nr")
-        nphi = _int(cfg, "output", "nphi")
-        rout_text = _value(cfg, "output", "rout")
-        rout = float(rout_text) if rout_text else grid.rmax
-        radii = np.linspace(grid.r0, min(rout, grid.rmax), nr)
+        nr, nphi, rout = settings["polar"]
+        radii = np.linspace(grid.r0, grid.rmax if rout is None else min(rout, grid.rmax), nr)
         angles = equispaced_angles(nphi)
         rr, pp = np.meshgrid(radii, angles, indexing="ij")
         # sampled from the disk plane: on the slit (c = r0) Phi(Phi^-1(z)) != z
         z = (rr * np.exp(1j * pp)).ravel()
         points = field.map.inverse(z)
         sampled = np.ones(z.shape, dtype=bool)
-    elif mode == "cartesian":
-        x1 = np.linspace(_float(cfg, "output", "x1min"), _float(cfg, "output", "x1max"),
-                         _int(cfg, "output", "n1"))
-        x2 = np.linspace(_float(cfg, "output", "x2min"), _float(cfg, "output", "x2max"),
-                         _int(cfg, "output", "n2"))
+    else:
+        x1, x2 = np.linspace(*settings["x1"]), np.linspace(*settings["x2"])
         xx, yy = np.meshgrid(x1, x2, indexing="ij")
         points = (xx + 1j * yy).ravel()
         z = field.map.forward(points)
         sampled = np.abs(z) <= grid.rmax
-    else:
-        raise ConfigError(f"[output] field must be polar, cartesian or none, got '{mode}'")
     velocities = np.full(points.shape, complex(np.nan, np.nan))
     velocities[sampled] = field.sample_image(z[sampled])
     singular = np.count_nonzero(field.map.singular(z[sampled]))
@@ -366,8 +401,8 @@ def _dump_field(cfg, field, out_dir, notes):
                      "((Phi^-1)' = 0) and are marked NaN")
 
 
-def _write_norms(cfg, problem, solution, out_dir, notes):
-    weight = _float(cfg, "norms", "weight")
+def _write_norms(cfg, settings, problem, solution, out_dir, notes):
+    weight = settings["weight"]
     g_norm = h_half_boundary_norm(problem.boundary)
     w_l2 = l2_weighted_norm(problem.vorticity, 0.0)
     rho_l2 = l2_weighted_norm(problem.divergence, 0.0)
@@ -411,35 +446,36 @@ def _prepare(args):
     if args.strict:
         overrides["solve.strict"] = "true"
     cfg = _read_config(args.config, overrides)
+    settings = _settings(cfg)
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IOError(f"cannot create output directory {out_dir}: {exc}") from exc
-    return cfg, out_dir
+    return cfg, settings, out_dir
 
 
 def cmd_check(args):
-    cfg, out_dir = _prepare(args)
+    cfg, settings, out_dir = _prepare(args)
     problem, _, notes = build_problem(cfg)
-    report = moment_report(problem, tolerance=_float(cfg, "solve", "tolerance"))
+    report = moment_report(problem, tolerance=settings["tolerance"])
     _write_compat(cfg, report, out_dir, notes)
-    if _bool(cfg, "solve", "strict") and not report.admissible:
+    if settings["strict"] and not report.admissible:
         return EXIT_INADMISSIBLE
     return EXIT_OK
 
 
 def cmd_solve(args, norms_only=False):
-    cfg, out_dir = _prepare(args)
+    cfg, settings, out_dir = _prepare(args)
     problem, m, notes = build_problem(cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        solution = _solve(cfg, problem)
+        solution = _solve(settings, problem)
     if not norms_only:
         _write_compat(cfg, solution.report, out_dir, notes)
-        _dump_field(cfg, ExteriorSolution(solution, m), out_dir, notes)
-    _write_norms(cfg, problem, solution, out_dir, notes)
-    if _bool(cfg, "solve", "strict") and not solution.report.admissible:
+        _dump_field(settings, ExteriorSolution(solution, m), out_dir, notes)
+    _write_norms(cfg, settings, problem, solution, out_dir, notes)
+    if settings["strict"] and not solution.report.admissible:
         return EXIT_INADMISSIBLE
     return EXIT_OK
 
@@ -452,14 +488,18 @@ def _parse_points(args):
             if not chunk:
                 continue
             parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ConfigError("points must be 'x1,x2;x1,x2;...'")
-            points.append(complex(float(parts[0]), float(parts[1])))
+            try:
+                x1, x2 = (float(part) for part in parts)
+            except ValueError as exc:
+                raise ConfigError(f"--points entry '{chunk}' must be 'x1,x2'") from exc
+            points.append(complex(x1, x2))
     if args.points_file:
         try:
             raw = np.loadtxt(args.points_file, delimiter=",", skiprows=1, ndmin=2)
         except OSError as exc:
             raise IOError(f"cannot read {args.points_file}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"--points-file {args.points_file}: {exc}") from exc
         points.extend(complex(a, b) for a, b in raw[:, :2])
     if not points:
         raise ConfigError("oracle needs --points or --points-file")
@@ -467,15 +507,13 @@ def _parse_points(args):
 
 
 def cmd_oracle(args):
-    cfg, out_dir = _prepare(args)
+    cfg, settings, out_dir = _prepare(args)
     problem, m, notes = build_problem(cfg)
     points = _parse_points(args)
-    field = ExteriorSolution(_solve(cfg, problem), m)
+    field = ExteriorSolution(_solve(settings, problem), m)
     solver = field.sample(points)
     z = m.forward(points)
-    oracle = m.pushforward(z, biot_savart_disk(
-        z, problem, n_radial=_int(cfg, "oracle", "n_radial"),
-        n_angular=_int(cfg, "oracle", "n_angular"), n_boundary=_int(cfg, "oracle", "n_boundary")))
+    oracle = m.pushforward(z, biot_savart_disk(z, problem, **settings["oracle"]))
 
     lines = _report_header(cfg, notes)
     lines.append("x1,x2,v1_solver,v2_solver,v1_oracle,v2_oracle,abs_diff")

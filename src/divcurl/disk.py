@@ -29,8 +29,9 @@ The scaled tables never form r^{+-k}: every factor is a ratio of radii at
 most 1 inside a kernel block, and a block ends before (|k|+1) log(s_end /
 s_start) exceeds 300, so nothing overflows at high modes and large rmax.
 The mode-k moment integral is b_k(r0), which gives the moment report for
-free.  All integrals to infinity are exact under the compact-support
-contract of RadialGrid.
+free; moments.moment_report and the admissibility projection read the same
+b_k(r0) without the table (quadrature._suffix_start).  All integrals to
+infinity are exact under the compact-support contract of RadialGrid.
 
 Off the nodes the velocity v1 + i v2 = sum_k (v_r,k + i v_phi,k) e^{i (k+1) phi}
 keeps only i a_m + 2 i d_m (r0/r)^{m+1} for k = m > 0 and -i b_m for k = -m.
@@ -502,7 +503,9 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
     Incompatible data is solved anyway: the formulas stay evaluable and the
     report quantifies how badly the boundary condition is violated, so the
     solver warns instead of refusing.  The report's mode residuals come from
-    the kernel's b_k(r0), without a second integration.
+    the kernel's b_k(r0), without a second integration.  moment_report, the
+    CLI's check and stream reports and the admissibility projection read
+    the same b_k(r0) bit for bit, so every report of one problem agrees.
     """
     from .moments import _report_from_moments
 

@@ -14,10 +14,20 @@ The two are kept apart: for complex data each is complex, and their
 combination circulation + i flux could cancel.  For real data the report
 prints them combined, as 2*pi*[(...) + i (...)].
 Residuals are oriented left minus right, so a pure far-field violation at
-k = 1 reports -(v_phi,1^inf + i v_r,1^inf).  The mode moments are taken row
-band by row band (quadrature._bands), each row one product with the
-trapezoid weights times (r0/s)^{k-1} <= 1, so no power of a radius
-overflows; the disk solver reads the same moments off its kernel as b_k(r0).
+k = 1 reports -(v_phi,1^inf + i v_r,1^inf).  The mode moment is the disk
+solver's b_k(r0), the suffix kernel at r0, and moment_report and the
+projection read it with quadrature._suffix_start: the same integrand, block
+schedule and summation order as solve_disk's suffix table, without the
+table.  So the report, the projection and solve_disk see the same moment
+bit for bit, and a change of the quadrature rule reaches all three at once.
+
+Only the conditions k >= 1 are checked.  The mode -m condition is the
+conjugate of the mode m one for real data, whose modes are mirrored, so
+the report decides real data; for complex data the conditions k <= -1 go
+unchecked.  With w only in mode -2, a unit smooth_bump on [2, 4], and rho,
+g and v_inf zero (K = 4, 2201 uniform nodes on [1, 12]), the report and
+solve_disk call the data admissible with every residual 0.0, while the
+solved field's boundary trace misses g by 0.205.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 
 from .disk import DiskProblem, FarField, vinf_coefficients
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
-from .quadrature import _bands, trapezoid_weights
+from .quadrature import _suffix_start, _support, trapezoid_weights
 
 __all__ = [
     "MomentReport",
@@ -48,7 +58,8 @@ class MomentReport:
 
     residuals[k] holds the mode-k residual for k = 1..K; index 0 is kept at
     zero because the k = 0 conditions are the separate circulation and flux
-    entries.
+    entries.  The modes k <= -1 are not checked, so admissible decides real
+    data only (see the module docstring).
     """
 
     residuals: np.ndarray
@@ -88,39 +99,14 @@ class MomentReport:
         return "\n".join(lines) + "\n"
 
 
-def _weighted_moments(grid, f, ks) -> np.ndarray:
-    """r0^{k-1} int_{r0}^inf s^{-k+1} f_k ds for k in ks; f(band) gives the band's rows f_k.
-
-    The weight table (r0/s)^{k-1} times the trapezoid weights is formed one
-    row band at a time; every row keeps the sum one einsum over the whole
-    array takes, so the bands leave each moment bit for bit as it was.
-    """
-    s = grid.nodes
-    ks = np.asarray(ks)
-    log_ratio = np.log(grid.r0 / s)
-    weights = trapezoid_weights(s)
-    out = np.empty(len(ks), dtype=complex)
-    for band in _bands(len(ks), len(s)):
-        scales = np.exp(np.multiply.outer(ks[band] - 1.0, log_ratio))
-        scales *= weights
-        out[band] = np.einsum("kj,kj->k", np.asarray(f(band), dtype=complex), scales)
-    return out
-
-
-def _mode_residuals(problem: DiskProblem, ks, moments) -> np.ndarray:
-    """Left minus right of the mode conditions ks, given their weighted moments."""
-    ks = np.asarray(ks)
-    g = problem.boundary
+def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> MomentReport:
+    """Report for modes 1..len(moments) from their moments b_k(r0), left minus right."""
+    ks, g = np.arange(1, len(moments) + 1), problem.boundary
     vinf = np.array([vinf_coefficients(problem.far_field, int(k)) for k in ks],
                     dtype=complex).reshape(-1, 2)
     trace = g.g_phi[ks + g.K] + 1j * g.g_r[ks + g.K]
-    return moments + trace - (vinf[:, 1] + 1j * vinf[:, 0])
-
-
-def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> MomentReport:
-    """Report for modes 1..len(moments) from their weighted moments (solve_disk's b_k(r0))."""
     residuals = np.zeros(len(moments) + 1, dtype=complex)
-    residuals[1:] = _mode_residuals(problem, np.arange(1, len(moments) + 1), moments)
+    residuals[1:] = moments + trace - (vinf[:, 1] + 1j * vinf[:, 0])
     return MomentReport(residuals, *_circulation_flux(problem), tolerance)
 
 
@@ -134,15 +120,20 @@ def _circulation_flux(problem: DiskProblem) -> tuple:
     return complex(2.0 * np.pi * circ), complex(2.0 * np.pi * flux)
 
 
-def _moments(problem: DiskProblem, K: int) -> np.ndarray:
-    """Weighted moments of the data for the modes k = 1..K, w_k + i rho_k band by band."""
-    w, rho = problem.vorticity.coeffs[problem.K + 1 :], problem.divergence.coeffs[problem.K + 1 :]
-    return _weighted_moments(problem.grid, lambda band: w[band] + 1j * rho[band],
-                             np.arange(1, K + 1))
-
-
 def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport:
-    return _report_from_moments(problem, _moments(problem, problem.K), tolerance)
+    """The residuals of the data from solve_disk's b_k(r0), its integrand w + i rho or w alone.
+
+    As in solve_disk the integrand is w alone when every mode of rho is
+    zero.  Only the modes k = 0..K are checked: for complex data the
+    conditions k <= -1 are not, and an admissible report does not say that
+    the field meets the boundary trace (see the module docstring).
+    """
+    w, rho = problem.vorticity.coeffs[problem.K + 1 :], problem.divergence.coeffs[problem.K + 1 :]
+    w_cols, rho_cols = np.any(w, axis=0), np.any(problem.divergence.coeffs, axis=0)
+    rows = (lambda band: np.add(w[band], 1j * rho[band])) if rho_cols.any() else w.__getitem__
+    moments = _suffix_start(problem.grid.nodes, rows, np.arange(problem.K, dtype=float),
+                            _support(w_cols | rho_cols))
+    return _report_from_moments(problem, moments, tolerance)
 
 
 def _default_support(grid):
@@ -197,11 +188,11 @@ def admissibility_corrections(
             raise ValueError("bump profile has zero circulation moment; choose another support")
         corrections[0] = -circ / m0
 
-    ks = np.arange(1, K_c + 1)
-    residuals = _mode_residuals(problem, ks, _moments(problem, K_c))
-    bump_moments = _weighted_moments(
-        grid, lambda band: np.broadcast_to(bump, (band.stop - band.start, bump.size)), ks)
-    for k, res, m_k in zip(ks, residuals, bump_moments):
+    # the moments of all K modes, on the solve's block schedule; the first K_c are read
+    residuals = moment_report(problem).residuals[1:]
+    bump_moments = _suffix_start(grid.nodes, np.broadcast_to(bump, (w.K, bump.size)).__getitem__,
+                                 np.arange(w.K, dtype=float), _support(bump))
+    for k, res, m_k in zip(range(1, K_c + 1), residuals, bump_moments):
         if abs(res) <= _SKIP_BELOW * scale:
             continue
         if abs(m_k) < 1e-14 * max(1.0, float(np.max(bump))):

@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from divcurl.presets import ellipse_potential_velocity
 
 from helpers import cylinder_flow
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 CYLINDER = """
 [domain]
@@ -403,3 +405,15 @@ field = none
         assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     compat = open(os.path.join(out, "compat_report.txt")).read()
     assert "interpolation error estimate" in compat
+
+
+def test_check_solve_and_stream_report_the_same_moments(tmp_path):
+    # all three read b_k(r0) off one suffix kernel, so the reports agree below the header
+    cfg = str(CONFIGS / "vortex_patch.cfg")
+    reports = []
+    for argv in (["check"], ["solve"], ["solve", "--solver", "stream"]):
+        out = tmp_path / "-".join(argv)
+        assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == EXIT_OK
+        lines = (out / "compat_report.txt").read_text().splitlines()
+        reports.append([line for line in lines if not line.startswith("#")])
+    assert reports[0] == reports[1] == reports[2]

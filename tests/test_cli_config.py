@@ -146,3 +146,37 @@ def test_interpolation_stays_on(tmp_path):
     out = tmp_path / "out"
     assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
     assert "# grid.nodes = 150\n" in (out / "compat_report.txt").read_text()
+
+
+SMALL = "[grid]\nnodes = 120\ngrading = uniform\n[modes]\nk = 4\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[output]\nrout = far\n", "[output] rout"),
+    ("[boundary]\npreset = coefficients\ncoefficients = 1,a,0,0,0\n", "[boundary] coefficients"),
+    ("[norms]\nweight = -1\n", "[norms] weight"),
+    ("[output]\nnr = -2\n", "[output] nr"),
+    ("[solve]\nmake_admissible = true\nk_c = -3\n", "[solve] k_c"),
+    ("[output]\nrout = 0.5\n", "[output] rout"),
+    ("[output]\nfield = grid\n", "[output] field"),
+    ("[oracle]\nn_radial = 0\n", "[oracle] n_radial"),
+    ("[domain]\nr0 = inf\n", "[domain] r0"),
+])
+def test_bad_values_fail_before_any_output(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL + text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("points", ["1,a", "1", "1,2,3"])
+def test_bad_points_name_the_option(tmp_path, capsys, points):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out), f"--points={points}"]) \
+        == EXIT_CONFIG
+    assert "--points" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())

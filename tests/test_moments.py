@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.moments import admissibility_corrections, make_admissible, moment_report
 from divcurl.presets import potential_slip_trace, random_admissible_problem
-from divcurl.quadrature import trapezoid_weights
+from divcurl.quadrature import _scaled, _support, trapezoid_weights
 
 from helpers import mirror_defect
+from test_highmode import admissible_highmode_problem
 
 
 @pytest.fixture
@@ -267,3 +270,41 @@ def test_real_data_report_prints_circulation_and_flux_combined(grid):
     c = report.circulation + 1j * report.flux
     assert f"\ncirculation_flux,{c.real:.17g},{c.imag:.17g},{abs(c):.17g}\n" in report.to_text()
     assert report.circulation_flux == abs(c)
+
+
+def solved_report(problem):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return solve_disk(problem).report
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "solenoidal", "zero"])
+def test_report_reads_the_moments_of_the_solve(kind):
+    # moment_report and solve_disk read one b_k(r0), so their residuals agree byte for byte
+    if kind == "zero":
+        problem = zeros_problem(RadialGrid.uniform(1.0, 6.0, 1501), far=FarField(0.5, -0.2))
+    elif kind == "solenoidal":  # rho zero: the integrand is w alone
+        problem = random_admissible_problem(np.random.default_rng(9), RadialGrid.uniform(
+            1.0, 6.0, 1501), K=6, K_data=4, K_c=3, far_field=FarField(0.5, 0.1))
+    else:
+        problem = admissible_highmode_problem(K=24, M=400, seed=5, real=kind == "real")
+    assert moment_report(problem).residuals.tobytes() == solved_report(problem).residuals.tobytes()
+
+
+def test_projection_reads_the_moments_of_the_solve(grid):
+    # with K_c < K each bump scale is minus the solve's residual over the bump's
+    # b_k(r0) on the solve's schedule (all K modes), and modes above K_c stay
+    K, K_c = 8, 5
+    rng = np.random.default_rng(12)
+    bump = smooth_bump(grid.nodes, 2.0, 4.0)
+    w = SpectralField.from_modes(grid, K, {k: (rng.normal() + 1j * rng.normal()) * bump
+                                           for k in range(-K, K + 1) if k})
+    rho, g, far = SpectralField.zeros(grid, K), BoundaryTrace.zeros(K), FarField(0.3, -0.1)
+    corrections, profile = admissibility_corrections(w, rho, g, far, K_c)
+    residuals = solved_report(DiskProblem(w, rho, g, far)).residuals
+    rows = np.broadcast_to(profile.astype(complex), (K, profile.size))
+    moments = _scaled(grid.nodes, rows, np.arange(K, dtype=float), True,
+                      _support(profile)).table[:, 0]
+    assert sorted(corrections) == list(range(1, K_c + 1))
+    for k in range(1, K_c + 1):
+        assert corrections[k] == complex(-residuals[k] / moments[k - 1])
