@@ -18,10 +18,16 @@ is solved and held on k >= 0 alone, the real-input half spectrum of the
 FFT (Press et al., Numerical Recipes, 3rd ed., section 12.3): the
 integrands, kernel tables and node profiles have the rows k = 0..K, the
 sampler reads mode -m off the conjugated rows +m, and the full (2K+1)-row
-profiles are built only when asked for.  The kernel weights are real, so
-conjugation commutes with every step and the result is the full pass's bit
-for bit.  Zero divergence forms no w -+ i sigma rho.  Mode 0 has power 1
-only and keeps the plain cumulative integrals:
+profiles are built only when asked for, by writing the conjugate rows
+under the held ones in place.  The kernel weights are real, so conjugation
+commutes with every step and the result is the full pass's bit for bit.
+Zero divergence forms no w -+ i sigma rho and tables w alone.  Zero
+vorticity tables rho alone: its kernels A, B give a = -i sigma A and
+b = i sigma B, so the data part of (v_r, v_phi) is ((A - B)/2,
+-i sigma (A + B)/2), rotated by -i.  The profiles, the boundary trace and
+the moments are then those of the w -+ i sigma rho tables bit for bit in
+every case tried, and the samples agree to rounding (1e-15 relative).
+Mode 0 has power 1 only and keeps the plain cumulative integrals:
 
     v_r,0 = (int_{r0}^r s rho_0 ds + r0 g_r,0) / r,   v_phi,0 likewise with w_0, g_phi,0.
 
@@ -29,9 +35,11 @@ The scaled tables never form r^{+-k}: every factor is a ratio of radii at
 most 1 inside a kernel block, and a block ends before (|k|+1) log(s_end /
 s_start) exceeds 300, so nothing overflows at high modes and large rmax.
 The mode-k moment integral is b_k(r0), which gives the moment report for
-free; moments.moment_report and the admissibility projection read the same
-b_k(r0) without the table (quadrature._suffix_start).  All integrals to
-infinity are exact under the compact-support contract of RadialGrid.
+free: solve_disk leaves b_k(r0) on the problem (DiskProblem._moments), and
+moments.moment_report reads it from there.  A report with no solve before
+it and the admissibility projection compute the same b_k(r0) without the
+table (quadrature._suffix_start).  All integrals to infinity are exact
+under the compact-support contract of RadialGrid.
 
 Off the nodes the velocity v1 + i v2 = sum_k (v_r,k + i v_phi,k) e^{i (k+1) phi}
 keeps only i a_m + 2 i d_m (r0/r)^{m+1} for k = m > 0 and -i b_m for k = -m.
@@ -58,10 +66,10 @@ enough to pay for the hand-off and the process may use two CPUs
 (quadrature._together): the vorticity scan on the worker thread and the
 divergence scan here; the prefix table a_k, with its integrand
 w - i sigma rho, on the worker and the suffix table b_k, with
-w + i sigma rho, here; the first half of the node-profile bands on the
-worker; and in sample the inner half of each radius group on the
-worker.  Mode 0 and the constant far field are added to the
-samples on the calling thread, which keeps every call to
+w + i sigma rho, here (each one of rho alone when w is zero); the first
+half of the node-profile bands on the worker; and in sample the inner half
+of each radius group on the worker.  Mode 0 and the constant far field are
+added to the samples on the calling thread, which keeps every call to
 CumulativeIntegral.at there.
 """
 
@@ -75,7 +83,7 @@ import numpy as np
 
 from .grids import BoundaryTrace, RadialGrid, SpectralField
 from .quadrature import (_SIDE_BY_SIDE, ScaledIntegrals, _bands, _locate, _scaled, _support,
-                         _together, _unfold, cumulative)
+                         _together, _unfold, _upper, cumulative)
 
 __all__ = [
     "FarField",
@@ -138,6 +146,10 @@ class ModeTerms:
     integrand, trace, vinf and profile is then the conjugate of row m and
     is not held.  span = (lo, hi) is the data's support: every mode of w
     and rho is zero outside the node columns lo..hi-1 ((0, 0) for zero data).
+    rotated says that the tables hold the kernels A, B of rho itself (zero
+    vorticity), so a = -i sigma A and b = i sigma B:
+
+        v_r = (A - B) / 2 + ...,   v_phi = -i sigma (A + B) / 2 + ...
     """
 
     ks: np.ndarray
@@ -148,6 +160,7 @@ class ModeTerms:
     vinf: np.ndarray
     span: tuple
     zero: tuple = (None, None)
+    rotated: bool = False
 
     @property
     def K(self) -> int:
@@ -170,26 +183,29 @@ class ModeTerms:
         """Node profiles (v_r, v_phi) on the rows ks, each (rows, nodes), built band by band.
 
         The first half of the bands is built on the worker thread
-        (quadrature._together); the bands write disjoint rows.
+        (quadrature._together); the bands write disjoint rows.  Mirrored
+        profiles are the upper rows of (2K+1)-row arrays (quadrature._upper).
         """
         nodes = self.inner.nodes
-        v_r, v_phi = (np.empty(self.inner.table.shape, dtype=complex) for _ in range(2))
-        half_i = 0.5j * np.sign(self.ks)
+        v_r, v_phi = (_upper(self.K, len(self.ks), len(nodes)) for _ in range(2))
+        half_i, half = 0.5j * np.sign(self.ks)[:, None], np.full((len(self.ks), 1), 0.5 + 0j)
+        # v_r = half_i (a + b) and v_phi = (a - b) / 2, or rotated (A - B) / 2 and -half_i (A + B)
+        parts = ((v_r, np.add, half_i), (v_phi, np.subtract, half))
+        if self.rotated:
+            parts = ((v_r, np.subtract, half), (v_phi, np.add, -half_i))
 
         def build(bands):
             for band in bands:
                 decay = self._decay(nodes, band)
                 a, b = self.inner.table[band], self.outer.table[band]
-                rows = np.add(a, b, out=v_r[band])
-                rows *= half_i[band, None]
-                rows += self.trace[0, band, None] * decay
-                rows = np.subtract(a, b, out=v_phi[band])
-                rows *= 0.5
-                rows += self.trace[1, band, None] * decay
+                for (x, combine, scale), trace in zip(parts, self.trace):
+                    rows = combine(a, b, out=x[band])
+                    rows *= scale[band]
+                    rows += trace[band, None] * decay
 
         bands = _bands(len(self.ks), len(nodes))
-        half = len(bands) // 2
-        _together(lambda: build(bands[:half]), lambda: build(bands[half:]), v_r.size)
+        split = len(bands) // 2
+        _together(lambda: build(bands[:split]), lambda: build(bands[split:]), v_r.size)
         zero = self.zero_row
         decay = self._decay(nodes, slice(zero, zero + 1))[0]
         for x, trace, vinf, integral in zip((v_r, v_phi), self.trace, self.vinf, self.zero):
@@ -235,7 +251,11 @@ class ModeTerms:
         v_j = (r/s_j) e^{-i phi} and (r0/r) e^{i phi}, times a coefficient read
         off T, f or D: seven polynomials, summed together by Horner's rule
         from m = K down to 1, one band of modes at a time.  Mirrored terms
-        gather the k = -m coefficients from the rows +m and conjugate them.
+        gather the k = -m coefficients from the rows +m, whose conjugates they
+        are; conjugation commutes with complex + and x, so the three
+        polynomials in v_j run on conj(v_j) with the rows as gathered, and
+        their sums are conjugated once at the end.  Rotated terms (zero
+        vorticity) hold a = -i A and b = -i B, so the sum is A - B.
 
         polys picks the polynomials summed, in the order (T_a, f_a(s0),
         f_a(s1), T_b, f_b(s1), f_b(s0), D); the others count as +0.0, as
@@ -252,6 +272,8 @@ class ModeTerms:
         rs = np.minimum(r, nodes[-1])  # beyond the last node the suffix is zero
         u0, u1, ud = s0 / r * unit, s1 / r * unit, self.r0 / r * unit
         v0, v1 = rs / s0 * back, rs / s1 * back
+        if not zero:  # mirrored: the k = -m polynomials in conj(v_j), conjugated at the end
+            v0, v1 = np.conj(v0), np.conj(v1)
         bases = np.array([(u0, u0, u1, v1, v1, v0, ud)[i] for i in polys])
         acc = np.zeros_like(bases)
         bands = _bands(K, bases.size)
@@ -262,8 +284,8 @@ class ModeTerms:
             c = coef[:, : band.stop - band.start]
             pos = slice(zero + 1 + band.start, zero + 1 + band.stop)  # k = m, m = start + 1 .. stop
             t_a, f_a = self.inner.table[pos], self.inner.integrand[pos]
-            # k = -m: the rows -m, reversed once gathered, or for mirrored terms
-            # the rows +m, conjugated once gathered (take copies a reversed view)
+            # k = -m: the rows -m, reversed once gathered (take copies a reversed
+            # view), or for mirrored terms the rows +m
             neg = slice(K - band.stop, K - band.start) if zero else pos
             t_b, f_b = self.outer.table[neg], self.outer.integrand[neg]
             sources = (t_a, f_a, f_a, t_b, f_b, f_b)
@@ -274,11 +296,12 @@ class ModeTerms:
                 sources[i].take(ends[i], axis=1, out=out, mode="clip")
                 if i >= 3 and zero:
                     out[:] = out[::-1]
-                elif i >= 3:
-                    np.conjugate(out, out=out)
             for i in range(c.shape[1] - 1, -1, -1):
                 acc *= bases
                 acc += c[:, i]
+        if not zero:  # the k = -m sums ran on conj(v_j)
+            neg = [j for j, i in enumerate(polys) if 3 <= i < 6]
+            acc[neg] = np.conj(acc[neg])
         if len(polys) < 7:
             acc, summed = np.zeros((7, r.size), dtype=complex), acc
             acc[list(polys)] = summed
@@ -286,43 +309,46 @@ class ModeTerms:
         h, hb = 0.5 * (rc - s0), 0.5 * (s1 - rc)
         a = u0 * u0 * (ta + (h * (2.0 - frac)) * fa0) + u1 * u1 * ((h * frac) * fa1)
         b = tb + (hb * (1.0 + frac)) * fb1 + (hb * (1.0 - frac)) * fb0
-        return 1j * (a - b) + ud * ud * d
+        return (a - b if self.rotated else 1j * (a - b)) + ud * ud * d
 
 
 def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool,
                   span: tuple) -> ModeTerms:
-    """Kernel terms with a zero trace; rho None is zero divergence.
+    """Kernel terms with a zero trace; rho None is zero divergence, w None zero vorticity.
 
     mirrored says that w and rho are exactly mirrored (a real field's
     modes).  If the far field is too, the integrands and kernel tables are
     formed and held for k = 0..K only, else for k = -K..K.  span is the
     data's support, the columns (lo, hi) outside which w and rho are zero.
+    With zero vorticity both tables are of rho itself (ModeTerms.rotated),
+    so no w -+ i sigma rho is formed.
     """
-    K = (len(w) - 1) // 2
+    K = (len(rho if w is None else w) - 1) // 2
     vinf = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
     ks = np.arange(0 if mirrored and _scan(vinf.T, "far field")[1] else -K, K + 1)
     rows = slice(K + ks[0], None)
-    w, vinf = w[rows], vinf[:, rows]
-    rho = None if rho is None else rho[rows]
+    vinf = vinf[:, rows]
+    w, rho = (None if f is None else f[rows] for f in (w, rho))
     sigma = np.sign(ks)
 
     def table(combine, powers, suffix):
         # the integrand combine(w, i sigma rho), formed band by band, and its table
-        f = w
-        if rho is not None:
+        f = rho if w is None else w
+        if w is not None and rho is not None:
             f = np.empty_like(w, dtype=complex)
             for band in _bands(len(ks), w.shape[1]):
                 combine(w[band], 1j * sigma[band, None] * rho[band], out=f[band])
         return _scaled(grid.nodes, f, powers, suffix, span)
 
     # the prefix table on the worker thread, the suffix table here
+    size = 2 * len(ks) * len(grid.nodes)
     inner, outer = _together(lambda: table(np.subtract, np.abs(ks) + 1.0, False),
-                             lambda: table(np.add, np.abs(ks) - 1.0, True), 2 * w.size)
-    zero = -ks[0]
-    zero_integrals = (None if rho is None else cumulative(grid.nodes, grid.nodes * rho[zero]),
-                      cumulative(grid.nodes, grid.nodes * w[zero]))
+                             lambda: table(np.add, np.abs(ks) - 1.0, True), size)
+    zero, nodes = -ks[0], grid.nodes
+    zero_integrals = (None if rho is None else cumulative(nodes, nodes * rho[zero]),
+                      cumulative(nodes, np.zeros(len(nodes)) if w is None else nodes * w[zero]))
     return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
-                     span, zero_integrals)
+                     span, zero_integrals, w is None)
 
 
 def _scan(values, name) -> tuple:
@@ -383,6 +409,9 @@ class DiskProblem:
     far_field: FarField = FarField()
     vorticity_fn: object = field(default=None, compare=False)
     divergence_fn: object = field(default=None, compare=False)
+    # b_k(r0) on the rows k = 0..K (mirrored data) or -K..K, read-only, as the
+    # first solve or moment report found it; replace() does not carry it
+    _moments: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.vorticity.grid is not self.divergence.grid and not np.array_equal(
@@ -403,6 +432,27 @@ class DiskProblem:
     @property
     def K(self) -> int:
         return self.vorticity.K
+
+    def _keep_moments(self, moments) -> np.ndarray:
+        """Store the moments b_k(r0) read-only as the problem's memo and return them."""
+        moments.setflags(write=False)
+        object.__setattr__(self, "_moments", moments)
+        return moments
+
+
+def _scan_data(problem: DiskProblem) -> tuple:
+    """(column maxima of w, of rho, exact-mirror flag of w, rho and g together).
+
+    The vorticity scan runs on the worker thread and the divergence scan
+    here (quadrature._together); ValueError names a field with a value
+    that is not finite.
+    """
+    w, rho, g = problem.vorticity, problem.divergence, problem.boundary
+    (w_top, w_mirrored), (rho_top, rho_mirrored) = _together(
+        lambda: _scan(w.coeffs, "vorticity"), lambda: _scan(rho.coeffs, "divergence"),
+        w.coeffs.size + rho.coeffs.size)
+    g_mirrored = _scan(np.stack((g.g_r, g.g_phi), axis=1), "boundary trace")[1]
+    return w_top, rho_top, w_mirrored and rho_mirrored and g_mirrored
 
 
 @dataclass(frozen=True)
@@ -503,18 +553,16 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
     Incompatible data is solved anyway: the formulas stay evaluable and the
     report quantifies how badly the boundary condition is violated, so the
     solver warns instead of refusing.  The report's mode residuals come from
-    the kernel's b_k(r0), without a second integration.  moment_report, the
-    CLI's check and stream reports and the admissibility projection read
-    the same b_k(r0) bit for bit, so every report of one problem agrees.
+    the kernel's b_k(r0), without a second integration, and the solve leaves
+    them on the problem: moment_report reads them from there.  The CLI's
+    check and stream reports and the admissibility projection compute the
+    same b_k(r0) bit for bit, so every report of one problem agrees.
     """
     from .moments import _report_from_moments
 
     grid = problem.grid
     w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
-    (w_top, w_mirrored), (rho_top, rho_mirrored) = _together(
-        lambda: _scan(w.coeffs, "vorticity"), lambda: _scan(rho.coeffs, "divergence"),
-        w.coeffs.size + rho.coeffs.size)
-    g_mirrored = _scan(np.stack((g.g_r, g.g_phi), axis=1), "boundary trace")[1]
+    w_top, rho_top, mirrored = _scan_data(problem)
     top = np.maximum(w_top, rho_top)
     if top[-1] > 1e-12 * max(float(np.max(top)), 1e-300):
         warnings.warn(
@@ -523,12 +571,15 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
             stacklevel=2,
         )
 
-    terms = _direct_terms(grid, w.coeffs, rho.coeffs if np.max(rho_top) else None, far,
-                          w_mirrored and rho_mirrored and g_mirrored, _support(top))
+    w_data = w.coeffs if np.max(w_top) or not np.max(rho_top) else None  # None: rotated
+    terms = _direct_terms(grid, w_data, rho.coeffs if np.max(rho_top) else None, far,
+                          mirrored, _support(top))
     terms = _with_trace(terms, g.g_r, g.g_phi)
     rows = terms.at_nodes()
-    report = _report_from_moments(problem, terms.outer.table[terms.zero_row + 1 :, 0],
-                                  warn_tolerance)
+    moments = terms.outer.table[:, 0]
+    # b = i sigma B for the rotated tables; a copy that does not hold the table
+    moments = 1j * np.sign(terms.ks) * moments if terms.rotated else np.array(moments)
+    report = _report_from_moments(problem, problem._keep_moments(moments), warn_tolerance)
     if report.max_residual > warn_tolerance:
         warnings.warn(
             f"data violates the moment conditions (max residual "

@@ -1,9 +1,9 @@
 """Solvability moment conditions and the admissibility projection.
 
-For k >= 1 the data must satisfy
+For k != 0, with sigma = sign(k), the data must satisfy
 
-    r0^{k-1} int_{r0}^inf s^{-k+1} (w_k + i rho_k) ds + g_phi,k + i g_r,k
-        = v_phi,k^inf + i v_r,k^inf,
+    r0^{|k|-1} int_{r0}^inf s^{-|k|+1} (w_k + i sigma rho_k) ds + g_phi,k + i sigma g_r,k
+        = v_phi,k^inf + i sigma v_r,k^inf,
 
 and at k = 0 the circulation and flux around the solid must vanish:
 
@@ -14,20 +14,20 @@ The two are kept apart: for complex data each is complex, and their
 combination circulation + i flux could cancel.  For real data the report
 prints them combined, as 2*pi*[(...) + i (...)].
 Residuals are oriented left minus right, so a pure far-field violation at
-k = 1 reports -(v_phi,1^inf + i v_r,1^inf).  The mode moment is the disk
-solver's b_k(r0), the suffix kernel at r0, and moment_report and the
-projection read it with quadrature._suffix_start: the same integrand, block
-schedule and summation order as solve_disk's suffix table, without the
-table.  So the report, the projection and solve_disk see the same moment
-bit for bit, and a change of the quadrature rule reaches all three at once.
-
-Only the conditions k >= 1 are checked.  The mode -m condition is the
-conjugate of the mode m one for real data, whose modes are mirrored, so
-the report decides real data; for complex data the conditions k <= -1 go
-unchecked.  With w only in mode -2, a unit smooth_bump on [2, 4], and rho,
-g and v_inf zero (K = 4, 2201 uniform nodes on [1, 12]), the report and
-solve_disk call the data admissible with every residual 0.0, while the
-solved field's boundary trace misses g by 0.205.
+k = 1 reports -(v_phi,1^inf + i v_r,1^inf), and a zero mode-k residual is
+exactly the condition under which the solved field's trace matches g_k.
+For data whose modes are mirrored (w, rho and g real fields, as the scan
+of solve_disk finds) the mode -m residual is the conjugate of the mode m
+one, so the rows k = 1..K decide; otherwise the rows k = -1..-K are
+checked as well.  The mode moment is the disk solver's b_k(r0), the
+suffix kernel at r0.  solve_disk leaves the moments it read off its
+suffix table on the problem, and moment_report reads them from there.
+With no solve before it, moment_report and the projection compute them
+with quadrature._suffix_start: the same integrand, block schedule and
+summation order as solve_disk's suffix table, without the table, and the
+report keeps them on the problem in turn.  So the report, the projection
+and solve_disk see the same moment bit for bit, and a change of the
+quadrature rule reaches all three at once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskProblem, FarField, vinf_coefficients
+from .disk import DiskProblem, FarField, _scan_data, vinf_coefficients
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
 from .quadrature import _suffix_start, _support, trapezoid_weights
 
@@ -58,21 +58,25 @@ class MomentReport:
 
     residuals[k] holds the mode-k residual for k = 1..K; index 0 is kept at
     zero because the k = 0 conditions are the separate circulation and flux
-    entries.  The modes k <= -1 are not checked, so admissible decides real
-    data only (see the module docstring).
+    entries.  negative[m] holds the mode -m residual for m = 1..K (index 0
+    zero) when the data are not mirrored; for mirrored data it is empty, as
+    the mode -m residual is then the conjugate of the mode m one.
     """
 
     residuals: np.ndarray
     circulation: complex
     flux: complex
     tolerance: float
+    negative: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "residuals", _frozen_array(self.residuals, dtype=complex))
+        for name in ("residuals", "negative"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype=complex))
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if self.residuals.size else 0.0
+        both = np.concatenate((self.residuals, self.negative))
+        return float(np.max(np.abs(both))) if both.size else 0.0
 
     @property
     def circulation_flux(self) -> float:
@@ -85,8 +89,9 @@ class MomentReport:
 
     def to_text(self) -> str:
         lines = ["k,residual_re,residual_im,residual_abs"]
-        for k in range(1, self.residuals.size):
-            res = self.residuals[k]
+        rows = [(k, self.residuals[k]) for k in range(1, self.residuals.size)]
+        rows += [(-m, self.negative[m]) for m in range(1, self.negative.size)]
+        for k, res in rows:
             lines.append(f"{k},{res.real:.17g},{res.imag:.17g},{abs(res):.17g}")
         if self.circulation.imag == 0.0 and self.flux.imag == 0.0:
             c = complex(self.circulation.real, self.flux.real)
@@ -100,14 +105,19 @@ class MomentReport:
 
 
 def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> MomentReport:
-    """Report for modes 1..len(moments) from their moments b_k(r0), left minus right."""
-    ks, g = np.arange(1, len(moments) + 1), problem.boundary
+    """Report from the moments b_k(r0) on the rows k = 0..K, or k = -K..K for data
+    that are not mirrored (row k = 0 is not read), left minus right."""
+    K, g = problem.K, problem.boundary
+    ks = np.arange(-K, K + 1)[-len(moments) :]
+    sigma = np.sign(ks)
     vinf = np.array([vinf_coefficients(problem.far_field, int(k)) for k in ks],
                     dtype=complex).reshape(-1, 2)
-    trace = g.g_phi[ks + g.K] + 1j * g.g_r[ks + g.K]
-    residuals = np.zeros(len(moments) + 1, dtype=complex)
-    residuals[1:] = moments + trace - (vinf[:, 1] + 1j * vinf[:, 0])
-    return MomentReport(residuals, *_circulation_flux(problem), tolerance)
+    trace = g.g_phi[ks + g.K] + 1j * sigma * g.g_r[ks + g.K]
+    residuals = moments + trace - (vinf[:, 1] + 1j * sigma * vinf[:, 0])
+    zero = len(ks) - K - 1
+    residuals[zero] = 0.0
+    return MomentReport(residuals[zero:], *_circulation_flux(problem), tolerance,
+                        residuals[zero::-1] if zero else ())
 
 
 def _circulation_flux(problem: DiskProblem) -> tuple:
@@ -121,19 +131,45 @@ def _circulation_flux(problem: DiskProblem) -> tuple:
 
 
 def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport:
-    """The residuals of the data from solve_disk's b_k(r0), its integrand w + i rho or w alone.
+    """The residuals of the data from solve_disk's b_k(r0).
 
-    As in solve_disk the integrand is w alone when every mode of rho is
-    zero.  Only the modes k = 0..K are checked: for complex data the
-    conditions k <= -1 are not, and an admissible report does not say that
-    the field meets the boundary trace (see the module docstring).
+    After a solve of the same problem object they are read off the memo the
+    solve left on it.  Otherwise the moments are integrated once, as the
+    solve would (quadrature._suffix_start on its integrand: w + i sigma rho,
+    w alone when rho is zero, rho alone and rotated when w is zero), on the
+    rows k = 1..K and, for data that are not mirrored, k = -1..-K, and kept
+    as the memo.
     """
-    w, rho = problem.vorticity.coeffs[problem.K + 1 :], problem.divergence.coeffs[problem.K + 1 :]
-    w_cols, rho_cols = np.any(w, axis=0), np.any(problem.divergence.coeffs, axis=0)
-    rows = (lambda band: np.add(w[band], 1j * rho[band])) if rho_cols.any() else w.__getitem__
-    moments = _suffix_start(problem.grid.nodes, rows, np.arange(problem.K, dtype=float),
-                            _support(w_cols | rho_cols))
+    moments = problem._moments
+    if moments is None:
+        moments = problem._keep_moments(_moments_of(problem))
     return _report_from_moments(problem, moments, tolerance)
+
+
+def _moments_of(problem: DiskProblem) -> np.ndarray:
+    """b_k(r0) on the rows solve_disk holds, bit for bit its suffix table's first column."""
+    K = problem.K
+    w_top, rho_top, mirrored = _scan_data(problem)
+    ks = np.arange(1, K + 1)
+    if not mirrored:
+        ks = np.concatenate((ks, -ks))
+    sigma, w, rho = np.sign(ks), problem.vorticity.coeffs, problem.divergence.coeffs
+    has_rho = bool(np.max(rho_top))
+    rotated = has_rho and not np.max(w_top)
+
+    def rows(band):  # the integrand's rows ks[band], formed one band at a time
+        at = K + ks[band]
+        if rotated:
+            return rho[at]
+        if has_rho:
+            return np.add(w[at], 1j * sigma[band, None] * rho[at])
+        return w[at]
+
+    found = _suffix_start(problem.grid.nodes, rows, np.abs(ks) - 1.0,
+                          _support(np.maximum(w_top, rho_top)))
+    moments = np.zeros(K + 1 if mirrored else 2 * K + 1, dtype=complex)
+    moments[len(moments) - K - 1 + ks] = 1j * sigma * found if rotated else found
+    return moments
 
 
 def _default_support(grid):

@@ -5,17 +5,28 @@ Volume norms use Parseval in the angle and composite trapezoid in radius:
 energy uses the full polar gradient including the frame-curvature terms, so
 constant fields contribute exactly zero.  Every volume norm sums the
 (2K+1) x M mode densities over k and takes one product with the radial
-weight vector.  The density is accumulated over row bands
-(quadrature._bands), each term summed row after row in mode order, which is
-the order one einsum over the whole array takes, so banding leaves every norm
-bit for bit as it was.  The velocity norms read the profiles a solution
-holds: for real data (mirrored terms, v_{-k} = conj(v_k)) those are the rows
-k = 0..K, summed as row 0 plus twice rows 1..K, which matches the
-whole-array einsum to rounding, not bit for bit.  The first half of a
-norm's terms is squared on the worker thread (quadrature._together): the
-two radial derivatives of the gradient energy, the v_r deviation of the L2
-deviation.  Each term keeps its own sum and the terms are added in order at
-the end, so the split leaves every norm bit for bit as it was.
+weight vector, and every pass walks the rows in bands (quadrature._bands).
+
+The scalar-field norms square their terms row after row in mode order, the
+order one einsum over the whole array takes, so banding leaves them bit for
+bit as they were; a norm of one term runs on the calling thread.
+
+The velocity norms (h1_seminorm and the far-field deviations) read the
+profiles a solution holds, the rows k = 0..K for real data, whose rows
+k >= 1 then count twice.  One pass over their bands gives every density
+they need, all real: the squares |u|^2 of u = v - v_inf, the cross product
+Im(u_r conj(u_phi)) and the squared radial derivatives.  The angular and
+frame-curvature terms of the gradient come from the first two, as
+
+    |i k u_r - u_phi|^2 + |i k u_phi + u_r|^2
+        = (k^2 + 1)(|u_r|^2 + |u_phi|^2) + 4 k Im(u_r conj(u_phi)),
+
+so no complex term array is formed.  Each band's mode sums are products of
+small weight matrices with its squares, and the first half of the bands
+runs on the worker thread (quadrature._together) with its own sums, added
+to the second half's at the end: the split is fixed, so the norms do not
+depend on threading bit for bit.  They match the whole-array per-term sums
+to rounding.
 """
 
 from __future__ import annotations
@@ -36,26 +47,23 @@ __all__ = [
 ]
 
 
-def _power(count, s, terms, mirrored=False) -> np.ndarray:
+def _power(count, s, terms) -> np.ndarray:
     """sum over modes and terms of |term_k(s_j)|^2 at every node.
 
     terms[t](band) gives the band's rows of the (modes, nodes) complex term t.
     Each term's squares are summed row after row over the float view, with
     the running sum carried from band to band, and the terms are added at the
     end, in term order: the order of one einsum per whole term, so the sum is
-    unchanged.  Mirrored terms (the rows k = 0..K of modes with row -m the
-    conjugate of row m) are summed as (sum over t of row 0) plus twice (sum
-    over t of rows 1..K).  The first half of the terms is squared on the
-    worker thread (quadrature._together), the rest on this one; a single
-    term has no first half and is squared here, with no hand-off.
+    unchanged.  The first half of the terms is squared on the worker thread
+    (quadrature._together), the rest on this one; a single term has no first
+    half and is squared here, with no hand-off.
     """
-    groups = [[slice(0, 1)], _bands(count, s.size, 1)] if mirrored else [_bands(count, s.size)]
+    bands = _bands(count, s.size)
     half = len(terms) // 2
-    first, second = _together(lambda: [_squares(bands, terms[:half]) for bands in groups],
-                              lambda: [_squares(bands, terms[half:]) for bands in groups],
+    first, second = _together(lambda: _squares(bands, terms[:half]),
+                              lambda: _squares(bands, terms[half:]),
                               len(terms) * count * s.size if half else 0)
-    sums = [sum(a + b) for a, b in zip(first, second)]
-    return sums[0] + 2.0 * sums[1] if mirrored else sums[0]
+    return sum(first + second)
 
 
 def _squares(bands, terms) -> list:
@@ -117,25 +125,73 @@ def h_half_boundary_norm(g: BoundaryTrace) -> float:
     return float(np.sqrt(np.sum(terms)))
 
 
+def _velocity_densities(solution: VelocitySolution, gradient: bool = True) -> tuple:
+    """(deviation, gradient) per-node densities of a solution, from one pass over its bands.
+
+    With u = v - v_inf and w_k = 2 for the mirrored rows k >= 1, else 1,
+    deviation = sum_k w_k |u_k|^2 and gradient = sum_k w_k |d_r v_k|^2 plus
+    the frame density of the module docstring over s^2 (None unless asked
+    for).  Each half of the bands keeps its own sums, added at the end.
+    """
+    s = solution.grid.nodes
+    terms, (v_r, v_phi) = solution.terms, solution.rows
+    ks = terms.ks.astype(float)
+    weight = np.where(terms.mirrored & (ks > 0), 2.0, 1.0)
+    # rows of sums: deviation, then (k^2+1)-weighted squares, cross products, radial derivatives
+    squares = np.array([weight, weight * (ks * ks + 1.0)])[: 1 + gradient]
+    cross, vinf, width = 4.0 * weight * ks, terms.vinf, 2 * s.size
+
+    def part(bands):
+        sums = np.zeros((3 * gradient + 1, width))
+        for band in bands:
+            sq = np.empty((band.stop - band.start, width))
+            cr = np.empty_like(sq) if gradient else None
+            _products(v_r[band], v_phi[band], sq, cr)
+            for j in np.flatnonzero(np.any(vinf[:, band], axis=0)):  # |k| = 1 only
+                _products(v_r[band][j : j + 1] - vinf[0, band][j],
+                          v_phi[band][j : j + 1] - vinf[1, band][j],
+                          sq[j : j + 1], None if cr is None else cr[j : j + 1])
+            sums[: len(squares)] += squares[:, band] @ sq
+            if gradient:
+                sums[2] += cross[band] @ cr
+                del sq, cr
+                for v in (v_r, v_phi):
+                    d = _radial_derivative(v[band], s).view(float)
+                    d *= d
+                    sums[3] += weight[band] @ d
+                    del d
+        return sums
+
+    bands = _bands(len(ks), s.size)
+    half = len(bands) // 2
+    first, second = _together(lambda: part(bands[:half]), lambda: part(bands[half:]),
+                              2 * v_r.size)
+    sums = (first + second).reshape(len(first), s.size, 2)
+    deviation = sums[0].sum(axis=1)
+    if not gradient:
+        return deviation, None
+    frame = sums[1].sum(axis=1) + (sums[2, :, 1] - sums[2, :, 0])
+    return deviation, sums[3].sum(axis=1) + frame / (s * s)
+
+
+def _products(u_r, u_phi, sq, cr):
+    """Write |u_r|^2 + |u_phi|^2 into sq and, unless cr is None, (re u_r im u_phi,
+    im u_r re u_phi) into cr, node by node over the float views of the complex rows."""
+    a, b = u_r.view(float), u_phi.view(float)
+    np.multiply(a, a, out=sq)
+    sq += b * b
+    if cr is not None:
+        pairs = (len(a), -1, 2)
+        np.multiply(a.reshape(pairs), b.reshape(pairs)[..., ::-1], out=cr.reshape(pairs))
+
+
 def h1_seminorm(solution: VelocitySolution) -> float:
     """Discrete ||grad v||_{L2}: finite differences in r, exact mode sums in angle.
 
     Equals the gradient energy of v - v_inf as well, since the constant far
-    field has zero gradient (its frame terms cancel exactly).
+    field has zero gradient: its frame terms are taken out with it.
     """
-    s = solution.grid.nodes
-    v_r, v_phi = solution.rows
-    ik = 1j * solution.terms.ks[:, None]
-    # x * (1 / s) is what complex division by the real s computes, for less time
-    inv_s = np.reciprocal(s)
-
-    # polar gradient of one Fourier mode: radial derivatives (on the worker
-    # thread) plus the angular/frame terms (i k v_r - v_phi)/r and (i k v_phi + v_r)/r
-    terms = [lambda band: _radial_derivative(v_r[band], s),
-             lambda band: _radial_derivative(v_phi[band], s),
-             lambda band: (ik[band] * v_r[band] - v_phi[band]) * inv_s,
-             lambda band: (ik[band] * v_phi[band] + v_r[band]) * inv_s]
-    return _volume_norm(_power(len(ik), s, terms, solution.terms.mirrored), s)
+    return _volume_norm(_velocity_densities(solution)[1], solution.grid.nodes)
 
 
 def scalar_gradient_norm(field: SpectralField) -> float:
@@ -150,17 +206,11 @@ def scalar_gradient_norm(field: SpectralField) -> float:
 
 def far_field_deviation_l2(solution: VelocitySolution) -> float:
     """||v - v_inf||_{L2} over the grid span (finite only for admissible data)."""
-    s = solution.grid.nodes
-    v_r, v_phi = solution.rows
-    vinf = solution.terms.vinf
-    power = _power(len(v_r), s, [lambda band: v_r[band] - vinf[0, band, None],
-                                 lambda band: v_phi[band] - vinf[1, band, None]],
-                   solution.terms.mirrored)
-    return _volume_norm(power, s)
+    return _volume_norm(_velocity_densities(solution, False)[0], solution.grid.nodes)
 
 
 def far_field_deviation_h1(solution: VelocitySolution) -> float:
-    """||v - v_inf||_{H1} = sqrt(L2 deviation^2 + gradient energy)."""
-    l2 = far_field_deviation_l2(solution)
-    semi = h1_seminorm(solution)
-    return float(np.hypot(l2, semi))
+    """||v - v_inf||_{H1} = sqrt(L2 deviation^2 + gradient energy), from one density pass."""
+    s = solution.grid.nodes
+    l2, grad = _velocity_densities(solution)
+    return float(np.hypot(_volume_norm(l2, s), _volume_norm(grad, s)))

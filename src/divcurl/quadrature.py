@@ -61,12 +61,12 @@ bit.  The node profiles, the off-node sampler and the volume norms walk the
 same bands.
 
 The solver's passes come in independent halves: the prefix and the suffix
-table, the two data scans, the two halves of the node-profile bands and of
-the sample points, and the radial-derivative and frame terms of the
-gradient energy.  _together runs the first half on one worker thread and
-the second on the calling thread.  numpy releases the interpreter lock
-inside its loops over whole bands, so the two halves share the host's
-cores.  A pass over less than two bands' worth of values, or a process
+table, the two data scans, the two halves of the node-profile bands, of
+the sample points and of the velocity norms' density bands, and the terms
+of the scalar-field norms.  _together runs the first half on one worker
+thread and the second on the calling thread.  numpy releases the
+interpreter lock inside its loops over whole bands, so the two halves
+share the host's cores.  A pass over less than two bands' worth of values, or a process
 that may run on one CPU only, runs its halves one after the other on the
 calling thread: there the hand-off, or the two threads taking turns on
 one core, costs more than the overlap saves.  The split is fixed, never
@@ -172,16 +172,27 @@ def _bands(count, width, start=0):
     return [slice(i, min(i + step, count)) for i in range(start, count, step)]
 
 
+def _upper(K, count, width):
+    """A new complex (count, width) array; for count = K + 1 (mirrored rows k = 0..K)
+    the upper rows of an uninitialised (2K+1)-row array, which _unfold completes in place."""
+    return np.empty((2 * K + 1, width), dtype=complex)[2 * K + 1 - count :]
+
+
 def _unfold(rows, K):
     """Rows k = -K..K of a mirrored array from its rows k = 0..K: mode -m is conj(mode m).
 
-    The new array is read-only; rows already covering -K..K are returned as
-    they are.
+    The result is read-only.  Rows made by _upper get their lower rows
+    written in place, once; other rows are copied into a new array, and rows
+    already covering -K..K are returned as they are.
     """
     if len(rows) == 2 * K + 1:
         return rows
-    full = np.empty((2 * K + 1,) + rows.shape[1:], dtype=rows.dtype)
-    full[K:] = rows
+    full = rows.base
+    if not (full is not None and full.flags.writeable and full.strides == rows.strides
+            and full.shape == (2 * K + 1,) + rows.shape[1:]
+            and full[K:].ctypes.data == rows.ctypes.data):
+        full = np.empty((2 * K + 1,) + rows.shape[1:], dtype=rows.dtype)
+        full[K:] = rows
     np.conjugate(rows[:0:-1], out=full[:K])
     full.setflags(write=False)
     return full

@@ -438,27 +438,22 @@ def reference_far_field_deviation_h1(solution, weights):
     return float(np.hypot(l2, norm(p)))
 
 
-def sequential_power(count, s, terms, mirrored=False):
+def sequential_power(count, s, terms):
     """norms._power summed on one thread: terms(band) yields the band's rows of every term.
 
     Each term's squares are summed row after row over the float view, the
     running sum carried from band to band, and the terms added in order at
-    the end; mirrored terms (rows k = 0..K) as row 0 plus twice rows 1..K.
+    the end.
     """
-    def squares(bands):
-        acc = {}
-        for band in bands:
-            for t, values in enumerate(terms(band)):
-                flat = np.ascontiguousarray(values, dtype=complex).view(float)
-                rows = np.empty((len(flat) + 1, flat.shape[1]))
-                rows[0] = acc.get(t, 0.0)
-                np.multiply(flat, flat, out=rows[1:])
-                acc[t] = rows.sum(axis=0)
-        return sum(a.reshape(-1, 2).sum(axis=1) for a in acc.values())
-
-    if not mirrored:
-        return squares(_bands(count, s.size))
-    return squares([slice(0, 1)]) + 2.0 * squares(_bands(count, s.size, 1))
+    acc = {}
+    for band in _bands(count, s.size):
+        for t, values in enumerate(terms(band)):
+            flat = np.ascontiguousarray(values, dtype=complex).view(float)
+            rows = np.empty((len(flat) + 1, flat.shape[1]))
+            rows[0] = acc.get(t, 0.0)
+            np.multiply(flat, flat, out=rows[1:])
+            acc[t] = rows.sum(axis=0)
+    return sum(a.reshape(-1, 2).sum(axis=1) for a in acc.values())
 
 
 def reference_closed_form(modes, corrections, lo, hi):

@@ -20,7 +20,7 @@ import pytest
 
 from divcurl import disk, norms, quadrature, stream
 from divcurl.disk import solve_disk
-from divcurl.moments import moment_report
+from divcurl.moments import _report_from_moments, moment_report
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
 from divcurl.norms import far_field_deviation_h1, far_field_deviation_l2, h1_seminorm
 from divcurl.quadrature import (_BAND_BYTES, _bands, _scaled, _support, _unfold,
@@ -32,7 +32,6 @@ from helpers import (
     reference_profiles,
     reference_sample,
     reference_scaled_prefix,
-    sequential_power,
 )
 from test_highmode import admissible_highmode_problem
 
@@ -94,28 +93,38 @@ def test_node_profiles_and_h1_equal_the_whole_array_path(highmode):
 
 
 def test_norms_equal_the_sequential_sums_bit_for_bit(highmode, monkeypatch, two_cpus):
-    # each term summed in band order and the terms added in term order, the
-    # mirrored ones as row 0 plus twice rows 1..K, whichever thread squares them
-    # and the per-node sums too, since the radial product can round a drift away
-    powers = []
-    volume_norm = norms._volume_norm
+    # the density pass splits its bands between the threads in a fixed way and
+    # each half keeps its own sums, added in order at the end: the per-node
+    # densities and the norms are the same bits with the worker thread as
+    # without it, and the radial product can round no drift away
+    densities, split = [], []
+    volume_norm, together = norms._volume_norm, norms._together
 
     def recorded(power, s, weight=1.0):
-        powers.append(power)
+        densities.append(power)
         return volume_norm(power, s, weight)
 
+    def recorded_together(first, second, size):
+        split.append(quadrature._side_by_side(size))
+        return together(first, second, size)
+
     monkeypatch.setattr(norms, "_volume_norm", recorded)
+    monkeypatch.setattr(norms, "_together", recorded_together)
     for _, solution, _ in highmode:
-        got = h1_seminorm(solution), far_field_deviation_l2(solution)
-        with monkeypatch.context() as patch:
-            patch.setattr(norms, "_power", lambda count, s, terms, mirrored=False:
-                          sequential_power(count, s, lambda band: [t(band) for t in terms],
-                                           mirrored))
-            want = h1_seminorm(solution), far_field_deviation_l2(solution)
-        assert got == want
-        for threaded, sequential in zip(powers[:2], powers[2:]):
-            assert threaded.tobytes() == sequential.tobytes()
-        powers.clear()
+        runs = []
+        for threads in (2, 1):
+            with monkeypatch.context() as patch:
+                if threads == 1:
+                    patch.setattr(quadrature, "_side_by_side", lambda size: False)
+                norms_ = (h1_seminorm(solution), far_field_deviation_l2(solution),
+                          far_field_deviation_h1(solution))
+            runs.append((norms_, [d.tobytes() for d in densities], list(split)))
+            densities.clear()
+            split.clear()
+        (threaded, threaded_densities, used), (sequential, sequential_densities, unused) = runs
+        assert used == [True] * 3 and unused == [False] * 3
+        assert threaded == sequential and len(threaded_densities) == 4
+        assert threaded_densities == sequential_densities
 
 
 def counted_rows(monkeypatch):
@@ -249,6 +258,63 @@ def test_real_data_equals_the_general_path_bit_for_bit(highmode):
     for got, want in pairs:
         assert np.array_equal(got.view(float), want.view(float))
     assert neumann_defect(half_stream) == neumann_defect(full_stream)
+
+
+def unrotated(problem):
+    """(solution, report) of pure-divergence data through the integrands w -+ i sigma rho.
+
+    The reference hands disk._direct_terms the zero w array, as for data
+    with any nonzero w, so its tables are those of w -+ i sigma rho.
+    """
+    w_top, rho_top, mirrored = disk._scan_data(problem)
+    terms = disk._direct_terms(problem.grid, problem.vorticity.coeffs,
+                               problem.divergence.coeffs, problem.far_field, mirrored,
+                               _support(np.maximum(w_top, rho_top)))
+    terms = disk._with_trace(terms, problem.boundary.g_r, problem.boundary.g_phi)
+    report = _report_from_moments(problem, np.array(terms.outer.table[:, 0]), 1e-8)
+    return disk.VelocitySolution(terms, terms.at_nodes(), problem.far_field, problem.grid), report
+
+
+def test_pure_divergence_tables_rho_itself(highmode):
+    # zero vorticity: both tables are of rho, rotated by -i, and every profile,
+    # trace and residual is the w -+ i sigma rho path's bit for bit
+    for problem, with_w, points in highmode:
+        assert not with_w.terms.rotated  # any nonzero w keeps the w -+ i sigma rho path
+        problem = replace(problem, vorticity=SpectralField.zeros(problem.grid, problem.K))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # w = 0 breaks admissibility
+            solution = solve_disk(problem)
+            want, report = unrotated(problem)
+        assert solution.terms.rotated and not want.terms.rotated
+        assert solution.terms.mirrored == want.terms.mirrored == with_w.terms.mirrored
+        assert solution.terms.inner.integrand is solution.terms.outer.integrand
+        cold = moment_report(replace(problem))
+        got, ref = solution.boundary_trace(), want.boundary_trace()
+        pairs = [*zip(solution.profiles(), want.profiles()), (got.g_r, ref.g_r),
+                 (got.g_phi, ref.g_phi), (solution.report.residuals, report.residuals),
+                 (solution.report.negative, report.negative), (cold.residuals, report.residuals),
+                 (cold.negative, report.negative)]
+        for got, ref in pairs:
+            assert got.tobytes() == ref.tobytes()
+        got, ref = solution.sample(points), want.sample(points)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_mirrored_profiles_unfold_in_place(highmode):
+    # the rows k = 0..K are the upper rows of the full view, whose lower rows
+    # are written on first access: no second (2K+1)-row array is made
+    problem = highmode[1][0]
+    solution = solve_disk(problem)
+    tracemalloc.start()
+    try:
+        v_r = solution.v_r
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solution.terms.mirrored and solution.rows[0].base is v_r
+    assert peak < _BAND_BYTES and not v_r.flags.writeable
+    K = problem.K
+    assert np.array_equal(v_r[:K].view(float), np.conj(v_r[: K : -1]).view(float))
 
 
 def test_banded_sampling_matches_the_whole_array_path(highmode):

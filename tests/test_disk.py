@@ -283,12 +283,13 @@ def test_truncation_contract_warning(grid):
 
 def test_negative_mode_by_conjugation_for_complex_data(grid):
     # complex-valued mode data: the negative mode solves the conjugated system
-    # (only positive-k conditions are checked, so no warning is expected here)
+    # (and violates its own moment condition, which the report checks)
     nodes = grid.nodes
     profile = smooth_bump(nodes, 2.0, 4.0) * (1.0 + 0.5j)
     w = SpectralField.from_modes(grid, 2, {-2: profile})
     problem = DiskProblem(w, SpectralField.zeros(grid, 2), BoundaryTrace.zeros(2))
-    solution = solve_disk(problem)
+    with pytest.warns(UserWarning, match="moment conditions"):
+        solution = solve_disk(problem)
     mirrored = SpectralField.from_modes(grid, 2, {2: np.conj(profile)})
     with pytest.warns(UserWarning, match="moment conditions"):
         ref = solve_disk(DiskProblem(mirrored, SpectralField.zeros(grid, 2),

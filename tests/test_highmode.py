@@ -46,10 +46,12 @@ def admissible_highmode_problem(K, M, seed, ratio=1.01, real=False):
     w, rho = (SpectralField(grid, K, modes(1.0)[:, None] * bump) for _ in range(2))
     g_r, g_phi = modes(0.1), modes(0.1)
     far = FarField(0.3, -0.2)
-    residuals = moment_report(DiskProblem(w, rho, BoundaryTrace(K, g_r, g_phi), far)).residuals
-    g_phi[K + 1 :] -= residuals[1:]
+    report = moment_report(DiskProblem(w, rho, BoundaryTrace(K, g_r, g_phi), far))
+    g_phi[K + 1 :] -= report.residuals[1:]
     if real:
         g_phi[:K] = np.conj(g_phi[K + 1 :][::-1])
+    else:  # complex data: the modes k <= -1 have their own conditions
+        g_phi[:K] -= report.negative[:0:-1]
     return DiskProblem(w, rho, BoundaryTrace(K, g_r, g_phi), far)
 
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -308,3 +309,74 @@ def test_projection_reads_the_moments_of_the_solve(grid):
     assert sorted(corrections) == list(range(1, K_c + 1))
     for k in range(1, K_c + 1):
         assert corrections[k] == complex(-residuals[k] / moments[k - 1])
+
+
+def memo_cases():
+    grid = RadialGrid.uniform(1.0, 6.0, 1501)
+    rng = np.random.default_rng(9)
+    solenoidal = random_admissible_problem(rng, grid, K=6, K_data=4, K_c=3,
+                                           far_field=FarField(0.5, 0.1))
+    real = admissible_highmode_problem(K=24, M=400, seed=5, real=True)
+    return {"real": real,
+            "complex": admissible_highmode_problem(K=24, M=400, seed=5),
+            "solenoidal": solenoidal,
+            "divergence": replace(real, vorticity=SpectralField.zeros(real.grid, 24))}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "solenoidal", "divergence"])
+def test_report_after_a_solve_reads_the_memo(kind, monkeypatch):
+    # solve_disk leaves its b_k(r0) on the problem: the report integrates nothing
+    from divcurl import moments as moments_module
+
+    problem = memo_cases()[kind]
+    solved = solved_report(problem)
+    calls = []
+    suffix_start = moments_module._suffix_start
+    monkeypatch.setattr(moments_module, "_suffix_start",
+                        lambda *args: calls.append(1) or suffix_start(*args))
+    report = moment_report(problem)
+    assert calls == []
+    fresh = replace(problem)
+    assert fresh._moments is None  # replace() does not carry the memo
+    cold = moment_report(fresh)
+    assert calls == [1] and fresh._moments is not None
+    for other in (solved, cold):
+        assert report.residuals.tobytes() == other.residuals.tobytes()
+        assert report.negative.tobytes() == other.negative.tobytes()
+    assert report.negative.size == (0 if kind in ("real", "divergence", "solenoidal") else 25)
+    assert not problem._moments.flags.writeable
+    with pytest.raises(ValueError):
+        problem._moments[1] = 0.0
+
+
+def found_case(K=4):
+    """w only in mode -2, a unit bump on [2, 4]; rho, g and v_inf zero."""
+    grid = RadialGrid.uniform(1.0, 12.0, 2201)
+    w = SpectralField.from_modes(grid, K, {-2: smooth_bump(grid.nodes, 2.0, 4.0)})
+    return DiskProblem(w, SpectralField.zeros(grid, K), BoundaryTrace.zeros(K))
+
+
+def test_complex_data_have_their_negative_modes_checked():
+    problem = found_case()
+    with pytest.warns(UserWarning, match="will not match the boundary trace"):
+        solution = solve_disk(problem)
+    report = moment_report(replace(problem))
+    assert not report.admissible and not solution.report.admissible
+    assert report.negative.tobytes() == solution.report.negative.tobytes()
+    assert np.max(np.abs(report.residuals)) == 0.0
+    assert [m for m in range(1, 5) if report.negative[m] != 0.0] == [2]
+    defect = np.max(np.abs(solution.boundary_trace().g_phi))
+    assert defect > 0.2 and report.max_residual == abs(report.negative[2])
+    lines = report.to_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:9]] == ["1", "2", "3", "4",
+                                                           "-1", "-2", "-3", "-4"]
+    # orientation: a trace that takes the mode -2 residual off meets the trace condition
+    g_phi = np.zeros(9, dtype=complex)
+    g_phi[4 - 2] = -report.negative[2]
+    fixed = replace(problem, boundary=BoundaryTrace(4, np.zeros(9, dtype=complex), g_phi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve_disk(fixed)
+    assert solution.report.admissible
+    trace = solution.boundary_trace()
+    assert np.max(np.abs(trace.g_r)) <= 1e-14 and np.max(np.abs(trace.g_phi - g_phi)) <= 1e-14
