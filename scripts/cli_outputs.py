@@ -27,7 +27,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-CONFIGS = ("cylinder", "ellipse", "source_patch", "vortex_patch")
+CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.cfg"))
 ORACLE_POINTS = "6.0,1.0;-4.5,5.0;0.5,-7.0"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)", re.IGNORECASE)
 

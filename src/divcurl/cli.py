@@ -500,6 +500,9 @@ def _parse_points(args):
             raise IOError(f"cannot read {args.points_file}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"--points-file {args.points_file}: {exc}") from exc
+        if len(raw) and raw.shape[1] < 2:
+            raise ConfigError(f"--points-file {args.points_file}: expected columns x1,x2, "
+                              f"got {raw.shape[1]}")
         points.extend(complex(a, b) for a, b in raw[:, :2])
     if not points:
         raise ConfigError("oracle needs --points or --points-file")

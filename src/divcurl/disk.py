@@ -34,11 +34,11 @@ Mode 0 has power 1 only and keeps the plain cumulative integrals:
 The scaled tables never form r^{+-k}: every factor is a ratio of radii at
 most 1 inside a kernel block, and a block ends before (|k|+1) log(s_end /
 s_start) exceeds 300, so nothing overflows at high modes and large rmax.
-The mode-k moment integral is b_k(r0), which gives the moment report for
-free: solve_disk leaves b_k(r0) on the problem (DiskProblem._moments), and
-moments.moment_report reads it from there.  A report with no solve before
-it and the admissibility projection compute the same b_k(r0) without the
-table (quadrature._suffix_start).  All integrals to infinity are exact
+The mode-k moment integral is b_k(r0), the suffix table's first column,
+which gives the moment report for free: solve_disk leaves b_k(r0) on the
+problem (DiskProblem._moments), and moments.moment_report reads it from
+there.  A report with no solve before it builds the suffix table alone,
+from the same integrand and rows.  All integrals to infinity are exact
 under the compact-support contract of RadialGrid.
 
 Off the nodes the velocity v1 + i v2 = sum_k (v_r,k + i v_phi,k) e^{i (k+1) phi}
@@ -312,43 +312,75 @@ class ModeTerms:
         return (a - b if self.rotated else 1j * (a - b)) + ud * ud * d
 
 
+def _mode_rows(far: FarField, mirrored: bool, w, rho) -> tuple:
+    """(ks, vinf, w, rho) on the modes the kernel terms hold: k = 0..K when the
+    data (mirrored) and the far field are exactly mirrored, else -K..K.
+
+    vinf holds the constant far field's (v_r, v_phi) coefficients; w and rho
+    hold the modes -K..K, or are None for a zero field, and come back as
+    views of the rows ks.
+    """
+    K = (len(rho if w is None else w) - 1) // 2
+    vinf = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
+    ks = np.arange(0 if mirrored and _scan(vinf.T, "far field")[1] else -K, K + 1)
+    rows = slice(K + ks[0], None)
+    return (ks, vinf[:, rows], *(None if f is None else f[rows] for f in (w, rho)))
+
+
+def _kernel(nodes, w, rho, ks, suffix: bool, span: tuple) -> ScaledIntegrals:
+    """The suffix table b (power |k| - 1, integrand w + i sigma rho) of the modes ks,
+    or with suffix False the prefix table a (power |k| + 1, w - i sigma rho).
+
+    w and rho hold the rows ks; rho None is zero divergence and tables w
+    alone, w None zero vorticity and tables rho itself (ModeTerms.rotated).
+    The integrand is formed band by band; span is the data's support.
+    """
+    f = rho if w is None else w
+    if w is not None and rho is not None:
+        combine, sigma = np.add if suffix else np.subtract, np.sign(ks)
+        f = np.empty_like(w, dtype=complex)
+        for band in _bands(len(ks), w.shape[1]):
+            combine(w[band], 1j * sigma[band, None] * rho[band], out=f[band])
+    return _scaled(nodes, f, np.abs(ks) - 1.0 if suffix else np.abs(ks) + 1.0, suffix, span)
+
+
+def _b_at_r0(outer: ScaledIntegrals, ks, rotated: bool) -> np.ndarray:
+    """b_k(r0) of the modes ks, a new array: the suffix table's first column,
+    times i sigma for a table of rho itself (rotated)."""
+    start = outer.table[:, 0]
+    return 1j * np.sign(ks) * start if rotated else np.array(start)
+
+
 def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool,
                   span: tuple) -> ModeTerms:
     """Kernel terms with a zero trace; rho None is zero divergence, w None zero vorticity.
 
     mirrored says that w and rho are exactly mirrored (a real field's
     modes).  If the far field is too, the integrands and kernel tables are
-    formed and held for k = 0..K only, else for k = -K..K.  span is the
-    data's support, the columns (lo, hi) outside which w and rho are zero.
-    With zero vorticity both tables are of rho itself (ModeTerms.rotated),
-    so no w -+ i sigma rho is formed.
+    formed and held for k = 0..K only, else for k = -K..K (_mode_rows).
+    span is the data's support, the columns (lo, hi) outside which w and rho
+    are zero.  With zero vorticity both tables are of rho itself
+    (ModeTerms.rotated), so no w -+ i sigma rho is formed.
     """
-    K = (len(rho if w is None else w) - 1) // 2
-    vinf = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
-    ks = np.arange(0 if mirrored and _scan(vinf.T, "far field")[1] else -K, K + 1)
-    rows = slice(K + ks[0], None)
-    vinf = vinf[:, rows]
-    w, rho = (None if f is None else f[rows] for f in (w, rho))
-    sigma = np.sign(ks)
-
-    def table(combine, powers, suffix):
-        # the integrand combine(w, i sigma rho), formed band by band, and its table
-        f = rho if w is None else w
-        if w is not None and rho is not None:
-            f = np.empty_like(w, dtype=complex)
-            for band in _bands(len(ks), w.shape[1]):
-                combine(w[band], 1j * sigma[band, None] * rho[band], out=f[band])
-        return _scaled(grid.nodes, f, powers, suffix, span)
-
-    # the prefix table on the worker thread, the suffix table here
-    size = 2 * len(ks) * len(grid.nodes)
-    inner, outer = _together(lambda: table(np.subtract, np.abs(ks) + 1.0, False),
-                             lambda: table(np.add, np.abs(ks) - 1.0, True), size)
+    ks, vinf, w, rho = _mode_rows(far, mirrored, w, rho)
     zero, nodes = -ks[0], grid.nodes
+    # the prefix table on the worker thread, the suffix table here
+    inner, outer = _together(lambda: _kernel(nodes, w, rho, ks, False, span),
+                             lambda: _kernel(nodes, w, rho, ks, True, span),
+                             2 * len(ks) * len(nodes))
     zero_integrals = (None if rho is None else cumulative(nodes, nodes * rho[zero]),
                       cumulative(nodes, np.zeros(len(nodes)) if w is None else nodes * w[zero]))
     return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
                      span, zero_integrals, w is None)
+
+
+def _tabulated(problem, w_top, rho_top) -> tuple:
+    """(w, rho) coefficients as the kernel tables take them, from the column
+    maxima of the data scan: None for zero divergence, and for zero vorticity
+    unless the divergence is zero too."""
+    w, rho = problem.vorticity.coeffs, problem.divergence.coeffs
+    return (w if np.max(w_top) or not np.max(rho_top) else None,
+            rho if np.max(rho_top) else None)
 
 
 def _scan(values, name) -> tuple:
@@ -554,14 +586,11 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
     report quantifies how badly the boundary condition is violated, so the
     solver warns instead of refusing.  The report's mode residuals come from
     the kernel's b_k(r0), without a second integration, and the solve leaves
-    them on the problem: moment_report reads them from there.  The CLI's
-    check and stream reports and the admissibility projection compute the
-    same b_k(r0) bit for bit, so every report of one problem agrees.
+    them on the problem: moment_report reads them from there.
     """
     from .moments import _report_from_moments
 
-    grid = problem.grid
-    w, rho, g, far = problem.vorticity, problem.divergence, problem.boundary, problem.far_field
+    grid, g, far = problem.grid, problem.boundary, problem.far_field
     w_top, rho_top, mirrored = _scan_data(problem)
     top = np.maximum(w_top, rho_top)
     if top[-1] > 1e-12 * max(float(np.max(top)), 1e-300):
@@ -571,15 +600,12 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
             stacklevel=2,
         )
 
-    w_data = w.coeffs if np.max(w_top) or not np.max(rho_top) else None  # None: rotated
-    terms = _direct_terms(grid, w_data, rho.coeffs if np.max(rho_top) else None, far,
-                          mirrored, _support(top))
+    terms = _direct_terms(grid, *_tabulated(problem, w_top, rho_top), far, mirrored,
+                          _support(top))
     terms = _with_trace(terms, g.g_r, g.g_phi)
     rows = terms.at_nodes()
-    moments = terms.outer.table[:, 0]
-    # b = i sigma B for the rotated tables; a copy that does not hold the table
-    moments = 1j * np.sign(terms.ks) * moments if terms.rotated else np.array(moments)
-    report = _report_from_moments(problem, problem._keep_moments(moments), warn_tolerance)
+    moments = problem._keep_moments(_b_at_r0(terms.outer, terms.ks, terms.rotated))
+    report = _report_from_moments(problem, moments, warn_tolerance)
     if report.max_residual > warn_tolerance:
         warnings.warn(
             f"data violates the moment conditions (max residual "

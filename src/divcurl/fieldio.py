@@ -67,8 +67,15 @@ def load_gridded_samples(path) -> GriddedSamples:
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if raw.shape[1] != 3:
         raise ValueError(f"{path}: expected 3 columns, got {raw.shape[1]}")
+    bad = np.flatnonzero(~np.all(np.isfinite(raw), axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite number in data row {bad[0] + 1}")
     a_vals = np.unique(raw[:, 0])
     b_vals = np.unique(raw[:, 1])
+    if min(a_vals.size, b_vals.size) < 2:
+        names = header.split(",")[:2]
+        raise ValueError(f"{path}: the lattice needs at least 2 values of {names[0]} and of "
+                         f"{names[1]}, got {a_vals.size} and {b_vals.size}")
     if a_vals.size * b_vals.size != raw.shape[0]:
         raise ValueError(f"{path}: samples do not form a complete tensor lattice")
     table = np.full((a_vals.size, b_vals.size), np.nan)

@@ -22,12 +22,11 @@ one, so the rows k = 1..K decide; otherwise the rows k = -1..-K are
 checked as well.  The mode moment is the disk solver's b_k(r0), the
 suffix kernel at r0.  solve_disk leaves the moments it read off its
 suffix table on the problem, and moment_report reads them from there.
-With no solve before it, moment_report and the projection compute them
-with quadrature._suffix_start: the same integrand, block schedule and
-summation order as solve_disk's suffix table, without the table, and the
-report keeps them on the problem in turn.  So the report, the projection
-and solve_disk see the same moment bit for bit, and a change of the
-quadrature rule reaches all three at once.
+With no solve before it, moment_report builds the solver's suffix table
+alone, on the same integrand and rows, reads the moments off it and keeps
+them on the problem in turn; the projection reads the bump's moments off
+a suffix table as well.  So the report, the projection and solve_disk see
+one quadrature of the moment.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskProblem, FarField, _scan_data, vinf_coefficients
+from .disk import (DiskProblem, FarField, _b_at_r0, _kernel, _mode_rows, _scan_data,
+                   _tabulated, vinf_coefficients)
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
-from .quadrature import _suffix_start, _support, trapezoid_weights
+from .quadrature import _scaled, _support, trapezoid_weights
 
 __all__ = [
     "MomentReport",
@@ -134,42 +134,20 @@ def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport
     """The residuals of the data from solve_disk's b_k(r0).
 
     After a solve of the same problem object they are read off the memo the
-    solve left on it.  Otherwise the moments are integrated once, as the
-    solve would (quadrature._suffix_start on its integrand: w + i sigma rho,
-    w alone when rho is zero, rho alone and rotated when w is zero), on the
-    rows k = 1..K and, for data that are not mirrored, k = -1..-K, and kept
-    as the memo.
+    solve left on it.  Otherwise the solve's suffix table alone is built,
+    on its integrand (w + i sigma rho, w alone when rho is zero, rho alone
+    and rotated when w is zero) and its rows (k = 0..K for mirrored data,
+    else -K..K), and the moments read off it are kept as the memo.
     """
     moments = problem._moments
     if moments is None:
-        moments = problem._keep_moments(_moments_of(problem))
+        w_top, rho_top, mirrored = _scan_data(problem)
+        ks, _, w, rho = _mode_rows(problem.far_field, mirrored,
+                                   *_tabulated(problem, w_top, rho_top))
+        outer = _kernel(problem.grid.nodes, w, rho, ks, True,
+                        _support(np.maximum(w_top, rho_top)))
+        moments = problem._keep_moments(_b_at_r0(outer, ks, w is None))
     return _report_from_moments(problem, moments, tolerance)
-
-
-def _moments_of(problem: DiskProblem) -> np.ndarray:
-    """b_k(r0) on the rows solve_disk holds, bit for bit its suffix table's first column."""
-    K = problem.K
-    w_top, rho_top, mirrored = _scan_data(problem)
-    ks = np.arange(1, K + 1)
-    if not mirrored:
-        ks = np.concatenate((ks, -ks))
-    sigma, w, rho = np.sign(ks), problem.vorticity.coeffs, problem.divergence.coeffs
-    has_rho = bool(np.max(rho_top))
-    rotated = has_rho and not np.max(w_top)
-
-    def rows(band):  # the integrand's rows ks[band], formed one band at a time
-        at = K + ks[band]
-        if rotated:
-            return rho[at]
-        if has_rho:
-            return np.add(w[at], 1j * sigma[band, None] * rho[at])
-        return w[at]
-
-    found = _suffix_start(problem.grid.nodes, rows, np.abs(ks) - 1.0,
-                          _support(np.maximum(w_top, rho_top)))
-    moments = np.zeros(K + 1 if mirrored else 2 * K + 1, dtype=complex)
-    moments[len(moments) - K - 1 + ks] = 1j * sigma * found if rotated else found
-    return moments
 
 
 def _default_support(grid):
@@ -226,8 +204,8 @@ def admissibility_corrections(
 
     # the moments of all K modes, on the solve's block schedule; the first K_c are read
     residuals = moment_report(problem).residuals[1:]
-    bump_moments = _suffix_start(grid.nodes, np.broadcast_to(bump, (w.K, bump.size)).__getitem__,
-                                 np.arange(w.K, dtype=float), _support(bump))
+    bump_moments = _scaled(grid.nodes, np.broadcast_to(bump + 0j, (w.K, bump.size)),
+                           np.arange(w.K, dtype=float), True, _support(bump)).table[:, 0]
     for k, res, m_k in zip(range(1, K_c + 1), residuals, bump_moments):
         if abs(res) <= _SKIP_BELOW * scale:
             continue

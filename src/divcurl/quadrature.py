@@ -40,16 +40,10 @@ underflow makes; its block sums its zero panels after all.  solve_disk
 and solve_stream read the span off the data scan they already run
 (disk._scan).
 
-The moment conditions need a suffix at s_0 only: b_k(r0), the table's
-first column.  _suffix_start computes it without the table, for the
-moment report and the admissibility projection (moments).  It walks the
-blocks of the same schedule (_schedule: the grid reversal, the first and
-last panel that touch the data, the block cuts) with the same support
-skip, cumsums, carry rescaling and -0.0 carry rule as _scaled_table, but
-keeps of each block only the carry into the next.  So it is the table's
-column bit for bit, and the solver, the report and the projection read
-one quadrature of the moment.  Its caller hands it the integrand one row
-band at a time, so no array of the whole integrand is formed.
+The moment conditions read a suffix at s_0 only, b_k(r0): the suffix
+table's first column.  The solver, the moment report and the
+admissibility projection all read it there, so one quadrature of the
+moment serves all three.
 
 Every row is independent, so the tables are built in row bands: _bands
 cuts the rows so that one complex band of the grid's width stays within
@@ -274,31 +268,6 @@ def _negative_zero(values) -> bool:
     return bool(np.any(np.signbit(parts[parts == 0.0])))
 
 
-def _schedule(nodes, powers, suffix, span):
-    """(logs, half_h, powers, first, last, blocks) of a pass, in the order it sums.
-
-    A suffix is the prefix over the reversed grid with the opposite power: its
-    nodes come reversed (read its integrand as [:, ::-1]) and its powers negated.
-    With the data in the columns span = (lo, hi), half-open, the panels
-    [first, last) touch it; blocks are the kernel blocks (j0, j1) past column first.
-    """
-    M = len(nodes)
-    lo, hi = span
-    if suffix:
-        nodes, powers = nodes[::-1], -powers
-        lo, hi = M - hi, M - lo
-    first, last = (max(lo - 1, 0), min(hi, M - 1)) if lo < hi else (M - 1, M - 1)
-    logs = np.log(nodes)
-    dist = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(logs)))))
-    reach = _BLOCK_EXPONENT / max(float(np.max(np.abs(powers), initial=0.0)), 1.0)
-    cuts = [0]
-    while cuts[-1] < M - 1:
-        j0 = cuts[-1]
-        cuts.append(max(int(np.searchsorted(dist, dist[j0] + reach, side="right")) - 1, j0 + 1))
-    blocks = [(j0, j1) for j0, j1 in zip(cuts[:-1], cuts[1:]) if j1 > first]
-    return logs, 0.5 * np.diff(nodes), powers, first, last, blocks
-
-
 def _scaled_table(nodes, integrand, powers, suffix, table, span):
     """Prefix (or suffix) table of the rows, written into table band by band.
 
@@ -312,8 +281,22 @@ def _scaled_table(nodes, integrand, powers, suffix, table, span):
     A block carry with a -0.0 part sums its zero panels after all, since
     they may turn that part into +0.0.
     """
-    logs, half_h, powers, first, last, blocks = _schedule(nodes, powers, suffix, span)
-    integrand = integrand[:, ::-1] if suffix else integrand
+    M = len(nodes)
+    lo, hi = span
+    if suffix:  # the reversed grid: its nodes and integrand reversed, its powers negated
+        nodes, powers, integrand = nodes[::-1], -powers, integrand[:, ::-1]
+        lo, hi = M - hi, M - lo
+    # the panels [first, last) touch the data
+    first, last = (max(lo - 1, 0), min(hi, M - 1)) if lo < hi else (M - 1, M - 1)
+    logs = np.log(nodes)
+    half_h = 0.5 * np.diff(nodes)
+    dist = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(logs)))))
+    reach = _BLOCK_EXPONENT / max(float(np.max(np.abs(powers), initial=0.0)), 1.0)
+    cuts = [0]
+    while cuts[-1] < M - 1:
+        j0 = cuts[-1]
+        cuts.append(max(int(np.searchsorted(dist, dist[j0] + reach, side="right")) - 1, j0 + 1))
+    blocks = [(j0, j1) for j0, j1 in zip(cuts[:-1], cuts[1:]) if j1 > first]
     view = table[:, ::-1] if suffix else table
     for band in _bands(len(powers), len(nodes)):
         f, p, out = integrand[band], powers[band], view[band]
@@ -348,32 +331,6 @@ def _scaled(nodes, integrand, powers, suffix, span) -> ScaledIntegrals:
     table = np.empty(integrand.shape, dtype=complex)
     _scaled_table(nodes, integrand, powers, suffix, table, span)
     return ScaledIntegrals(nodes, integrand, powers, suffix, table)
-
-
-def _suffix_start(nodes, rows, powers, span):
-    """_scaled(nodes, f, powers, True, span).table[:, 0] with no table; rows(band) gives f[band].
-
-    It runs the suffix table's blocks, sums and carries, but keeps of each
-    block only the carry into the next: the table's column where it ends.
-    """
-    logs, half_h, powers, first, last, blocks = _schedule(nodes, powers, True, span)
-    out = np.empty(len(powers), dtype=complex)
-    for band in _bands(len(powers), len(nodes)):
-        f, p = rows(band)[:, ::-1], powers[band]
-        end = np.zeros(len(p), dtype=complex)  # zero data: -0.0 once negated
-        for j0, j1 in blocks:
-            a, b = max(j0, first), min(j1, last)
-            # the table's column a rescaled, +0.0 in the block that holds the first panel
-            carry = end * np.exp(p * (logs[a] - logs[j1]))
-            if b < j1 and _negative_zero(carry):
-                b = j1
-            if a < b:
-                scaled = f[:, a : b + 1] * np.exp(np.multiply.outer(p, logs[a : b + 1] - logs[j1]))
-                acc = np.cumsum(half_h[a:b] * (scaled[:, :-1] + scaled[:, 1:]), axis=1)
-                carry = acc[:, -1] + carry
-            end = carry * 1.0  # the table's column j1, whose weight (s_j1 / s_j1)^p is 1
-        np.negative(end, out=out[band])
-    return out
 
 
 def trapezoid_weights(nodes) -> np.ndarray:

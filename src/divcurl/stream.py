@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .disk import FarField, VelocitySolution, _direct_terms, _scan, _with_trace
+from .disk import FarField, VelocitySolution, _b_at_r0, _direct_terms, _scan, _with_trace
 from .grids import SpectralField
 from .quadrature import _bands, _support, _unfold, cumulative
 
@@ -86,7 +86,7 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     terms = _direct_terms(grid, w.coeffs, None, v, mirrored, _support(top))
     zero = terms.zero_row
     # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment residual
-    slip = 2.0 * terms.vinf[1] - terms.outer.table[:, 0]
+    slip = 2.0 * terms.vinf[1] - _b_at_r0(terms.outer, terms.ks, terms.rotated)
     slip[zero] = 0.0
     terms = _with_trace(terms, np.zeros_like(slip), slip)
 

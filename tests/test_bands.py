@@ -153,9 +153,9 @@ def one_ulp_off(problem, name, row):
 
 
 def test_real_data_tabulates_the_rows_k_ge_0_only(monkeypatch):
-    rows = counted_rows(monkeypatch)
     K = 12
     problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
+    rows = counted_rows(monkeypatch)
     solution = solve_disk(problem)
     assert rows == [K + 1, K + 1] and solution.terms.mirrored
     assert [len(x) for x in solution.rows] == [K + 1, K + 1]
@@ -163,9 +163,9 @@ def test_real_data_tabulates_the_rows_k_ge_0_only(monkeypatch):
 
 @pytest.mark.parametrize("name", ["vorticity", "divergence", "boundary"])
 def test_one_ulp_off_the_mirror_takes_the_full_rows(monkeypatch, name):
-    rows = counted_rows(monkeypatch)
     K = 12
     problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
+    rows = counted_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # one ulp may tip the moment report
         broken = solve_disk(one_ulp_off(problem, name, K - 3))

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,21 @@ def test_malformed_sample_file_is_config_error(tmp_path):
     data_path.write_text("r,phi,value\n1.0,0.0,1.0\n2.0,1.0,1.0\n2.0,2.0,1.0\n")
     cfg = write(tmp_path / "f.cfg", f"[vorticity]\npreset = file\npath = {data_path}\n")
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,0.0,1.0\n1.0,1.0,nan\n2.0,0.0,1.0\n2.0,1.0,1.0\n", "non-finite number in data row 2"),
+    ("1.0,0.0,1.0\n1.0,1.0,2.0\n1.0,2.0,1.0\n",
+     "the lattice needs at least 2 values of r and of phi"),
+], ids=["nan-value", "one-radius"])
+def test_bad_sample_lattice_names_the_file(tmp_path, capsys, rows, message):
+    data_path = tmp_path / "bad.csv"
+    data_path.write_text("r,phi,value\n" + rows)
+    cfg = write(tmp_path / "f.cfg", f"[vorticity]\npreset = file\npath = {data_path}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no interpolation runs on the bad lattice
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{data_path}: {message}" in capsys.readouterr().err
 
 
 def test_gridded_file_ingestion(tmp_path):

@@ -171,12 +171,19 @@ def test_bad_values_fail_before_any_output(tmp_path, capsys, text, key):
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("points", ["1,a", "1", "1,2,3"])
-def test_bad_points_name_the_option(tmp_path, capsys, points):
+@pytest.mark.parametrize("option, points", [
+    ("--points", "1,a"), ("--points", "1"), ("--points", "1,2,3"),
+    ("--points-file", "x1\n1.0\n2.0\n"),
+], ids=["1,a", "1", "1,2,3", "one-column-file"])
+def test_bad_points_name_the_option(tmp_path, capsys, option, points):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL)
     out = tmp_path / "out"
-    assert main(["oracle", "--config", str(cfg), "--out", str(out), f"--points={points}"]) \
+    if option == "--points-file":
+        path = tmp_path / "points.csv"
+        path.write_text(points)
+        points = str(path)
+    assert main(["oracle", "--config", str(cfg), "--out", str(out), f"{option}={points}"]) \
         == EXIT_CONFIG
-    assert "--points" in capsys.readouterr().err
+    assert option in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divcurl import quadrature
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.moments import admissibility_corrections, make_admissible, moment_report
@@ -325,21 +326,24 @@ def memo_cases():
 
 @pytest.mark.parametrize("kind", ["real", "complex", "solenoidal", "divergence"])
 def test_report_after_a_solve_reads_the_memo(kind, monkeypatch):
-    # solve_disk leaves its b_k(r0) on the problem: the report integrates nothing
-    from divcurl import moments as moments_module
-
+    # solve_disk leaves its b_k(r0) on the problem: the report tabulates nothing,
+    # and a cold report builds the solve's suffix table alone
     problem = memo_cases()[kind]
     solved = solved_report(problem)
     calls = []
-    suffix_start = moments_module._suffix_start
-    monkeypatch.setattr(moments_module, "_suffix_start",
-                        lambda *args: calls.append(1) or suffix_start(*args))
+    table = quadrature._scaled_table
+
+    def counted(nodes, integrand, powers, suffix, out, span):
+        calls.append((suffix, len(integrand)))
+        return table(nodes, integrand, powers, suffix, out, span)
+
+    monkeypatch.setattr(quadrature, "_scaled_table", counted)
     report = moment_report(problem)
     assert calls == []
     fresh = replace(problem)
     assert fresh._moments is None  # replace() does not carry the memo
     cold = moment_report(fresh)
-    assert calls == [1] and fresh._moments is not None
+    assert calls == [(True, len(problem._moments))] and fresh._moments is not None
     for other in (solved, cold):
         assert report.residuals.tobytes() == other.residuals.tobytes()
         assert report.negative.tobytes() == other.negative.tobytes()

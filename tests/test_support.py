@@ -5,9 +5,7 @@ zeros on the near side directly and only rescale the carried sum on the
 far side; the sampler sums only the polynomials that can be nonzero for
 points off the support.  Each skipped term is an exact zero, so every
 result here must equal, byte for byte, the same pass with the span forced
-to the whole grid (disk._support patched to return every column).  The
-suffix's value at r0 without the table (quadrature._suffix_start) must
-equal the table's first column, byte for byte, in the same cases.
+to the whole grid (disk._support patched to return every column).
 """
 
 import warnings
@@ -20,7 +18,7 @@ from divcurl import disk, quadrature, stream
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
 from divcurl.presets import random_admissible_problem
-from divcurl.quadrature import _scaled, _suffix_start, _support
+from divcurl.quadrature import _scaled, _support
 from divcurl.stream import solve_stream
 
 from test_highmode import admissible_highmode_problem
@@ -48,12 +46,6 @@ def outputs(solution, points):
     trace = solution.boundary_trace()
     return [terms.inner.table, terms.outer.table, *solution.rows, solution.sample(points),
             trace.g_r, trace.g_phi, solution.report.residuals]
-
-
-def assert_suffix_start(nodes, f, powers, span):
-    """_suffix_start is the first column of the suffix table, byte for byte."""
-    want = _scaled(nodes, f, powers, True, span).table[:, 0]
-    assert _suffix_start(nodes, f.__getitem__, powers, span).tobytes() == want.tobytes()
 
 
 def assert_same_bytes(got, want):
@@ -114,8 +106,6 @@ def test_zero_data_tables_are_signed_zeros(real_axis):
     prefix, suffix = skipped.terms.inner.table.view(float), skipped.terms.outer.table.view(float)
     assert np.all(prefix == 0.0) and not np.any(np.signbit(prefix))
     assert np.all(suffix == 0.0) and np.all(np.signbit(suffix))
-    outer = skipped.terms.outer
-    assert_suffix_start(grid.nodes, outer.integrand, outer.powers, (0, 0))
     points = edge_points(grid.nodes, 0, 0, 2000)
     if real_axis:
         points = np.abs(points) * np.where(np.arange(points.size) % 2, 1.0, -1.0)
@@ -130,8 +120,6 @@ def test_support_edges_match_the_whole_grid(complex_problem, lo, hi):
     problem = supported(complex_problem, lo, hi)
     skipped, whole = solve_both(problem)
     assert skipped.terms.span == (lo, hi) and not skipped.terms.mirrored
-    outer = skipped.terms.outer
-    assert_suffix_start(problem.grid.nodes, outer.integrand, outer.powers, (lo, hi))
     points = edge_points(problem.grid.nodes, lo, hi, 2000)
     assert 7 * problem.K * points.size >= quadrature._SIDE_BY_SIDE  # the sampler's groups
     assert_same_bytes(outputs(skipped, points), outputs(whole, points))
@@ -153,7 +141,6 @@ def test_kernel_over_several_blocks_matches_the_whole_grid(suffix):
     table = _scaled(grid.nodes, f, powers, suffix, span).table
     want = _scaled(grid.nodes, f, powers, suffix, (0, grid.nodes.size)).table
     assert table.tobytes() == want.tobytes()
-    assert_suffix_start(grid.nodes, f, powers, span)
 
 
 def test_underflowing_carry_matches_the_whole_grid(monkeypatch):
@@ -178,10 +165,6 @@ def test_underflowing_carry_matches_the_whole_grid(monkeypatch):
         assert any(found), suffix  # a -0.0 carry met zero panels
         want = _scaled(grid.nodes, f, powers, suffix, (0, grid.nodes.size)).table
         assert table.tobytes() == want.tobytes(), suffix
-    found.clear()
-    start = _suffix_start(grid.nodes, f.__getitem__, powers, (700, 720))
-    assert any(found)  # the pass without the table met a -0.0 carry too
-    assert start.tobytes() == table[:, 0].tobytes()
 
 
 def test_crosscheck_sizes_match_the_whole_grid():
