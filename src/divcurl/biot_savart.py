@@ -7,20 +7,12 @@ The solution has the singular integral representation
 
 whose kernels are the gradient and skew gradient of G(x,y) = ln|x-y| / 2pi.
 In complex form both volume terms collapse to d/|d|^2 * (rho + i w) with
-d = x - y, and the layers to d/|d|^2 * (g_r + i g_phi).  This module sums the
-representation by direct quadrature (midpoint cells in radius, equispaced
-angles), independent of the spectral solver it cross-validates.  The sum is
-blocked, point x cell blocks of about _BLOCK_PAIRS pairs in real arithmetic
-with two real matrix products each, but it is still a direct sum: every point
-meets every cell, O(points x cells), with no far-field approximation.  On a
-mapped domain the same sums run in disk-plane coordinates against the
-Jacobian-weighted data and the result is pushed forward through conj(Phi').
-
-Data callables must be pointwise and follow NumPy broadcasting.  A disk
-problem's vorticity_fn(r, phi) and divergence_fn(r, phi) are called once with
-the lattice's radius column and angle row, and their values are broadcast to
-the lattice; a mapped problem's callables get the full lattice of mapped cell
-points.  Values that are not finite or do not broadcast raise ValueError.
+d = x - y, and the layers to d/|d|^2 * (g_r + i g_phi).  This module sums
+the representation by direct quadrature (midpoint cells in radius,
+equispaced angles): every point meets every cell, O(points x cells), with
+no far-field approximation and no code shared with the spectral solver it
+cross-validates.  Data callables follow the contract of DiskProblem;
+values that are not finite or do not broadcast raise ValueError.
 """
 
 from __future__ import annotations
@@ -131,12 +123,9 @@ def _evaluate(points, sources, charge, ring, layer, vinf: complex):
 
 def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: int = 256,
                      n_boundary: int = 512, support=None):
-    """Velocity v1 + i v2 at exterior points by direct quadrature.
+    """Velocity v1 + i v2 at exterior points x (a complex scalar or array) by direct quadrature.
 
-    support restricts the volume sum to the annulus actually carrying data;
-    the lattice is built once and reused for every point.  x may be a complex
-    scalar or array; a cell centre that coincides with an evaluation point
-    is dropped from the sum.
+    support restricts the volume sum to the annulus carrying data; a cell at x is left out.
     """
     points = np.asarray(x, dtype=complex)
     _check_exterior(points, problem.grid.r0)

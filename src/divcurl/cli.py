@@ -143,6 +143,11 @@ def _settings(cfg):
     weight = _float(cfg, "norms", "weight")
     if weight < 0.0:
         raise ConfigError("[norms] weight must not be negative")
+    rmax = _float(cfg, "grid", "rmax")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.power(1.0 + rmax * rmax, weight)):
+            raise ConfigError(f"[norms] weight {weight:g} overflows (1 + rmax^2)^weight "
+                              f"at rmax = {rmax:g}")
     return {
         "solver": solver,
         "tolerance": _float(cfg, "solve", "tolerance"),
@@ -492,6 +497,8 @@ def _parse_points(args):
                 x1, x2 = (float(part) for part in parts)
             except ValueError as exc:
                 raise ConfigError(f"--points entry '{chunk}' must be 'x1,x2'") from exc
+            if not (np.isfinite(x1) and np.isfinite(x2)):
+                raise ConfigError(f"--points entry '{chunk}' must be finite")
             points.append(complex(x1, x2))
     if args.points_file:
         try:
@@ -503,6 +510,8 @@ def _parse_points(args):
         if len(raw) and raw.shape[1] < 2:
             raise ConfigError(f"--points-file {args.points_file}: expected columns x1,x2, "
                               f"got {raw.shape[1]}")
+        if not np.all(np.isfinite(raw[:, :2])):
+            raise ConfigError(f"--points-file {args.points_file}: coordinates must be finite")
         points.extend(complex(a, b) for a, b in raw[:, :2])
     if not points:
         raise ConfigError("oracle needs --points or --points-file")

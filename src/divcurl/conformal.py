@@ -3,14 +3,12 @@
 A map Phi carries the physical exterior domain Omega onto the exterior of the
 disk r >= r0, normalized so Phi(p) ~ p at infinity; the disk itself is the
 identity map.  Complex velocities transform covariantly,
-V(p) = conj(Phi'(p)) * Vhat(Phi(p)) (ConformalMap.pushforward, the one
-statement of that law), and the data pulls back with the |dPhi^{-1}/dz|^2
-Jacobian weight:
+V(p) = conj(Phi'(p)) * Vhat(Phi(p)) (ConformalMap.pushforward), and the
+data pulls back with the Jacobian weight |(Phi^-1)'|^2:
 
     div vhat = |(Phi^-1)'|^2 rho(Phi^-1),   curl vhat = |(Phi^-1)'|^2 w(Phi^-1),
 
-so the disk solver applies verbatim to the weighted data, sampled on the
-nodes times grids.analysis_angles(K), max(4K, 64) angles.  The whole field,
+so the disk solver applies verbatim to the weighted data.  The whole field,
 far-field term included, is pushed forward through conj(Phi'); that keeps the
 boundary trace exact and still recovers v_inf at infinity since Phi' -> 1.
 """
@@ -161,10 +159,9 @@ class ExteriorProblem:
 
     vorticity_fn/divergence_fn take complex points of Omega and return values;
     boundary_fn takes complex boundary points and returns the complex velocity
-    g1 + i g2 there.  Any of them may be None (zero data).  The callables must
-    be pointwise and follow NumPy broadcasting: the pullback and the oracle
-    call them on whole lattices of points, mapped from a disk-plane lattice
-    of a radius column and an angle row.
+    g1 + i g2 there.  Any of them may be None (zero data).  They are called on
+    whole lattices of mapped points, so they must be pointwise and follow
+    NumPy broadcasting.
     """
 
     map: ConformalMap
@@ -183,11 +180,7 @@ class ExteriorProblem:
 
 
 def _weighted_sampler(m: ConformalMap, data_fn):
-    """(r, phi) -> |(Phi^-1)'|^2 * data(Phi^-1(z)) at z = r e^{i phi}, broadcast.
-
-    On a lattice of a radius column and an angle row e^{i phi} is formed once
-    per angle; data_fn then sees the full lattice of points Phi^-1(z).
-    """
+    """(r, phi) -> |(Phi^-1)'|^2 * data(Phi^-1(z)) at z = r e^{i phi}, broadcast."""
     if data_fn is None:
         return None
 
@@ -211,11 +204,8 @@ def pullback_boundary_trace(m: ConformalMap, boundary_fn, K: int) -> BoundaryTra
 
 
 def pullback_problem(problem: ExteriorProblem) -> DiskProblem:
-    """Sample, weight and analyze the Omega data on the mapped polar lattice.
-
-    The disk problem carries |(Phi^-1)'|^2 times the mapped vorticity and
-    divergence, their samplers, and the covariant boundary trace.
-    """
+    """The disk problem of the module formulas: weighted data sampled on the
+    mapped polar lattice and analyzed, their samplers, and the covariant trace."""
     m = problem.map
     grid = problem.grid
     r, phi = grid.nodes[:, None], analysis_angles(problem.K)[None, :]

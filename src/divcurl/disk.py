@@ -1,76 +1,22 @@
-"""Exact solution of the div-curl system in the exterior of a disk, all modes at once.
+"""The exact solution of the div-curl system in the exterior of the disk r >= r0.
 
-The velocity field with prescribed divergence rho, vorticity w, Dirichlet
-trace g on the circle r = r0 and constant far-field v_inf is assembled from
-two kernel tables per mode (quadrature.ScaledIntegrals).  For k != 0, with
-m = |k| and sigma = sign(k),
+With m = |k|, sigma = sign(k) and the scaled kernel tables of mode k != 0
+(quadrature.ScaledIntegrals),
 
     a_k(r) = r^{-m-1} int_{r0}^r  s^{m+1} (w_k - i sigma rho_k) ds
-    b_k(r) = r^{m-1}  int_r^inf   s^{1-m} (w_k + i sigma rho_k) ds
+    b_k(r) = r^{m-1}  int_r^inf   s^{1-m} (w_k + i sigma rho_k) ds,
+
+the velocity modes are
+
     v_r,k   = (i sigma / 2) (a_k + b_k) + i sigma d_k (r0/r)^{m+1} + v_r,k^inf
     v_phi,k =           (a_k - b_k) / 2 +         d_k (r0/r)^{m+1} + v_phi,k^inf
 
-with d_k = (g_phi,k - i sigma g_r,k) / 2, so alpha_k = r0^{m+1} d_k.  For
-k < 0 this is the conjugated positive-mode problem written out; for real
-data v_{-k} = conj(v_k).  So real data (w, rho, g and v_inf whose modes
-are exactly mirrored, f_{-k} = conj(f_k), as one scan of each field finds)
-is solved and held on k >= 0 alone, the real-input half spectrum of the
-FFT (Press et al., Numerical Recipes, 3rd ed., section 12.3): the
-integrands, kernel tables and node profiles have the rows k = 0..K, the
-sampler reads mode -m off the conjugated rows +m, and the full (2K+1)-row
-profiles are built only when asked for, by writing the conjugate rows
-under the held ones in place.  The kernel weights are real, so conjugation
-commutes with every step and the result is the full pass's bit for bit.
-Zero divergence forms no w -+ i sigma rho and tables w alone.  Zero
-vorticity tables rho alone: its kernels A, B give a = -i sigma A and
-b = i sigma B, so the data part of (v_r, v_phi) is ((A - B)/2,
--i sigma (A + B)/2), rotated by -i.  The profiles, the boundary trace and
-the moments are then those of the w -+ i sigma rho tables bit for bit in
-every case tried, and the samples agree to rounding (1e-15 relative).
-Mode 0 has power 1 only and keeps the plain cumulative integrals:
+with d_k = (g_phi,k - i sigma g_r,k) / 2, and mode 0 is
 
     v_r,0 = (int_{r0}^r s rho_0 ds + r0 g_r,0) / r,   v_phi,0 likewise with w_0, g_phi,0.
 
-The scaled tables never form r^{+-k}: every factor is a ratio of radii at
-most 1 inside a kernel block, and a block ends before (|k|+1) log(s_end /
-s_start) exceeds 300, so nothing overflows at high modes and large rmax.
-The mode-k moment integral is b_k(r0), the suffix table's first column,
-which gives the moment report for free: solve_disk leaves b_k(r0) on the
-problem (DiskProblem._moments), and moments.moment_report reads it from
-there.  A report with no solve before it builds the suffix table alone,
-from the same integrand and rows.  All integrals to infinity are exact
+The mode-k moment integral is b_k(r0).  Integrals to infinity are exact
 under the compact-support contract of RadialGrid.
-
-Off the nodes the velocity v1 + i v2 = sum_k (v_r,k + i v_phi,k) e^{i (k+1) phi}
-keeps only i a_m + 2 i d_m (r0/r)^{m+1} for k = m > 0 and -i b_m for k = -m.
-Inside the panel [s0, s1] holding r the tables' in-panel rule makes a_m a
-sum of (s_j/r)^{m+1} and b_m of (r/s_j)^{m-1} times values at s0 and s1,
-so with the phase the mode sum is a set of polynomials in (s_j/r) e^{i phi},
-(r/s_j) e^{-i phi} and (r0/r) e^{i phi}, evaluated by Horner's rule
-(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
-2002, section 5.1).  Each base has modulus at most the panel ratio s1/s0.
-Off the data's support most of those coefficients are zero: where the
-panel lies below the support only b_m and the decay remain (the prefix and
-both integrands are zero there), and above it only a_m and the decay.  A
-large sample is therefore cut, in order of radius, into three groups,
-below, on and above the support, and each group sums only the polynomials
-whose coefficients can be nonzero.  The terms left out are exact zeros,
-so every nonzero part of a sample is the full sum's bit for bit; a part
-that is exactly zero kept its sign too in every case tried (signed-zero
-data, and traces that put zeros on the axes).
-The support is the first and last node column where some mode of w or rho
-is nonzero, read off the column maxima of the scan of each field.
-
-The independent halves of a solve run side by side when the pass is large
-enough to pay for the hand-off and the process may use two CPUs
-(quadrature._together): the vorticity scan on the worker thread and the
-divergence scan here; the prefix table a_k, with its integrand
-w - i sigma rho, on the worker and the suffix table b_k, with
-w + i sigma rho, here (each one of rho alone when w is zero); the first
-half of the node-profile bands on the worker; and in sample the inner half
-of each radius group on the worker.  Mode 0 and the constant far field are
-added to the samples on the calling thread, which keeps every call to
-CumulativeIntegral.at there.
 """
 
 from __future__ import annotations
@@ -131,25 +77,14 @@ _BELOW, _ABOVE = (3, 6), (0, 6)
 class ModeTerms:
     """Mode profiles from the two kernel tables, one row per mode.
 
-    Row i holds mode ks[i], sigma = sign(ks[i]).  With a the scaled prefix
-    kernel (power |k|+1), b the scaled suffix kernel (power |k|-1) and
-    decay = (r0/r)^{|k|+1},
-
-        v_r   = i sigma (a + b) / 2 + trace[0] decay + vinf[0]
-        v_phi =         (a - b) / 2 + trace[1] decay + vinf[1]
-
-    where trace = (i sigma d_k, d_k) and vinf holds the constant far field
-    (|k| = 1 only).  Mode 0 has power 1 only: its kernel rows are not read,
-    and its integrals are the plain prefix integrals zero[c]
-    (CumulativeIntegral or None), v_c,0 = (zero[c](r) + r0 trace[c]) / r.
-    ks is -K..K, or 0..K for real data (mirrored): row -m of every table,
-    integrand, trace, vinf and profile is then the conjugate of row m and
-    is not held.  span = (lo, hi) is the data's support: every mode of w
-    and rho is zero outside the node columns lo..hi-1 ((0, 0) for zero data).
-    rotated says that the tables hold the kernels A, B of rho itself (zero
-    vorticity), so a = -i sigma A and b = i sigma B:
-
-        v_r = (A - B) / 2 + ...,   v_phi = -i sigma (A + B) / 2 + ...
+    Row i holds mode ks[i] of the module formulas, with a = inner.table,
+    b = outer.table, the decay coefficients trace = (i sigma d_k, d_k)
+    (_with_trace) and vinf the constant far field (|k| = 1 only); ks is -K..K,
+    or 0..K for mirrored data (_mode_rows).  Mode 0 reads no kernel row:
+    v_c,0 = (zero[c](r) + r0 trace[c]) / r, zero[c] a CumulativeIntegral or
+    None.  span is the data's support, the node columns (lo, hi) outside which
+    every mode of w and rho is zero ((0, 0) for zero data).  rotated says that
+    the tables are of rho itself (_kernel).
     """
 
     ks: np.ndarray
@@ -182,8 +117,7 @@ class ModeTerms:
     def at_nodes(self):
         """Node profiles (v_r, v_phi) on the rows ks, each (rows, nodes), built band by band.
 
-        The first half of the bands is built on the worker thread
-        (quadrature._together); the bands write disjoint rows.  Mirrored
+        The two halves of the bands run through quadrature._together.  Mirrored
         profiles are the upper rows of (2K+1)-row arrays (quadrature._upper).
         """
         nodes = self.inner.nodes
@@ -220,10 +154,11 @@ class ModeTerms:
         """(start, stop, polynomials of _mode_sum) for the points below, on and
         above the data's support, r their radii in ascending order.
 
-        A point's panel [s_idx, s_idx+1] lies below the support when
-        idx + 1 < lo, that is r < s_{lo-1}, and above it when idx >= hi, that
-        is r >= s_hi; there the tables and integrands of the panel are zero
-        but for T_b below and T_a above.
+        A point's panel [s_idx, s_idx+1] lies below the support when idx + 1 < lo
+        (r < s_{lo-1}) and above it when idx >= hi (r >= s_hi); there its tables
+        and integrands are zero but for T_b below and T_a above.  The terms left
+        out are exact zeros: every nonzero part of a sample is the full sum's bit
+        for bit.
         """
         nodes, (lo, hi) = self.inner.nodes, self.span
         below = int(np.searchsorted(r, nodes[lo - 1])) if lo >= 2 else 0
@@ -232,34 +167,28 @@ class ModeTerms:
 
     def _mode_sum(self, z, polys=range(7)):
         """sum over k != 0 of (v_r,k + i v_phi,k)(r) e^{i (k+1) phi} at the points z = r e^{i phi},
-        without the constant far field of k = -1, +1 (VelocitySolution.sample adds it and mode 0).
+        without the constant far field (VelocitySolution.sample adds it and mode 0).
 
-        In v_r + i v_phi the suffix kernel cancels for k = m > 0, and the
-        prefix kernel and the decay cancel for k = -m < 0:
+        The suffix kernel cancels for k = m > 0, and the prefix kernel and the
+        decay cancel for k = -m:
 
             k =  m:   i a_m(r) e^{i (m+1) phi} + D_m ((r0/r) e^{i phi})^{m+1}
             k = -m:  -i b_m(r) e^{-i (m-1) phi},
 
-        with D_m = trace[0] + i trace[1].  Inside the panel [s0, s1] holding r
-        the in-panel rule of the tables reads
+        with D_m = trace[0] + i trace[1].  Inside the panel [s0, s1] holding r,
+        with T the table, f the integrand and the w the panel weights of r,
 
             a_m(r) = (s0/r)^{m+1} (T_m(s0) + w0 f_m(s0)) + (s1/r)^{m+1} w1 f_m(s1)
-            b_m(r) = (r/s1)^{m-1} (T_m(s1) + w1' f_m(s1)) + (r/s0)^{m-1} w0' f_m(s0),
+            b_m(r) = (r/s1)^{m-1} (T_m(s1) + w1' f_m(s1)) + (r/s0)^{m-1} w0' f_m(s0).
 
-        T the table and f the integrand of the row, the w the panel weights of
-        r.  So every term is a power of one of five bases, u_j = (s_j/r) e^{i phi},
-        v_j = (r/s_j) e^{-i phi} and (r0/r) e^{i phi}, times a coefficient read
-        off T, f or D: seven polynomials, summed together by Horner's rule
-        from m = K down to 1, one band of modes at a time.  Mirrored terms
-        gather the k = -m coefficients from the rows +m, whose conjugates they
-        are; conjugation commutes with complex + and x, so the three
-        polynomials in v_j run on conj(v_j) with the rows as gathered, and
-        their sums are conjugated once at the end.  Rotated terms (zero
-        vorticity) hold a = -i A and b = -i B, so the sum is A - B.
-
-        polys picks the polynomials summed, in the order (T_a, f_a(s0),
-        f_a(s1), T_b, f_b(s1), f_b(s0), D); the others count as +0.0, as
-        off the data's support their coefficients are zeros (_groups).
+        So the sum is seven polynomials in u_j = (s_j/r) e^{i phi}, v_j = (r/s_j) e^{-i phi}
+        and (r0/r) e^{i phi}, each base of modulus at most s1/s0, summed by
+        Horner's rule (Higham, Accuracy and Stability of Numerical Algorithms,
+        2nd ed., section 5.1) from m = K down to 1, one band of modes at a time.
+        Mirrored terms run the k = -m sums on conj(v_j) with the rows +m, and
+        conjugate them at the end.  polys picks the polynomials summed, in the
+        order (T_a, f_a(s0), f_a(s1), T_b, f_b(s1), f_b(s0), D); the others count
+        as +0.0 (_groups).
         """
         nodes = self.inner.nodes
         K, zero = self.K, self.zero_row
@@ -313,12 +242,16 @@ class ModeTerms:
 
 
 def _mode_rows(far: FarField, mirrored: bool, w, rho) -> tuple:
-    """(ks, vinf, w, rho) on the modes the kernel terms hold: k = 0..K when the
-    data (mirrored) and the far field are exactly mirrored, else -K..K.
+    """(ks, vinf, w, rho) on the modes the kernel terms hold.
 
-    vinf holds the constant far field's (v_r, v_phi) coefficients; w and rho
-    hold the modes -K..K, or are None for a zero field, and come back as
-    views of the rows ks.
+    Real data are mirrored: the modes of w, rho, g and v_inf satisfy
+    f_{-k} = conj(f_k) exactly (_scan).  They are solved and held on the rows
+    k = 0..K alone, the real-input half spectrum (Press et al., Numerical
+    Recipes, 3rd ed., section 12.3), and mode -m is read off the conjugated
+    row +m (quadrature._unfold).  The kernel weights are real, so conjugation
+    commutes with every step and the result is the full pass's bit for bit.
+    Other data take the rows -K..K.  mirrored is the data's flag; w and rho
+    (None for a zero field) come back as views of the rows ks.
     """
     K = (len(rho if w is None else w) - 1) // 2
     vinf = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
@@ -331,9 +264,12 @@ def _kernel(nodes, w, rho, ks, suffix: bool, span: tuple) -> ScaledIntegrals:
     """The suffix table b (power |k| - 1, integrand w + i sigma rho) of the modes ks,
     or with suffix False the prefix table a (power |k| + 1, w - i sigma rho).
 
-    w and rho hold the rows ks; rho None is zero divergence and tables w
-    alone, w None zero vorticity and tables rho itself (ModeTerms.rotated).
-    The integrand is formed band by band; span is the data's support.
+    w and rho hold the rows ks, and span is the data's support.  rho None
+    (zero divergence) tables w alone.  w None (zero vorticity) tables rho
+    itself, rotated: its kernels A, B give a = -i sigma A and b = i sigma B,
+    which ModeTerms.at_nodes and _mode_sum combine directly.  Profiles, trace
+    and moments were those of the combined integrand bit for bit in every
+    case tried, and the samples agree to 1e-15 relative.
     """
     f = rho if w is None else w
     if w is not None and rho is not None:
@@ -346,7 +282,7 @@ def _kernel(nodes, w, rho, ks, suffix: bool, span: tuple) -> ScaledIntegrals:
 
 def _b_at_r0(outer: ScaledIntegrals, ks, rotated: bool) -> np.ndarray:
     """b_k(r0) of the modes ks, a new array: the suffix table's first column,
-    times i sigma for a table of rho itself (rotated)."""
+    times i sigma for a rotated table (_kernel)."""
     start = outer.table[:, 0]
     return 1j * np.sign(ks) * start if rotated else np.array(start)
 
@@ -355,16 +291,12 @@ def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool,
                   span: tuple) -> ModeTerms:
     """Kernel terms with a zero trace; rho None is zero divergence, w None zero vorticity.
 
-    mirrored says that w and rho are exactly mirrored (a real field's
-    modes).  If the far field is too, the integrands and kernel tables are
-    formed and held for k = 0..K only, else for k = -K..K (_mode_rows).
-    span is the data's support, the columns (lo, hi) outside which w and rho
-    are zero.  With zero vorticity both tables are of rho itself
-    (ModeTerms.rotated), so no w -+ i sigma rho is formed.
+    mirrored says that w and rho are exactly mirrored, and span is the data's
+    support.  The rows follow _mode_rows and the tables _kernel; the prefix
+    and suffix table are the two halves of quadrature._together.
     """
     ks, vinf, w, rho = _mode_rows(far, mirrored, w, rho)
     zero, nodes = -ks[0], grid.nodes
-    # the prefix table on the worker thread, the suffix table here
     inner, outer = _together(lambda: _kernel(nodes, w, rho, ks, False, span),
                              lambda: _kernel(nodes, w, rho, ks, True, span),
                              2 * len(ks) * len(nodes))
@@ -384,15 +316,12 @@ def _tabulated(problem, w_top, rho_top) -> tuple:
 
 
 def _scan(values, name) -> tuple:
-    """(max |values| of each column, exact-mirror flag) of a (modes, columns) array,
-    one pass over row bands.
+    """(max |values| of each column, exact-mirror flag) of a (modes, columns) array.
 
     Row k + K holds mode k; the flag says that row K - m equals conj(row K + m)
-    for every m = 0..K, as a real field's modes do.  A row k < 0 that equals
-    its mirror has its modulus, so moduli are taken there only once a band
-    breaks the mirror.  The column maxima give the field's scale and its
-    support (quadrature._support).  ValueError if a value in either half is
-    not finite.
+    for every m.  A mirrored row has its mirror's moduli, so rows k < 0 are
+    read only once a band breaks the mirror.  ValueError if a value is not
+    finite.
     """
     K = len(values) // 2
     top, mirrored = np.zeros(values.shape[1]), True
@@ -411,8 +340,7 @@ def _scan(values, name) -> tuple:
 def _with_trace(terms: ModeTerms, g_r, g_phi) -> ModeTerms:
     """terms with the decay coefficients of the trace (g_r, g_phi), mode 0 as r0 g_0 / r.
 
-    g_r and g_phi hold the modes -K..K or the rows of terms.ks; the rows of
-    terms.ks are read.
+    g_r and g_phi hold the modes -K..K or the rows of terms.ks.
     """
     g_r, g_phi = g_r[-len(terms.ks) :], g_phi[-len(terms.ks) :]
     sigma = np.sign(terms.ks)
@@ -441,8 +369,7 @@ class DiskProblem:
     far_field: FarField = FarField()
     vorticity_fn: object = field(default=None, compare=False)
     divergence_fn: object = field(default=None, compare=False)
-    # b_k(r0) on the rows k = 0..K (mirrored data) or -K..K, read-only, as the
-    # first solve or moment report found it; replace() does not carry it
+    # the memo of _keep_moments; replace() does not carry it
     _moments: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -466,7 +393,8 @@ class DiskProblem:
         return self.vorticity.K
 
     def _keep_moments(self, moments) -> np.ndarray:
-        """Store the moments b_k(r0) read-only as the problem's memo and return them."""
+        """Keep the moments b_k(r0) read-only as the problem's memo, and return them:
+        a later moment_report of the same object reads them and builds no table."""
         moments.setflags(write=False)
         object.__setattr__(self, "_moments", moments)
         return moments
@@ -475,9 +403,8 @@ class DiskProblem:
 def _scan_data(problem: DiskProblem) -> tuple:
     """(column maxima of w, of rho, exact-mirror flag of w, rho and g together).
 
-    The vorticity scan runs on the worker thread and the divergence scan
-    here (quadrature._together); ValueError names a field with a value
-    that is not finite.
+    The two field scans are the halves of quadrature._together; ValueError
+    names a field with a value that is not finite.
     """
     w, rho, g = problem.vorticity, problem.divergence, problem.boundary
     (w_top, w_mirrored), (rho_top, rho_mirrored) = _together(
@@ -491,11 +418,9 @@ def _scan_data(problem: DiskProblem) -> tuple:
 class VelocitySolution:
     """Assembled velocity field for k in [-K, K]: node profiles and their kernel terms.
 
-    rows holds the node profiles (v_r, v_phi) on the modes terms.ks, as
-    ModeTerms.at_nodes builds them (k = 0..K only for real data).  v_r and
-    v_phi are the per-mode view, shape (2K+1, len(grid)) with row k + K
-    holding mode k, built from rows on first access; sample is the one
-    evaluator off the nodes.
+    rows holds the node profiles (v_r, v_phi) on the modes terms.ks
+    (ModeTerms.at_nodes); v_r and v_phi are their (2K+1)-row view, row k + K
+    holding mode k, built on first access.
     """
 
     terms: ModeTerms = field(compare=False)
@@ -527,15 +452,10 @@ class VelocitySolution:
     def sample(self, points) -> np.ndarray:
         """Cartesian velocity v1 + i v2 at complex points.
 
-        Sums (v_r,k + i v_phi,k) e^{i (k+1) phi} as polynomials in
-        (s/r) e^{i phi} and (r/s) e^{-i phi}, s a node of the point's panel,
-        by Horner's rule (ModeTerms._mode_sum): no power or phase is formed
-        per mode and point.  The points go in order of radius, in blocks
-        whose Horner accumulators fill one band.  A large sample is cut into
-        the points below, on and above the data's support (ModeTerms._groups),
-        and the inner half of each group is summed on the worker thread
-        (quadrature._together).  Mode 0 and the constant far field are added
-        here, to all points at once.
+        The mode sum is ModeTerms._mode_sum, over the points in order of radius
+        in blocks whose Horner accumulators fill one band.  A large sample is cut
+        into the groups of ModeTerms._groups, each group into halves for
+        quadrature._together.  Mode 0 and the constant far field are added here.
         """
         points = np.asarray(points, dtype=complex)
         flat = points.ravel()
@@ -547,7 +467,6 @@ class VelocitySolution:
         out = np.empty(flat.size, dtype=complex)
 
         def fill(part, polys=range(7)):
-            # the Horner accumulators of a block fill one band
             for block in _bands(part.size, len(polys)):
                 rows = part[block]
                 out[rows] = terms._mode_sum(flat[rows], polys)
@@ -584,9 +503,8 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     Incompatible data is solved anyway: the formulas stay evaluable and the
     report quantifies how badly the boundary condition is violated, so the
-    solver warns instead of refusing.  The report's mode residuals come from
-    the kernel's b_k(r0), without a second integration, and the solve leaves
-    them on the problem: moment_report reads them from there.
+    solver warns instead of refusing.  The report reads the table's b_k(r0),
+    which stays on the problem (DiskProblem._keep_moments).
     """
     from .moments import _report_from_moments
 

@@ -73,7 +73,11 @@ class RadialGrid:
         if abs(ratio - 1.0) < 1e-12:
             return cls.uniform(r0, rmax, count)
         m = count - 1
-        h0 = (rmax - r0) * (ratio - 1.0) / (ratio**m - 1.0)
+        try:
+            h0 = (rmax - r0) * (ratio - 1.0) / (ratio**m - 1.0)
+        except OverflowError:
+            raise ValueError(f"panel ratio {ratio} overflows over {m} panels: "
+                             f"ratio**{m} is out of range") from None
         nodes = np.concatenate(([r0], r0 + np.cumsum(h0 * ratio ** np.arange(m))))
         nodes[-1] = rmax
         return cls(nodes)
@@ -162,10 +166,11 @@ class BoundaryTrace:
     def from_coeffs(cls, K: int, radial: dict = None, tangential: dict = None) -> "BoundaryTrace":
         g_r = np.zeros(2 * K + 1, dtype=complex)
         g_phi = np.zeros(2 * K + 1, dtype=complex)
-        for k, val in (radial or {}).items():
-            g_r[k + K] = val
-        for k, val in (tangential or {}).items():
-            g_phi[k + K] = val
+        for values, coeffs in ((g_r, radial), (g_phi, tangential)):
+            for k, val in (coeffs or {}).items():
+                if abs(k) > K:
+                    raise ValueError(f"mode {k} outside |k| <= {K}")
+                values[k + K] = val
         return cls(K, g_r, g_phi)
 
     @classmethod
@@ -200,10 +205,8 @@ def analysis_angles(K: int) -> np.ndarray:
 def _dft_coefficients(samples: np.ndarray, K: int) -> np.ndarray:
     """Rows of discrete angular Fourier coefficients for k = -K..K.
 
-    Real samples (complex ones with zero imaginary parts too) take the
-    real-input transform for k = 0..K and get the rows k < 0 as their
-    conjugates, so their modes are exactly mirrored (Press et al., Numerical
-    Recipes, 3rd ed., section 12.3).
+    Real samples (or complex ones with zero imaginary parts) take the
+    real-input transform, so their rows k < 0 are exactly the conjugates.
     """
     n = samples.shape[-1]
     if n < 2 * K + 1:

@@ -7,26 +7,15 @@ For k != 0, with sigma = sign(k), the data must satisfy
 
 and at k = 0 the circulation and flux around the solid must vanish:
 
-    int w dx + circ(g) = 0,   int rho dx + flux(g) = 0,
+    2 pi (int s w_0 ds + r0 g_phi,0) = 0,   2 pi (int s rho_0 ds + r0 g_r,0) = 0.
 
-that is 2 pi (int s w_0 ds + r0 g_phi,0) = 0 and 2 pi (int s rho_0 ds + r0 g_r,0) = 0.
-The two are kept apart: for complex data each is complex, and their
-combination circulation + i flux could cancel.  For real data the report
-prints them combined, as 2*pi*[(...) + i (...)].
-Residuals are oriented left minus right, so a pure far-field violation at
-k = 1 reports -(v_phi,1^inf + i v_r,1^inf), and a zero mode-k residual is
-exactly the condition under which the solved field's trace matches g_k.
-For data whose modes are mirrored (w, rho and g real fields, as the scan
-of solve_disk finds) the mode -m residual is the conjugate of the mode m
-one, so the rows k = 1..K decide; otherwise the rows k = -1..-K are
-checked as well.  The mode moment is the disk solver's b_k(r0), the
-suffix kernel at r0.  solve_disk leaves the moments it read off its
-suffix table on the problem, and moment_report reads them from there.
-With no solve before it, moment_report builds the solver's suffix table
-alone, on the same integrand and rows, reads the moments off it and keeps
-them on the problem in turn; the projection reads the bump's moments off
-a suffix table as well.  So the report, the projection and solve_disk see
-one quadrature of the moment.
+Residuals are left minus right, so a zero mode-k residual is exactly the
+condition under which the solved field's trace matches g_k.  The two k = 0
+residuals are kept apart: for complex data circulation + i flux could
+cancel.  For mirrored data (disk._mode_rows) the mode -m residual is the
+conjugate of the mode m one, so the modes k = 1..K decide; otherwise the
+modes -1..-K are checked as well.  The moment integral is the disk
+solver's b_k(r0) (moment_report).
 """
 
 from __future__ import annotations
@@ -56,11 +45,9 @@ _SKIP_BELOW = 1e-14
 class MomentReport:
     """Per-mode moment residuals plus the circulation and flux residuals.
 
-    residuals[k] holds the mode-k residual for k = 1..K; index 0 is kept at
-    zero because the k = 0 conditions are the separate circulation and flux
-    entries.  negative[m] holds the mode -m residual for m = 1..K (index 0
-    zero) when the data are not mirrored; for mirrored data it is empty, as
-    the mode -m residual is then the conjugate of the mode m one.
+    residuals[k] is the mode-k residual for k = 1..K, index 0 zero (the k = 0
+    conditions are circulation and flux).  negative[m] is the mode -m
+    residual for data that are not mirrored, index 0 zero, and else empty.
     """
 
     residuals: np.ndarray
@@ -133,11 +120,9 @@ def _circulation_flux(problem: DiskProblem) -> tuple:
 def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport:
     """The residuals of the data from solve_disk's b_k(r0).
 
-    After a solve of the same problem object they are read off the memo the
-    solve left on it.  Otherwise the solve's suffix table alone is built,
-    on its integrand (w + i sigma rho, w alone when rho is zero, rho alone
-    and rotated when w is zero) and its rows (k = 0..K for mirrored data,
-    else -K..K), and the moments read off it are kept as the memo.
+    They are read off the problem's memo (DiskProblem._keep_moments).  With
+    no memo, the solve's suffix table alone is built, on the solve's rows and
+    integrand (disk._mode_rows, disk._kernel), and its moments become the memo.
     """
     moments = problem._moments
     if moments is None:
@@ -228,9 +213,8 @@ def make_admissible(
 ) -> SpectralField:
     """Project the vorticity onto the data satisfying the moment conditions k <= K_c.
 
-    One smooth compactly supported bump per offending mode, scaled in closed
-    form; modes with vanishing residual are untouched.  Conjugate mirrors keep
-    real-valued fields real.  Only w is modified: the flux half of the k = 0
+    Adds the corrections of admissibility_corrections, and their conjugates
+    to the modes -k.  Only w is modified: the flux half of the k = 0
     condition involves (rho, g_r) alone and is the caller's responsibility.
     """
     return _with_corrections(w, *admissibility_corrections(w, rho, g, v, K_c, support))

@@ -1,72 +1,21 @@
-"""Composite-trapezoid radial quadrature with cumulative (prefix) evaluation.
+"""Composite-trapezoid radial quadrature: cumulative integrals and the batched power kernel.
 
-All solver integrals reduce to integrals of s^p f(s) over subranges of the
-radial grid.  CumulativeIntegral stores prefix sums once per integrand, so a
-full per-mode solve costs O(M) instead of O(M^2), and its at evaluates them
-at arbitrary radii by linear interpolation of the integrand inside one panel
-(consistent with the trapezoid rule, second order in node spacing).  Radii
-beyond the last node saturate at the total, which is exact for integrands
-supported inside the span; radii below the first node raise.
+CumulativeIntegral holds the prefix sums of one integrand, and its at
+evaluates them at any radius r >= r0 by linear interpolation of the
+integrand inside the panel, saturating at the total beyond the last node.
 
-ScaledIntegrals is the batched mode kernel: for many rows f_i and powers p_i
-at once it tabulates the power-kernel integrals already multiplied back by
-the matching power of the radius,
+ScaledIntegrals tabulates, for many rows f_i and powers p_i at once, the
+power-kernel integrals scaled back by the matching power of the radius,
 
     prefix:  s_j^{-p_i} int_{s_0}^{s_j} t^{p_i} f_i(t) dt
-    suffix:  s_j^{p_i}  int_{s_j}^{s_M} t^{-p_i} f_i(t) dt,
+    suffix:  s_j^{p_i}  int_{s_j}^{s_M} t^{-p_i} f_i(t) dt.
 
-so no power of a radius is ever formed on its own (s^{+-p} overflows at
-high modes and large rmax, and total - prefix cancels catastrophically).
-The grid is cut into blocks that end before |p| log(s_end / s_start)
-exceeds 300; inside a block every term is scaled by (s / s_end)^p, which
-stays within [e^-300, e^300], and one cumsum gives the block.  The carry
-from block to block is rescaled by the same ratios.  A suffix is summed
-directly, from the outer end inwards (the recursive mode convolutions of
-Borges & Daripa, J. Comput. Phys. 169 (2001)).
-
-The solver's data are compactly supported (RadialGrid), and a table does
-only the work its data need.  Let span = (lo, hi) be the columns from the
-first to past the last one where some row is nonzero.  A prefix is exactly
-zero up to the first panel that touches the data, and past the last one
-it is the carried sum rescaled; a suffix is the mirror image.  So
-_scaled_table sums panels and takes cumsums only on the panels that touch
-the support, writes the zeros directly (+0.0 for a prefix, -0.0 for the
-negated suffix), and on the far side forms only the weights and the
-rescaled carry.  Each term skipped is an exact zero: adding it can change
-no more than the sign of a zero, and the block carry settles that sign the
-same way with or without it, so the tables are the whole-grid pass's bit
-for bit.  The one exception is a carry with a -0.0 part, which only an
-underflow makes; its block sums its zero panels after all.  solve_disk
-and solve_stream read the span off the data scan they already run
-(disk._scan).
-
-The moment conditions read a suffix at s_0 only, b_k(r0): the suffix
-table's first column.  The solver, the moment report and the
-admissibility projection all read it there, so one quadrature of the
-moment serves all three.
-
-Every row is independent, so the tables are built in row bands: _bands
-cuts the rows so that one complex band of the grid's width stays within
-_BAND_BYTES (2^20 bytes, 16 rows at M = 4000).  That bounds each temporary
-of a pass, per thread: a pass holds a few such operands at once, and on
-each of the two threads below.  The block schedule comes from the largest
-power of all rows, so the banded tables equal the whole-array ones bit for
-bit.  The node profiles, the off-node sampler and the volume norms walk the
-same bands.
-
-The solver's passes come in independent halves: the prefix and the suffix
-table, the two data scans, the two halves of the node-profile bands, of
-the sample points and of the velocity norms' density bands, and the terms
-of the scalar-field norms.  _together runs the first half on one worker
-thread and the second on the calling thread.  numpy releases the
-interpreter lock inside its loops over whole bands, so the two halves
-share the host's cores.  A pass over less than two bands' worth of values, or a process
-that may run on one CPU only, runs its halves one after the other on the
-calling thread: there the hand-off, or the two threads taking turns on
-one core, costs more than the overlap saves.  The split is fixed, never
-dynamic, and every row, point and sum is formed by the same operations in
-the same order as one thread would, so results do not depend on it bit
-for bit.
+No power of a radius is formed on its own, and the suffix is summed from
+the outer end inwards, never as total minus prefix, so the tables stay
+finite and free of cancellation at high modes and large rmax (_scaled_table).
+Every pass over a (modes, nodes) array walks the row bands of _bands, and
+the independent halves of a pass run through _together; neither changes a
+bit of any result.
 """
 
 from __future__ import annotations
@@ -119,11 +68,7 @@ def _serve(inbox):
 
 
 def _side_by_side(size) -> bool:
-    """Whether a pass over size values runs its halves on two threads.
-
-    It does from _SIDE_BY_SIDE values on, when this process may run on more
-    than one CPU (its affinity mask where the platform has one).
-    """
+    """Whether a pass over size values runs its halves on two threads (see _together)."""
     if size < _SIDE_BY_SIDE:
         return False
     if hasattr(os, "sched_getaffinity"):
@@ -134,10 +79,13 @@ def _side_by_side(size) -> bool:
 def _together(first, second, size):
     """(first(), second()), with first run on the worker thread and second on this one.
 
-    size is the number of values the two calls pass over together; unless
-    _side_by_side(size), both run here, first then second.  Neither call is
-    still running when this returns or raises, and if first raises, its
-    exception is raised.  The worker runs leaf work only: first never calls
+    numpy releases the interpreter lock inside its loops, so the halves of a
+    pass share two cores.  A pass over fewer than _SIDE_BY_SIDE values (size
+    counts both), or in a process allowed one CPU, runs both here, first then
+    second: there the hand-off costs more than the overlap saves.  Callers
+    split their work the same way either way, so results do not depend on
+    threading bit for bit.  Neither call is still running when this returns
+    or raises, and an exception of first is raised here.  first never calls
     _together, so the single worker cannot wait on itself.
     """
     global _inbox
@@ -161,23 +109,26 @@ def _together(first, second, size):
 
 
 def _bands(count, width, start=0):
-    """Slices covering range(start, count) whose complex rows of the given width fit _BAND_BYTES."""
+    """Slices covering range(start, count) whose complex rows of the given width fit _BAND_BYTES.
+
+    Rows are independent, so a pass band by band does the whole array's
+    arithmetic bit for bit, with each temporary bounded (16 rows at M = 4000).
+    """
     step = max(1, _BAND_BYTES // (16 * width))
     return [slice(i, min(i + step, count)) for i in range(start, count, step)]
 
 
 def _upper(K, count, width):
-    """A new complex (count, width) array; for count = K + 1 (mirrored rows k = 0..K)
-    the upper rows of an uninitialised (2K+1)-row array, which _unfold completes in place."""
+    """A new complex (count, width) array; for mirrored rows (count = K + 1) the
+    upper rows of an uninitialised (2K+1)-row array, which _unfold completes in place."""
     return np.empty((2 * K + 1, width), dtype=complex)[2 * K + 1 - count :]
 
 
 def _unfold(rows, K):
-    """Rows k = -K..K of a mirrored array from its rows k = 0..K: mode -m is conj(mode m).
+    """Rows k = -K..K, read-only, of mirrored rows k = 0..K: mode -m is conj(mode m).
 
-    The result is read-only.  Rows made by _upper get their lower rows
-    written in place, once; other rows are copied into a new array, and rows
-    already covering -K..K are returned as they are.
+    Rows made by _upper get their lower rows written in place, once; other
+    rows are copied, and rows already covering -K..K are returned as they are.
     """
     if len(rows) == 2 * K + 1:
         return rows
@@ -217,11 +168,7 @@ class CumulativeIntegral:
         return complex(self.prefix[-1])
 
     def at(self, r):
-        """Integral from nodes[0] to r, vectorized; r must not lie below nodes[0].
-
-        Radii beyond the last node saturate at the total, which is exact for
-        integrands supported inside the span.
-        """
+        """Integral from nodes[0] to r, vectorized; r must not lie below nodes[0]."""
         rc, idx, frac = _locate(self.nodes, np.asarray(r, dtype=float))
         f0 = self.integrand[idx]
         f1 = self.integrand[idx + 1]
@@ -243,11 +190,7 @@ def cumulative(nodes, integrand) -> CumulativeIntegral:
 
 @dataclass(frozen=True)
 class ScaledIntegrals:
-    """Scaled prefix or suffix trapezoid integrals of the rows of an integrand.
-
-    table[i, j] is s_j^{-p_i} int_{s_0}^{s_j} t^{p_i} f_i for a prefix and
-    s_j^{p_i} int_{s_j}^{s_M} t^{-p_i} f_i for a suffix (p_i = powers[i]).
-    """
+    """The scaled prefix or suffix table of the rows of an integrand, p_i = powers[i]."""
 
     nodes: np.ndarray
     integrand: np.ndarray
@@ -271,15 +214,19 @@ def _negative_zero(values) -> bool:
 def _scaled_table(nodes, integrand, powers, suffix, table, span):
     """Prefix (or suffix) table of the rows, written into table band by band.
 
-    The integrand is zero outside the columns span = (lo, hi), half-open.
-    The suffix is the prefix over the reversed grid with the opposite power;
-    the reversed panels have negative width, hence its sign flip.  Each band
-    is written through the reversed view and negated while it is in cache.
-    Before the first panel that touches the data a prefix is +0.0 (a suffix,
-    negated, -0.0), written directly; past the last one a block's running
-    sum stays where that panel left it, so only the weights are formed there.
-    A block carry with a -0.0 part sums its zero panels after all, since
-    they may turn that part into +0.0.
+    The grid is cut into blocks that end before max|p| log(s_end / s_start)
+    exceeds _BLOCK_EXPONENT, the maximum over all rows, so every band has the
+    same blocks.  Inside a block each term is scaled by (s / s_end)^p and one
+    cumsum sums the block; the carry into the next block is rescaled by the
+    same ratios.  The suffix is the prefix over the reversed grid with the
+    opposite power, negated for the panels' negative width: the recursive
+    mode convolution of Borges & Daripa, J. Comput. Phys. 169 (2001).  The
+    integrand is zero outside the columns span = (lo, hi), half-open.  Before
+    the first panel that touches the data the table is written as +0.0 (a
+    suffix -0.0), and past the last one only the weights and the rescaled
+    carry are formed.  Each term skipped is an exact zero, so the table is
+    the whole-grid pass's bit for bit; a carry with a -0.0 part, which only
+    an underflow makes, sums its zero panels after all.
     """
     M = len(nodes)
     lo, hi = span

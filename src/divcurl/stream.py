@@ -1,30 +1,20 @@
 """Stream-function reduction for solenoidal no-slip flows.
 
 With div v = 0 and g = 0 there is a stream function psi with v = (-d2, d1) psi
-and Delta psi = w.  Imposing the slip form psi = const on the circle, zero
-circulation around it, and psi -> v2*x1 - v1*x2 at infinity yields one radial
-two-point problem per mode,
-
-    psi_k'' + psi_k'/r - k^2 psi_k / r^2 = w_k.
-
-Its skew gradient v_r,k = -(i k / r) psi_k, v_phi,k = psi_k' is the direct
-solver's field for rho = 0, g_r = 0 and the slip-completion trace
+and Delta psi = w.  Imposing psi = const on the circle, zero circulation
+around it and psi -> v2*x1 - v1*x2 at infinity gives one radial two-point
+problem per mode, psi_k'' + psi_k'/r - k^2 psi_k / r^2 = w_k.  Its skew
+gradient v_r,k = -(i k / r) psi_k, v_phi,k = psi_k' is the direct solver's
+field for rho = 0, g_r = 0 and the slip-completion trace
 
     g_phi,k = 2 v_phi,k^inf - b_k(r0)  (k != 0),   g_phi,0 = 0,
 
-the tangential slip that zeroes every moment residual, so psi_k(r0) = 0
-is the completed problem's v_r,k(r0) = 0.  solve_stream therefore builds the
-direct solver's kernel terms once (disk._direct_terms), reads b_k(r0) off
-their suffix table, sets that trace, and keeps the completed problem's
-velocity: StreamFunction is a view of it.  psi' is its v_phi rows, and psi
-is read off its v_r rows on first access, psi_k = (i r / k) v_r,k, with
-psi_0 the trapezoid integral of v_phi,0 = (1/r) int_{r0}^r s w_0 ds.  For
-real vorticity and far field the rows are k >= 0 only, as the direct
-solver's profiles are, and velocity_from_stream forms nothing again.  The
-discarded Neumann condition d(psi)/dn = 0 holds exactly when the completion
-trace vanishes, that is when the vorticity satisfies the no-slip
-orthogonality relations; neumann_defect measures the trace, the residual
-slip velocity, otherwise.
+the tangential slip that zeroes every moment residual, so psi_k(r0) = 0.
+solve_stream builds that solution from the direct solver's kernel terms,
+and StreamFunction is a view of it.  The discarded Neumann condition
+d(psi)/dn = 0 holds exactly when the completion trace vanishes, that is
+when w satisfies the no-slip orthogonality relations; neumann_defect
+measures the trace otherwise.
 """
 
 from __future__ import annotations
@@ -49,9 +39,8 @@ class StreamFunction:
     Modes k != 0 vanish at r0 so psi is constant on the solid; the constant
     itself is gauged to zero.  psi_1 grows linearly to match the far-field
     stream r * v_phi,1^inf; all other modes decay beyond the data support.
-    velocity is the direct solver's solution of the completed problem, the
-    skew gradient (-(i k / r) psi_k, psi_k') with its kernel terms.  psi and
-    d_psi hold the modes velocity.terms.ks, read-only.
+    velocity is the direct solver's solution of the completed problem; psi
+    and d_psi hold the modes velocity.terms.ks, read-only.
     """
 
     velocity: VelocitySolution
@@ -62,7 +51,7 @@ class StreamFunction:
 
     @cached_property
     def psi(self) -> np.ndarray:
-        """psi_k = (i r / k) v_r,k for k != 0; psi_0 integrates psi_0'."""
+        """psi_k = (i r / k) v_r,k for k != 0; psi_0 is the trapezoid integral of psi_0'."""
         terms, nodes = self.velocity.terms, self.velocity.grid.nodes
         v_r = self.velocity.rows[0]
         ks = np.where(terms.ks == 0, 1, terms.ks)[:, None]
@@ -85,7 +74,6 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     top, mirrored = _scan(w.coeffs, "vorticity")  # raises on non-finite data
     terms = _direct_terms(grid, w.coeffs, None, v, mirrored, _support(top))
     zero = terms.zero_row
-    # slip completion g_phi,k = 2 v_phi,k^inf - b_k(r0): it zeroes every moment residual
     slip = 2.0 * terms.vinf[1] - _b_at_r0(terms.outer, terms.ks, terms.rotated)
     slip[zero] = 0.0
     terms = _with_trace(terms, np.zeros_like(slip), slip)
@@ -111,20 +99,15 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
 
 
 def velocity_from_stream(psi: StreamFunction) -> VelocitySolution:
-    """Skew gradient of psi: v_r,k = -(i k / r) psi_k, v_phi,k = psi_k'.
-
-    These are the direct solver's node profiles that psi was read from, kept
-    by solve_stream, so nothing is formed again here.
-    """
+    """Skew gradient of psi, v_r,k = -(i k / r) psi_k, v_phi,k = psi_k': the solution it views."""
     return psi.velocity
 
 
 def neumann_defect(psi: StreamFunction) -> float:
     """L2(boundary) norm of d(psi)/dr at r0, the slip-completion trace: the residual slip speed.
 
-    Zero (to tolerance) exactly when the vorticity satisfies the no-slip
-    orthogonality relations; for w = 0 against a uniform stream of speed v it
-    equals the classical slip value 2 |v| sqrt(pi r0).
+    For w = 0 against a uniform stream of speed v it is the classical slip
+    value 2 |v| sqrt(pi r0).
     """
     boundary = _unfold(psi.d_psi[:, 0], psi.velocity.K)
     return float(np.sqrt(2.0 * np.pi * psi.velocity.grid.r0 * np.sum(np.abs(boundary) ** 2)))

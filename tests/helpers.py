@@ -439,11 +439,11 @@ def reference_far_field_deviation_h1(solution, weights):
 
 
 def sequential_power(count, s, terms):
-    """norms._power summed on one thread: terms(band) yields the band's rows of every term.
+    """The sum of norms._power over terms: terms(band) yields the band's rows of every term.
 
     Each term's squares are summed row after row over the float view, the
-    running sum carried from band to band, and the terms added in order at
-    the end.
+    running sum carried from band to band, as norms._power sums one term,
+    and the terms are added in order at the end.
     """
     acc = {}
     for band in _bands(count, s.size):

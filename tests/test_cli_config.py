@@ -161,6 +161,7 @@ SMALL = "[grid]\nnodes = 120\ngrading = uniform\n[modes]\nk = 4\n"
     ("[output]\nfield = grid\n", "[output] field"),
     ("[oracle]\nn_radial = 0\n", "[oracle] n_radial"),
     ("[domain]\nr0 = inf\n", "[domain] r0"),
+    ("[norms]\nweight = 300\n", "[norms] weight"),
 ])
 def test_bad_values_fail_before_any_output(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
@@ -174,7 +175,8 @@ def test_bad_values_fail_before_any_output(tmp_path, capsys, text, key):
 @pytest.mark.parametrize("option, points", [
     ("--points", "1,a"), ("--points", "1"), ("--points", "1,2,3"),
     ("--points-file", "x1\n1.0\n2.0\n"),
-], ids=["1,a", "1", "1,2,3", "one-column-file"])
+    ("--points", "nan,2;2,inf"), ("--points-file", "x1,x2\n2.0,1.0\n2.0,inf\n"),
+], ids=["1,a", "1", "1,2,3", "one-column-file", "non-finite", "non-finite-file"])
 def test_bad_points_name_the_option(tmp_path, capsys, option, points):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL)
@@ -186,4 +188,14 @@ def test_bad_points_name_the_option(tmp_path, capsys, option, points):
     assert main(["oracle", "--config", str(cfg), "--out", str(out), f"{option}={points}"]) \
         == EXIT_CONFIG
     assert option in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_steep_geometric_grid_fails_before_any_output(tmp_path, capsys):
+    # ratio**(nodes - 1) overflows: a config error, not a traceback
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("[grid]\nnodes = 2000\ngrading = geometric\nratio = 2.0\n[modes]\nk = 4\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: panel ratio 2.0 overflows" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

@@ -26,6 +26,8 @@ def test_grid_validation():
         RadialGrid(np.ones(20))  # not increasing
     with pytest.raises(ValueError):
         RadialGrid.uniform(2.0, 1.0, 20)
+    with pytest.raises(ValueError, match=r"ratio 2\.0 overflows over 1999 panels"):
+        RadialGrid.geometric(1.0, 12.0, 2000, ratio=2.0)  # ratio**(count - 1) overflows
 
 
 def test_grid_properties():
@@ -180,6 +182,14 @@ def test_boundary_trace_round_trip():
     padded = trace.padded(7)
     assert padded.coeff_r(2) == trace.coeff_r(2)
     assert padded.coeff_phi(7) == 0.0
+
+
+def test_from_coeffs_rejects_modes_outside_the_band():
+    # -4 would wrap to mode 1, 3 past the end of the array
+    for k in (-4, 3):
+        for side in ("radial", "tangential"):
+            with pytest.raises(ValueError, match=rf"mode {k} outside \|k\| <= 2"):
+                BoundaryTrace.from_coeffs(2, **{side: {k: 1.0}})
 
 
 @settings(max_examples=30)

@@ -40,6 +40,8 @@ def test_l2_weighted_norm_closed_forms():
     assert abs(l2_weighted_norm(field, 1.0) - expected) < 1e-6
     with pytest.raises(ValueError):
         l2_weighted_norm(field, -2.0)
+    with pytest.raises(ValueError, match=r"N = 500\.0 at rmax = 2\.0"):
+        l2_weighted_norm(field, 500)  # (1 + s^2)^N overflows
 
 
 def test_h_half_boundary_norm_examples():
@@ -182,8 +184,8 @@ def test_scalar_gradient_norm_closed_form():
 
 
 def test_single_term_norm_hands_the_worker_nothing(monkeypatch, two_cpus):
-    # l2_weighted_norm squares one term: its pass has no first half for the
-    # worker thread, so it runs here, with the same sum as before
+    # l2_weighted_norm squares its one term on the calling thread, with the
+    # same sum as the sequential reference
     from helpers import sequential_power
 
     grid = RadialGrid.geometric(1.0, 12.0, 4000, ratio=1.0005)
@@ -199,7 +201,7 @@ def test_single_term_norm_hands_the_worker_nothing(monkeypatch, two_cpus):
 
     monkeypatch.setattr(norms, "_together", recorded)
     got = l2_weighted_norm(field, 2.0)
-    assert side_by_side == [False]
+    assert side_by_side == []
     s = grid.nodes
     power = sequential_power(257, s, lambda band: [field.coeffs[band]])
     assert got == norms._volume_norm(power, s, (1.0 + s * s) ** 2.0)
