@@ -87,14 +87,15 @@ def _kernel_sum(points: np.ndarray, sources: np.ndarray, charge: np.ndarray) -> 
     return (sum_a[:, 0] - sum_b[:, 1]) + 1j * (sum_a[:, 1] + sum_b[:, 0])
 
 
-def _lattice_values(name: str, values, shape) -> np.ndarray:
-    """Data values broadcast to the lattice shape; raises unless that works and all are finite."""
+def _lattice_values(name: str, values, shape, lattice=None) -> np.ndarray:
+    """Data values broadcast to shape, a band of the lattice of shape lattice
+    (default: shape itself); raises unless that works and all are finite."""
     values = np.asarray(values, dtype=complex)
     try:
         values = np.broadcast_to(values, shape)
     except ValueError:
         raise ValueError(f"{name} data of shape {values.shape} does not broadcast "
-                         f"to the {shape} oracle lattice") from None
+                         f"to the {lattice or shape} oracle lattice") from None
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} data is not finite on the oracle lattice")
     return values
@@ -149,6 +150,24 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
     return complex(out) if points.ndim == 0 else out
 
 
+def _mapped_charge(problem: ExteriorProblem, cells, area) -> np.ndarray:
+    """(rho + i w)(Phi^-1(x_c)) |(Phi^-1)'(x_c)|^2 times the cell areas, on
+    bands of _BLOCK_PAIRS // n_angular radii of the (radius x angle) cells."""
+    m = problem.map
+    charge = np.zeros(cells.shape, dtype=complex)
+    rows = max(1, _BLOCK_PAIRS // cells.shape[1])
+    for i in range(0, cells.shape[0], rows):
+        band, out = cells[i:i + rows], charge[i:i + rows]
+        jac = np.abs(m.d_inverse(band)) ** 2
+        y = m.inverse(band)
+        for name, fn, unit in (("divergence", problem.divergence_fn, 1.0),
+                               ("vorticity", problem.vorticity_fn, 1j)):
+            if fn is not None:
+                out += unit * (_lattice_values(name, fn(y), band.shape, cells.shape) * jac)
+        out *= area[i:i + rows]
+    return charge
+
+
 def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angular: int = 256,
                       n_boundary: int = 512, support=None):
     """Velocity in Omega by the mapped integral representation.
@@ -166,14 +185,7 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
 
     radii, angles, area = _volume_cells(problem.grid, support, n_radial, n_angular)
     cells = radii * np.exp(1j * angles)
-    jac = np.abs(m.d_inverse(cells)) ** 2
-    y = m.inverse(cells)
-    charge = np.zeros(cells.shape, dtype=complex)
-    for name, fn, unit in (("divergence", problem.divergence_fn, 1.0),
-                           ("vorticity", problem.vorticity_fn, 1j)):
-        if fn is not None:
-            charge += unit * (_lattice_values(name, fn(y), cells.shape) * jac)
-    charge = (charge * area).ravel()
+    charge = _mapped_charge(problem, cells, area)
 
     theta = equispaced_angles(n_boundary)
     ring = m.r0 * np.exp(1j * theta)
@@ -185,6 +197,6 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     else:
         layer = np.zeros_like(ring)
 
-    vhat = _evaluate(z, cells.ravel(), charge, ring, layer, problem.far_field.as_complex)
+    vhat = _evaluate(z, cells.ravel(), charge.ravel(), ring, layer, problem.far_field.as_complex)
     out = m.pushforward(z, vhat)
     return complex(out) if points.ndim == 0 else out

@@ -175,14 +175,16 @@ def _build_grid(cfg):
         raise ConfigError("[grid] rmax must exceed r0")
     if nodes < 9:
         raise ConfigError("[grid] nodes must be at least 9")
+    if grading not in ("uniform", "geometric"):
+        raise ConfigError(f"[grid] grading must be uniform or geometric, got '{grading}'")
+    ratio = _float(cfg, "grid", "ratio") if grading == "geometric" else None
     try:
-        if grading == "uniform":
+        if ratio is None:
             return RadialGrid.uniform(r0, rmax, nodes)
-        if grading == "geometric":
-            return RadialGrid.geometric(r0, rmax, nodes, ratio=_float(cfg, "grid", "ratio"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"[grid] grading must be uniform or geometric, got '{grading}'")
+        return RadialGrid.geometric(r0, rmax, nodes, ratio=ratio)
+    except ValueError as exc:  # the library names no key: name the ones that share the blame
+        keys = f"nodes = {nodes}" if ratio is None else f"nodes = {nodes}, ratio = {ratio}"
+        raise ConfigError(f"{exc} ([grid] {keys})") from exc
 
 
 def _build_map(cfg):

@@ -15,6 +15,7 @@ boundary trace exact and still recovers v_inf at infinity since Phi' -> 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,8 +161,8 @@ class ExteriorProblem:
     vorticity_fn/divergence_fn take complex points of Omega and return values;
     boundary_fn takes complex boundary points and returns the complex velocity
     g1 + i g2 there.  Any of them may be None (zero data).  They are called on
-    whole lattices of mapped points, so they must be pointwise and follow
-    NumPy broadcasting.
+    bands of lattice rows of mapped points, so they must be pointwise and
+    follow NumPy broadcasting.
     """
 
     map: ConformalMap
@@ -179,15 +180,38 @@ class ExteriorProblem:
             raise ValueError("need at least the k = 1 mode")
 
 
+# Lattice points per band of _weighted_sampler: 64 KB per complex temporary,
+# which stays in cache and is reused from the heap, where a whole-lattice
+# temporary (1.5 MB at K = 12, M = 1501) is a fresh mapping faulted in per call.
+_BAND_POINTS = 4096
+
+
 def _weighted_sampler(m: ConformalMap, data_fn):
-    """(r, phi) -> |(Phi^-1)'|^2 * data(Phi^-1(z)) at z = r e^{i phi}, broadcast."""
+    """(r, phi) -> |(Phi^-1)'|^2 * data(Phi^-1(z)) at z = r e^{i phi}, broadcast,
+    and exactly 0 where (Phi^-1)'(z) = 0 (the slit tips).
+
+    data_fn is called on bands of leading-axis rows, about _BAND_POINTS
+    points each, whose values are joined into one array of the broadcast shape.
+    """
     if data_fn is None:
         return None
 
-    def sampled(r, phi):
-        z = np.asarray(r) * np.exp(1j * np.asarray(phi))
+    def weighted(z):
         jac = np.abs(m.d_inverse(z)) ** 2
-        return jac * np.asarray(data_fn(m.inverse(z)))
+        values = np.asarray(data_fn(m.inverse(z)))
+        out = np.zeros(np.broadcast_shapes(jac.shape, values.shape), np.result_type(jac, values))
+        return np.multiply(jac, values, out=out, where=jac != 0.0)  # no 0 * inf at a tip
+
+    def sampled(r, phi):
+        r, e = np.asarray(r), np.exp(1j * np.asarray(phi))
+        shape = np.broadcast_shapes(r.shape, e.shape)
+        size = math.prod(shape)
+        if size <= _BAND_POINTS:
+            return weighted(r * e)
+        rows = max(1, _BAND_POINTS * shape[0] // size)
+        r, e = np.broadcast_to(r, shape), np.broadcast_to(e, shape)
+        return np.concatenate([weighted(r[i:i + rows] * e[i:i + rows])
+                               for i in range(0, shape[0], rows)])
 
     return sampled
 

@@ -143,8 +143,10 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
         Q_j(phi) = sum_{k >= 1} 2 Re(beta_kj e^{ik phi}).
 
     r and phi are transformed at their own shapes: on a lattice of a radius
-    column and an angle row only the row is summed over the modes.  The
-    values are real unless c_0 has an imaginary part.
+    column and an angle row only the row is summed over the modes.  On
+    scattered points (r and phi of one shape) only the points inside the
+    bump's support are summed, and the others are exact zeros.  The values
+    are real unless c_0 has an imaginary part.
     """
     top = max(len(modes) - 1, max(corrections, default=0))
     beta = np.zeros((top + 1, 3), dtype=complex)
@@ -173,15 +175,26 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
             np.matmul(p.view(float), rows, out=q[band])
         return np.moveaxis(q.reshape(phi.shape + (3,)), -1, 0)
 
-    def fn(r, phi):
-        r = np.asarray(r, dtype=float)
+    c0 = beta[0].imag
+
+    def polynomial(r, phi):
         t = (2.0 * r - (lo + hi)) / (hi - lo)
-        q0, q1, q2 = angular_sums(np.asarray(phi, dtype=float))
+        q0, q1, q2 = angular_sums(phi)
         total = q0 + t * (q1 + t * q2)
-        c0 = beta[0].imag
         if c0.any():
             total = total + 1j * (c0[0] + t * (c0[1] + t * c0[2]))
-        return smooth_bump(r, lo, hi) * total
+        return total
+
+    def fn(r, phi):
+        r = np.asarray(r, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        bump = smooth_bump(r, lo, hi)
+        if r.shape != phi.shape:  # separable: the polynomial sums the angle row once
+            return bump * polynomial(r, phi)
+        inside = bump != 0.0  # scattered points: sum only inside the support
+        out = np.zeros(r.shape, dtype=complex if c0.any() else float)
+        out[inside] = bump[inside] * polynomial(r[inside], phi[inside])
+        return out
 
     return fn
 
@@ -265,9 +278,12 @@ def random_admissible_exterior_problem(
     w_disk_fn = disk.vorticity_fn
 
     def w_fn(points):
-        p = np.asarray(points, dtype=complex)
-        z = m.forward(p)
-        dphi = 1.0 / m.d_inverse(z)
-        return np.abs(dphi) ** 2 * w_disk_fn(np.abs(z), np.angle(z))
+        z = m.forward(np.asarray(points, dtype=complex))
+        w = w_disk_fn(np.abs(z), np.angle(z))
+        # |Phi'|^2 = 1 / |(Phi^-1)'(z)|^2, formed only where W != 0: at the
+        # slit tips (Phi^-1)' = 0 and W = 0, and the value is an exact zero
+        nonzero = w != 0.0
+        w[nonzero] /= np.abs(m.d_inverse(z[nonzero])) ** 2
+        return w
 
     return ExteriorProblem(m, grid, K, vorticity_fn=w_fn)

@@ -7,12 +7,14 @@ from divcurl import biot_savart
 from divcurl.biot_savart import (
     _BLOCK_PAIRS,
     _field_values,
+    _mapped_charge,
     _volume_cells,
     biot_savart_disk,
     biot_savart_omega,
 )
 from divcurl.cli import _build_scalar_data
 from divcurl.conformal import (
+    _BAND_POINTS,
     ExteriorProblem,
     _weighted_sampler,
     identity_map,
@@ -147,9 +149,30 @@ def test_separable_lattice_is_bit_identical_to_the_meshgrid(grid, m):
     ext = ExteriorProblem(m, grid, K, vorticity_fn=physical, divergence_fn=physical)
     pulled = pullback_problem(ext)
     rr, pp = np.meshgrid(grid.nodes, analysis_angles(K), indexing="ij")
+    # both lattices are larger than one band of the sampler (19 and 2 bands)
+    assert min(rr.size, radii.size * angles.size) > _BAND_POINTS
     expected = analyze(grid, _weighted_sampler(m, physical)(rr, pp), K).coeffs
     assert np.array_equal(pulled.vorticity.coeffs, expected)
     assert np.array_equal(pulled.divergence.coeffs, expected)
+
+
+@pytest.mark.parametrize("m", [identity_map(1.0), joukowski_map(0.5, 1.0)], ids=repr)
+def test_banded_mapped_charge_equals_the_whole_lattice_charge(grid, m):
+    # the criterion-3 lattice (160 x 256 cells) takes three bands of radii
+    def physical(p):
+        return np.exp(-np.abs(p - (2.1 - 1.3j)) ** 2 / 0.72) * (1.0 + 0.2j * p.real)
+
+    ext = ExteriorProblem(m, grid, 6, vorticity_fn=physical, divergence_fn=physical)
+    radii, angles, area = _volume_cells(grid, (1.8, 4.2), 160, 256)
+    assert radii.size > 2 * (_BLOCK_PAIRS // angles.size)
+    cells = radii * np.exp(1j * angles)
+    jac = np.abs(m.d_inverse(cells)) ** 2
+    y = m.inverse(cells)
+    whole = np.zeros(cells.shape, dtype=complex)
+    whole += 1.0 * (np.asarray(physical(y), dtype=complex) * jac)
+    whole += 1j * (np.asarray(physical(y), dtype=complex) * jac)
+    whole = whole * area
+    assert _mapped_charge(ext, cells, area).tobytes() == whole.tobytes()
 
 
 def _poisoned(bad, shape_fn):
@@ -175,11 +198,14 @@ def test_oracles_reject_bad_data_naming_the_field(grid, name, bad):
     omega_fn = _poisoned(bad, lambda p: smooth_bump(np.abs(p), 1.5, 2.5) + 0j * p)
     omega_problem = ExteriorProblem(joukowski_map(0.5, 1.0), grid, 3,
                                     **{f"{name}_fn": omega_fn})
-    message = "does not broadcast" if bad == "shape" else "not finite"
+    # 2048 x 16 cells: the mapped charge meets the data in two bands of radii,
+    # and its messages still name the whole lattice
+    message = r"does not broadcast to the \(2048, 16\) oracle lattice" if bad == "shape" \
+        else "not finite"
     for oracle, problem in ((biot_savart_disk, disk_problem),
                             (biot_savart_omega, omega_problem)):
         with pytest.raises(ValueError, match=f"{name} data .*{message}"):
-            oracle(3.0 + 0j, problem, n_radial=20, n_angular=16, support=(1.4, 2.6))
+            oracle(3.0 + 0j, problem, n_radial=2048, n_angular=16, support=(1.4, 2.6))
 
 
 def test_interpolation_fallback_matches_reference(grid):

@@ -197,5 +197,7 @@ def test_steep_geometric_grid_fails_before_any_output(tmp_path, capsys):
     cfg.write_text("[grid]\nnodes = 2000\ngrading = geometric\nratio = 2.0\n[modes]\nk = 4\n")
     out = tmp_path / "out"
     assert main(["check", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert "config error: panel ratio 2.0 overflows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: panel ratio 2.0 overflows" in err
+    assert "([grid] nodes = 2000, ratio = 2.0)" in err
     assert not out.exists() or not any(out.iterdir())

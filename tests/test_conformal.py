@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from divcurl.biot_savart import biot_savart_omega
 from divcurl.conformal import (
     ConformalMap,
     ExteriorProblem,
@@ -10,6 +12,8 @@ from divcurl.conformal import (
     MapVerificationError,
     identity_map,
     joukowski_map,
+    _BAND_POINTS,
+    _weighted_sampler,
     pullback_boundary_trace,
     pullback_problem,
     solve_exterior,
@@ -370,3 +374,56 @@ def test_divcurl_transformation_law_by_finite_differences():
         errors.append(np.max(np.abs(curl - expected)) + np.max(np.abs(div)))
         rng = np.random.default_rng(6)  # same data at every resolution
     assert observed_order(errors) >= 1.9
+
+
+def test_slit_crosscheck_against_the_oracle():
+    # c = r0: (Phi^-1)' vanishes at the slit tips z = +-r0, which are analysis
+    # nodes; the preset data and the pullback must give exact zeros there
+    # rather than 0 * inf
+    m = joukowski_map(1.0, 1.0)
+    grid = RadialGrid.uniform(1.0, 8.0, 1501)
+    ext = random_admissible_exterior_problem(np.random.default_rng(5), m, grid, 12, K_data=8,
+                                             K_c=12, support=(1.8, 4.2))
+    # the crosscheck's probe layout: 20 inside and 30 outside the support
+    rng = np.random.default_rng(2)
+    radii = np.concatenate([rng.uniform(1.12, 1.62, 20), rng.uniform(4.45, 7.2, 30)])
+    z = radii * np.exp(2j * np.pi * rng.random(50))
+    z = z[np.abs(np.abs(z) - m.r0) > 0.2]  # away from the tips
+    points = m.inverse(z)
+    v = solve_exterior(ext).sample(points)
+    v_oracle = biot_savart_omega(points, ext, n_radial=160, n_angular=256, support=(1.8, 4.2))
+    assert np.all(np.isfinite(v))
+    assert np.max(np.abs(v - v_oracle)) <= 1e-6 * np.max(np.abs(v))
+
+
+def test_weighted_sampler_is_zero_at_the_slit_tip():
+    # data unbounded at the tip p = 2c still pull back to an exact zero there
+    m = joukowski_map(1.0, 1.0)
+
+    def singular(points):
+        with np.errstate(divide="ignore"):
+            return np.abs(np.asarray(points) - 2.0) ** -0.5
+
+    sampler = _weighted_sampler(m, singular)
+    values = sampler(np.linspace(1.0, 3.0, 5)[:, None], analysis_angles(4)[None, :])
+    assert values[0, 0] == 0.0 and np.all(np.isfinite(values))
+    assert sampler(1.0, 0.0) == 0.0
+
+
+def test_pullback_works_in_bands():
+    # a crosscheck-size Joukowski pullback (K = 12, M = 1501: 96,064 lattice
+    # points) evaluates its data band by band; whole-lattice evaluation
+    # peaked near 15 MB of temporaries
+    m = joukowski_map(0.5, 1.0)
+    grid = RadialGrid.uniform(1.0, 8.0, 1501)
+    ext = random_admissible_exterior_problem(np.random.default_rng(5), m, grid, 12, K_data=8,
+                                             K_c=12, support=(1.8, 4.2))
+    assert len(grid) * len(analysis_angles(12)) >= 20 * _BAND_POINTS
+    pullback_problem(ext)
+    tracemalloc.start()
+    try:
+        pullback_problem(ext)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6

@@ -35,7 +35,7 @@ def test_cli_outputs_writes_every_run(tmp_path):
                            "--against", str(empty)],
                           capture_output=True, text=True, timeout=600)
     runs = sorted(p.name for p in out.iterdir() if p.is_dir())
-    assert len(runs) == 14 and "stream-vortex_patch" in runs and "oracle-vortex_patch" in runs
+    assert len(runs) == 17 and "stream-vortex_patch" in runs and "oracle-vortex_patch" in runs
     for name in runs:
         assert f"{name}: exit 0" in proc.stdout.splitlines(), proc.stderr
         assert any((out / name).iterdir()), name
