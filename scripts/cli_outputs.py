@@ -14,8 +14,12 @@ DIR/<name>.stderr.  Two trees give byte-identical outputs exactly when
 prints nothing.  With --against B the second run compares its outputs with
 B itself: it prints each file that is not byte-identical with the largest
 absolute difference of its numbers, or "non-numeric" when the files differ
-in more than their numbers, or the side it is missing from.  The exit code
-is 1 when any run exits nonzero or, with --against, any file differs.
+in more than their numbers, or the side it is missing from.  A .stderr file
+is compared without the "<path>:<line>: " prefix of Python's warning lines
+and the source line echoed after them, so checkouts in other directories,
+or with other line numbers in cli.py, compare equal; the warning category
+and message still count.  The exit code is 1 when any run exits nonzero or,
+with --against, any file differs.
 """
 
 import argparse
@@ -30,6 +34,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.cfg"))
 ORACLE_POINTS = "6.0,1.0;-4.5,5.0;0.5,-7.0"
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)", re.IGNORECASE)
+# a Python warning line "<path>:<line>: <Category>: <message>" and the echoed
+# source line after it; the path and line depend on the checkout, not the run
+WARNING = re.compile(r"^\S[^\n]*?:\d+: (\w+: [^\n]*\n)(?:  [^\n]*\n)?", re.MULTILINE)
 
 
 def invocations():
@@ -57,9 +64,17 @@ def largest_difference(a: str, b: str):
 
 
 def differences(out: pathlib.Path, against: pathlib.Path) -> list:
-    """(relative path, note) of each file under out or against not byte-identical in the other."""
+    """(relative path, note) of each file under out or against that differs in the other.
+
+    Files that are not byte-identical differ, except .stderr files whose
+    texts agree once the warning locations are removed.
+    """
     def files(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    def text(root, rel):
+        data = (root / rel).read_bytes().decode(errors="replace")
+        return WARNING.sub(r"\1", data) if rel.suffix == ".stderr" else data
 
     mine, theirs = files(out), files(against)
     found = []
@@ -67,9 +82,11 @@ def differences(out: pathlib.Path, against: pathlib.Path) -> list:
         if rel not in theirs or rel not in mine:
             found.append((rel, f"only in {out if rel in mine else against}"))
             continue
-        a, b = (out / rel).read_bytes(), (against / rel).read_bytes()
+        if (out / rel).read_bytes() == (against / rel).read_bytes():
+            continue
+        a, b = text(out, rel), text(against, rel)
         if a != b:
-            d = largest_difference(a.decode(errors="replace"), b.decode(errors="replace"))
+            d = largest_difference(a, b)
             found.append((rel, "non-numeric" if d is None else f"largest difference {d:.3g}"))
     return found
 

@@ -27,6 +27,10 @@ __all__ = ["biot_savart_disk", "biot_savart_omega"]
 
 _BOUNDARY_EPS = 1e-12
 _BLOCK_PAIRS = 1 << 14
+# cells per band of the mapped charge: 64 KB per complex temporary, small
+# enough to be reused from the heap instead of faulted in afresh on each call
+# (the kernel keeps _BLOCK_PAIRS, where its matrix products run faster)
+_CHARGE_CELLS = 1 << 12
 
 
 def _check_exterior(z, r0: float):
@@ -152,10 +156,10 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
 
 def _mapped_charge(problem: ExteriorProblem, cells, area) -> np.ndarray:
     """(rho + i w)(Phi^-1(x_c)) |(Phi^-1)'(x_c)|^2 times the cell areas, on
-    bands of _BLOCK_PAIRS // n_angular radii of the (radius x angle) cells."""
+    bands of _CHARGE_CELLS // n_angular radii of the (radius x angle) cells."""
     m = problem.map
     charge = np.zeros(cells.shape, dtype=complex)
-    rows = max(1, _BLOCK_PAIRS // cells.shape[1])
+    rows = max(1, _CHARGE_CELLS // cells.shape[1])
     for i in range(0, cells.shape[0], rows):
         band, out = cells[i:i + rows], charge[i:i + rows]
         jac = np.abs(m.d_inverse(band)) ** 2

@@ -91,8 +91,14 @@ def joukowski_map(c: float, r0: float) -> ConformalMap:
     Phi^-1(z) = z + c^2/z sends |z| = r0 to the ellipse with semi-axes
     r0 + c^2/r0 and r0 - c^2/r0; c = r0 degenerates to the slit [-2c, 2c]
     (whose two sides the disk pullback handles automatically), and c = 0 is
-    the identity.  The forward branch sqrt((p-2c)(p+2c)) uses principal roots
-    of both factors, whose cuts join along the slit, so Phi(p) ~ p at infinity.
+    the identity.  The forward map Phi(p) = (p + R)/2 takes one square root,
+    R = +-sqrt(p^2 - 4c^2) with the sign of Re p, so Phi(p) ~ p at infinity
+    and the cut is the slit.  p^2 - 4c^2 is formed in real arithmetic, its
+    imaginary part 2xy keeping the signed zero of y.  The product of
+    principal roots sqrt(p-2c) sqrt(p+2c) would lose it: p + 2c turns a
+    -0.0 imaginary part into +0.0, so p = x - 0j with x < -2c lands on the
+    interior branch (W. Kahan, "Branch Cuts for Complex Elementary
+    Functions, or Much Ado About Nothing's Sign Bit", 1987).
     """
     if c < 0.0 or c > r0:
         raise ValueError("joukowski parameter must satisfy 0 <= c <= r0")
@@ -111,8 +117,15 @@ def joukowski_map(c: float, r0: float) -> ConformalMap:
 
     def forward(p):
         p = np.asarray(p, dtype=complex)
-        root = np.sqrt(p - 2.0 * c) * np.sqrt(p + 2.0 * c)
-        return 0.5 * (p + root)
+        x, y = p.real, p.imag
+        root = np.empty(p.shape, dtype=complex)
+        root.real = (x - 2.0 * c) * (x + 2.0 * c) - y * y
+        root.imag = 2.0 * x * y
+        np.sqrt(root, out=root)  # out= keeps a 0-d input an array for the in-place steps
+        np.negative(root, out=root, where=np.signbit(x))
+        root += p
+        root *= 0.5
+        return root[()]  # a numpy scalar for 0-d input, as inverse gives
 
     return ConformalMap(forward, inverse, d_inverse, r0, label="joukowski", params=(c,))
 
@@ -191,7 +204,7 @@ def _weighted_sampler(m: ConformalMap, data_fn):
     and exactly 0 where (Phi^-1)'(z) = 0 (the slit tips).
 
     data_fn is called on bands of leading-axis rows, about _BAND_POINTS
-    points each, whose values are joined into one array of the broadcast shape.
+    points each, whose values are written into one array of the broadcast shape.
     """
     if data_fn is None:
         return None
@@ -210,8 +223,15 @@ def _weighted_sampler(m: ConformalMap, data_fn):
             return weighted(r * e)
         rows = max(1, _BAND_POINTS * shape[0] // size)
         r, e = np.broadcast_to(r, shape), np.broadcast_to(e, shape)
-        return np.concatenate([weighted(r[i:i + rows] * e[i:i + rows])
-                               for i in range(0, shape[0], rows)])
+        out = None
+        for i in range(0, shape[0], rows):
+            band = weighted(r[i:i + rows] * e[i:i + rows])
+            if out is None:
+                out = np.empty(shape, band.dtype)
+            elif np.result_type(out, band) != out.dtype:  # a later band widens the type
+                out = out.astype(np.result_type(out, band))
+            out[i:i + rows] = band
+        return out
 
     return sampled
 

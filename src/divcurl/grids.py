@@ -215,10 +215,14 @@ def _dft_coefficients(samples: np.ndarray, K: int) -> np.ndarray:
             f"need at least {2 * K + 1} equispaced angles"
         )
     if np.iscomplexobj(samples) and np.any(samples.imag):
-        transform = np.fft.fft(samples, axis=-1) / n
-        return np.moveaxis(transform[..., np.arange(-K, K + 1) % n], -1, 0)
-    half = np.moveaxis(np.fft.rfft(samples.real, axis=-1)[..., : K + 1] / n, -1, 0)
-    return np.concatenate((np.conj(half[:0:-1]), half))
+        coeffs = np.fft.fft(samples, axis=-1)[..., np.arange(-K, K + 1) % n]
+        coeffs /= n
+        return np.moveaxis(coeffs, -1, 0)
+    half = np.fft.rfft(samples.real, axis=-1)[..., : K + 1]
+    coeffs = np.empty(half.shape[:-1] + (2 * K + 1,), dtype=complex)
+    np.divide(half, n, out=coeffs[..., K:])
+    np.conjugate(coeffs[..., :K:-1], out=coeffs[..., :K])
+    return np.moveaxis(coeffs, -1, 0)
 
 
 def analyze(grid: RadialGrid, samples, K: int) -> SpectralField:

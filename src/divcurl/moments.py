@@ -150,8 +150,10 @@ def admissibility_corrections(
 ) -> tuple:
     """Per-mode scales lambda_k and the shared bump profile that zero the residuals.
 
-    Returns (corrections, bump_nodes) where corrections maps k >= 0 to the
-    complex scale of the bump added to mode k (and conj to mode -k).  Modes
+    Returns (corrections, bump_nodes) where corrections maps each corrected
+    mode k to the complex scale of the bump added to it.  Data that are not
+    mirrored correct each mode -k from its own residual; mirrored data give
+    mode -k the conjugate of the mode k scale, so they stay mirrored.  Modes
     whose residual is already below _SKIP_BELOW (relative to the data scale)
     are left untouched, which makes the projection idempotent.
     """
@@ -188,18 +190,26 @@ def admissibility_corrections(
         corrections[0] = -circ / m0
 
     # the moments of all K modes, on the solve's block schedule; the first K_c are read
-    residuals = moment_report(problem).residuals[1:]
+    report = moment_report(problem)
+    negative = report.negative  # empty for mirrored data
     bump_moments = _scaled(grid.nodes, np.broadcast_to(bump + 0j, (w.K, bump.size)),
                            np.arange(w.K, dtype=float), True, _support(bump)).table[:, 0]
-    for k, res, m_k in zip(range(1, K_c + 1), residuals, bump_moments):
-        if abs(res) <= _SKIP_BELOW * scale:
-            continue
-        if abs(m_k) < 1e-14 * max(1.0, float(np.max(bump))):
-            raise ValueError(
-                f"bump profile has numerically zero moment for mode {k}; "
-                "choose a support where s^{-k+1} does not cancel it"
-            )
-        corrections[int(k)] = complex(-res / m_k)
+    for k, m_k in zip(range(1, K_c + 1), bump_moments):
+        # modes k and -k share the bump's moment r0^{k-1} int s^{-k+1} bump ds
+        own = [(k, report.residuals[k])]
+        if negative.size:
+            own.append((-k, negative[k]))
+        for mode, res in own:
+            if abs(res) <= _SKIP_BELOW * scale:
+                continue
+            if abs(m_k) < 1e-14 * max(1.0, float(np.max(bump))):
+                raise ValueError(
+                    f"bump profile has numerically zero moment for mode {k}; "
+                    "choose a support where s^{-k+1} does not cancel it"
+                )
+            corrections[mode] = complex(-res / m_k)
+        if not negative.size and k in corrections:
+            corrections[-k] = corrections[k].conjugate()
     return corrections, bump
 
 
@@ -213,18 +223,13 @@ def make_admissible(
 ) -> SpectralField:
     """Project the vorticity onto the data satisfying the moment conditions k <= K_c.
 
-    Adds the corrections of admissibility_corrections, and their conjugates
-    to the modes -k.  Only w is modified: the flux half of the k = 0
-    condition involves (rho, g_r) alone and is the caller's responsibility.
+    Adds the corrections of admissibility_corrections, modes k <= -1
+    included.  Only w is modified: the flux half of the k = 0 condition
+    involves (rho, g_r) alone and is the caller's responsibility.
     """
     return _with_corrections(w, *admissibility_corrections(w, rho, g, v, K_c, support))
 
 
 def _with_corrections(w: SpectralField, corrections: dict, bump) -> SpectralField:
-    """w with lambda_k * bump added to each corrected mode k and its conjugate to mode -k."""
-    deltas = {}
-    for k, lam in corrections.items():
-        deltas[k] = lam * bump
-        if k > 0:
-            deltas[-k] = np.conj(lam) * bump
-    return w.add_modes(deltas) if deltas else w
+    """w with lambda_k * bump added to each corrected mode k."""
+    return w.add_modes({k: lam * bump for k, lam in corrections.items()}) if corrections else w

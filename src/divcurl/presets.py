@@ -153,27 +153,24 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
     for k, (amp, a) in enumerate(modes):
         beta[k] = amp * np.asarray(a)
     for k, lam in corrections.items():
-        beta[k, 0] += lam
-    # Re(w_k beta_k e^{ik phi}) = w_k (Re beta_k Re e^{ik phi} - Im beta_k Im e^{ik phi}),
-    # w_0 = 1 and w_k = 2: rows matching the float view of the powers
-    weight = np.full((top + 1, 1, 1), 2.0)
-    weight[0] = 1.0
-    rows = (weight * np.stack([beta.real, -beta.imag], axis=1)).reshape(2 * top + 2, 3)
+        if k >= 0:  # the modes -k of mirrored data carry the conjugates
+            beta[k, 0] += lam
+    # Q_j = Re(sum_k w_k beta_kj e^{ik phi}) with w_0 = 1 and w_k = 2
+    weighted = beta.T.copy()
+    weighted[:, 1:] *= 2.0
 
     def angular_sums(phi):
         """Re c_0 + (Q_0, Q_1, Q_2) at phi, one band of angles at a time."""
         flat = phi.ravel()
-        e = np.exp(1j * flat)
-        q = np.empty((flat.size, 3))
-        bands = _bands(flat.size, top + 1)
-        powers = np.empty((bands[0].stop if bands else 0, top + 1), dtype=complex)
-        for band in bands:
-            p = powers[:band.stop - band.start]  # p[:, k] = e^{ik phi}
-            p[:, 0] = 1.0
+        q = np.empty((3, flat.size))
+        for band in _bands(flat.size, top + 1):
+            e = np.exp(1j * flat[band])
+            powers = np.empty((top + 1, e.size), dtype=complex)
+            powers[0] = 1.0  # row k holds e^{ik phi}
             for k in range(1, top + 1):
-                np.multiply(p[:, k - 1], e[band], out=p[:, k])
-            np.matmul(p.view(float), rows, out=q[band])
-        return np.moveaxis(q.reshape(phi.shape + (3,)), -1, 0)
+                np.multiply(powers[k - 1], e, out=powers[k])
+            q[:, band] = (weighted @ powers).real
+        return q.reshape((3,) + phi.shape)
 
     c0 = beta[0].imag
 

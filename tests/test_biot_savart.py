@@ -1,4 +1,5 @@
 import configparser
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from divcurl import biot_savart
 from divcurl.biot_savart import (
     _BLOCK_PAIRS,
+    _CHARGE_CELLS,
     _field_values,
     _mapped_charge,
     _volume_cells,
@@ -158,13 +160,13 @@ def test_separable_lattice_is_bit_identical_to_the_meshgrid(grid, m):
 
 @pytest.mark.parametrize("m", [identity_map(1.0), joukowski_map(0.5, 1.0)], ids=repr)
 def test_banded_mapped_charge_equals_the_whole_lattice_charge(grid, m):
-    # the criterion-3 lattice (160 x 256 cells) takes three bands of radii
+    # the criterion-3 lattice (160 x 256 cells) takes ten bands of 16 radii
     def physical(p):
         return np.exp(-np.abs(p - (2.1 - 1.3j)) ** 2 / 0.72) * (1.0 + 0.2j * p.real)
 
     ext = ExteriorProblem(m, grid, 6, vorticity_fn=physical, divergence_fn=physical)
     radii, angles, area = _volume_cells(grid, (1.8, 4.2), 160, 256)
-    assert radii.size > 2 * (_BLOCK_PAIRS // angles.size)
+    assert radii.size >= 2 * (_CHARGE_CELLS // angles.size)
     cells = radii * np.exp(1j * angles)
     jac = np.abs(m.d_inverse(cells)) ** 2
     y = m.inverse(cells)
@@ -173,6 +175,27 @@ def test_banded_mapped_charge_equals_the_whole_lattice_charge(grid, m):
     whole += 1j * (np.asarray(physical(y), dtype=complex) * jac)
     whole = whole * area
     assert _mapped_charge(ext, cells, area).tobytes() == whole.tobytes()
+
+
+def test_mapped_oracle_forms_its_charge_in_bands(grid):
+    # criterion-3 size (160 x 256 cells, 50 probes) on a Joukowski crosscheck
+    # problem: bands of _BLOCK_PAIRS cells peaked at 4.7 MB
+    m = joukowski_map(0.5, 1.0)
+    ext = random_admissible_exterior_problem(np.random.default_rng(5), m,
+                                             RadialGrid.uniform(1.0, 8.0, 1501), 12,
+                                             K_data=8, K_c=12, support=(1.8, 4.2))
+    rng = np.random.default_rng(1)
+    p = m.inverse(rng.uniform(1.3, 7.0, 50) * np.exp(2j * np.pi * rng.random(50)))
+    kwargs = {"n_radial": 160, "n_angular": 256, "support": (1.8, 4.2)}
+    expected = biot_savart_omega(p, ext, **kwargs)
+    tracemalloc.start()
+    try:
+        v = biot_savart_omega(p, ext, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v, expected)
+    assert peak <= 3.2e6
 
 
 def _poisoned(bad, shape_fn):
@@ -198,8 +221,9 @@ def test_oracles_reject_bad_data_naming_the_field(grid, name, bad):
     omega_fn = _poisoned(bad, lambda p: smooth_bump(np.abs(p), 1.5, 2.5) + 0j * p)
     omega_problem = ExteriorProblem(joukowski_map(0.5, 1.0), grid, 3,
                                     **{f"{name}_fn": omega_fn})
-    # 2048 x 16 cells: the mapped charge meets the data in two bands of radii,
+    # 2048 x 16 cells: the mapped charge meets the data in eight bands of radii,
     # and its messages still name the whole lattice
+    assert 2048 >= 2 * (_CHARGE_CELLS // 16)
     message = r"does not broadcast to the \(2048, 16\) oracle lattice" if bad == "shape" \
         else "not finite"
     for oracle, problem in ((biot_savart_disk, disk_problem),

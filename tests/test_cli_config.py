@@ -106,7 +106,11 @@ def test_report_headers_are_pinned(tmp_path, name):
     # cli_headers.json pins each case's exit code and report headers; it was
     # written once and is not regenerated from the code under test
     expected = json.loads(HEADERS.read_text())[name]
-    code, headers = run_case(tmp_path, name)
+    if name == "default_section":  # its data carry a circulation: the solve says so
+        with pytest.warns(UserWarning, match="k = 0 moment"):
+            code, headers = run_case(tmp_path, name)
+    else:
+        code, headers = run_case(tmp_path, name)
     assert code == expected["exit"]
     assert headers == expected["headers"]
 

@@ -72,6 +72,61 @@ def test_joukowski_branch_round_trip():
         assert np.max(np.abs(m.forward(m.inverse(z)) - z)) < 1e-12 * radius
 
 
+def _two_root_forward(p, c):
+    """The forward map as a product of principal roots, which loses the sign of a zero."""
+    return 0.5 * (p + np.sqrt(p - 2.0 * c) * np.sqrt(p + 2.0 * c))
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_joukowski_forward_keeps_a_negative_zero_imaginary_part(c):
+    # p = x - 0j beyond the body (x < -r0 - c^2/r0) on the negative real axis:
+    # p + 2c turns the -0.0 into +0.0, and the product of principal roots
+    # picked the interior branch
+    m = joukowski_map(c, 1.0)
+    tip = m.r0 + c * c / m.r0
+    p = np.conj(np.array([-tip - 1e-9, -tip - 0.3, -3.0, -50.0]) + 0j)
+    assert np.all(np.signbit(p.imag))
+    z = m.forward(p)
+    assert np.all(np.abs(z) >= m.r0)
+    assert np.max(np.abs(m.inverse(z) - p) / np.abs(p)) <= 1e-15
+    # 0-d input gives a scalar on the same branch
+    assert m.forward(p[2]) == z[2] and np.ndim(m.forward(p[2])) == 0
+    assert m.forward(complex(-3.0, -0.0)) == z[2]
+
+
+def test_exterior_solution_samples_both_sides_of_a_zero_imaginary_part():
+    m = joukowski_map(0.5, 1.0)
+    far = FarField(1.0, 0.0)
+    ext = ExteriorProblem(m, RadialGrid.uniform(1.0, 10.0, 301), 4,
+                          boundary_fn=potential_slip_boundary_fn(m, far), far_field=far)
+    solution = solve_exterior(ext)
+    below, above = solution.sample(np.conj([-3.0 + 0j])), solution.sample(np.array([-3.0 + 0j]))
+    assert np.all(np.isfinite(below)) and np.all(np.isfinite(above))
+    assert np.allclose(below, above, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-3, 0.5, 1.0 - 1e-6, 1.0])
+def test_joukowski_forward_agrees_with_the_two_root_form_off_its_trap(c):
+    # scattered points, both signs of zero on both axes, and points 1e-300 off
+    # the slit: wherever the two-root form lands outside the disk the forms
+    # agree, and no point outside the circle |p| = 2 r0 (which holds the body)
+    # maps inside the disk
+    rng = np.random.default_rng(8)
+    axis = rng.uniform(-6.0, 6.0, 500)
+    slit = rng.uniform(-2.0 * c, 2.0 * c, 500)
+    x = np.concatenate([rng.uniform(-6.0, 6.0, 4000), axis, axis, np.zeros(1000), slit, slit])
+    y = np.concatenate([rng.uniform(-6.0, 6.0, 4000), np.zeros(1000), axis, -axis,
+                        np.full(500, 1e-300), np.full(500, -1e-300)])
+    p = np.empty(x.size, dtype=complex)
+    p.real, p.imag = x, y
+    p = np.concatenate([p, np.conj(p)])
+    m = joukowski_map(c, 1.0)
+    z, reference = m.forward(p), _two_root_forward(p, c)
+    outside = np.abs(reference) >= m.r0
+    assert np.max(np.abs(z - reference)[outside] / np.abs(reference[outside])) <= 1e-15
+    assert np.all(np.abs(z[np.abs(p) > 2.0 * m.r0]) >= m.r0)
+
+
 def test_verify_map_rejects_bad_asymptotics():
     bad = ConformalMap(
         forward=lambda z: np.asarray(z, dtype=complex),
@@ -427,3 +482,23 @@ def test_pullback_works_in_bands():
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+def test_weighted_sampler_writes_its_bands_into_one_lattice_array():
+    # the banded values are the whole-lattice formula bit for bit; a band whose
+    # data come back complex widens the array already written
+    m = joukowski_map(0.5, 1.0)
+    r, phi = np.linspace(1.0, 8.0, 1501)[:, None], analysis_angles(12)[None, :]
+    z = r * np.exp(1j * phi)
+
+    def real(p):
+        return np.exp(-np.abs(p - 3.0) ** 2)
+
+    def widening(p):
+        return real(p) + 0j if np.max(np.abs(p)) > 7.0 else real(p)
+
+    jac = np.abs(m.d_inverse(z)) ** 2
+    for data, values in ((real, real(m.inverse(z))), (widening, real(m.inverse(z)) + 0j)):
+        sampled = _weighted_sampler(m, data)(r, phi)
+        assert sampled.shape == z.shape and sampled.dtype == values.dtype
+        assert sampled.tobytes() == (jac * values).tobytes()

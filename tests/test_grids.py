@@ -7,6 +7,7 @@ from divcurl.grids import (
     BoundaryTrace,
     RadialGrid,
     SpectralField,
+    _dft_coefficients,
     analyze,
     equispaced_angles,
     smooth_bump,
@@ -168,6 +169,29 @@ def test_a_field_is_built_with_one_copy_of_its_coefficients():
         tracemalloc.stop()
     assert coeffs.nbytes <= peak < 1.5 * coeffs.nbytes, peak
     assert field.coeffs.tobytes() == coeffs.tobytes()
+
+
+def _dft_by_copies(samples, K):
+    """_dft_coefficients as a chain of whole-array copies: divide, select, concatenate."""
+    n = samples.shape[-1]
+    if np.iscomplexobj(samples) and np.any(samples.imag):
+        transform = np.fft.fft(samples, axis=-1) / n
+        return np.moveaxis(transform[..., np.arange(-K, K + 1) % n], -1, 0)
+    half = np.moveaxis(np.fft.rfft(samples.real, axis=-1)[..., : K + 1] / n, -1, 0)
+    return np.concatenate((np.conj(half[:0:-1]), half))
+
+
+@pytest.mark.parametrize("shape, K", [((1501, 64), 12), ((1, 64), 12), ((7, 9), 4),
+                                      ((3, 128), 31)])
+def test_dft_coefficients_are_bit_identical_to_the_copying_formula(shape, K):
+    rng = np.random.default_rng(shape[0] + K)
+    real = rng.normal(size=shape)
+    for samples in (real, real + 0j, real + 1j * rng.normal(size=shape)):
+        got, expected = _dft_coefficients(samples, K), _dft_by_copies(samples, K)
+        assert got.shape == expected.shape == (2 * K + 1, shape[0])
+        # the same memory layout too: row sums over a field follow its strides
+        layout = [(a.flags.c_contiguous, a.flags.f_contiguous) for a in (got, expected)]
+        assert layout[0] == layout[1] and got.tobytes() == expected.tobytes()
 
 
 def test_boundary_trace_round_trip():

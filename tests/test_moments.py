@@ -302,14 +302,16 @@ def test_projection_reads_the_moments_of_the_solve(grid):
     w = SpectralField.from_modes(grid, K, {k: (rng.normal() + 1j * rng.normal()) * bump
                                            for k in range(-K, K + 1) if k})
     rho, g, far = SpectralField.zeros(grid, K), BoundaryTrace.zeros(K), FarField(0.3, -0.1)
+    # the data are not mirrored, so each mode -k is corrected from its own residual
     corrections, profile = admissibility_corrections(w, rho, g, far, K_c)
-    residuals = solved_report(DiskProblem(w, rho, g, far)).residuals
+    report = solved_report(DiskProblem(w, rho, g, far))
     rows = np.broadcast_to(profile.astype(complex), (K, profile.size))
     moments = _scaled(grid.nodes, rows, np.arange(K, dtype=float), True,
                       _support(profile)).table[:, 0]
-    assert sorted(corrections) == list(range(1, K_c + 1))
+    assert sorted(corrections) == [k for k in range(-K_c, K_c + 1) if k]
     for k in range(1, K_c + 1):
-        assert corrections[k] == complex(-residuals[k] / moments[k - 1])
+        assert corrections[k] == complex(-report.residuals[k] / moments[k - 1])
+        assert corrections[-k] == complex(-report.negative[k] / moments[k - 1])
 
 
 def memo_cases():
@@ -384,3 +386,24 @@ def test_complex_data_have_their_negative_modes_checked():
     assert solution.report.admissible
     trace = solution.boundary_trace()
     assert np.max(np.abs(trace.g_r)) <= 1e-14 and np.max(np.abs(trace.g_phi - g_phi)) <= 1e-14
+
+
+def test_projection_of_complex_data_passes_its_own_report():
+    # random complex amplitudes times a bump on [2, 4] in every mode 1 <= |k| <= 4:
+    # each mode -k is corrected from its own residual, not with the conjugate of mode k's
+    grid = RadialGrid.uniform(1.0, 6.0, 1501)
+    rng = np.random.default_rng(4)
+    bump = smooth_bump(grid.nodes, 2.0, 4.0)
+    w = SpectralField.from_modes(grid, 4, {k: (rng.normal() + 1j * rng.normal()) * bump
+                                           for k in range(-4, 5) if k})
+    rho, g, far = SpectralField.zeros(grid, 4), BoundaryTrace.zeros(4), FarField()
+    assert np.min(np.abs(moment_report(DiskProblem(w, rho, g, far)).negative[1:])) > 1e-2
+    fixed = make_admissible(w, rho, g, far, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve_disk(DiskProblem(fixed, rho, g, far))
+    assert solution.report.admissible
+    assert moment_report(DiskProblem(fixed, rho, g, far)).admissible
+    trace = solution.boundary_trace()
+    assert np.max(np.abs(trace.g_r - g.g_r)) <= 1e-12
+    assert np.max(np.abs(trace.g_phi - g.g_phi)) <= 1e-12

@@ -65,3 +65,28 @@ def test_largest_difference_reads_the_numbers():
     assert largest_difference("x,nan\n", "x,1\n") == float("inf")
     assert largest_difference("x,1\n", "y,1\n") is None
     assert largest_difference("1,2\n", "1,2,3\n") is None
+
+
+def test_warning_locations_do_not_count_as_differences(tmp_path):
+    # the same warning raised from checkouts in other directories, at other
+    # lines of cli.py, compares equal; a changed message still differs
+    differences = load_cli_outputs().differences
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    message = "UserWarning: data violates the k = 0 moment conditions (Gamma 1.137e+01)\n"
+    (a / "solve-x.stderr").write_text(
+        f"/one/src/divcurl/cli.py:343: {message}  return solve_disk(problem, tol)\n")
+    (b / "solve-x.stderr").write_text(
+        f"/two/checkout/src/divcurl/cli.py:345: {message}  return solve_disk(problem)\n")
+    assert differences(a, b) == []
+    (b / "solve-x.stderr").write_text(
+        f"/two/src/divcurl/cli.py:345: {message.replace('1.137', '1.25')}  return x\n")
+    assert differences(a, b) == [(pathlib.Path("solve-x.stderr"), "largest difference 1.13")]
+    (b / "solve-x.stderr").write_text(
+        f"/two/src/divcurl/cli.py:345: {message.replace('UserWarning', 'RuntimeWarning')}")
+    assert differences(a, b) == [(pathlib.Path("solve-x.stderr"), "non-numeric")]
+    # other files keep their text as it is
+    (a / "solve-x.stdout").write_text(f"/one/cli.py:3: {message}")
+    (b / "solve-x.stdout").write_text(f"/two/cli.py:3: {message}")
+    assert (pathlib.Path("solve-x.stdout"), "non-numeric") in differences(a, b)
