@@ -177,7 +177,7 @@ def test_banded_mapped_charge_equals_the_whole_lattice_charge(grid, m):
     assert _mapped_charge(ext, cells, area).tobytes() == whole.tobytes()
 
 
-def test_mapped_oracle_forms_its_charge_in_bands(grid):
+def test_mapped_oracle_forms_its_charge_in_bands():
     # criterion-3 size (160 x 256 cells, 50 probes) on a Joukowski crosscheck
     # problem: bands of _BLOCK_PAIRS cells peaked at 4.7 MB
     m = joukowski_map(0.5, 1.0)
