@@ -155,7 +155,7 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
     for k, lam in corrections.items():
         if k >= 0:  # the modes -k of mirrored data carry the conjugates
             beta[k, 0] += lam
-    # Q_j = Re(sum_k w_k beta_kj e^{ik phi}) with w_0 = 1 and w_k = 2
+    # Re beta_0j + Q_j = Re(sum_k w_k beta_kj e^{ik phi}) with w_0 = 1 and w_k = 2
     weighted = beta.T.copy()
     weighted[:, 1:] *= 2.0
 
