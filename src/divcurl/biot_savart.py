@@ -1,18 +1,21 @@
 """Independent Biot-Savart evaluation of the velocity field.
 
-The solution has the singular integral representation
-
-    v(x) = (1/2pi) int (x-y)/|x-y|^2 rho(y) dy + (1/2pi) int (x-y)^perp/|x-y|^2 w(y) dy
-         + boundary single layers with densities (g,n) and (g,tau) + v_inf,
-
-whose kernels are the gradient and skew gradient of G(x,y) = ln|x-y| / 2pi.
-In complex form both volume terms collapse to d/|d|^2 * (rho + i w) with
-d = x - y, and the layers to d/|d|^2 * (g_r + i g_phi).  This module sums
-the representation by direct quadrature (midpoint cells in radius,
-equispaced angles): every point meets every cell, O(points x cells), with
-no far-field approximation and no code shared with the spectral solver it
-cross-validates.  Data callables follow the contract of DiskProblem;
-values that are not finite or do not broadcast raise ValueError.
+The solution is v(x) = (1/2pi) int d/|d|^2 (rho + i w)(y) dy plus the boundary
+single layers d/|d|^2 (g_r + i g_phi) and v_inf, in complex form with d = x - y
+(the gradient and skew gradient of G = ln|x-y| / 2pi).  This module sums it by
+direct quadrature on midpoint cells s = r e^{i theta} (radii x equispaced
+angles): every point meets every cell, with no far-field approximation and no
+code shared with the spectral solver it cross-validates.  The cells form a
+polar lattice, so with x = rho e^{i phi}
+    |x - s|^2 = (rho - r)^2 + 4 rho r sin^2((theta - phi)/2),
+two nonnegative terms (no cancellation; a coincident cell gives 0).  For a
+block of points and a band of radii, about 2^16 pairs (512 KB per float
+temporary), |d|^2 is one batched matrix product and the far cells sum as
+x (inv @ q) - inv @ (s q), inv = 1/|d|^2: one more matrix product.  Cells with
+|d| < |x|/32 are summed as d inv q instead, where the far form would cancel;
+cells within 1e-14 of x are left out.  It all runs on the calling thread.
+Data callables follow the contract of DiskProblem; values that are not finite
+or do not broadcast raise ValueError.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from .grids import equispaced_angles, synthesize_boundary
 __all__ = ["biot_savart_disk", "biot_savart_omega"]
 
 _BOUNDARY_EPS = 1e-12
-_BLOCK_PAIRS = 1 << 14
-# cells per band of the mapped charge: 64 KB per complex temporary, small
-# enough to be reused from the heap instead of faulted in afresh on each call
-# (the kernel keeps _BLOCK_PAIRS, where its matrix products run faster)
+# point x cell pairs per band of the kernel: 512 KB per float temporary
+_BAND_PAIRS = 1 << 16
+# a cell nearer to x than _NEAR |x| is summed in Cartesian form
+_NEAR = 1.0 / 32.0
+# cells per band of the charge: 64 KB per complex temporary, small enough
+# to be reused from the heap instead of faulted in afresh on each call
 _CHARGE_CELLS = 1 << 12
 
 
@@ -59,36 +64,56 @@ def _volume_cells(grid, support, n_radial: int, n_angular: int):
     return radii, angles, area
 
 
-def _kernel_sum(points: np.ndarray, sources: np.ndarray, charge: np.ndarray) -> np.ndarray:
-    """sum_j d/|d|^2 charge_j with d = x - sources_j, for every point x.
+def _lattice_sum(points: np.ndarray, radii, angles, charge: np.ndarray) -> np.ndarray:
+    """sum_c d/|d|^2 q_c with d = x - s_c over the cells s_c = radii[a] e^{i angles[b]}
+    carrying q_c = charge[a, b], for every point x of the flat array points.
 
-    Pairs with |d| <= 1e-14 (coincident points) contribute nothing.  Each block
-    holds about _BLOCK_PAIRS point x source pairs and runs in real
-    arithmetic: with d = a + ib and inv = 1/(a^2 + b^2) it adds the matrix
-    products (a inv) @ [Re q, Im q] and (b inv) @ [Re q, Im q] to two sums,
-    which give sum (a Re q - b Im q) inv + i sum (a Im q + b Re q) inv.
+    A cell with |d|^2 <= 1e-28 (coincident with x) contributes nothing.
     """
-    cut = 1e-28  # (1e-14)^2
-    q = np.ascontiguousarray(charge, dtype=complex).view(float).reshape(-1, 2)
-    x_re, x_im = points.real[:, None], points.imag[:, None]
-    s_re, s_im = sources.real.copy(), sources.imag.copy()
-    sum_a, sum_b = np.zeros((points.size, 2)), np.zeros((points.size, 2))
-    rows = max(1, _BLOCK_PAIRS // max(sources.size, 1))
-    cols = max(1, _BLOCK_PAIRS // rows)
+    radii, angles = np.ravel(radii), np.ravel(angles)
+    n_a = angles.size
+    charge = np.reshape(charge, (radii.size, n_a))
+    unit = np.exp(1j * angles)
+    rho, phi = np.abs(points), np.angle(points)
+    near2 = (_NEAR * rho) ** 2
+    rows = max(1, min(points.size, _BAND_PAIRS // n_a))
+    m = max(1, min(radii.size, _BAND_PAIRS // (rows * n_a)))
+    starts = np.arange(0, radii.size, m)
+    r_lo, r_hi = np.minimum.reduceat(radii, starts), np.maximum.reduceat(radii, starts)
+    coef, cols = np.empty((rows, m, 2)), np.empty((m, n_a, 2), dtype=complex)
+    dist_buf = np.empty(rows * m * n_a)
+    sums, near = np.zeros((points.size, 4)), np.zeros(points.size, dtype=complex)
     for i in range(0, points.size, rows):
-        for j in range(0, sources.size, cols):
-            a = x_re[i:i + rows] - s_re[j:j + cols]
-            b = x_im[i:i + rows] - s_im[j:j + cols]
-            inv = a * a
-            inv += b * b
-            if inv.min() <= cut:
-                inv[inv <= cut] = np.inf
-            np.divide(1.0, inv, out=inv)
-            a *= inv
-            b *= inv
-            sum_a[i:i + rows] += a @ q[j:j + cols]
-            sum_b[i:i + rows] += b @ q[j:j + cols]
-    return (sum_a[:, 0] - sum_b[:, 1]) + 1j * (sum_a[:, 1] + sum_b[:, 0])
+        x, r_x = points[i:i + rows], rho[i:i + rows, None]
+        n, four_r_x = x.size, 4.0 * r_x
+        h = np.ones((n, 2, n_a))  # rows [1, sin^2((theta - phi)/2)] of each point
+        np.square(np.sin(0.5 * (angles - phi[i:i + rows, None])), out=h[:, 1])
+        # close[band]: the points with a radius of the band within |x|/32 of |x|
+        close = ((1.0 - _NEAR) * r_x.T < r_hi[:, None]) & ((1.0 + _NEAR) * r_x.T > r_lo[:, None])
+        for band, j in enumerate(starts):
+            r = radii[j:j + m]
+            c = coef[:n, :r.size]  # [(rho - r)^2, 4 rho r]
+            np.square(np.subtract(r_x, r, out=c[..., 0]), out=c[..., 0])
+            np.multiply(four_r_x, r, out=c[..., 1])
+            dist = np.matmul(c, h, out=dist_buf[:n * r.size * n_a].reshape(n, r.size, n_a))
+            k = np.flatnonzero(close[band])
+            if k.size:
+                p, a, b = np.nonzero(dist[k] < near2[i + k, None, None])
+                p = k[p]
+                dist[p, a, b] = np.inf  # out of the far sum
+                d = x[p] - r[a] * unit[b]
+                inv = d.real * d.real + d.imag * d.imag
+                inv[inv <= 1e-28] = np.inf
+                np.divide(1.0, inv, out=inv)
+                term = d * inv * charge[j + a, b]
+                near[i:i + rows] += (np.bincount(p, term.real, n)
+                                     + 1j * np.bincount(p, term.imag, n))
+            q = cols[:r.size]  # columns [Re q, Im q, Re sq, Im sq] as floats
+            q[..., 0] = charge[j:j + m]
+            np.multiply(q[..., 0], r[:, None] * unit, out=q[..., 1])
+            np.divide(1.0, dist, out=dist)
+            sums[i:i + rows] += dist.reshape(n, -1) @ q.view(float).reshape(-1, 4)
+    return points * (sums[:, 0] + 1j * sums[:, 1]) - (sums[:, 2] + 1j * sums[:, 3]) + near
 
 
 def _lattice_values(name: str, values, shape, lattice=None) -> np.ndarray:
@@ -105,24 +130,40 @@ def _lattice_values(name: str, values, shape, lattice=None) -> np.ndarray:
     return values
 
 
-def _field_values(name: str, field, fn, radii, angles):
-    """Data on the lattice of a radius column and an angle row: the closed form
-    called on (column, row), else the mode profiles interpolated at the radii
-    and synthesised at the angles."""
-    shape = (radii.size, angles.size)
-    if fn is not None:
-        return _lattice_values(name, fn(radii, angles), shape)
-    nodes = field.grid.nodes
-    radii = radii.ravel()
-    profiles = np.array([np.interp(radii, nodes, row.real) + 1j * np.interp(radii, nodes, row.imag)
-                         for row in field.coeffs])
-    ks = np.arange(-field.K, field.K + 1)
-    return _lattice_values(name, profiles.T @ np.exp(1j * np.outer(ks, angles.ravel())), shape)
+def _field_bands(name: str, field, fn, radii, angles, rows: int):
+    """(band, values): data on the lattice of a radius column and an angle row,
+    on bands of rows radii: the closed form called on (band column, row), else
+    the mode profiles interpolated at the radii and synthesised at the angles."""
+    lattice = (radii.size, angles.size)
+    if fn is None:
+        nodes = field.grid.nodes
+        profiles = np.array([np.interp(radii.ravel(), nodes, row.real)
+                             + 1j * np.interp(radii.ravel(), nodes, row.imag)
+                             for row in field.coeffs]).T
+        phases = np.exp(1j * np.outer(np.arange(-field.K, field.K + 1), angles.ravel()))
+    for i in range(0, radii.size, rows):
+        band = slice(i, i + rows)
+        values = fn(radii[band], angles) if fn is not None else profiles[band] @ phases
+        yield band, _lattice_values(name, values, (radii[band].size, angles.size), lattice)
 
 
-def _evaluate(points, sources, charge, ring, layer, vinf: complex):
+def _disk_charge(problem: DiskProblem, radii, angles, area) -> np.ndarray:
+    """(rho + i w) times the cell areas on the (radius x angle) lattice, the
+    data formed on bands of _CHARGE_CELLS // n_angular radii."""
+    charge = np.zeros((radii.size, angles.size), dtype=complex)
+    rows = max(1, _CHARGE_CELLS // angles.size)
+    for name, field, fn, unit in (("divergence", problem.divergence, problem.divergence_fn, 1.0),
+                                  ("vorticity", problem.vorticity, problem.vorticity_fn, 1j)):
+        if fn is not None or field.coeffs.any():  # a zero field with no callable adds nothing
+            for band, values in _field_bands(name, field, fn, radii, angles, rows):
+                charge[band] += unit * values
+    charge *= area
+    return charge
+
+
+def _evaluate(points, radii, angles, charge, r0: float, theta, layer, vinf: complex):
     flat = np.ravel(points)
-    total = _kernel_sum(flat, sources, charge) + _kernel_sum(flat, ring, layer)
+    total = _lattice_sum(flat, radii, angles, charge) + _lattice_sum(flat, r0, theta, layer)
     return (total / (2.0 * np.pi) + vinf).reshape(points.shape)
 
 
@@ -137,20 +178,14 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
 
     grid = problem.grid
     radii, angles, area = _volume_cells(grid, support, n_radial, n_angular)
-    charge = np.zeros((radii.size, angles.size), dtype=complex)
-    for name, field, fn, unit in (("divergence", problem.divergence, problem.divergence_fn, 1.0),
-                                  ("vorticity", problem.vorticity, problem.vorticity_fn, 1j)):
-        if fn is not None or field.coeffs.any():  # a zero field with no callable adds nothing
-            charge += unit * _field_values(name, field, fn, radii, angles)
-    sources = (radii * np.exp(1j * angles)).ravel()
-    charge = (charge * area).ravel()
+    charge = _disk_charge(problem, radii, angles, area)
 
     theta = equispaced_angles(n_boundary)
     g_r, g_phi = synthesize_boundary(problem.boundary, theta)
-    ring = grid.r0 * np.exp(1j * theta)
     layer = (g_r + 1j * g_phi) * (grid.r0 * 2.0 * np.pi / n_boundary)
 
-    out = _evaluate(points, sources, charge, ring, layer, problem.far_field.as_complex)
+    out = _evaluate(points, radii, angles, charge, grid.r0, theta, layer,
+                    problem.far_field.as_complex)
     return complex(out) if points.ndim == 0 else out
 
 
@@ -201,6 +236,6 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     else:
         layer = np.zeros_like(ring)
 
-    vhat = _evaluate(z, cells.ravel(), charge.ravel(), ring, layer, problem.far_field.as_complex)
+    vhat = _evaluate(z, radii, angles, charge, m.r0, theta, layer, problem.far_field.as_complex)
     out = m.pushforward(z, vhat)
     return complex(out) if points.ndim == 0 else out

@@ -85,8 +85,10 @@ def potential_slip_boundary_fn(m: ConformalMap, far: FarField):
 def ellipse_potential_velocity(points, c: float, r0: float, far: FarField) -> np.ndarray:
     """Classical complex-potential oracle for flow past the c-Joukowski ellipse.
 
-    Standalone on purpose: it carries its own branch of sqrt((p-2c)(p+2c)) and
-    never touches the solver's map layer.
+    Standalone on purpose: it carries its own branch of sqrt(p^2 - 4c^2) and
+    never touches the solver's map layer.  The root is formed from p^2 - 4c^2
+    in real arithmetic and negated where Re p has its sign bit set, so it
+    follows p at infinity and both signs of a zero imaginary part agree.
     """
     p = np.asarray(points, dtype=complex)
     v = far.as_complex
@@ -94,7 +96,12 @@ def ellipse_potential_velocity(points, c: float, r0: float, far: FarField) -> np
         z = p
         dz_dp = np.ones_like(p)
     else:
-        root = np.sqrt(p - 2.0 * c) * np.sqrt(p + 2.0 * c)
+        x, y = p.real, p.imag
+        root = np.empty(p.shape, dtype=complex)
+        root.real = (x - 2.0 * c) * (x + 2.0 * c) - y * y
+        root.imag = 2.0 * x * y
+        root = np.sqrt(root)
+        root = np.where(np.signbit(x), -root, root)
         z = 0.5 * (p + root)
         dz_dp = 0.5 * (1.0 + p / root)
     conj_vel = (np.conj(v) - v * r0**2 / (z * z)) * dz_dp

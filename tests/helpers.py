@@ -242,6 +242,30 @@ def reference_kernel_sum(x, sources, charge):
     return complex(np.sum((d[keep] / dist2[keep]) * charge[keep]))
 
 
+def longdouble_kernel_sum(x, radii, angles, charge):
+    """Direct sum of d/|d|^2 * charge over the cells radii[a] e^{i angles[b]}
+    at each point of x, in np.longdouble from the cells' polar coordinates.
+
+    A cell within 1e-14 of the point (the point's own cell) is dropped.
+    Returns complex128.
+    """
+    r = np.asarray(radii, dtype=np.longdouble).reshape(-1, 1)
+    t = np.asarray(angles, dtype=np.longdouble).reshape(1, -1)
+    s_re, s_im = (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel()
+    q_re = np.real(charge).astype(np.longdouble).ravel()
+    q_im = np.imag(charge).astype(np.longdouble).ravel()
+    out = []
+    for xi in np.ravel(x):
+        a = np.longdouble(xi.real) - s_re
+        b = np.longdouble(xi.imag) - s_im
+        dist2 = a * a + b * b
+        keep = dist2 > 1e-28
+        a, b, inv = a[keep], b[keep], 1 / dist2[keep]
+        out.append(complex(float(np.sum((a * q_re[keep] - b * q_im[keep]) * inv)),
+                           float(np.sum((a * q_im[keep] + b * q_re[keep]) * inv))))
+    return np.array(out)
+
+
 def reference_scaled_prefix(nodes, integrand, powers, block_exponent=300.0):
     """Whole-array scaled prefix table s_j^{-p} int_{s_0}^{s_j} t^p f, all rows at once.
 

@@ -6,9 +6,10 @@ import pytest
 
 from divcurl import biot_savart
 from divcurl.biot_savart import (
-    _BLOCK_PAIRS,
+    _BAND_PAIRS,
     _CHARGE_CELLS,
-    _field_values,
+    _disk_charge,
+    _field_bands,
     _mapped_charge,
     _volume_cells,
     biot_savart_disk,
@@ -25,7 +26,7 @@ from divcurl.conformal import (
 )
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import (BoundaryTrace, RadialGrid, SpectralField, analysis_angles, analyze,
-                           smooth_bump)
+                           equispaced_angles, smooth_bump)
 from divcurl.presets import (
     ellipse_potential_velocity,
     modal_field,
@@ -36,7 +37,8 @@ from divcurl.presets import (
 )
 from divcurl.quadrature import trapezoid_weights
 
-from helpers import cylinder_flow, reference_biot_savart_disk
+from helpers import (cylinder_flow, longdouble_kernel_sum, reference_biot_savart_disk,
+                     reference_kernel_sum)
 
 
 def test_green_function_gradient_matches_kernel():
@@ -51,7 +53,9 @@ def test_green_function_gradient_matches_kernel():
 
     gx = (green(x + h) - green(x - h)) / (2 * h)
     gy = (green(x + 1j * h) - green(x - 1j * h)) / (2 * h)
-    kernel = biot_savart._kernel_sum(np.array([x]), np.array([y]), np.array([1.0 + 0j]))[0]
+    # a one-cell lattice: radius |y|, angle arg y, unit charge
+    kernel = biot_savart._lattice_sum(np.array([x]), np.array([abs(y)]),
+                                      np.array([np.angle(y)]), np.array([[1.0 + 0j]]))[0]
     kernel /= 2.0 * np.pi
     assert abs(gx - kernel.real) < 1e-9
     assert abs(gy - kernel.imag) < 1e-9
@@ -97,25 +101,80 @@ def test_blocked_sum_matches_reference_direct_sum(grid):
     problem = random_admissible_problem(rng, grid, K=6, K_data=4, K_c=6, support=(1.8, 4.2),
                                         with_divergence=True, boundary_modes=2,
                                         far_field=FarField(0.3, -0.2))
-    # 960 cells: 17 points per block, so the 100 points take six blocks;
-    # 25,600 cells: one point per block, its cells split over two blocks
-    assert 1 < _BLOCK_PAIRS // 960 < 100 and 25_600 // 2 < _BLOCK_PAIRS < 25_600
+    # the kernel takes blocks of _BAND_PAIRS // n_angular points and bands of
+    # radii: on 100 x 256 cells the 300 points span two blocks and many bands
     for n_radial, n_angular in ((24, 40), (100, 256)):
+        points_per_block = min(300, _BAND_PAIRS // n_angular)
+        radii_per_band = max(1, _BAND_PAIRS // (points_per_block * n_angular))
+        if n_angular == 256:
+            assert points_per_block < 300 and radii_per_band < n_radial
         kwargs = {"n_radial": n_radial, "n_angular": n_angular, "n_boundary": 64,
                   "support": (1.8, 4.2)}
         h = (4.2 - 1.8) / n_radial
         centre = (1.8 + 10.5 * h) * np.exp(2j * np.pi * 7 / n_angular)  # a cell centre
-        pts = rng.uniform(1.05, 7.9, 100) * np.exp(2j * np.pi * rng.random(100))
+        pts = rng.uniform(1.05, 7.9, 300) * np.exp(2j * np.pi * rng.random(300))
         pts[17] = centre
-        pts = pts.reshape(10, 10)
+        pts = pts.reshape(20, 15)
         for x in (pts, 5.5 + 0.5j):
             v = biot_savart_disk(x, problem, **kwargs)
             v_ref = reference_biot_savart_disk(x, problem, **kwargs)
             if np.ndim(x) == 0:
                 assert type(v) is complex
             else:
-                assert v.shape == (10, 10)
+                assert v.shape == (20, 15)
             assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+
+
+def _relative_errors(v, exact):
+    return np.abs(v - exact) / np.abs(exact)
+
+
+def test_lattice_sum_matches_a_longdouble_direct_sum():
+    # iid complex charge on 400 x 256 cells over [1, 10]; the far cells take
+    # the polar form, the cells within |x|/32 the Cartesian one
+    rng = np.random.default_rng(11)
+    radii = 1.0 + (np.arange(400) + 0.5) * 9.0 / 400
+    angles = equispaced_angles(256)
+    charge = rng.normal(size=(400, 256)) + 1j * rng.normal(size=(400, 256))
+    sources = (radii[:, None] * np.exp(1j * angles)).ravel()
+
+    def kernel(points):
+        return biot_savart._lattice_sum(points, radii, angles, charge)
+
+    def cartesian(points):
+        return np.array([reference_kernel_sum(x, sources, charge.ravel()) for x in points])
+
+    centres = sources[[37 * 256 + 11, 200 * 256 + 100]]
+    directions = np.exp(1j * np.array([0.3, 2.0, 4.1]))
+    pts = rng.uniform(1.05, 12.0, 16) * np.exp(2j * np.pi * rng.random(16))
+    pts = pts[[np.min(np.abs(x - sources)) >= 1e-3 for x in pts]]
+    assert pts.size >= 10
+    pts = np.concatenate([pts, (centres[:, None] + 1e-3 * directions).ravel()])
+    assert np.max(_relative_errors(kernel(pts), longdouble_kernel_sum(pts, radii, angles,
+                                                                      charge))) <= 1e-12
+    # nearer to a cell centre both forms lose what the cell's rounded position costs
+    for offset in (1e-6, 1e-9):
+        pts = (centres[:, None] + offset * directions).ravel()
+        exact = longdouble_kernel_sum(pts, radii, angles, charge)
+        assert np.max(_relative_errors(kernel(pts), exact)) \
+            <= 2.0 * np.max(_relative_errors(cartesian(pts), exact))
+    # a point on a cell centre leaves that cell out, and only that one
+    assert np.max(_relative_errors(kernel(centres), longdouble_kernel_sum(
+        centres, radii, angles, charge))) <= 1e-12
+
+
+def test_lattice_sum_at_the_crosscheck_probes():
+    # the criterion-3 lattice (160 x 256 cells on (1.8, 4.2)) with iid charge,
+    # at probes drawn as the crosscheck benchmark draws them, off the support
+    rng = np.random.default_rng(12)
+    radii = 1.8 + (np.arange(160) + 0.5) * 2.4 / 160
+    angles = equispaced_angles(256)
+    charge = rng.normal(size=(160, 256)) + 1j * rng.normal(size=(160, 256))
+    probes = np.concatenate([rng.uniform(1.12, 1.62, 20), rng.uniform(4.45, 7.2, 30)])
+    probes = probes * np.exp(2j * np.pi * rng.random(50))
+    v = biot_savart._lattice_sum(probes, radii, angles, charge)
+    exact = longdouble_kernel_sum(probes, radii, angles, charge)
+    assert np.max(_relative_errors(v, exact)) <= 5e-14
 
 
 def _gaussian_patch(grid, K, m):
@@ -139,7 +198,7 @@ def test_separable_lattice_is_bit_identical_to_the_meshgrid(grid, m):
     radii, angles, area = _volume_cells(grid, (1.5, 6.5), 70, 96)
     rr, pp = np.meshgrid(radii.ravel(), angles.ravel(), indexing="ij")
     for fn in (modal_fn, patch_fn):
-        values = _field_values("vorticity", field, fn, radii, angles)
+        ((_, values),) = _field_bands("vorticity", field, fn, radii, angles, radii.size)
         assert values.shape == rr.shape
         assert np.array_equal(values, np.asarray(fn(rr, pp), dtype=complex))
     assert np.array_equal(np.broadcast_to(area, rr.shape),
@@ -175,6 +234,45 @@ def test_banded_mapped_charge_equals_the_whole_lattice_charge(grid, m):
     whole += 1j * (np.asarray(physical(y), dtype=complex) * jac)
     whole = whole * area
     assert _mapped_charge(ext, cells, area).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("callables", [True, False], ids=["callables", "interpolated"])
+def test_banded_disk_charge_equals_the_whole_lattice_charge(grid, callables):
+    # the criterion-3 lattice takes ten bands of 16 radii, for the closed
+    # forms and for the interpolation fallback alike
+    problem = random_admissible_problem(np.random.default_rng(3), grid, K=6, K_data=4, K_c=6,
+                                        support=(1.8, 4.2), with_divergence=True)
+    if not callables:
+        problem = DiskProblem(problem.vorticity, problem.divergence, problem.boundary)
+    radii, angles, area = _volume_cells(grid, (1.8, 4.2), 160, 256)
+    assert radii.size >= 2 * (_CHARGE_CELLS // angles.size)
+    whole = np.zeros((radii.size, angles.size), dtype=complex)
+    for unit, field, fn in ((1.0, problem.divergence, problem.divergence_fn),
+                            (1j, problem.vorticity, problem.vorticity_fn)):
+        ((_, values),) = _field_bands("data", field, fn, radii, angles, radii.size)
+        whole += unit * values
+    whole = whole * area
+    assert _disk_charge(problem, radii, angles, area).tobytes() == whole.tobytes()
+
+
+def test_disk_oracle_forms_its_charge_in_bands():
+    # criterion-3 size (160 x 256 cells, 50 probes): whole-lattice sources
+    # and charge temporaries peaked at 2.54 MB
+    problem = random_admissible_problem(np.random.default_rng(5),
+                                        RadialGrid.uniform(1.0, 8.0, 1501), K=12, K_data=8,
+                                        K_c=12, support=(1.8, 4.2), with_divergence=True)
+    rng = np.random.default_rng(1)
+    z = rng.uniform(1.3, 7.0, 50) * np.exp(2j * np.pi * rng.random(50))
+    kwargs = {"n_radial": 160, "n_angular": 256, "support": (1.8, 4.2)}
+    expected = biot_savart_disk(z, problem, **kwargs)
+    tracemalloc.start()
+    try:
+        v = biot_savart_disk(z, problem, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v, expected)
+    assert peak <= 2.0e6
 
 
 def test_mapped_oracle_forms_its_charge_in_bands():
@@ -221,8 +319,8 @@ def test_oracles_reject_bad_data_naming_the_field(grid, name, bad):
     omega_fn = _poisoned(bad, lambda p: smooth_bump(np.abs(p), 1.5, 2.5) + 0j * p)
     omega_problem = ExteriorProblem(joukowski_map(0.5, 1.0), grid, 3,
                                     **{f"{name}_fn": omega_fn})
-    # 2048 x 16 cells: the mapped charge meets the data in eight bands of radii,
-    # and its messages still name the whole lattice
+    # 2048 x 16 cells: both oracles meet the data in eight bands of radii,
+    # and their messages still name the whole lattice
     assert 2048 >= 2 * (_CHARGE_CELLS // 16)
     message = r"does not broadcast to the \(2048, 16\) oracle lattice" if bad == "shape" \
         else "not finite"
@@ -331,9 +429,9 @@ def test_zero_field_without_callable_is_not_evaluated(grid, monkeypatch):
 
     def recording(name, *args):
         evaluated.append(name)
-        return _field_values(name, *args)
+        return _field_bands(name, *args)
 
-    monkeypatch.setattr(biot_savart, "_field_values", recording)
+    monkeypatch.setattr(biot_savart, "_field_bands", recording)
     kwargs = {"n_radial": 24, "n_angular": 40, "n_boundary": 64, "support": (1.8, 4.2)}
     pts = np.array([1.3 * np.exp(0.9j), 5.4 * np.exp(-0.4j)])
     v = biot_savart_disk(pts, problem, **kwargs)

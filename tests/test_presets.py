@@ -3,7 +3,8 @@ import pytest
 
 from divcurl.disk import FarField
 from divcurl.grids import RadialGrid, analyze, equispaced_angles
-from divcurl.presets import _closed_form, _random_modes, modal_field, random_admissible_problem
+from divcurl.presets import (_closed_form, _random_modes, ellipse_potential_velocity, modal_field,
+                             random_admissible_problem)
 
 from helpers import reference_closed_form
 
@@ -64,3 +65,17 @@ def test_closed_form_matches_the_per_mode_sum(K_data, K_c):
             expected = np.asarray(ref(*ref_args), dtype=complex)
             assert value.shape == expected.shape
             assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_ellipse_potential_velocity_agrees_on_both_sides_of_the_real_axis():
+    # on the real axis beyond the c = 0.5 ellipse (semi-axis 1.25) a zero
+    # imaginary part of either sign must give the same velocity, the limit
+    # of the values just off the axis
+    far = FarField(1.0, 0.4)
+    x = np.array([-3.0, -1.8, -1.26, 1.26, 1.8, 3.0]) + 0j
+    on_plus = ellipse_potential_velocity(x, 0.5, 1.0, far)
+    on_minus = ellipse_potential_velocity(np.conj(x), 0.5, 1.0, far)
+    assert np.max(np.abs(on_plus - on_minus)) <= 1e-15 * np.max(np.abs(on_plus))
+    for side in (1e-9j, -1e-9j):
+        off = ellipse_potential_velocity(x + side, 0.5, 1.0, far)
+        assert np.max(np.abs(on_plus - off)) <= 1e-7
