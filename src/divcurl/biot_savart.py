@@ -189,20 +189,23 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
     return complex(out) if points.ndim == 0 else out
 
 
-def _mapped_charge(problem: ExteriorProblem, cells, area) -> np.ndarray:
-    """(rho + i w)(Phi^-1(x_c)) |(Phi^-1)'(x_c)|^2 times the cell areas, on
-    bands of _CHARGE_CELLS // n_angular radii of the (radius x angle) cells."""
+def _mapped_charge(problem: ExteriorProblem, radii, angles, area) -> np.ndarray:
+    """(rho + i w)(Phi^-1(x_c)) |(Phi^-1)'(x_c)|^2 times the cell areas on the
+    (radius x angle) lattice, its disk-plane cells x_c = radii[band] e^{i angles}
+    formed band by band, on bands of _CHARGE_CELLS // n_angular radii."""
     m = problem.map
-    charge = np.zeros(cells.shape, dtype=complex)
-    rows = max(1, _CHARGE_CELLS // cells.shape[1])
-    for i in range(0, cells.shape[0], rows):
-        band, out = cells[i:i + rows], charge[i:i + rows]
+    phases = np.exp(1j * angles)
+    shape = (radii.size, angles.size)
+    charge = np.zeros(shape, dtype=complex)
+    rows = max(1, _CHARGE_CELLS // angles.size)
+    for i in range(0, radii.size, rows):
+        band, out = radii[i:i + rows] * phases, charge[i:i + rows]
         jac = np.abs(m.d_inverse(band)) ** 2
         y = m.inverse(band)
         for name, fn, unit in (("divergence", problem.divergence_fn, 1.0),
                                ("vorticity", problem.vorticity_fn, 1j)):
             if fn is not None:
-                out += unit * (_lattice_values(name, fn(y), band.shape, cells.shape) * jac)
+                out += unit * (_lattice_values(name, fn(y), band.shape, shape) * jac)
         out *= area[i:i + rows]
     return charge
 
@@ -223,8 +226,7 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     _check_exterior(z, m.r0)
 
     radii, angles, area = _volume_cells(problem.grid, support, n_radial, n_angular)
-    cells = radii * np.exp(1j * angles)
-    charge = _mapped_charge(problem, cells, area)
+    charge = _mapped_charge(problem, radii, angles, area)
 
     theta = equispaced_angles(n_boundary)
     ring = m.r0 * np.exp(1j * theta)

@@ -286,7 +286,11 @@ class ExteriorSolution:
         return v
 
     def sample(self, points) -> np.ndarray:
-        """Cartesian velocity at complex points of Omega, marked NaN as in sample_image."""
+        """Cartesian velocity at complex points of Omega, marked NaN as in sample_image;
+        ValueError if a point is not finite, as VelocitySolution.sample."""
+        points = np.asarray(points, dtype=complex)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("sample points must be finite")
         return self.sample_image(self.map.forward(points))
 
     def boundary_samples(self, theta) -> np.ndarray:

@@ -450,7 +450,8 @@ class VelocitySolution:
         return self.v_r, self.v_phi
 
     def sample(self, points) -> np.ndarray:
-        """Cartesian velocity v1 + i v2 at complex points.
+        """Cartesian velocity v1 + i v2 at complex points; ValueError if a point
+        is not finite (NaN, or of infinite modulus).
 
         The mode sum is ModeTerms._mode_sum, over the points in order of radius
         in blocks whose Horner accumulators fill one band.  A large sample is cut
@@ -461,6 +462,8 @@ class VelocitySolution:
         flat = points.ravel()
         terms = self.terms
         r = np.abs(flat)
+        if not np.all(np.isfinite(r)):
+            raise ValueError("sample points must be finite")
         # points in order of radius, so a block gathers a narrow window of
         # table columns; each point's sum does not depend on its block
         order = np.argsort(r, kind="stable")

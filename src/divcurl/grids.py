@@ -1,4 +1,11 @@
-"""Polar spectral grids: radial nodes, angular Fourier transforms, boundary traces."""
+"""Polar spectral grids: radial nodes, angular Fourier transforms, boundary traces.
+
+A SpectralField holds its coefficients read-only.  The public constructor
+and dataclasses.replace copy the array they are given; zeros, from_modes,
+add_modes and analyze hand over the array they have just built, with no
+second copy.  A zero field (SpectralField.zeros) is a zero-stride view of one
+shared read-only zero: it holds no memory per node, whatever K and M.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +30,11 @@ def _frozen_array(values, dtype=None):
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+# the one complex zero every zero field is a view of
+_ZERO = np.zeros((1, 1), dtype=complex)
+_ZERO.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,9 @@ class SpectralField:
     """Per-mode radial profiles f_k(s_j) for |k| <= K on a shared radial grid.
 
     coeffs has shape (2K+1, len(grid)); row k + K holds mode k.  Real-valued
-    physical fields satisfy f_{-k} = conj(f_k) at every node.
+    physical fields satisfy f_{-k} = conj(f_k) at every node.  coeffs is
+    read-only: a copy of the array given to the constructor, the array
+    from_modes, add_modes and analyze build, or for zeros a zero-stride view.
     """
 
     grid: RadialGrid
@@ -96,15 +110,29 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        self._hold(_frozen_array(self.coeffs, dtype=complex))
+
+    def _hold(self, coeffs: np.ndarray):
+        """Keep the read-only complex coeffs once K and their shape are checked."""
         if self.K < 0:
             raise ValueError("K must be nonnegative")
-        coeffs = _frozen_array(self.coeffs, dtype=complex)
         if coeffs.shape != (2 * self.K + 1, len(self.grid)):
             raise ValueError(
                 f"coeffs shape {coeffs.shape} does not match "
                 f"(2K+1, nodes) = {(2 * self.K + 1, len(self.grid))}"
             )
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _taking(cls, grid: RadialGrid, K: int, coeffs) -> "SpectralField":
+        """The field of K and complex coeffs, holding coeffs itself: callers
+        pass an array they have just built and keep no writable reference to."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "K", K)
+        coeffs.setflags(write=False)
+        field._hold(coeffs)
+        return field
 
     def coeff(self, k: int) -> np.ndarray:
         if abs(k) > self.K:
@@ -113,7 +141,10 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: RadialGrid, K: int) -> "SpectralField":
-        return cls(grid, K, np.zeros((2 * K + 1, len(grid)), dtype=complex))
+        """The zero field: a read-only zero-stride view, no memory per node."""
+        if K < 0:
+            raise ValueError("K must be nonnegative")
+        return cls._taking(grid, K, np.broadcast_to(_ZERO, (2 * K + 1, len(grid))))
 
     @classmethod
     def from_modes(cls, grid: RadialGrid, K: int, mode_profiles: dict) -> "SpectralField":
@@ -122,7 +153,7 @@ class SpectralField:
             if abs(k) > K:
                 raise ValueError(f"mode {k} outside |k| <= {K}")
             coeffs[k + K] = np.asarray(profile, dtype=complex)
-        return cls(grid, K, coeffs)
+        return cls._taking(grid, K, coeffs)
 
     def add_modes(self, mode_deltas: dict) -> "SpectralField":
         """Return a new field with per-mode increments added."""
@@ -131,7 +162,7 @@ class SpectralField:
             if abs(k) > self.K:
                 raise ValueError(f"mode {k} outside |k| <= {self.K}")
             coeffs[k + self.K] = coeffs[k + self.K] + np.asarray(delta, dtype=complex)
-        return SpectralField(self.grid, self.K, coeffs)
+        return SpectralField._taking(self.grid, self.K, coeffs)
 
 
 @dataclass(frozen=True)
@@ -203,7 +234,8 @@ def analysis_angles(K: int) -> np.ndarray:
 
 
 def _dft_coefficients(samples: np.ndarray, K: int) -> np.ndarray:
-    """Rows of discrete angular Fourier coefficients for k = -K..K.
+    """Rows of discrete angular Fourier coefficients for k = -K..K, a new
+    C-ordered array (2K+1, samples.shape[:-1]).
 
     Real samples (or complex ones with zero imaginary parts) take the
     real-input transform, so their rows k < 0 are exactly the conjugates.
@@ -215,14 +247,14 @@ def _dft_coefficients(samples: np.ndarray, K: int) -> np.ndarray:
             f"need at least {2 * K + 1} equispaced angles"
         )
     if np.iscomplexobj(samples) and np.any(samples.imag):
-        coeffs = np.fft.fft(samples, axis=-1)[..., np.arange(-K, K + 1) % n]
+        coeffs = np.moveaxis(np.fft.fft(samples, axis=-1), -1, 0)[np.arange(-K, K + 1) % n]
         coeffs /= n
-        return np.moveaxis(coeffs, -1, 0)
-    half = np.fft.rfft(samples.real, axis=-1)[..., : K + 1]
-    coeffs = np.empty(half.shape[:-1] + (2 * K + 1,), dtype=complex)
-    np.divide(half, n, out=coeffs[..., K:])
-    np.conjugate(coeffs[..., :K:-1], out=coeffs[..., :K])
-    return np.moveaxis(coeffs, -1, 0)
+        return coeffs
+    half = np.moveaxis(np.fft.rfft(samples.real, axis=-1), -1, 0)[: K + 1]
+    coeffs = np.empty((2 * K + 1,) + half.shape[1:], dtype=complex)
+    np.divide(half, n, out=coeffs[K:])
+    np.conjugate(coeffs[:K:-1], out=coeffs[:K])
+    return coeffs
 
 
 def analyze(grid: RadialGrid, samples, K: int) -> SpectralField:
@@ -235,7 +267,7 @@ def analyze(grid: RadialGrid, samples, K: int) -> SpectralField:
     samples = np.asarray(samples)
     if samples.shape[0] != len(grid):
         raise ValueError("sample rows must match radial node count")
-    return SpectralField(grid, K, _dft_coefficients(samples, K))
+    return SpectralField._taking(grid, K, _dft_coefficients(samples, K))
 
 
 def synthesize(field: SpectralField, angles) -> np.ndarray:

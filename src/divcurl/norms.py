@@ -75,6 +75,14 @@ def _volume_norm(power, s, weight=1.0) -> float:
     return float(np.sqrt(2.0 * np.pi * (power @ (trapezoid_weights(s) * s * weight))))
 
 
+def _finite(name: str, norm: float, grid) -> float:
+    """A velocity norm, or ValueError when it is not finite: its squares overflowed,
+    under np.errstate in the caller and in each half of _velocity_densities."""
+    if not np.isfinite(norm):
+        raise ValueError(f"{name} is not finite at rmax = {grid.rmax}")
+    return norm
+
+
 def l2_weighted_norm(field: SpectralField, N=0.0) -> float:
     """Volume norm of a scalar field with weight (1+|x|^2)^N; N = 0 recovers plain L2."""
     N = float(N)
@@ -107,7 +115,9 @@ def _velocity_densities(solution: VelocitySolution, gradient: bool = True) -> tu
         |i k u_r - u_phi|^2 + |i k u_phi + u_r|^2
             = (k^2 + 1)(|u_r|^2 + |u_phi|^2) + 4 k Im(u_r conj(u_phi)).
 
-    The two halves of the bands run through quadrature._together, each with its own sums.
+    The two halves of the bands run through quadrature._together, each with its
+    own sums; each half ignores overflow itself, since np.errstate holds per
+    thread, and a square that overflows gives an inf or NaN density.
     """
     s = solution.grid.nodes
     terms, (v_r, v_phi) = solution.terms, solution.rows
@@ -119,23 +129,24 @@ def _velocity_densities(solution: VelocitySolution, gradient: bool = True) -> tu
 
     def part(bands):
         sums = np.zeros((3 * gradient + 1, width))
-        for band in bands:
-            sq = np.empty((band.stop - band.start, width))
-            cr = np.empty_like(sq) if gradient else None
-            _products(v_r[band], v_phi[band], sq, cr)
-            for j in np.flatnonzero(np.any(vinf[:, band], axis=0)):  # |k| = 1 only
-                _products(v_r[band][j : j + 1] - vinf[0, band][j],
-                          v_phi[band][j : j + 1] - vinf[1, band][j],
-                          sq[j : j + 1], None if cr is None else cr[j : j + 1])
-            sums[: len(squares)] += squares[:, band] @ sq
-            if gradient:
-                sums[2] += cross[band] @ cr
-                del sq, cr
-                for v in (v_r, v_phi):
-                    d = _radial_derivative(v[band], s).view(float)
-                    d *= d
-                    sums[3] += weight[band] @ d
-                    del d
+        with np.errstate(over="ignore", invalid="ignore"):  # for the thread running this part
+            for band in bands:
+                sq = np.empty((band.stop - band.start, width))
+                cr = np.empty_like(sq) if gradient else None
+                _products(v_r[band], v_phi[band], sq, cr)
+                for j in np.flatnonzero(np.any(vinf[:, band], axis=0)):  # |k| = 1 only
+                    _products(v_r[band][j : j + 1] - vinf[0, band][j],
+                              v_phi[band][j : j + 1] - vinf[1, band][j],
+                              sq[j : j + 1], None if cr is None else cr[j : j + 1])
+                sums[: len(squares)] += squares[:, band] @ sq
+                if gradient:
+                    sums[2] += cross[band] @ cr
+                    del sq, cr
+                    for v in (v_r, v_phi):
+                        d = _radial_derivative(v[band], s).view(float)
+                        d *= d
+                        sums[3] += weight[band] @ d
+                        del d
         return sums
 
     bands = _bands(len(ks), s.size)
@@ -167,7 +178,9 @@ def h1_seminorm(solution: VelocitySolution) -> float:
     Equals the gradient energy of v - v_inf as well, since the constant far
     field has zero gradient: its frame terms are taken out with it.
     """
-    return _volume_norm(_velocity_densities(solution)[1], solution.grid.nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _volume_norm(_velocity_densities(solution)[1], solution.grid.nodes)
+    return _finite("H1 seminorm", norm, solution.grid)
 
 
 def scalar_gradient_norm(field: SpectralField) -> float:
@@ -182,11 +195,15 @@ def scalar_gradient_norm(field: SpectralField) -> float:
 
 def far_field_deviation_l2(solution: VelocitySolution) -> float:
     """||v - v_inf||_{L2} over the grid span (finite only for admissible data)."""
-    return _volume_norm(_velocity_densities(solution, False)[0], solution.grid.nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _volume_norm(_velocity_densities(solution, False)[0], solution.grid.nodes)
+    return _finite("L2 far-field deviation", norm, solution.grid)
 
 
 def far_field_deviation_h1(solution: VelocitySolution) -> float:
     """||v - v_inf||_{H1} = sqrt(L2 deviation^2 + gradient energy), from one density pass."""
     s = solution.grid.nodes
-    l2, grad = _velocity_densities(solution)
-    return float(np.hypot(_volume_norm(l2, s), _volume_norm(grad, s)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2, grad = _velocity_densities(solution)
+        norm = float(np.hypot(_volume_norm(l2, s), _volume_norm(grad, s)))
+    return _finite("H1 far-field deviation", norm, solution.grid)

@@ -225,6 +225,29 @@ def test_zero_divergence_equals_the_zero_array_path_byte_for_byte(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("case", [0, 1], ids=["complex", "real"])
+def test_a_zero_view_divergence_solves_as_a_zero_array(highmode, case):
+    # SpectralField.zeros is a zero-stride view; a materialised zero array
+    # must give the same solve, sample and norms byte for byte
+    problem, _, points = highmode[case]
+    grid, K = problem.grid, problem.K
+    view = SpectralField.zeros(grid, K)
+    array = SpectralField(grid, K, np.zeros((2 * K + 1, len(grid)), dtype=complex))
+    assert view.coeffs.strides == (0, 0) and array.coeffs.strides == (16 * M, 16)
+
+    def solved(divergence):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rho = 0 breaks admissibility
+            solution = solve_disk(replace(problem, divergence=divergence))
+        trace = solution.boundary_trace()
+        return (*solution.profiles(), trace.g_r, trace.g_phi, solution.report.residuals,
+                solution.sample(points), np.array(far_field_deviation_h1(solution)),
+                np.array(norms.l2_weighted_norm(divergence, 1.0)))
+
+    for got, want in zip(solved(view), solved(array), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_real_data_equals_the_general_path_bit_for_bit(highmode):
     problem, half, points = highmode[1]
     K = problem.K

@@ -105,6 +105,19 @@ def test_exterior_solution_samples_both_sides_of_a_zero_imaginary_part():
     assert np.allclose(below, above, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("point", [complex(np.nan, 1.0), complex(np.inf, 0.0),
+                                   complex(0.0, -np.inf)])
+def test_exterior_solution_rejects_a_point_that_is_not_finite(point):
+    # before the map: the Joukowski forward map of an infinite point warned
+    m = joukowski_map(0.5, 1.0)
+    far = FarField(1.0, 0.0)
+    ext = ExteriorProblem(m, RadialGrid.uniform(1.0, 10.0, 301), 4,
+                          boundary_fn=potential_slip_boundary_fn(m, far), far_field=far)
+    solution = solve_exterior(ext)
+    with pytest.raises(ValueError, match="sample points must be finite"):
+        solution.sample(np.array([-3.0 + 1.0j, point]))
+
+
 @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0 - 1e-6, 1.0])
 def test_joukowski_forward_agrees_with_the_two_root_form_off_its_trap(c):
     # scattered points, both signs of zero on both axes, and points 1e-300 off

@@ -371,3 +371,19 @@ def test_non_finite_data_raises_naming_the_field(name):
         bad = SpectralField(problem.grid, 4, coeffs)
     with pytest.raises(ValueError, match=name):
         solve_disk(replace(problem, **{name: bad}))
+
+
+@pytest.mark.parametrize("point", [complex(np.nan, 0.0), complex(2.0, np.nan),
+                                   complex(np.inf, 0.0), complex(-3.0, -np.inf),
+                                   complex(np.inf, np.nan)])
+def test_sample_rejects_a_point_that_is_not_finite(point):
+    # a NaN point, or one of infinite modulus, gave NaN and a RuntimeWarning
+    problem = random_admissible_problem(np.random.default_rng(2), RadialGrid.uniform(1.0, 8.0, 401),
+                                        K=4, K_c=4, with_divergence=True, boundary_modes=2)
+    solution = solve_disk(problem)
+    good = np.array([2.0 + 1.0j, -4.0 + 0.5j])
+    with pytest.raises(ValueError, match="sample points must be finite"):
+        solution.sample(np.append(good, point))
+    with pytest.raises(ValueError, match="sample points must be finite"):
+        solution.sample(point)
+    assert np.all(np.isfinite(solution.sample(good)))

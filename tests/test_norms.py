@@ -9,6 +9,7 @@ from divcurl.grids import (
     RadialGrid,
     SpectralField,
     equispaced_angles,
+    smooth_bump,
     synthesize,
 )
 from divcurl.norms import (
@@ -205,3 +206,23 @@ def test_single_term_norm_hands_the_worker_nothing(monkeypatch, two_cpus):
     s = grid.nodes
     power = sequential_power(257, s, lambda band: [field.coeffs[band]])
     assert got == norms._volume_norm(power, s, (1.0 + s * s) ** 2.0)
+
+
+@pytest.mark.parametrize("threads", [False, True], ids=["one_thread", "two_threads"])
+def test_velocity_norms_that_overflow_raise(threads, monkeypatch, two_cpus):
+    # smooth_bump data on [3.2, 7.6] in every mode |k| <= 8 at amplitude
+    # 1e300: the profiles are finite but their squares overflow, and the
+    # norms read NaN or inf with only a RuntimeWarning
+    grid = RadialGrid.uniform(1.0, 12.0, 400)
+    K = 8
+    profile = 1e300 * smooth_bump(grid.nodes, 3.2, 7.6)
+    w = SpectralField.from_modes(grid, K, {k: profile for k in range(-K, K + 1)})
+    with pytest.warns(UserWarning, match="moment conditions"):
+        solution = solve_disk(DiskProblem(w, SpectralField.zeros(grid, K), BoundaryTrace.zeros(K)))
+    assert all(np.all(np.isfinite(rows)) for rows in solution.rows)
+    if threads:  # bands of 4 rows, their halves on the worker thread and on this one
+        monkeypatch.setattr(quadrature, "_BAND_BYTES", 4 * 16 * 400)
+        monkeypatch.setattr(quadrature, "_SIDE_BY_SIDE", 0)
+    for norm in (h1_seminorm, far_field_deviation_l2, far_field_deviation_h1):
+        with pytest.raises(ValueError, match="not finite"):
+            norm(solution)
