@@ -1,7 +1,6 @@
 """The exact solution of the div-curl system in the exterior of the disk r >= r0.
 
-With m = |k|, sigma = sign(k) and the scaled kernel tables of mode k != 0
-(quadrature.ScaledIntegrals),
+With m = |k|, sigma = sign(k) and the kernel tables (ScaledIntegrals) of k != 0,
 
     a_k(r) = r^{-m-1} int_{r0}^r  s^{m+1} (w_k - i sigma rho_k) ds
     b_k(r) = r^{m-1}  int_r^inf   s^{1-m} (w_k + i sigma rho_k) ds,
@@ -16,12 +15,14 @@ with d_k = (g_phi,k - i sigma g_r,k) / 2, and mode 0 is
     v_r,0 = (int_{r0}^r s rho_0 ds + r0 g_r,0) / r,   v_phi,0 likewise with w_0, g_phi,0.
 
 The mode-k moment integral is b_k(r0).  Integrals to infinity are exact
-under the compact-support contract of RadialGrid.
+under the compact-support contract of RadialGrid.  A solve reads the
+tables of w or rho alone that a live solution holds (_kernels).
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -287,19 +288,52 @@ def _b_at_r0(outer: ScaledIntegrals, ks, rotated: bool) -> np.ndarray:
     return 1j * np.sign(ks) * start if rotated else np.array(start)
 
 
+# _kernel's tables of one integrand, keyed on the memory they were computed from
+# (_memo_key); a table's own integrand and nodes views pin that memory, so no key
+# is reused while its table lives, and the memo keeps no table alive by itself
+_TABLES = weakref.WeakValueDictionary()
+
+
+def _memo_key(nodes, w, rho, ks, suffix: bool, span: tuple):
+    """The _TABLES key of _kernel's table, or None for an integrand combined from
+    w and rho or a writable one (RadialGrid's nodes are read-only)."""
+    if w is not None and rho is not None:
+        return None
+    f = rho if w is None else w
+    if f.flags.writeable:
+        return None
+    memory = tuple((a.__array_interface__["data"][0], a.shape, a.strides) for a in (f, nodes))
+    return memory + (f.dtype.str, suffix, ks.tobytes(), span)
+
+
+def _kernels(nodes, w, rho, ks, span: tuple, sides=(False, True)) -> list:
+    """_kernel's tables of the sides (False the prefix, True the suffix), each read
+    from _TABLES when it holds one, else built and stored; a pair built anew is
+    the two halves of quadrature._together, whose worker never touches
+    _TABLES.  Threads that miss at once each build, and store the same bits.
+    """
+    keys = [_memo_key(nodes, w, rho, ks, suffix, span) for suffix in sides]
+    tables = [None if key is None else _TABLES.get(key) for key in keys]
+    build = lambda suffix: _kernel(nodes, w, rho, ks, suffix, span)
+    if len(sides) == 2 and all(table is None for table in tables):
+        tables = _together(lambda: build(False), lambda: build(True), 2 * len(ks) * len(nodes))
+    tables = [build(suffix) if table is None else table for suffix, table in zip(sides, tables)]
+    for key, table in zip(keys, tables):
+        if key is not None:
+            _TABLES[key] = table
+    return tables
+
+
 def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool,
                   span: tuple) -> ModeTerms:
     """Kernel terms with a zero trace; rho None is zero divergence, w None zero vorticity.
 
     mirrored says that w and rho are exactly mirrored, and span is the data's
-    support.  The rows follow _mode_rows and the tables _kernel; the prefix
-    and suffix table are the two halves of quadrature._together.
+    support.  The rows follow _mode_rows and the tables _kernels.
     """
     ks, vinf, w, rho = _mode_rows(far, mirrored, w, rho)
     zero, nodes = -ks[0], grid.nodes
-    inner, outer = _together(lambda: _kernel(nodes, w, rho, ks, False, span),
-                             lambda: _kernel(nodes, w, rho, ks, True, span),
-                             2 * len(ks) * len(nodes))
+    inner, outer = _kernels(nodes, w, rho, ks, span)
     zero_integrals = (None if rho is None else cumulative(nodes, nodes * rho[zero]),
                       cumulative(nodes, np.zeros(len(nodes)) if w is None else nodes * w[zero]))
     return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
@@ -320,9 +354,15 @@ def _scan(values, name) -> tuple:
 
     Row k + K holds mode k; the flag says that row K - m equals conj(row K + m)
     for every m.  A mirrored row has its mirror's moduli, so rows k < 0 are
-    read only once a band breaks the mirror.  ValueError if a value is not
-    finite.
+    read only once a band breaks the mirror.  A zero-stride array (a zero
+    field) is answered from its one value v: maxima |v|, mirrored iff
+    v == conj(v).  ValueError if a value is not finite.
     """
+    if not any(values.strides):
+        v = values[(0,) * values.ndim]
+        if not np.isfinite(v):
+            raise ValueError(f"{name} has non-finite coefficients")
+        return np.full(values.shape[1], abs(v)), bool(v == np.conj(v))
     K = len(values) // 2
     top, mirrored = np.zeros(values.shape[1]), True
     for band in _bands(K + 1, values.shape[1]):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (DiskProblem, FarField, _b_at_r0, _kernel, _mode_rows, _scan_data,
+from .disk import (DiskProblem, FarField, _b_at_r0, _kernels, _mode_rows, _scan_data,
                    _tabulated, vinf_coefficients)
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
 from .quadrature import _scaled, _support, trapezoid_weights
@@ -121,16 +121,17 @@ def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport
     """The residuals of the data from solve_disk's b_k(r0).
 
     They are read off the problem's memo (DiskProblem._keep_moments).  With
-    no memo, the solve's suffix table alone is built, on the solve's rows and
-    integrand (disk._mode_rows, disk._kernel), and its moments become the memo.
+    no memo, the solve's suffix table alone is read or built, on the solve's
+    rows and integrand (disk._mode_rows, disk._kernels), and its moments become
+    the memo.
     """
     moments = problem._moments
     if moments is None:
         w_top, rho_top, mirrored = _scan_data(problem)
         ks, _, w, rho = _mode_rows(problem.far_field, mirrored,
                                    *_tabulated(problem, w_top, rho_top))
-        outer = _kernel(problem.grid.nodes, w, rho, ks, True,
-                        _support(np.maximum(w_top, rho_top)))
+        (outer,) = _kernels(problem.grid.nodes, w, rho, ks,
+                            _support(np.maximum(w_top, rho_top)), (True,))
         moments = problem._keep_moments(_b_at_r0(outer, ks, w is None))
     return _report_from_moments(problem, moments, tolerance)
 

@@ -7,7 +7,8 @@ the radial weight vector.  The gradient energy uses the full polar
 gradient including the frame-curvature terms, so constant fields
 contribute exactly zero.  The velocity norms read the profiles a solution
 holds (_velocity_densities) and match the whole-array per-term sums to
-rounding.
+rounding.  A norm whose squares overflow or underflow is summed again on
+its data scaled by a power of two (_safely): it is finite or raises.
 """
 
 from __future__ import annotations
@@ -75,12 +76,44 @@ def _volume_norm(power, s, weight=1.0) -> float:
     return float(np.sqrt(2.0 * np.pi * (power @ (trapezoid_weights(s) * s * weight))))
 
 
-def _finite(name: str, norm: float, grid) -> float:
-    """A velocity norm, or ValueError when it is not finite: its squares overflowed,
-    under np.errstate in the caller and in each half of _velocity_densities."""
+# a norm below this may have lost bits to underflow in its squares
+_TINY = 2.0**-458
+
+
+def _safely(message: str, norm_of, largest) -> float:
+    """norm_of(1.0), or when that is not finite or below _TINY, norm_of(2^-e) * 2^e
+    with 2^e near largest(), the largest modulus of the data.
+
+    norm_of(factor) is the norm of the data times factor, which it applies band by
+    band, so the common pass keeps its bits and its cost.  A power of two is
+    exact, so the scaled pass is the unscaled one's 2^-e times, bit for bit,
+    wherever that one neither overflowed nor underflowed: the safe scaling of
+    BLAS nrm2 (Anderson, ACM TOMS 44 (2017)).  Overflow is ignored here and in
+    each half of _velocity_densities.  ValueError(message) when the norm
+    itself cannot be represented.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = norm_of(1.0)
+        if not _TINY <= norm < np.inf:
+            top = largest()
+            if top == 0.0:
+                return 0.0
+            e = int(np.clip(np.frexp(top)[1], -1022, 1023))
+            norm = float(norm_of(2.0**-e) * 2.0**e)
     if not np.isfinite(norm):
-        raise ValueError(f"{name} is not finite at rmax = {grid.rmax}")
+        raise ValueError(message)
     return norm
+
+
+def _times(values, factor):
+    """values, or a new array of values * factor unless factor is 1."""
+    return values if factor == 1.0 else values * factor
+
+
+def _largest(*arrays) -> float:
+    """max |value| over (rows, columns) arrays, band by band; NaN if a value is NaN."""
+    return float(np.max([np.max(np.abs(a[band]), initial=0.0)
+                         for a in arrays for band in _bands(len(a), a.shape[1])]))
 
 
 def l2_weighted_norm(field: SpectralField, N=0.0) -> float:
@@ -89,23 +122,33 @@ def l2_weighted_norm(field: SpectralField, N=0.0) -> float:
     if N < 0.0:
         raise ValueError("weight exponent must be nonnegative")
     s = field.grid.nodes
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = _volume_norm(_power(2 * field.K + 1, s, lambda band: field.coeffs[band]), s,
-                            (1.0 + s * s) ** N)
-    if not np.isfinite(norm):
-        raise ValueError(f"weighted L2 norm is not finite for N = {N} at rmax = {field.grid.rmax}")
-    return norm
+    with np.errstate(over="ignore"):
+        weight = (1.0 + s * s) ** N
+
+    def norm_of(factor):
+        power = _power(2 * field.K + 1, s, lambda band: _times(field.coeffs[band], factor))
+        return _volume_norm(power, s, weight)
+
+    return _safely(f"weighted L2 norm is not finite for N = {N} at rmax = {field.grid.rmax}",
+                   norm_of, lambda: _largest(field.coeffs))
 
 
 def h_half_boundary_norm(g: BoundaryTrace) -> float:
     """Trace norm sqrt(sum_k (|k|+1) (|g_phi,k|^2 + |g_r,k|^2))."""
-    ks = np.arange(-g.K, g.K + 1)
-    terms = (np.abs(ks) + 1.0) * (np.abs(g.g_phi) ** 2 + np.abs(g.g_r) ** 2)
-    return float(np.sqrt(np.sum(terms)))
+    weight = np.abs(np.arange(-g.K, g.K + 1)) + 1.0
+
+    def norm_of(factor):
+        g_phi, g_r = _times(g.g_phi, factor), _times(g.g_r, factor)
+        return float(np.sqrt(np.sum(weight * (np.abs(g_phi) ** 2 + np.abs(g_r) ** 2))))
+
+    return _safely("H^1/2 boundary norm is not finite", norm_of,
+                   lambda: _largest(np.stack((g.g_phi, g.g_r))))
 
 
-def _velocity_densities(solution: VelocitySolution, gradient: bool = True) -> tuple:
-    """(deviation, gradient) per-node densities of a solution, from one pass over its bands.
+def _velocity_densities(solution: VelocitySolution, gradient: bool = True,
+                        factor: float = 1.0) -> tuple:
+    """(deviation, gradient) per-node densities of a solution times factor, from one
+    pass over its bands.
 
     With u = v - v_inf and weight w_k = 2 for the mirrored rows k >= 1
     (disk._mode_rows), else 1, deviation = sum_k w_k |u_k|^2 and gradient
@@ -125,25 +168,26 @@ def _velocity_densities(solution: VelocitySolution, gradient: bool = True) -> tu
     weight = np.where(terms.mirrored & (ks > 0), 2.0, 1.0)
     # rows of sums: deviation, then (k^2+1)-weighted squares, cross products, radial derivatives
     squares = np.array([weight, weight * (ks * ks + 1.0)])[: 1 + gradient]
-    cross, vinf, width = 4.0 * weight * ks, terms.vinf, 2 * s.size
+    cross, vinf, width = 4.0 * weight * ks, _times(terms.vinf, factor), 2 * s.size
 
     def part(bands):
         sums = np.zeros((3 * gradient + 1, width))
         with np.errstate(over="ignore", invalid="ignore"):  # for the thread running this part
             for band in bands:
+                u_r, u_phi = _times(v_r[band], factor), _times(v_phi[band], factor)
                 sq = np.empty((band.stop - band.start, width))
                 cr = np.empty_like(sq) if gradient else None
-                _products(v_r[band], v_phi[band], sq, cr)
+                _products(u_r, u_phi, sq, cr)
                 for j in np.flatnonzero(np.any(vinf[:, band], axis=0)):  # |k| = 1 only
-                    _products(v_r[band][j : j + 1] - vinf[0, band][j],
-                              v_phi[band][j : j + 1] - vinf[1, band][j],
+                    _products(u_r[j : j + 1] - vinf[0, band][j],
+                              u_phi[j : j + 1] - vinf[1, band][j],
                               sq[j : j + 1], None if cr is None else cr[j : j + 1])
                 sums[: len(squares)] += squares[:, band] @ sq
                 if gradient:
                     sums[2] += cross[band] @ cr
                     del sq, cr
-                    for v in (v_r, v_phi):
-                        d = _radial_derivative(v[band], s).view(float)
+                    for v in (u_r, u_phi):
+                        d = _radial_derivative(v, s).view(float)
                         d *= d
                         sums[3] += weight[band] @ d
                         del d
@@ -172,15 +216,22 @@ def _products(u_r, u_phi, sq, cr):
         np.multiply(a.reshape(pairs), b.reshape(pairs)[..., ::-1], out=cr.reshape(pairs))
 
 
+def _velocity_norm(message: str, solution: VelocitySolution, norm_of) -> float:
+    """_safely of norm_of(factor), a norm of solution's profiles times factor, with
+    their largest modulus and that of the constant far field; message names the norm."""
+    return _safely(f"{message} is not finite at rmax = {solution.grid.rmax}", norm_of,
+                   lambda: _largest(*solution.rows, solution.terms.vinf))
+
+
 def h1_seminorm(solution: VelocitySolution) -> float:
     """Discrete ||grad v||_{L2}: finite differences in r, exact mode sums in angle.
 
     Equals the gradient energy of v - v_inf as well, since the constant far
     field has zero gradient: its frame terms are taken out with it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = _volume_norm(_velocity_densities(solution)[1], solution.grid.nodes)
-    return _finite("H1 seminorm", norm, solution.grid)
+    s = solution.grid.nodes
+    return _velocity_norm("H1 seminorm", solution, lambda factor: _volume_norm(
+        _velocity_densities(solution, True, factor)[1], s))
 
 
 def scalar_gradient_norm(field: SpectralField) -> float:
@@ -188,22 +239,29 @@ def scalar_gradient_norm(field: SpectralField) -> float:
     s = field.grid.nodes
     ks = np.arange(-field.K, field.K + 1)[:, None]
     f = field.coeffs
-    power = (_power(len(ks), s, lambda band: _radial_derivative(f[band], s))
-             + _power(len(ks), s, lambda band: ks[band] * f[band] / s))
-    return _volume_norm(power, s)
+
+    def norm_of(factor):
+        power = (_power(len(ks), s, lambda band: _radial_derivative(_times(f[band], factor), s))
+                 + _power(len(ks), s, lambda band: ks[band] * _times(f[band], factor) / s))
+        return _volume_norm(power, s)
+
+    return _safely(f"gradient norm is not finite at rmax = {field.grid.rmax}", norm_of,
+                   lambda: _largest(f))
 
 
 def far_field_deviation_l2(solution: VelocitySolution) -> float:
     """||v - v_inf||_{L2} over the grid span (finite only for admissible data)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = _volume_norm(_velocity_densities(solution, False)[0], solution.grid.nodes)
-    return _finite("L2 far-field deviation", norm, solution.grid)
+    s = solution.grid.nodes
+    return _velocity_norm("L2 far-field deviation", solution, lambda factor: _volume_norm(
+        _velocity_densities(solution, False, factor)[0], s))
 
 
 def far_field_deviation_h1(solution: VelocitySolution) -> float:
     """||v - v_inf||_{H1} = sqrt(L2 deviation^2 + gradient energy), from one density pass."""
     s = solution.grid.nodes
-    with np.errstate(over="ignore", invalid="ignore"):
-        l2, grad = _velocity_densities(solution)
-        norm = float(np.hypot(_volume_norm(l2, s), _volume_norm(grad, s)))
-    return _finite("H1 far-field deviation", norm, solution.grid)
+
+    def norm_of(factor):
+        l2, grad = _velocity_densities(solution, True, factor)
+        return float(np.hypot(_volume_norm(l2, s), _volume_norm(grad, s)))
+
+    return _velocity_norm("H1 far-field deviation", solution, norm_of)

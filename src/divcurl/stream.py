@@ -11,7 +11,8 @@ field for rho = 0, g_r = 0 and the slip-completion trace
 
 the tangential slip that zeroes every moment residual, so psi_k(r0) = 0.
 solve_stream builds that solution from the direct solver's kernel terms,
-and StreamFunction is a view of it.  The discarded Neumann condition
+reading the tables of a live solve of the same field (disk._kernels), and
+StreamFunction is a view of it.  The discarded Neumann condition
 d(psi)/dn = 0 holds exactly when the completion trace vanishes, that is
 when w satisfies the no-slip orthogonality relations; neumann_defect
 measures the trace otherwise.

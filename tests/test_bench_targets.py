@@ -5,11 +5,15 @@ import importlib.util
 import inspect
 import pathlib
 import threading
+import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from divcurl import disk, moments, norms, stream
+from divcurl.grids import SpectralField
 
 from test_highmode import admissible_highmode_problem
 
@@ -79,3 +83,30 @@ def test_traced_targets_run_on_the_calling_thread(two_cpus):
     # one evaluation of each mode-0 integral (rho and w) for all the points
     assert at_calls == 2
     assert {span[0] for span in tracer.spans} >= {"disk.solve", "disk.sample", "norms.h1"}
+
+
+def test_table_memo_is_used_on_the_calling_thread(monkeypatch, two_cpus):
+    # disk._TABLES is read and written only on the calling thread, never by
+    # the worker of quadrature._together, which builds the tables themselves
+    threads = []
+
+    class Recorded(weakref.WeakValueDictionary):
+        def get(self, key, default=None):
+            threads.append(("get", threading.current_thread()))
+            return super().get(key, default)
+
+        def __setitem__(self, key, value):
+            threads.append(("set", threading.current_thread()))
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(disk, "_TABLES", Recorded())
+    problem = admissible_highmode_problem(K=128, M=4000, seed=7, ratio=1.0005, real=True)
+    problem = replace(problem, divergence=SpectralField.zeros(problem.grid, problem.K))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the data are not no-slip
+        moments.moment_report(replace(problem))
+        solution = disk.solve_disk(problem)
+        flow = stream.solve_stream(problem.vorticity, problem.far_field)
+    assert flow.velocity.terms.inner is solution.terms.inner
+    assert {op for op, _ in threads} == {"get", "set"}
+    assert {thread for _, thread in threads} == {threading.main_thread()}

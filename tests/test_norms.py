@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,20 +212,66 @@ def test_single_term_norm_hands_the_worker_nothing(monkeypatch, two_cpus):
 
 
 @pytest.mark.parametrize("threads", [False, True], ids=["one_thread", "two_threads"])
-def test_velocity_norms_that_overflow_raise(threads, monkeypatch, two_cpus):
+def test_velocity_norms_that_overflow_are_finite_or_raise(threads, monkeypatch, two_cpus):
     # smooth_bump data on [3.2, 7.6] in every mode |k| <= 8 at amplitude
-    # 1e300: the profiles are finite but their squares overflow, and the
-    # norms read NaN or inf with only a RuntimeWarning
+    # 1e300: the profiles are finite and their squares overflow, but the norms
+    # themselves can be represented, and the safely scaled pass finds them
     grid = RadialGrid.uniform(1.0, 12.0, 400)
     K = 8
-    profile = 1e300 * smooth_bump(grid.nodes, 3.2, 7.6)
-    w = SpectralField.from_modes(grid, K, {k: profile for k in range(-K, K + 1)})
-    with pytest.warns(UserWarning, match="moment conditions"):
-        solution = solve_disk(DiskProblem(w, SpectralField.zeros(grid, K), BoundaryTrace.zeros(K)))
+    bump = smooth_bump(grid.nodes, 3.2, 7.6)
+
+    def solve(amplitude):
+        w = SpectralField.from_modes(grid, K, {k: amplitude * bump for k in range(-K, K + 1)})
+        with pytest.warns(UserWarning, match="moment conditions"):
+            return solve_disk(DiskProblem(w, SpectralField.zeros(grid, K),
+                                          BoundaryTrace.zeros(K)))
+
+    unit, solution = solve(1.0), solve(1e300)
     assert all(np.all(np.isfinite(rows)) for rows in solution.rows)
     if threads:  # bands of 4 rows, their halves on the worker thread and on this one
         monkeypatch.setattr(quadrature, "_BAND_BYTES", 4 * 16 * 400)
         monkeypatch.setattr(quadrature, "_SIDE_BY_SIDE", 0)
+    # profiles 2^1022 times those of unit data: the norms exceed the largest float
+    huge = replace(unit, rows=tuple(rows * 2.0**1022 for rows in unit.rows))
     for norm in (h1_seminorm, far_field_deviation_l2, far_field_deviation_h1):
+        want = 1e300 * norm(unit)
+        assert abs(norm(solution) - want) <= 1e-13 * want
         with pytest.raises(ValueError, match="not finite"):
-            norm(solution)
+            norm(huge)
+
+
+def scaled_norms(amplitude):
+    """The six norms of a mode +-2 bump of the given amplitude, uniform on [1, 8], and
+    of a trace of that amplitude in every mode."""
+    grid = RadialGrid.uniform(1.0, 8.0, 401)
+    K = 6
+    bump = amplitude * smooth_bump(grid.nodes, 2.0, 4.0)
+    w = SpectralField.from_modes(grid, K, {2: bump, -2: bump})
+    with warnings.catch_warnings():  # the moment verdict is absolute: 2^-996 data pass it
+        warnings.simplefilter("ignore", UserWarning)
+        solution = solve_disk(DiskProblem(w, SpectralField.zeros(grid, K), BoundaryTrace.zeros(K)))
+    g = BoundaryTrace(K, np.full(2 * K + 1, amplitude + 0j), np.full(2 * K + 1, -amplitude + 0j))
+    return [l2_weighted_norm(w, 2.0), scalar_gradient_norm(w), h_half_boundary_norm(g),
+            h1_seminorm(solution), far_field_deviation_l2(solution),
+            far_field_deviation_h1(solution)]
+
+
+@pytest.mark.parametrize("exponent", [996, -996])
+def test_norms_scale_exactly_by_powers_of_two(exponent):
+    # at 2^996 the squares overflow and at 2^-996 they underflow to zero; the
+    # norms are those of unit amplitude times 2^exponent, bit for bit
+    unit = scaled_norms(1.0)
+    assert all(0.0 < norm < np.inf for norm in unit)
+    assert scaled_norms(2.0**exponent) == [norm * 2.0**exponent for norm in unit]
+
+
+def test_norms_that_cannot_be_represented_raise():
+    grid = RadialGrid.uniform(1.0, 8.0, 401)
+    field = SpectralField(grid, 6, np.full((13, 401), 1.5e308 + 0j))
+    with pytest.raises(ValueError, match="weighted L2 norm is not finite for N = 0.0"):
+        l2_weighted_norm(field)
+    with pytest.raises(ValueError, match="gradient norm is not finite"):
+        scalar_gradient_norm(SpectralField.from_modes(grid, 6, {6: np.full(401, 1.5e308)}))
+    g = BoundaryTrace(6, np.full(13, 1e308 + 0j), np.zeros(13, dtype=complex))
+    with pytest.raises(ValueError, match="boundary norm is not finite"):
+        h_half_boundary_norm(g)

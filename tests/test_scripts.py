@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts at tiny sizes: they import library names."""
 
 import importlib.util
+import json
 import pathlib
 import shutil
 import subprocess
@@ -90,3 +91,40 @@ def test_warning_locations_do_not_count_as_differences(tmp_path):
     (a / "solve-x.stdout").write_text(f"/one/cli.py:3: {message}")
     (b / "solve-x.stdout").write_text(f"/two/cli.py:3: {message}")
     assert (pathlib.Path("solve-x.stdout"), "non-numeric") in differences(a, b)
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result_line(correct=True, **values):
+    metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
+    return json.dumps({"correct": correct, "attempted": 10, "failed": 0, "metrics": metrics})
+
+
+def test_bench_pairs_summary_counts_the_pairs_the_change_won():
+    bench_pairs = load_bench_pairs()
+    better = bench_pairs.directions(SCRIPTS.parent / "BENCHMARK.json")
+    assert better["latency_tail_s"] == "lower" and better["throughput_per_s"] == "higher"
+    better = {"latency_tail_s": "lower", "throughput_per_s": "higher"}
+    pairs = [(result_line(latency_tail_s=0.10, throughput_per_s=10.0),
+              result_line(latency_tail_s=0.08, throughput_per_s=10.0)),
+             (result_line(latency_tail_s=0.11, throughput_per_s=11.0),
+              result_line(latency_tail_s=0.12, throughput_per_s=12.0)),
+             (result_line(latency_tail_s=0.12, throughput_per_s=12.0),
+              result_line(latency_tail_s=0.09, throughput_per_s=13.0))]
+    lines, correct = bench_pairs.summary(pairs, better)
+    assert correct and lines[0] == "3 pairs; every run correct: yes"
+    tail, throughput = lines[2].split(), lines[3].split()
+    # medians with quartiles, the ratio of the medians, and the pairs won (a tie is no win)
+    assert tail == ["latency_tail_s", "0.11", "[0.105,", "0.115]", "0.09", "[0.085,", "0.105]",
+                    "0.818", "2/3"]
+    assert throughput[0] == "throughput_per_s" and throughput[-1] == "2/3"
+    lines, correct = bench_pairs.summary(
+        [(result_line(latency_tail_s=0.1), result_line(False, latency_tail_s=0.1)),
+         (result_line(latency_tail_s=0.1), "Traceback (most recent call last):")], better)
+    assert not correct and lines[0] == "2 pairs; every run correct: NO"
+    assert lines[2].split()[-1] == "0/1"

@@ -8,6 +8,7 @@ result here must equal, byte for byte, the same pass with the span forced
 to the whole grid (disk._support patched to return every column).
 """
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -205,3 +206,27 @@ def test_support_is_read_off_the_data_scan():
     top, mirrored = disk._scan(coeffs, "vorticity")
     assert not mirrored and _support(top) == (7, 31)
     assert _support(np.zeros(41)) == (0, 0)
+
+
+def test_zero_stride_scan_reads_one_value():
+    # a zero field is a zero-stride view: its scan is answered from its one
+    # value, with the dense array's maxima and mirror flag, and no pass
+    grid = RadialGrid.geometric(1.0, 12.0, 4000, ratio=1.0005)
+    view = SpectralField.zeros(grid, 128).coeffs
+    dense = np.zeros(view.shape, dtype=complex)
+    tracemalloc.start()
+    try:
+        top, mirrored = disk._scan(view, "vorticity")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want_top, want_mirrored = disk._scan(dense, "vorticity")
+    assert peak < 64 * 1024
+    assert np.array_equal(top, want_top) and top.dtype == want_top.dtype
+    assert mirrored is want_mirrored is True
+    for value in (3.0 - 0.0j, 1.0 + 2.0j):
+        got = disk._scan(np.broadcast_to(value, (9, 41)), "vorticity")
+        want = disk._scan(np.full((9, 41), value), "vorticity")
+        assert np.array_equal(got[0], want[0]) and got[1] is want[1]
+    with pytest.raises(ValueError, match="vorticity has non-finite coefficients"):
+        disk._scan(np.broadcast_to(complex(np.nan, 0.0), (9, 41)), "vorticity")
