@@ -11,8 +11,12 @@ seed to seed, so a drift of the host favours neither.  The last stdout line
 of a run is its result, one JSON object.  For each end-to-end metric the
 summary prints the median and quartiles of each tree, the ratio of the
 medians, and in how many pairs the change was better, by the direction
-BENCHMARK.json gives the metric (a tie is not a win).  The exit code is 1
-when a run is not correct or gives no result.
+BENCHMARK.json gives the metric (a tie is not a win).  The last column reads
+the change's median against the metric's relative bound: "worse" when it is
+worse than the parent's median by more than the bound, else "within", and
+"unresolved" when the parent's quartile spread exceeds the bound relative to
+its median, unless every change run beats every parent run.  The exit code
+is 1 when a run is not correct or gives no result.
 """
 
 import argparse
@@ -29,6 +33,12 @@ def directions(benchmark) -> dict:
     """{metric: "lower" or "higher"} of the end-to-end metrics of a BENCHMARK.json."""
     spec = json.loads(pathlib.Path(benchmark).read_text())
     return {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+
+
+def bounds(benchmark) -> dict:
+    """{metric: relative bound} of the end-to-end metrics of a BENCHMARK.json."""
+    spec = json.loads(pathlib.Path(benchmark).read_text())
+    return {entry["name"]: entry["bound"] for entry in spec["end_to_end"]}
 
 
 def parse(line: str) -> dict:
@@ -48,13 +58,27 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
-def summary(pairs, better: dict) -> tuple:
-    """(report lines, every run correct) of pairs (parent line, change line) of result lines."""
+def verdict(parent, change, direction: str, bound: float) -> str:
+    """"within", "worse" or "unresolved": the change's median against the parent's
+    runs, by the metric's direction and relative bound (see the module docstring)."""
+    sign = 1.0 if direction == "lower" else -1.0
+    (p1, p2, p3), c2 = quartiles(parent), quartiles(change)[1]
+    beats_all = all(sign * (c - p) < 0 for c in change for p in parent)
+    if p3 - p1 > bound * abs(p2) and not beats_all:
+        return "unresolved"
+    return "worse" if sign * (c2 - p2) > bound * abs(p2) else "within"
+
+
+def summary(pairs, better: dict, bound: dict = None) -> tuple:
+    """(report lines, every run correct) of pairs (parent line, change line) of result lines;
+    with bound, {metric: relative bound}, each metric's verdict is the last column."""
     results = [(parse(a), parse(b)) for a, b in pairs]
     correct = all(r.get("correct") is True for pair in results for r in pair)
     lines = [f"{len(results)} pairs; every run correct: {'yes' if correct else 'NO'}",
              f"{'metric':18s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
              f" {'change/parent':>13s} {'change won':>10s}"]
+    if bound:
+        lines[1] += f" {'bound':>10s}"
     for name, direction in better.items():
         values = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
                   for a, b in results
@@ -68,6 +92,8 @@ def summary(pairs, better: dict) -> tuple:
         lines.append(f"{name:18s} {f'{p2:.4g} [{p1:.4g}, {p3:.4g}]':>30s}"
                      f" {f'{c2:.4g} [{c1:.4g}, {c3:.4g}]':>30s} {ratio:>13s}"
                      f" {f'{won}/{len(values)}':>10s}")
+        if bound:
+            lines[-1] += f" {verdict(parent, change, direction, bound[name]):>10s}"
     return lines, correct
 
 
@@ -90,7 +116,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"),
-                        help="BENCHMARK.json giving each metric's direction")
+                        help="BENCHMARK.json giving each metric's direction and bound")
     args = parser.parse_args(argv)
     better = directions(args.benchmark)
     pairs = []
@@ -104,7 +130,7 @@ def main(argv=None) -> int:
                                                 for name in better if name in values[tree])
                           for tree in order)
         print(f"seed {seed} ({order[0]} first): {shown}", flush=True)
-    lines, correct = summary(pairs, better)
+    lines, correct = summary(pairs, better, bounds(args.benchmark))
     print("\n".join(lines))
     return 0 if correct else 1
 

@@ -25,7 +25,8 @@ from dataclasses import replace
 import numpy as np
 
 from .biot_savart import biot_savart_disk
-from .conformal import ExteriorSolution, identity_map, joukowski_map, _weighted_sampler
+from .conformal import (ExteriorProblem, ExteriorSolution, identity_map, joukowski_map,
+                        pullback_problem)
 from .disk import DiskProblem, FarField, solve_disk
 from .fieldio import fmt, interpolate_to_polar, load_gridded_samples, write_field_dump
 from .grids import (BoundaryTrace, RadialGrid, SpectralField, analysis_angles, analyze,
@@ -68,9 +69,11 @@ def _read_config(path, overrides):
         raise ConfigError(f"config file not found: {path}")
     cfg = configparser.ConfigParser()
     try:
-        cfg.read(path)
+        read = cfg.read(path)  # skips a path it cannot open
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    if not read:
+        raise IOError(f"cannot read config {path}")
     for key, value in overrides.items():
         if value is not None:
             section, name = key.split(".")
@@ -250,11 +253,11 @@ def _build_scalar_data(cfg, section, grid, K, m, notes):
             return amp * np.exp(-np.abs(p - center) ** 2 / (2.0 * sigma**2)) \
                 * _radial_window(np.abs(p), lo, hi, taper)
 
-        fn = _weighted_sampler(m, physical)
         if mapped:
             notes.append(f"{section}: gaussian_patch interpreted in physical coordinates "
                          "and pulled back with the map Jacobian")
-        return analyze(grid, fn(grid.nodes[:, None], analysis_angles(K)[None, :]), K), fn
+        pulled = pullback_problem(ExteriorProblem(m, grid, K, **{f"{section}_fn": physical}))
+        return getattr(pulled, section), getattr(pulled, f"{section}_fn")
     if preset == "file":
         if mapped:
             raise ConfigError(f"[{section}] file ingestion is only supported on disk domains")

@@ -14,9 +14,9 @@ with d_k = (g_phi,k - i sigma g_r,k) / 2, and mode 0 is
 
     v_r,0 = (int_{r0}^r s rho_0 ds + r0 g_r,0) / r,   v_phi,0 likewise with w_0, g_phi,0.
 
-The mode-k moment integral is b_k(r0).  Integrals to infinity are exact
-under the compact-support contract of RadialGrid.  A solve reads the
-tables of w or rho alone that a live solution holds (_kernels).
+The mode-k moment integral is b_k(r0), and integrals to infinity are exact under
+RadialGrid's compact-support contract.  One front end, _mode_rows, takes every
+entry's data to its kernel rows; _kernels shares the tables a live solution holds.
 """
 
 from __future__ import annotations
@@ -242,25 +242,6 @@ class ModeTerms:
         return (a - b if self.rotated else 1j * (a - b)) + ud * ud * d
 
 
-def _mode_rows(far: FarField, mirrored: bool, w, rho) -> tuple:
-    """(ks, vinf, w, rho) on the modes the kernel terms hold.
-
-    Real data are mirrored: the modes of w, rho, g and v_inf satisfy
-    f_{-k} = conj(f_k) exactly (_scan).  They are solved and held on the rows
-    k = 0..K alone, the real-input half spectrum (Press et al., Numerical
-    Recipes, 3rd ed., section 12.3), and mode -m is read off the conjugated
-    row +m (quadrature._unfold).  The kernel weights are real, so conjugation
-    commutes with every step and the result is the full pass's bit for bit.
-    Other data take the rows -K..K.  mirrored is the data's flag; w and rho
-    (None for a zero field) come back as views of the rows ks.
-    """
-    K = (len(rho if w is None else w) - 1) // 2
-    vinf = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
-    ks = np.arange(0 if mirrored and _scan(vinf.T, "far field")[1] else -K, K + 1)
-    rows = slice(K + ks[0], None)
-    return (ks, vinf[:, rows], *(None if f is None else f[rows] for f in (w, rho)))
-
-
 def _kernel(nodes, w, rho, ks, suffix: bool, span: tuple) -> ScaledIntegrals:
     """The suffix table b (power |k| - 1, integrand w + i sigma rho) of the modes ks,
     or with suffix False the prefix table a (power |k| + 1, w - i sigma rho).
@@ -324,29 +305,19 @@ def _kernels(nodes, w, rho, ks, span: tuple, sides=(False, True)) -> list:
     return tables
 
 
-def _direct_terms(grid: RadialGrid, w, rho, far: FarField, mirrored: bool,
-                  span: tuple) -> ModeTerms:
-    """Kernel terms with a zero trace; rho None is zero divergence, w None zero vorticity.
+def _direct_terms(problem: DiskProblem) -> tuple:
+    """(kernel terms of the problem's data with a zero trace, the data's column maxima).
 
-    mirrored says that w and rho are exactly mirrored, and span is the data's
-    support.  The rows follow _mode_rows and the tables _kernels.
+    The rows, the data on them and the support follow _mode_rows, and the
+    tables _kernels; rho None is zero divergence, w None zero vorticity.
     """
-    ks, vinf, w, rho = _mode_rows(far, mirrored, w, rho)
-    zero, nodes = -ks[0], grid.nodes
+    ks, vinf, w, rho, top = _mode_rows(problem)
+    zero, nodes, span = -ks[0], problem.grid.nodes, _support(top)
     inner, outer = _kernels(nodes, w, rho, ks, span)
     zero_integrals = (None if rho is None else cumulative(nodes, nodes * rho[zero]),
                       cumulative(nodes, np.zeros(len(nodes)) if w is None else nodes * w[zero]))
-    return ModeTerms(ks, grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex), vinf,
-                     span, zero_integrals, w is None)
-
-
-def _tabulated(problem, w_top, rho_top) -> tuple:
-    """(w, rho) coefficients as the kernel tables take them, from the column
-    maxima of the data scan: None for zero divergence, and for zero vorticity
-    unless the divergence is zero too."""
-    w, rho = problem.vorticity.coeffs, problem.divergence.coeffs
-    return (w if np.max(w_top) or not np.max(rho_top) else None,
-            rho if np.max(rho_top) else None)
+    return ModeTerms(ks, problem.grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex),
+                     vinf, span, zero_integrals, w is None), top
 
 
 def _scan(values, name) -> tuple:
@@ -440,18 +411,34 @@ class DiskProblem:
         return moments
 
 
-def _scan_data(problem: DiskProblem) -> tuple:
-    """(column maxima of w, of rho, exact-mirror flag of w, rho and g together).
+def _mode_rows(problem: DiskProblem) -> tuple:
+    """(ks, vinf, w, rho, top): the modes the kernel terms hold, v_inf and the data
+    on them, and the column maxima of w and rho together.
 
-    The two field scans are the halves of quadrature._together; ValueError
-    names a field with a value that is not finite.
+    The front end of solve_disk, stream.solve_stream (its no-slip problem) and
+    a cold moments.moment_report.  w, rho and g are each scanned in full, in
+    that order, on the calling thread (_scan).  Real data
+    are mirrored: the modes of w, rho, g and v_inf satisfy f_{-k} = conj(f_k)
+    exactly.  They are solved and held on the rows k = 0..K alone, the
+    real-input half spectrum (Press et al., Numerical Recipes, 3rd ed., section
+    12.3), and mode -m is read off the conjugated row +m (quadrature._unfold).
+    The kernel weights are real, so conjugation commutes with every step and
+    the result is the full pass's bit for bit.  Other data take the rows -K..K.
+    w and rho are views of the rows ks: rho None for zero divergence, w None
+    for zero vorticity unless the divergence is zero too.
     """
-    w, rho, g = problem.vorticity, problem.divergence, problem.boundary
-    (w_top, w_mirrored), (rho_top, rho_mirrored) = _together(
-        lambda: _scan(w.coeffs, "vorticity"), lambda: _scan(rho.coeffs, "divergence"),
-        w.coeffs.size + rho.coeffs.size)
+    w, rho, g = problem.vorticity.coeffs, problem.divergence.coeffs, problem.boundary
+    w_top, w_mirrored = _scan(w, "vorticity")
+    rho_top, rho_mirrored = _scan(rho, "divergence")
     g_mirrored = _scan(np.stack((g.g_r, g.g_phi), axis=1), "boundary trace")[1]
-    return w_top, rho_top, w_mirrored and rho_mirrored and g_mirrored
+    K = problem.K
+    vinf = np.array([vinf_coefficients(problem.far_field, k) for k in range(-K, K + 1)],
+                    dtype=complex).T
+    mirrored = w_mirrored and rho_mirrored and g_mirrored and _scan(vinf.T, "far field")[1]
+    ks = np.arange(0 if mirrored else -K, K + 1)
+    rows = slice(K + ks[0], None)
+    return (ks, vinf[:, rows], w[rows] if np.max(w_top) or not np.max(rho_top) else None,
+            rho[rows] if np.max(rho_top) else None, np.maximum(w_top, rho_top))
 
 
 @dataclass(frozen=True)
@@ -551,19 +538,14 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
     """
     from .moments import _report_from_moments
 
-    grid, g, far = problem.grid, problem.boundary, problem.far_field
-    w_top, rho_top, mirrored = _scan_data(problem)
-    top = np.maximum(w_top, rho_top)
+    terms, top = _direct_terms(problem)
     if top[-1] > 1e-12 * max(float(np.max(top)), 1e-300):
         warnings.warn(
             "data is nonzero at the truncation radius rmax; integrals to infinity "
             "are truncated there (compact-support contract violated)",
             stacklevel=2,
         )
-
-    terms = _direct_terms(grid, *_tabulated(problem, w_top, rho_top), far, mirrored,
-                          _support(top))
-    terms = _with_trace(terms, g.g_r, g.g_phi)
+    terms = _with_trace(terms, problem.boundary.g_r, problem.boundary.g_phi)
     rows = terms.at_nodes()
     moments = problem._keep_moments(_b_at_r0(terms.outer, terms.ks, terms.rotated))
     report = _report_from_moments(problem, moments, warn_tolerance)
@@ -584,4 +566,4 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
             "infinite-energy tail (Q e_r + Gamma e_phi)/(2 pi r)",
             stacklevel=2,
         )
-    return VelocitySolution(terms, rows, far, grid, report)
+    return VelocitySolution(terms, rows, problem.far_field, problem.grid, report)

@@ -52,6 +52,8 @@ class RadialGrid:
         nodes = _frozen_array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 9:
             raise ValueError("need at least 9 radial nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("radial nodes must be finite")
         if nodes[0] <= 0.0:
             raise ValueError("inner radius must be positive")
         if np.any(np.diff(nodes) <= 0.0):

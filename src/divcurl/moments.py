@@ -15,7 +15,7 @@ residuals are kept apart: for complex data circulation + i flux could
 cancel.  For mirrored data (disk._mode_rows) the mode -m residual is the
 conjugate of the mode m one, so the modes k = 1..K decide; otherwise the
 modes -1..-K are checked as well.  The moment integral is the disk
-solver's b_k(r0) (moment_report).
+solver's b_k(r0), from its front end and suffix table (moment_report).
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (DiskProblem, FarField, _b_at_r0, _kernels, _mode_rows, _scan_data,
-                   _tabulated, vinf_coefficients)
+from .disk import DiskProblem, FarField, _b_at_r0, _kernels, _mode_rows, vinf_coefficients
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
 from .quadrature import _scaled, _support, trapezoid_weights
 
@@ -127,11 +126,8 @@ def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport
     """
     moments = problem._moments
     if moments is None:
-        w_top, rho_top, mirrored = _scan_data(problem)
-        ks, _, w, rho = _mode_rows(problem.far_field, mirrored,
-                                   *_tabulated(problem, w_top, rho_top))
-        (outer,) = _kernels(problem.grid.nodes, w, rho, ks,
-                            _support(np.maximum(w_top, rho_top)), (True,))
+        ks, _, w, rho, top = _mode_rows(problem)
+        (outer,) = _kernels(problem.grid.nodes, w, rho, ks, _support(top), (True,))
         moments = problem._keep_moments(_b_at_r0(outer, ks, w is None))
     return _report_from_moments(problem, moments, tolerance)
 

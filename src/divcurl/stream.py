@@ -10,12 +10,12 @@ field for rho = 0, g_r = 0 and the slip-completion trace
     g_phi,k = 2 v_phi,k^inf - b_k(r0)  (k != 0),   g_phi,0 = 0,
 
 the tangential slip that zeroes every moment residual, so psi_k(r0) = 0.
-solve_stream builds that solution from the direct solver's kernel terms,
-reading the tables of a live solve of the same field (disk._kernels), and
-StreamFunction is a view of it.  The discarded Neumann condition
-d(psi)/dn = 0 holds exactly when the completion trace vanishes, that is
-when w satisfies the no-slip orthogonality relations; neumann_defect
-measures the trace otherwise.
+solve_stream solves its no-slip DiskProblem (w, rho = 0, g = 0, v) through the
+direct solver's front end (disk._direct_terms), which reads the tables of a
+live solve of the same field, and adds that trace; StreamFunction is a view of
+the result.  The discarded Neumann condition d(psi)/dn = 0 holds exactly when
+the completion trace vanishes, that is when w satisfies the no-slip
+orthogonality relations; neumann_defect measures the trace otherwise.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .disk import FarField, VelocitySolution, _b_at_r0, _direct_terms, _scan, _with_trace
-from .grids import SpectralField
-from .quadrature import _bands, _support, _unfold, cumulative
+from .disk import DiskProblem, FarField, VelocitySolution, _b_at_r0, _direct_terms, _with_trace
+from .grids import BoundaryTrace, SpectralField
+from .quadrature import _bands, _unfold, cumulative
 
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
@@ -72,8 +72,8 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     Neumann defect (residual boundary slip) is reported in a warning.
     """
     grid = w.grid
-    top, mirrored = _scan(w.coeffs, "vorticity")  # raises on non-finite data
-    terms = _direct_terms(grid, w.coeffs, None, v, mirrored, _support(top))
+    problem = DiskProblem(w, SpectralField.zeros(grid, w.K), BoundaryTrace.zeros(w.K), v)
+    terms, _ = _direct_terms(problem)  # the rmax warning is solve_disk's alone
     zero = terms.zero_row
     slip = 2.0 * terms.vinf[1] - _b_at_r0(terms.outer, terms.ks, terms.rotated)
     slip[zero] = 0.0

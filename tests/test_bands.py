@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from divcurl import disk, norms, quadrature, stream
+from divcurl import disk, norms, quadrature
 from divcurl.disk import solve_disk
 from divcurl.moments import _report_from_moments, moment_report
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
@@ -185,7 +185,8 @@ def test_non_finite_data_in_a_negative_mode_only_raises(name, value):
 
 
 def test_non_finite_vorticity_and_divergence_name_the_vorticity(two_cpus):
-    # the two scans run side by side; the vorticity's error is the one raised
+    # the scans run in order, vorticity first, at a size whose passes run side by
+    # side; the vorticity's error is the one raised
     K = 40
     problem = admissible_highmode_problem(K=K, M=M, seed=9, ratio=1.0005, real=True)
     assert 2 * (2 * K + 1) * M >= quadrature._SIDE_BY_SIDE
@@ -196,6 +197,38 @@ def test_non_finite_vorticity_and_divergence_name_the_vorticity(two_cpus):
         bad[name] = SpectralField(problem.grid, K, coeffs)
     with pytest.raises(ValueError, match="vorticity"):
         solve_disk(replace(problem, **bad))
+
+
+def test_complex_data_with_a_non_finite_trace_name_the_trace():
+    # the trace is scanned whatever the mirror flags of w and rho say
+    K = 12
+    problem = admissible_highmode_problem(K=K, M=400, seed=9)
+    g_phi = np.array(problem.boundary.g_phi)
+    g_phi[K + 3] = np.nan
+    bad = replace(problem, boundary=BoundaryTrace(K, problem.boundary.g_r, g_phi))
+    with pytest.raises(ValueError, match="boundary trace has non-finite coefficients"):
+        solve_disk(bad)
+    with pytest.raises(ValueError, match="boundary trace has non-finite coefficients"):
+        moment_report(replace(bad))  # no solve before it
+
+
+def test_one_scan_steers_every_entry_to_the_full_rows(monkeypatch):
+    # solve_disk, solve_stream and a cold moment_report share the data scan:
+    # one patch reporting the real vorticity as not mirrored sends all three to -K..K
+    K = 12
+    problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
+    scan = disk._scan
+    monkeypatch.setattr(disk, "_scan", lambda values, name: (
+        scan(values, name)[0], scan(values, name)[1] and name != "vorticity"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the data is not no-slip
+        psi = solve_stream(problem.vorticity, problem.far_field)
+    solution = solve_disk(replace(problem))
+    report = moment_report(replace(problem))
+    full = np.arange(-K, K + 1)
+    assert np.array_equal(solution.terms.ks, full) and np.array_equal(psi.velocity.terms.ks, full)
+    assert len(psi.psi) == len(solution.rows[0]) == 2 * K + 1
+    assert len(report.negative) == K + 1
 
 
 def test_zero_divergence_equals_the_zero_array_path_byte_for_byte(monkeypatch):
@@ -255,8 +288,7 @@ def test_real_data_equals_the_general_path_bit_for_bit(highmode):
         half_stream = solve_stream(problem.vorticity, problem.far_field)
     scan = disk._scan
     with pytest.MonkeyPatch.context() as patch:  # the mirror test fails: the general path
-        for module in (disk, stream):
-            patch.setattr(module, "_scan", lambda values, name: (scan(values, name)[0], False))
+        patch.setattr(disk, "_scan", lambda values, name: (scan(values, name)[0], False))
         full = solve_disk(problem)
         with pytest.warns(UserWarning, match="no-slip"):
             full_stream = solve_stream(problem.vorticity, problem.far_field)
@@ -286,13 +318,16 @@ def test_real_data_equals_the_general_path_bit_for_bit(highmode):
 def unrotated(problem):
     """(solution, report) of pure-divergence data through the integrands w -+ i sigma rho.
 
-    The reference hands disk._direct_terms the zero w array, as for data
-    with any nonzero w, so its tables are those of w -+ i sigma rho.
+    The data scan reports the zero w with rho's column maxima, as for data
+    with any nonzero w on rho's support, so the reference's tables are those
+    of w -+ i sigma rho.
     """
-    w_top, rho_top, mirrored = disk._scan_data(problem)
-    terms = disk._direct_terms(problem.grid, problem.vorticity.coeffs,
-                               problem.divergence.coeffs, problem.far_field, mirrored,
-                               _support(np.maximum(w_top, rho_top)))
+    scan = disk._scan
+    rho_top = scan(problem.divergence.coeffs, "divergence")[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(disk, "_scan", lambda values, name: (
+            rho_top if name == "vorticity" else scan(values, name)[0], scan(values, name)[1]))
+        terms, _ = disk._direct_terms(problem)
     terms = disk._with_trace(terms, problem.boundary.g_r, problem.boundary.g_phi)
     report = _report_from_moments(problem, np.array(terms.outer.table[:, 0]), 1e-8)
     return disk.VelocitySolution(terms, terms.at_nodes(), problem.far_field, problem.grid), report

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from divcurl.cli import EXIT_CONFIG, main
+from divcurl.cli import EXIT_CONFIG, EXIT_IO, main
 
 HEADERS = pathlib.Path(__file__).with_name("cli_headers.json")
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -204,4 +204,15 @@ def test_steep_geometric_grid_fails_before_any_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: panel ratio 2.0 overflows" in err
     assert "([grid] nodes = 2000, ratio = 2.0)" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_a_config_that_cannot_be_read_is_an_io_error(tmp_path, capsys):
+    # configparser skips a path it cannot open: a directory must not be read
+    # as the all-default problem
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(folder), "--out", str(out)]) == EXIT_IO
+    assert f"i/o error: cannot read config {folder}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

@@ -31,6 +31,19 @@ def test_grid_validation():
         RadialGrid.geometric(1.0, 12.0, 2000, ratio=2.0)  # ratio**(count - 1) overflows
 
 
+def test_grid_rejects_non_finite_nodes():
+    # every comparison with NaN is False, so the order checks alone pass these
+    nodes = np.linspace(1.0, 8.0, 40)
+    cases = [lambda: RadialGrid(np.append(nodes, np.inf)),
+             lambda: RadialGrid(np.append(nodes, np.nan)),
+             lambda: RadialGrid(np.insert(nodes, 0, np.nan)),
+             lambda: RadialGrid.uniform(1.0, np.nan, 20),
+             lambda: RadialGrid.geometric(1.0, np.nan, 20)]
+    for build in cases:
+        with pytest.raises(ValueError, match="radial nodes must be finite"):
+            build()
+
+
 def test_grid_properties():
     g = RadialGrid.uniform(0.5, 4.0, 12)
     assert g.r0 == 0.5 and g.rmax == 4.0 and len(g) == 12

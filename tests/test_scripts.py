@@ -128,3 +128,28 @@ def test_bench_pairs_summary_counts_the_pairs_the_change_won():
          (result_line(latency_tail_s=0.1), "Traceback (most recent call last):")], better)
     assert not correct and lines[0] == "2 pairs; every run correct: NO"
     assert lines[2].split()[-1] == "0/1"
+
+
+def test_bench_pairs_reads_each_metric_against_its_bound():
+    bench_pairs = load_bench_pairs()
+    bound = bench_pairs.bounds(SCRIPTS.parent / "BENCHMARK.json")
+    assert bound["latency_p50_s"] == 0.25 and bound["peak_rss_mb"] == 0.1
+    better = {"latency_p50_s": "lower", "throughput_per_s": "higher", "peak_rss_mb": "lower",
+              "setup_s": "lower"}
+    bound = {"latency_p50_s": 0.25, "throughput_per_s": 0.25, "peak_rss_mb": 0.1,
+             "setup_s": 0.25}
+    parent = {"latency_p50_s": [1.00, 1.02, 0.98, 1.01],  # tight; the change 10 % slower
+              "throughput_per_s": [10.0, 10.2, 9.8, 10.1],  # tight; the change 30 % lower
+              "peak_rss_mb": [300.0, 360.0, 340.0, 310.0],  # spread 12 % of the median
+              "setup_s": [1.0, 2.0, 1.5, 3.0]}  # wide, but every change run is faster
+    change = {"latency_p50_s": [1.10, 1.12, 1.08, 1.11],
+              "throughput_per_s": [7.0, 7.1, 6.9, 7.2],
+              "peak_rss_mb": [330.0, 335.0, 332.0, 331.0],
+              "setup_s": [0.5, 0.6, 0.4, 0.55]}
+    pairs = [(result_line(**{name: values[i] for name, values in parent.items()}),
+              result_line(**{name: values[i] for name, values in change.items()}))
+             for i in range(4)]
+    lines, correct = bench_pairs.summary(pairs, better, bound)
+    assert correct and lines[1].split()[-1] == "bound"
+    assert [line.split()[-1] for line in lines[2:]] == ["within", "worse", "unresolved",
+                                                         "within"]

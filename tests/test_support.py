@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from divcurl import disk, quadrature, stream
+from divcurl import disk, quadrature
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
 from divcurl.presets import random_admissible_problem
@@ -190,7 +190,7 @@ def test_stream_path_matches_the_whole_grid(complex_problem):
         warnings.simplefilter("ignore", UserWarning)
         skipped = solve_stream(problem.vorticity, problem.far_field)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stream, "_support", whole_grid)
+            patch.setattr(disk, "_support", whole_grid)
             whole = solve_stream(problem.vorticity, problem.far_field)
     assert skipped.velocity.terms.span == (60, 240)
     points = edge_points(problem.grid.nodes, 60, 240, 2000)
