@@ -50,6 +50,13 @@ def _check_exterior(z, r0: float):
     return z
 
 
+def _check_counts(**counts):
+    """Refuse a lattice count below 1: an empty lattice sums to nothing."""
+    for name, count in counts.items():
+        if not count >= 1:
+            raise ValueError(f"oracle lattice count {name} must be at least 1, got {count}")
+
+
 def _volume_cells(grid, support, n_radial: int, n_angular: int):
     """The (radius x angle) midpoint cell lattice over support, kept separable:
     a radius column, an angle row and the cell areas (a column)."""
@@ -173,6 +180,7 @@ def biot_savart_disk(x, problem: DiskProblem, n_radial: int = 600, n_angular: in
 
     support restricts the volume sum to the annulus carrying data; a cell at x is left out.
     """
+    _check_counts(n_radial=n_radial, n_angular=n_angular, n_boundary=n_boundary)
     points = np.asarray(x, dtype=complex)
     _check_exterior(points, problem.grid.r0)
 
@@ -220,6 +228,7 @@ def biot_savart_omega(p, problem: ExteriorProblem, n_radial: int = 600, n_angula
     covariant trace, and the whole field (far-field term included) is pushed
     forward through conj(Phi'(p)).  support is a disk-plane radial interval.
     """
+    _check_counts(n_radial=n_radial, n_angular=n_angular, n_boundary=n_boundary)
     points = np.asarray(p, dtype=complex)
     m = problem.map
     z = np.asarray(m.forward(points), dtype=complex)

@@ -151,9 +151,12 @@ def _settings(cfg):
         if not np.isfinite(np.power(1.0 + rmax * rmax, weight)):
             raise ConfigError(f"[norms] weight {weight:g} overflows (1 + rmax^2)^weight "
                               f"at rmax = {rmax:g}")
+    tolerance = _float(cfg, "solve", "tolerance")
+    if tolerance < 0.0:
+        raise ConfigError("[solve] tolerance must not be negative")
     return {
         "solver": solver,
-        "tolerance": _float(cfg, "solve", "tolerance"),
+        "tolerance": tolerance,
         "strict": _bool(cfg, "solve", "strict"),
         "field": field,
         "polar": (_count(cfg, "output", "nr"), _count(cfg, "output", "nphi"), rout),

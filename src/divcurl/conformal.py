@@ -61,8 +61,8 @@ class ConformalMap:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.r0 <= 0.0:
-            raise ValueError("image disk radius must be positive")
+        if not 0.0 < self.r0 < np.inf:
+            raise ValueError("image disk radius must be positive and finite")
 
     def pushforward(self, z, v_hat):
         """Omega velocity conj(Phi') * v_hat at Phi^-1(z), from disk-plane velocities at z."""
@@ -100,7 +100,7 @@ def joukowski_map(c: float, r0: float) -> ConformalMap:
     interior branch (W. Kahan, "Branch Cuts for Complex Elementary
     Functions, or Much Ado About Nothing's Sign Bit", 1987).
     """
-    if c < 0.0 or c > r0:
+    if not 0.0 <= c <= r0:
         raise ValueError("joukowski parameter must satisfy 0 <= c <= r0")
     if c == 0.0:
         return identity_map(r0)
@@ -141,7 +141,8 @@ def verify_map(m: ConformalMap) -> dict:
 
     |Phi^-1(z) - z| must decay like C/|z| and |(Phi^-1)'(z) - 1| like C/|z|^2;
     the constants are calibrated on the innermost test circle and rechecked
-    (with slack) on the others.  Raises MapVerificationError on failure.
+    (with slack) on the others.  Raises MapVerificationError on failure, a
+    constant or round trip that is not finite included.
     """
     radii = [r * m.r0 for r in (2.0, 4.0, 8.0, 32.0)]
     ray = np.exp(1j * equispaced_angles(64))
@@ -153,14 +154,14 @@ def verify_map(m: ConformalMap) -> dict:
         deriv = np.max(np.abs(m.d_inverse(z) - 1.0)) * radius**2
         if i == 0:
             c_shift, c_deriv = shift, deriv
-        else:
-            if shift > 2.0 * c_shift + 1e-9 or deriv > 2.0 * c_deriv + 1e-9:
-                raise MapVerificationError(
-                    f"far-field asymptotics violated at |z| = {radius}: "
-                    f"|Phi^-1(z)-z|*|z| = {shift:.3e}, |(Phi^-1)'-1|*|z|^2 = {deriv:.3e}"
-                )
+        if not (shift <= 2.0 * c_shift + 1e-9 and deriv <= 2.0 * c_deriv + 1e-9
+                and np.isfinite(c_shift) and np.isfinite(c_deriv)):
+            raise MapVerificationError(
+                f"far-field asymptotics violated at |z| = {radius}: "
+                f"|Phi^-1(z)-z|*|z| = {shift:.3e}, |(Phi^-1)'-1|*|z|^2 = {deriv:.3e}"
+            )
         trip = np.max(np.abs(m.forward(m.inverse(z)) - z)) / radius
-        if trip > 1e-10:
+        if not trip <= 1e-10:
             raise MapVerificationError(
                 f"round trip Phi(Phi^-1(z)) != z at |z| = {radius}: rel err {trip:.3e}"
             )
@@ -187,7 +188,7 @@ class ExteriorProblem:
     far_field: FarField = FarField()
 
     def __post_init__(self):
-        if abs(self.grid.r0 - self.map.r0) > 1e-12 * self.map.r0:
+        if not abs(self.grid.r0 - self.map.r0) <= 1e-12 * self.map.r0:
             raise ValueError("grid inner radius must equal the map's disk radius")
         if self.K < 1:
             raise ValueError("need at least the k = 1 mode")

@@ -392,6 +392,8 @@ class DiskProblem:
             raise ValueError("vorticity and divergence must share the mode band")
         if self.boundary.K > self.vorticity.K:
             raise ValueError("boundary trace band exceeds the field band")
+        if self.vorticity.K == 0 and self.far_field.as_complex != 0:
+            raise ValueError("a far field lives in modes +-1, outside a band of K = 0")
         if self.boundary.K < self.vorticity.K:
             object.__setattr__(self, "boundary", self.boundary.padded(self.vorticity.K))
 

@@ -84,7 +84,7 @@ class RadialGrid:
             raise ValueError("rmax must exceed r0")
         if ratio <= 0.0:
             raise ValueError("panel ratio must be positive")
-        if abs(ratio - 1.0) < 1e-12:
+        if abs(ratio - 1.0) < 1e-12 or count < 2:  # too few nodes: the constructor says so
             return cls.uniform(r0, rmax, count)
         m = count - 1
         try:

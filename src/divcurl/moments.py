@@ -56,6 +56,8 @@ class MomentReport:
     negative: np.ndarray = ()
 
     def __post_init__(self):
+        if not self.tolerance >= 0.0:
+            raise ValueError(f"tolerance must be a non-negative number, got {self.tolerance}")
         for name in ("residuals", "negative"):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype=complex))
 
@@ -154,6 +156,8 @@ def admissibility_corrections(
     whose residual is already below _SKIP_BELOW (relative to the data scale)
     are left untouched, which makes the projection idempotent.
     """
+    if K_c < 0:
+        raise ValueError("K_c must not be negative")
     if K_c > w.K:
         raise ValueError("K_c exceeds the resolved band of the field")
     grid = w.grid

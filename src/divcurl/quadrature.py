@@ -21,7 +21,6 @@ bit of any result.
 from __future__ import annotations
 
 import os
-import queue
 import threading
 from dataclasses import dataclass
 import numpy as np
@@ -42,29 +41,6 @@ _BAND_BYTES = 1 << 20
 
 # _together runs the halves of a pass of at least this many complex values side by side
 _SIDE_BY_SIDE = 2 * (_BAND_BYTES // 16)
-# the inbox of _together's worker thread, started on first use
-_inbox = None
-
-
-def _drop_worker():
-    """Forget the worker in a forked child: its thread did not survive the fork."""
-    global _inbox
-    _inbox = None
-
-
-os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _serve(inbox):
-    """The worker: run each call put in the inbox, pass back (ok, result or error)."""
-    while True:
-        call, box, done = inbox.get()
-        try:
-            box[:] = True, call()
-        except BaseException as error:  # raised again in the calling thread
-            box[:] = False, error
-        del call, box  # keep nothing of a finished call alive
-        done.release()
 
 
 def _side_by_side(size) -> bool:
@@ -77,31 +53,33 @@ def _side_by_side(size) -> bool:
 
 
 def _together(first, second, size):
-    """(first(), second()), with first run on the worker thread and second on this one.
+    """(first(), second()), with first run on a thread of its own and second on this one.
 
     numpy releases the interpreter lock inside its loops, so the halves of a
     pass share two cores.  A pass over fewer than _SIDE_BY_SIDE values (size
     counts both), or in a process allowed one CPU, runs both here, first then
     second: there the hand-off costs more than the overlap saves.  Callers
     split their work the same way either way, so results do not depend on
-    threading bit for bit.  Neither call is still running when this returns
-    or raises, and an exception of first is raised here.  first never calls
-    _together, so the single worker cannot wait on itself.
+    threading bit for bit.  The thread is joined before this returns or
+    raises, and an exception of first is raised here; first may itself call
+    _together.
     """
-    global _inbox
     if not _side_by_side(size):
         return first(), second()
-    if _inbox is None:
-        _inbox = queue.SimpleQueue()
-        threading.Thread(target=_serve, args=(_inbox,), name="divcurl-worker",
-                         daemon=True).start()
-    box, done = [], threading.Lock()
-    done.acquire()  # released by the worker when first has finished
-    _inbox.put((first, box, done))
+    box = [False, None]
+
+    def run():
+        try:
+            box[:] = True, first()
+        except BaseException as error:  # raised again in the calling thread
+            box[1] = error
+
+    worker = threading.Thread(target=run, name="divcurl-worker", daemon=True)
+    worker.start()
     try:
         last = second()
     finally:
-        done.acquire()  # first has finished, whatever second did
+        worker.join()  # first has finished, whatever second did
         ok, value = box
         if not ok:
             raise value

@@ -71,6 +71,8 @@ def solve_stream(w: SpectralField, v: FarField, warn_tolerance: float = 1e-8) ->
     violates the orthogonality relations is solved anyway; the resulting
     Neumann defect (residual boundary slip) is reported in a warning.
     """
+    if not warn_tolerance >= 0.0:
+        raise ValueError(f"warn_tolerance must be a non-negative number, got {warn_tolerance}")
     grid = w.grid
     problem = DiskProblem(w, SpectralField.zeros(grid, w.K), BoundaryTrace.zeros(w.K), v)
     terms, _ = _direct_terms(problem)  # the rmax warning is solve_disk's alone

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's solver path: brute-force
 nested quadrature of the mode formulas, finite-difference operators, and
-closed-form classical flows.
+closed-form classical flows.  run_in_child runs a concurrency check in a
+forked child with a timeout.
 """
 
+import multiprocessing
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -578,3 +580,15 @@ def observed_order(errors):
     """Mean convergence order across a refinement-by-two ladder."""
     errors = np.asarray(errors, dtype=float)
     return float(np.log2(errors[0] / errors[-1]) / (len(errors) - 1))
+
+
+def run_in_child(target, args, timeout):
+    """Exit code of target(*args) run in a forked child; a child still alive after
+    timeout seconds is killed, so a deadlock fails its test and hangs nothing."""
+    child = multiprocessing.get_context("fork").Process(target=target, args=args)
+    child.start()
+    child.join(timeout)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    return child.exitcode

@@ -508,3 +508,15 @@ def test_omega_matches_solve_exterior():
     v_ref = solution.sample(pts)
     v_orc = biot_savart_omega(pts, ext, n_radial=160, n_angular=256, support=(1.7, 4.0))
     assert np.max(np.abs(v_orc - v_ref)) < 1e-5 * np.max(np.abs(v_ref))
+
+
+@pytest.mark.parametrize("key", ["n_radial", "n_angular", "n_boundary"])
+@pytest.mark.parametrize("count", [0, -3])
+def test_oracles_refuse_an_empty_lattice(grid, key, count):
+    # n_radial <= 0 summed nothing and returned 0j; the other counts divided by zero
+    w = SpectralField.zeros(grid, 3)
+    disk_problem = DiskProblem(w, w, BoundaryTrace.zeros(3))
+    ext = ExteriorProblem(identity_map(1.0), grid, 3, vorticity_fn=lambda p: np.ones(np.shape(p)))
+    for oracle, problem in ((biot_savart_disk, disk_problem), (biot_savart_omega, ext)):
+        with pytest.raises(ValueError, match=key):
+            oracle(2.0 + 0j, problem, **{key: count})

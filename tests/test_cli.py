@@ -433,3 +433,12 @@ def test_check_solve_and_stream_report_the_same_moments(tmp_path):
         lines = (out / "compat_report.txt").read_text().splitlines()
         reports.append([line for line in lines if not line.startswith("#")])
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_a_negative_tolerance_is_a_config_error(tmp_path, capsys):
+    # it read admissible data as inadmissible: check --strict exited 2
+    text = (CONFIGS / "cylinder.cfg").read_text() + "\n[solve]\ntolerance = -1e-8\n"
+    cfg = write(tmp_path / "cylinder.cfg", text)
+    out = str(tmp_path / "out")
+    assert main(["check", "--config", cfg, "--out", out, "--strict"]) == EXIT_CONFIG
+    assert "[solve] tolerance" in capsys.readouterr().err

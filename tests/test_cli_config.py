@@ -166,6 +166,7 @@ SMALL = "[grid]\nnodes = 120\ngrading = uniform\n[modes]\nk = 4\n"
     ("[oracle]\nn_radial = 0\n", "[oracle] n_radial"),
     ("[domain]\nr0 = inf\n", "[domain] r0"),
     ("[norms]\nweight = 300\n", "[norms] weight"),
+    ("[solve]\ntolerance = -1e-8\n", "[solve] tolerance"),
 ])
 def test_bad_values_fail_before_any_output(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"

@@ -515,3 +515,36 @@ def test_weighted_sampler_writes_its_bands_into_one_lattice_array():
         sampled = _weighted_sampler(m, data)(r, phi)
         assert sampled.shape == z.shape and sampled.dtype == values.dtype
         assert sampled.tobytes() == (jac * values).tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: identity_map(np.nan), lambda: identity_map(np.inf),
+                                  lambda: joukowski_map(np.nan, 1.0),
+                                  lambda: joukowski_map(0.5, np.nan),
+                                  lambda: joukowski_map(0.5, np.inf)],
+                         ids=["identity-nan", "identity-inf", "joukowski-c-nan",
+                              "joukowski-r0-nan", "joukowski-r0-inf"])
+def test_map_parameters_that_are_not_finite_are_refused(make):
+    # each check was a comparison that NaN passes
+    with pytest.raises(ValueError):
+        make()
+
+
+def _ident(z):
+    return np.asarray(z, dtype=complex)
+
+
+@pytest.mark.parametrize("part, value", [("inverse", np.nan), ("d_inverse", np.nan),
+                                         ("d_inverse", np.inf), ("forward", np.nan)])
+def test_verify_map_rejects_constants_and_round_trips_that_are_not_finite(part, value):
+    maps = {"forward": _ident, "inverse": _ident,
+            "d_inverse": lambda z: np.ones_like(_ident(z))}
+    maps[part] = lambda z: np.full_like(_ident(z), value)
+    with pytest.raises(MapVerificationError):
+        verify_map(ConformalMap(r0=1.0, **maps))
+
+
+def test_exterior_problem_checks_its_radius_against_a_map_that_is_not_finite():
+    # with r0 = nan the map passed the check and the solve returned v_inf alone
+    grid = RadialGrid.uniform(1.0, 6.0, 101)
+    with pytest.raises(ValueError):
+        ExteriorProblem(identity_map(np.nan), grid, 4, far_field=FarField(1.0, 0.0))

@@ -299,7 +299,8 @@ def test_negative_mode_by_conjugation_for_complex_data(grid):
 
 
 def complex_data_problem(grid, K=4, seed=11):
-    """Complex, non-conjugate-symmetric data in every mode, with a trace and far field."""
+    """Complex, non-conjugate-symmetric data in every mode, with a trace, and a far
+    field where the band holds its modes +-1 (K >= 1)."""
     rng = np.random.default_rng(seed)
     s = grid.nodes
     bump = smooth_bump(s, 1.2, 5.0)
@@ -310,7 +311,7 @@ def complex_data_problem(grid, K=4, seed=11):
     w = SpectralField(grid, K, amplitudes()[:, None] * bump)
     rho = SpectralField(grid, K, amplitudes()[:, None] * bump * s / 3.0)
     g = BoundaryTrace(K, 0.2 * amplitudes(), 0.2 * amplitudes())
-    return DiskProblem(w, rho, g, FarField(0.4, -0.7))
+    return DiskProblem(w, rho, g, FarField(0.4, -0.7) if K else FarField())
 
 
 @pytest.fixture(scope="module")
@@ -387,3 +388,13 @@ def test_sample_rejects_a_point_that_is_not_finite(point):
     with pytest.raises(ValueError, match="sample points must be finite"):
         solution.sample(point)
     assert np.all(np.isfinite(solution.sample(good)))
+
+
+def test_a_far_field_needs_a_band_with_modes_one():
+    # v_inf lives in modes +-1: a K = 0 band solved it as 0 and read it admissible
+    grid = RadialGrid.uniform(1.0, 8.0, 401)
+    zero = SpectralField.zeros(grid, 0)
+    with pytest.raises(ValueError, match="far field"):
+        DiskProblem(zero, zero, BoundaryTrace.zeros(0), FarField(1.0, 0.0))
+    solution = solve_disk(DiskProblem(zero, zero, BoundaryTrace.zeros(0)))
+    assert solution.sample(2.0 + 0j) == 0j

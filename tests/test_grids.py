@@ -293,3 +293,9 @@ def test_smooth_bump_support(lo, width):
     assert np.all(b[outside] == 0.0)
     assert np.all(b >= 0.0)
     assert abs(smooth_bump(np.array([0.5 * (lo + hi)]), lo, hi)[0] - 1.0) < 1e-12
+
+
+def test_geometric_grading_of_one_node_is_refused():
+    # it divided by ratio**0 - 1 = 0
+    with pytest.raises(ValueError, match="9 radial nodes"):
+        RadialGrid.geometric(1.0, 2.0, 1, ratio=1.1)

@@ -407,3 +407,22 @@ def test_projection_of_complex_data_passes_its_own_report():
     trace = solution.boundary_trace()
     assert np.max(np.abs(trace.g_r - g.g_r)) <= 1e-12
     assert np.max(np.abs(trace.g_phi - g.g_phi)) <= 1e-12
+
+
+@pytest.mark.parametrize("tolerance", [-1e-8, np.nan])
+def test_a_negative_or_nan_tolerance_is_refused(grid, tolerance):
+    # a negative tolerance read admissible data as inadmissible, a NaN one read any data so
+    problem = zeros_problem(grid)
+    with pytest.raises(ValueError, match="tolerance"):
+        moment_report(problem, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_disk(problem, warn_tolerance=tolerance)
+
+
+def test_a_negative_k_c_is_refused(grid):
+    # the projection corrected the circulation alone, quietly
+    w = SpectralField.zeros(grid, 4)
+    with pytest.raises(ValueError, match="K_c"):
+        admissibility_corrections(w, w, BoundaryTrace.zeros(4), FarField(), -1)
+    with pytest.raises(ValueError, match="K_c"):
+        make_admissible(w, w, BoundaryTrace.zeros(4), FarField(), -2)

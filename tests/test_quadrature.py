@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from divcurl.disk import solve_disk
 from divcurl.quadrature import _SIDE_BY_SIDE, _together, cumulative, trapezoid_weights
 
-from helpers import observed_order
+from helpers import observed_order, run_in_child
 from test_highmode import admissible_highmode_problem
 
 
@@ -90,7 +90,7 @@ def test_together_runs_large_passes_side_by_side_and_small_ones_here(two_cpus, m
     large = [_together(threading.current_thread, threading.current_thread, _SIDE_BY_SIDE)
              for _ in range(3)]
     assert all(second is here for _, second in large)
-    assert len({first for first, _ in large}) == 1 and large[0][0] is not here
+    assert all(first is not here and not first.is_alive() for first, _ in large)
     small = _together(threading.current_thread, threading.current_thread, _SIDE_BY_SIDE - 1)
     assert small == (here, here)
     # on one CPU the two threads would only take turns
@@ -145,17 +145,26 @@ def _solve_in_child(problem, expected):
     sys.exit(0 if all(np.array_equal(a, b) for a, b in zip(rows, expected)) else 1)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="no fork")
+
+
+@needs_fork
 def test_a_child_forked_after_the_worker_started_solves(two_cpus):
     # K = 40, M = 4000: every pass is large enough to run side by side
     problem = admissible_highmode_problem(K=40, M=4000, seed=9, ratio=1.0005, real=True)
-    expected = solve_disk(problem).rows  # the worker thread runs from here on
-    child = multiprocessing.get_context("fork").Process(target=_solve_in_child,
-                                                        args=(problem, expected))
-    child.start()
-    child.join(20)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    assert not hung and child.exitcode == 0
+    expected = solve_disk(problem).rows  # worker threads have run in this process
+    assert run_in_child(_solve_in_child, (problem, expected), 20) == 0
+
+
+def _nested_in_child():
+    def inner():
+        return _together(lambda: 1, lambda: 2, _SIDE_BY_SIDE)
+
+    sys.exit(0 if _together(inner, lambda: 3, _SIDE_BY_SIDE) == ((1, 2), 3) else 1)
+
+
+@needs_fork
+def test_together_inside_first_of_another_completes(two_cpus):
+    # in a child, so a pass that waits on itself fails this test and hangs nothing
+    assert run_in_child(_nested_in_child, (), 20) == 0

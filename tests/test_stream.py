@@ -257,3 +257,14 @@ def test_non_finite_vorticity_raises(grid):
     coeffs[5, 300] = np.inf
     with pytest.raises(ValueError, match="vorticity"):
         solve_stream(SpectralField(grid, 3, coeffs), FarField(1.0, 0.0))
+
+
+def test_a_far_field_needs_a_band_with_modes_one(grid):
+    with pytest.raises(ValueError, match="far field"):
+        solve_stream(SpectralField.zeros(grid, 0), FarField(1.0, 0.0))
+
+
+@pytest.mark.parametrize("tolerance", [-1e-8, np.nan])
+def test_a_negative_or_nan_warn_tolerance_is_refused(grid, tolerance):
+    with pytest.raises(ValueError, match="warn_tolerance"):
+        solve_stream(SpectralField.zeros(grid, 3), FarField(), warn_tolerance=tolerance)
