@@ -97,10 +97,11 @@ def summary(pairs, better: dict, bound: dict = None) -> tuple:
     return lines, correct
 
 
-def run(tree, workload, seed, seconds) -> str:
-    """The last stdout line of one untraced harness run in tree ("" if it printed nothing)."""
+def run(tree, workload, seed, seconds, trace=0) -> str:
+    """The last stdout line of one harness run in tree, untraced unless trace is 1
+    ("" if it printed nothing)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import BoundaryTrace, RadialGrid, SpectralField
+from .grids import BoundaryTrace, RadialGrid, SpectralField, _scan
 from .quadrature import (_SIDE_BY_SIDE, ScaledIntegrals, _bands, _locate, _scaled, _support,
                          _together, _unfold, _upper, cumulative)
 
@@ -68,6 +68,14 @@ def vinf_coefficients(v: FarField, k: int) -> tuple:
     vr = 0.5 * (v.v1 - 1j * k * v.v2)
     vphi = 0.5 * (v.v2 + 1j * k * v.v1)
     return vr, vphi
+
+
+def _vinf_rows(v: FarField, K: int) -> np.ndarray:
+    """The (2, 2K+1) array of vinf_coefficients on the modes -K..K: rows v_r, v_phi."""
+    rows = np.zeros((2, 2 * K + 1), dtype=complex)
+    for k in (-1, 1) if K else ():
+        rows[:, K + k] = vinf_coefficients(v, k)
+    return rows
 
 
 # the polynomials of ModeTerms._mode_sum that can be nonzero below and above the data's support
@@ -259,39 +267,42 @@ def _kernel(nodes, w, rho, ks, suffix: bool, span: tuple) -> ScaledIntegrals:
         f = np.empty_like(w, dtype=complex)
         for band in _bands(len(ks), w.shape[1]):
             combine(w[band], 1j * sigma[band, None] * rho[band], out=f[band])
-    return _scaled(nodes, f, np.abs(ks) - 1.0 if suffix else np.abs(ks) + 1.0, suffix, span)
+    powers = np.abs(ks) - 1.0 if suffix else np.abs(ks) + 1.0
+    return _scaled(nodes, f, powers, suffix, span, (w, rho))
 
 
 def _b_at_r0(outer: ScaledIntegrals, ks, rotated: bool) -> np.ndarray:
-    """b_k(r0) of the modes ks, a new array: the suffix table's first column,
-    times i sigma for a rotated table (_kernel)."""
+    """b_k(r0) of the modes ks: the suffix table's first column, times i sigma
+    for a rotated table (_kernel)."""
     start = outer.table[:, 0]
-    return 1j * np.sign(ks) * start if rotated else np.array(start)
+    return 1j * np.sign(ks) * start if rotated else start
 
 
-# _kernel's tables of one integrand, keyed on the memory they were computed from
-# (_memo_key); a table's own integrand and nodes views pin that memory, so no key
-# is reused while its table lives, and the memo keeps no table alive by itself
+# every _kernel table, keyed on the memory it was computed from (_memo_key); a
+# table's sources and nodes pin that memory, so no key is reused while its table
+# lives, and the memo keeps no table alive by itself
 _TABLES = weakref.WeakValueDictionary()
 
 
 def _memo_key(nodes, w, rho, ks, suffix: bool, span: tuple):
-    """The _TABLES key of _kernel's table, or None for an integrand combined from
-    w and rho or a writable one (RadialGrid's nodes are read-only)."""
-    if w is not None and rho is not None:
+    """The _TABLES key of _kernel's table: the memory of the rows it is formed from
+    (w, rho or both) and of the nodes, the side, ks and the span.  None when one
+    of those rows can be written (RadialGrid's nodes are read-only)."""
+    rows = (rho,) if w is None else (w,) if rho is None else (w, rho)
+    if any(f.flags.writeable for f in rows):
         return None
-    f = rho if w is None else w
-    if f.flags.writeable:
-        return None
-    memory = tuple((a.__array_interface__["data"][0], a.shape, a.strides) for a in (f, nodes))
-    return memory + (f.dtype.str, suffix, ks.tobytes(), span)
+    memory = tuple((a.__array_interface__["data"][0], a.shape, a.strides, a.dtype.str)
+                   for a in (*rows, nodes))
+    return memory + (suffix, ks.tobytes(), span)
 
 
 def _kernels(nodes, w, rho, ks, span: tuple, sides=(False, True)) -> list:
-    """_kernel's tables of the sides (False the prefix, True the suffix), each read
-    from _TABLES when it holds one, else built and stored; a pair built anew is
-    the two halves of quadrature._together, whose worker never touches
-    _TABLES.  Threads that miss at once each build, and store the same bits.
+    """_kernel's tables of the sides (False the prefix, True the suffix), through
+    _TABLES, the one memo of kernel output: each is read there while a live
+    solution holds it, else built and stored.  So a moment_report next to a
+    live solve builds nothing, and one after it the suffix table alone.  A pair
+    built anew is the two halves of quadrature._together, whose worker never
+    touches _TABLES.  Threads that miss at once each build, and store the same bits.
     """
     keys = [_memo_key(nodes, w, rho, ks, suffix, span) for suffix in sides]
     tables = [None if key is None else _TABLES.get(key) for key in keys]
@@ -318,34 +329,6 @@ def _direct_terms(problem: DiskProblem) -> tuple:
                       cumulative(nodes, np.zeros(len(nodes)) if w is None else nodes * w[zero]))
     return ModeTerms(ks, problem.grid.r0, inner, outer, np.zeros((2, len(ks)), dtype=complex),
                      vinf, span, zero_integrals, w is None), top
-
-
-def _scan(values, name) -> tuple:
-    """(max |values| of each column, exact-mirror flag) of a (modes, columns) array.
-
-    Row k + K holds mode k; the flag says that row K - m equals conj(row K + m)
-    for every m.  A mirrored row has its mirror's moduli, so rows k < 0 are
-    read only once a band breaks the mirror.  A zero-stride array (a zero
-    field) is answered from its one value v: maxima |v|, mirrored iff
-    v == conj(v).  ValueError if a value is not finite.
-    """
-    if not any(values.strides):
-        v = values[(0,) * values.ndim]
-        if not np.isfinite(v):
-            raise ValueError(f"{name} has non-finite coefficients")
-        return np.full(values.shape[1], abs(v)), bool(v == np.conj(v))
-    K = len(values) // 2
-    top, mirrored = np.zeros(values.shape[1]), True
-    for band in _bands(K + 1, values.shape[1]):
-        pos = values[K + band.start : K + band.stop]
-        neg = values[K - band.stop + 1 : K - band.start + 1][::-1]
-        np.maximum(top, np.max(np.abs(pos), axis=0), out=top)
-        mirrored = mirrored and np.array_equal(neg, np.conj(pos))
-        if not mirrored:
-            np.maximum(top, np.max(np.abs(neg), axis=0), out=top)  # NaN stays NaN
-    if not np.isfinite(np.max(top)):
-        raise ValueError(f"{name} has non-finite coefficients")
-    return top, mirrored
 
 
 def _with_trace(terms: ModeTerms, g_r, g_phi) -> ModeTerms:
@@ -380,8 +363,6 @@ class DiskProblem:
     far_field: FarField = FarField()
     vorticity_fn: object = field(default=None, compare=False)
     divergence_fn: object = field(default=None, compare=False)
-    # the memo of _keep_moments; replace() does not carry it
-    _moments: np.ndarray = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.vorticity.grid is not self.divergence.grid and not np.array_equal(
@@ -405,23 +386,16 @@ class DiskProblem:
     def K(self) -> int:
         return self.vorticity.K
 
-    def _keep_moments(self, moments) -> np.ndarray:
-        """Keep the moments b_k(r0) read-only as the problem's memo, and return them:
-        a later moment_report of the same object reads them and builds no table."""
-        moments.setflags(write=False)
-        object.__setattr__(self, "_moments", moments)
-        return moments
-
 
 def _mode_rows(problem: DiskProblem) -> tuple:
     """(ks, vinf, w, rho, top): the modes the kernel terms hold, v_inf and the data
     on them, and the column maxima of w and rho together.
 
     The front end of solve_disk, stream.solve_stream (its no-slip problem) and
-    a cold moments.moment_report.  w, rho and g are each scanned in full, in
-    that order, on the calling thread (_scan).  Real data
-    are mirrored: the modes of w, rho, g and v_inf satisfy f_{-k} = conj(f_k)
-    exactly.  They are solved and held on the rows k = 0..K alone, the
+    moments.moment_report.  It reads the scans w and rho took when they were
+    made (grids._scan), scans g and v_inf, and checks the four finite in that
+    order.  Real data are mirrored: the modes of w, rho, g and v_inf satisfy
+    f_{-k} = conj(f_k) exactly.  They are solved and held on the rows k = 0..K alone, the
     real-input half spectrum (Press et al., Numerical Recipes, 3rd ed., section
     12.3), and mode -m is read off the conjugated row +m (quadrature._unfold).
     The kernel weights are real, so conjugation commutes with every step and
@@ -429,15 +403,15 @@ def _mode_rows(problem: DiskProblem) -> tuple:
     w and rho are views of the rows ks: rho None for zero divergence, w None
     for zero vorticity unless the divergence is zero too.
     """
-    w, rho, g = problem.vorticity.coeffs, problem.divergence.coeffs, problem.boundary
-    w_top, w_mirrored = _scan(w, "vorticity")
-    rho_top, rho_mirrored = _scan(rho, "divergence")
-    g_mirrored = _scan(np.stack((g.g_r, g.g_phi), axis=1), "boundary trace")[1]
-    K = problem.K
-    vinf = np.array([vinf_coefficients(problem.far_field, k) for k in range(-K, K + 1)],
-                    dtype=complex).T
-    mirrored = w_mirrored and rho_mirrored and g_mirrored and _scan(vinf.T, "far field")[1]
-    ks = np.arange(0 if mirrored else -K, K + 1)
+    w, rho, g, K = problem.vorticity.coeffs, problem.divergence.coeffs, problem.boundary, problem.K
+    vinf = _vinf_rows(problem.far_field, K)
+    scans = (problem.vorticity._scanned, problem.divergence._scanned,
+             _scan(np.stack((g.g_r, g.g_phi), axis=1)), _scan(vinf.T))
+    for (top, _), name in zip(scans, ("vorticity", "divergence", "boundary trace", "far field")):
+        if not np.isfinite(np.max(top)):
+            raise ValueError(f"{name} has non-finite coefficients")
+    (w_top, _), (rho_top, _) = scans[:2]
+    ks = np.arange(0 if all(mirrored for _, mirrored in scans) else -K, K + 1)
     rows = slice(K + ks[0], None)
     return (ks, vinf[:, rows], w[rows] if np.max(w_top) or not np.max(rho_top) else None,
             rho[rows] if np.max(rho_top) else None, np.maximum(w_top, rho_top))
@@ -535,10 +509,10 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
 
     Incompatible data is solved anyway: the formulas stay evaluable and the
     report quantifies how badly the boundary condition is violated, so the
-    solver warns instead of refusing.  The report reads the table's b_k(r0),
-    which stays on the problem (DiskProblem._keep_moments).
+    solver warns instead of refusing.  The report reads the suffix table's
+    b_k(r0).
     """
-    from .moments import _report_from_moments
+    from .moments import _report_of
 
     terms, top = _direct_terms(problem)
     if top[-1] > 1e-12 * max(float(np.max(top)), 1e-300):
@@ -549,8 +523,8 @@ def solve_disk(problem: DiskProblem, warn_tolerance: float = 1e-8) -> VelocitySo
         )
     terms = _with_trace(terms, problem.boundary.g_r, problem.boundary.g_phi)
     rows = terms.at_nodes()
-    moments = problem._keep_moments(_b_at_r0(terms.outer, terms.ks, terms.rotated))
-    report = _report_from_moments(problem, moments, warn_tolerance)
+    moments = _b_at_r0(terms.outer, terms.ks, terms.rotated)
+    report = _report_of(problem, moments, warn_tolerance)
     if report.max_residual > warn_tolerance:
         warnings.warn(
             f"data violates the moment conditions (max residual "

@@ -4,13 +4,16 @@ A SpectralField holds its coefficients read-only.  The public constructor
 and dataclasses.replace copy the array they are given; zeros, from_modes,
 add_modes and analyze hand over the array they have just built, with no
 second copy.  A zero field (SpectralField.zeros) is a zero-stride view of one
-shared read-only zero: it holds no memory per node, whatever K and M.
+shared read-only zero: it holds no memory per node, whatever K and M.  Every
+field is scanned once, when it is made (_scan), and the solver reads that scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
+
+from .quadrature import _bands
 
 __all__ = [
     "RadialGrid",
@@ -105,6 +108,8 @@ class SpectralField:
     physical fields satisfy f_{-k} = conj(f_k) at every node.  coeffs is
     read-only: a copy of the array given to the constructor, the array
     from_modes, add_modes and analyze build, or for zeros a zero-stride view.
+    _scanned is _scan of coeffs, taken when the field is made; repr and ==
+    ignore it.
     """
 
     grid: RadialGrid
@@ -115,7 +120,7 @@ class SpectralField:
         self._hold(_frozen_array(self.coeffs, dtype=complex))
 
     def _hold(self, coeffs: np.ndarray):
-        """Keep the read-only complex coeffs once K and their shape are checked."""
+        """Keep the read-only complex coeffs and their scan once K and their shape are checked."""
         if self.K < 0:
             raise ValueError("K must be nonnegative")
         if coeffs.shape != (2 * self.K + 1, len(self.grid)):
@@ -124,6 +129,7 @@ class SpectralField:
                 f"(2K+1, nodes) = {(2 * self.K + 1, len(self.grid))}"
             )
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_scanned", _scan(coeffs))
 
     @classmethod
     def _taking(cls, grid: RadialGrid, K: int, coeffs) -> "SpectralField":
@@ -224,6 +230,31 @@ class BoundaryTrace:
         g_r[sl] = self.g_r
         g_phi[sl] = self.g_phi
         return BoundaryTrace(K, g_r, g_phi)
+
+
+def _scan(values) -> tuple:
+    """(max |values| of each column, read-only; exact-mirror flag) of a (modes, columns) array.
+
+    Row k + K holds mode k; the flag says that row K - m equals conj(row K + m)
+    for every m.  A mirrored row has its mirror's moduli, so rows k < 0 are
+    read only once a band breaks the mirror.  A zero-stride array (a zero
+    field) is answered from its one value v: maxima |v|, mirrored iff
+    v == conj(v).  A NaN or inf stays in the maxima.
+    """
+    if not any(values.strides):
+        v = values[(0,) * values.ndim]
+        return np.broadcast_to(abs(v), values.shape[1:]), bool(v == np.conj(v))
+    K = len(values) // 2
+    top, mirrored = np.zeros(values.shape[1]), True
+    for band in _bands(K + 1, values.shape[1]):
+        pos = values[K + band.start : K + band.stop]
+        neg = values[K - band.stop + 1 : K - band.start + 1][::-1]
+        np.maximum(top, np.max(np.abs(pos), axis=0), out=top)
+        mirrored = mirrored and np.array_equal(neg, np.conj(pos))
+        if not mirrored:
+            np.maximum(top, np.max(np.abs(neg), axis=0), out=top)  # NaN stays NaN
+    top.setflags(write=False)
+    return top, mirrored
 
 
 def equispaced_angles(count: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskProblem, FarField, _b_at_r0, _kernels, _mode_rows, vinf_coefficients
+from .disk import DiskProblem, FarField, _b_at_r0, _kernels, _mode_rows, _vinf_rows
 from .grids import BoundaryTrace, SpectralField, _frozen_array, smooth_bump
 from .quadrature import _scaled, _support, trapezoid_weights
 
@@ -92,16 +92,15 @@ class MomentReport:
         return "\n".join(lines) + "\n"
 
 
-def _report_from_moments(problem: DiskProblem, moments, tolerance: float) -> MomentReport:
+def _report_of(problem: DiskProblem, moments, tolerance: float) -> MomentReport:
     """Report from the moments b_k(r0) on the rows k = 0..K, or k = -K..K for data
     that are not mirrored (row k = 0 is not read), left minus right."""
     K, g = problem.K, problem.boundary
     ks = np.arange(-K, K + 1)[-len(moments) :]
     sigma = np.sign(ks)
-    vinf = np.array([vinf_coefficients(problem.far_field, int(k)) for k in ks],
-                    dtype=complex).reshape(-1, 2)
+    v_r, v_phi = _vinf_rows(problem.far_field, K)[:, -len(moments) :]
     trace = g.g_phi[ks + g.K] + 1j * sigma * g.g_r[ks + g.K]
-    residuals = moments + trace - (vinf[:, 1] + 1j * sigma * vinf[:, 0])
+    residuals = moments + trace - (v_phi + 1j * sigma * v_r)
     zero = len(ks) - K - 1
     residuals[zero] = 0.0
     return MomentReport(residuals[zero:], *_circulation_flux(problem), tolerance,
@@ -119,19 +118,11 @@ def _circulation_flux(problem: DiskProblem) -> tuple:
 
 
 def moment_report(problem: DiskProblem, tolerance: float = 1e-8) -> MomentReport:
-    """The residuals of the data from solve_disk's b_k(r0).
-
-    They are read off the problem's memo (DiskProblem._keep_moments).  With
-    no memo, the solve's suffix table alone is read or built, on the solve's
-    rows and integrand (disk._mode_rows, disk._kernels), and its moments become
-    the memo.
-    """
-    moments = problem._moments
-    if moments is None:
-        ks, _, w, rho, top = _mode_rows(problem)
-        (outer,) = _kernels(problem.grid.nodes, w, rho, ks, _support(top), (True,))
-        moments = problem._keep_moments(_b_at_r0(outer, ks, w is None))
-    return _report_from_moments(problem, moments, tolerance)
+    """The residuals of the data from solve_disk's b_k(r0): the first column of
+    its suffix table, on its rows and integrand (disk._mode_rows, disk._kernels)."""
+    ks, _, w, rho, top = _mode_rows(problem)
+    (outer,) = _kernels(problem.grid.nodes, w, rho, ks, _support(top), (True,))
+    return _report_of(problem, _b_at_r0(outer, ks, w is None), tolerance)
 
 
 def _default_support(grid):
@@ -193,9 +184,9 @@ def admissibility_corrections(
     # the moments of all K modes, on the solve's block schedule; the first K_c are read
     report = moment_report(problem)
     negative = report.negative  # empty for mirrored data
-    bump_moments = _scaled(grid.nodes, np.broadcast_to(bump + 0j, (w.K, bump.size)),
-                           np.arange(w.K, dtype=float), True, _support(bump)).table[:, 0]
-    for k, m_k in zip(range(1, K_c + 1), bump_moments):
+    bump_b = _scaled(grid.nodes, np.broadcast_to(bump + 0j, (w.K, bump.size)),
+                     np.arange(w.K, dtype=float), True, _support(bump)).table[:, 0]
+    for k, m_k in zip(range(1, K_c + 1), bump_b):
         # modes k and -k share the bump's moment r0^{k-1} int s^{-k+1} bump ds
         own = [(k, report.residuals[k])]
         if negative.size:

@@ -168,13 +168,15 @@ def cumulative(nodes, integrand) -> CumulativeIntegral:
 
 @dataclass(frozen=True)
 class ScaledIntegrals:
-    """The scaled prefix or suffix table of the rows of an integrand, p_i = powers[i]."""
+    """The scaled prefix or suffix table of the rows of an integrand, p_i = powers[i];
+    sources, the arrays the integrand was formed from, stay in use with it."""
 
     nodes: np.ndarray
     integrand: np.ndarray
     powers: np.ndarray
     suffix: bool
     table: np.ndarray
+    sources: tuple = ()
 
 
 def _support(columns) -> tuple:
@@ -251,11 +253,11 @@ def _scaled_table(nodes, integrand, powers, suffix, table, span):
             np.negative(out[:, first + 1 :], out=out[:, first + 1 :])
 
 
-def _scaled(nodes, integrand, powers, suffix, span) -> ScaledIntegrals:
+def _scaled(nodes, integrand, powers, suffix, span, sources=()) -> ScaledIntegrals:
     """ScaledIntegrals of an integrand that is zero outside the columns span."""
     table = np.empty(integrand.shape, dtype=complex)
     _scaled_table(nodes, integrand, powers, suffix, table, span)
-    return ScaledIntegrals(nodes, integrand, powers, suffix, table)
+    return ScaledIntegrals(nodes, integrand, powers, suffix, table, sources)
 
 
 def trapezoid_weights(nodes) -> np.ndarray:

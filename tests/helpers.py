@@ -576,6 +576,58 @@ def cylinder_flow_polar(r, phi, r0=1.0, speed=1.0):
     return v_r, v_phi
 
 
+def continuum_velocity(problem, points, support, panels=60, order=24, angles=64):
+    """v1 + i v2 at the points from the module formula of disk, with continuum integrals.
+
+    The modes |k| <= K of problem.vorticity_fn and divergence_fn (None is
+    zero) are the FFT of `angles` equispaced samples at each quadrature node.
+    a_k(r) integrates over [lo, r] and b_k(r) over [r, hi], support = (lo, hi)
+    holding the data, by composite Gauss-Legendre (`panels` panels of `order`
+    nodes); mode 0 integrates s w_0 and s rho_0 over [lo, r] the same way.
+    The trace modes and v_inf are the problem's.  No radial grid, trapezoid
+    or kernel table of the solver enters.
+    """
+    K, r0, g, (lo, hi) = problem.K, problem.grid.r0, problem.boundary, support
+    x, weights = np.polynomial.legendre.leggauss(order)
+    phi = 2.0 * np.pi * np.arange(angles) / angles
+    ks = np.arange(-K, K + 1)
+    m, sigma = np.abs(ks)[:, None], np.sign(ks)[:, None]
+    rules = {}
+
+    def rule(a, b):
+        """(nodes, weights, w modes, rho modes) on [a, b]; the modes (2K+1, nodes)."""
+        if (a, b) not in rules:
+            edges = np.linspace(a, b, panels + 1)
+            half = 0.5 * np.diff(edges)[:, None]
+            s = (0.5 * (edges[:-1, None] + edges[1:, None]) + half * x).ravel()
+            modes = [np.zeros((len(ks), s.size), dtype=complex) if fn is None else
+                     (np.fft.fft(np.broadcast_to(fn(s[:, None], phi), (s.size, angles)), axis=1)
+                      / angles)[:, ks % angles].T
+                     for fn in (problem.vorticity_fn, problem.divergence_fn)]
+            rules[a, b] = (s, (half * weights).ravel(), *modes)
+        return rules[a, b]
+
+    d = 0.5 * (g.g_phi - 1j * sigma[:, 0] * g.g_r)
+    zero = K
+    flat = np.ravel(np.asarray(points, dtype=complex))
+    out = np.full(flat.size, problem.far_field.as_complex, dtype=complex)
+    for i, z in enumerate(flat):
+        r = abs(z)
+        cut = min(max(r, lo), hi)
+        s, q, w, rho = rule(lo, cut)
+        a = ((s / r) ** (m + 1) * (w - 1j * sigma * rho)) @ q
+        inner = [(s * rho[zero]) @ q, (s * w[zero]) @ q]
+        s, q, w, rho = rule(cut, hi)
+        b = ((r / s) ** (m - 1) * (w + 1j * sigma * rho)) @ q
+        decay = d * (r0 / r) ** (m[:, 0] + 1)
+        v_r = 0.5j * sigma[:, 0] * (a + b) + 1j * sigma[:, 0] * decay
+        v_phi = 0.5 * (a - b) + decay
+        v_r[zero] = (inner[0] + r0 * g.g_r[zero]) / r
+        v_phi[zero] = (inner[1] + r0 * g.g_phi[zero]) / r
+        out[i] += np.sum((v_r + 1j * v_phi) * (z / r) ** (ks + 1))
+    return out.reshape(np.shape(points))
+
+
 def observed_order(errors):
     """Mean convergence order across a refinement-by-two ladder."""
     errors = np.asarray(errors, dtype=float)

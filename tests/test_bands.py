@@ -18,9 +18,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from divcurl import disk, norms, quadrature
+from divcurl import disk, grids, norms, quadrature
 from divcurl.disk import solve_disk
-from divcurl.moments import _report_from_moments, moment_report
+from divcurl.moments import _report_of, moment_report
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
 from divcurl.norms import far_field_deviation_h1, far_field_deviation_l2, h1_seminorm
 from divcurl.quadrature import (_BAND_BYTES, _bands, _scaled, _support, _unfold,
@@ -212,14 +212,21 @@ def test_complex_data_with_a_non_finite_trace_name_the_trace():
         moment_report(replace(bad))  # no solve before it
 
 
-def test_one_scan_steers_every_entry_to_the_full_rows(monkeypatch):
-    # solve_disk, solve_stream and a cold moment_report share the data scan:
-    # one patch reporting the real vorticity as not mirrored sends all three to -K..K
+def rescanned(field, scan):
+    """A copy of field whose scan, taken when it is made, is scan(grids._scan)."""
+    own = grids._scan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grids, "_scan", lambda values: scan(own, values))
+        return replace(field)
+
+
+def test_one_scan_steers_every_entry_to_the_full_rows():
+    # solve_disk, solve_stream and a cold moment_report share the field's scan:
+    # a real vorticity whose scan says it is not mirrored sends all three to -K..K
     K = 12
     problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
-    scan = disk._scan
-    monkeypatch.setattr(disk, "_scan", lambda values, name: (
-        scan(values, name)[0], scan(values, name)[1] and name != "vorticity"))
+    vorticity = rescanned(problem.vorticity, lambda scan, values: (scan(values)[0], False))
+    problem = replace(problem, vorticity=vorticity)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the data is not no-slip
         psi = solve_stream(problem.vorticity, problem.far_field)
@@ -236,7 +243,6 @@ def test_zero_divergence_equals_the_zero_array_path_byte_for_byte(monkeypatch):
     problem = admissible_highmode_problem(K=K, M=400, seed=9, real=True)
     problem = replace(problem, divergence=SpectralField.zeros(problem.grid, K))
     points = (1.0 + 11.5 * np.linspace(0.0, 1.0, 97)) * np.exp(1j * np.linspace(0.0, 6.0, 97))
-    scan = disk._scan
 
     def solve():
         with warnings.catch_warnings():
@@ -248,10 +254,13 @@ def test_zero_divergence_equals_the_zero_array_path_byte_for_byte(monkeypatch):
                 solution.report.residuals), solution.terms
     skipped, terms = solve()
     assert terms.zero[0] is None  # no w -+ i sigma rho was formed
-    # a nonzero divergence in every column: the zero array goes through
-    # w -+ i sigma rho, over the whole grid
-    monkeypatch.setattr(disk, "_scan", lambda values, name: (
-        np.maximum(scan(values, name)[0], float(name == "divergence")), scan(values, name)[1]))
+    # a zero divergence scanned as nonzero in every column: the zero array goes
+    # through w -+ i sigma rho, over the whole grid
+    scan = grids._scan
+    monkeypatch.setattr(grids, "_scan", lambda values: (np.maximum(scan(values)[0], 1.0),
+                                                        scan(values)[1]))
+    problem = replace(problem, divergence=SpectralField.zeros(problem.grid, K))
+    monkeypatch.undo()
     formed, terms = solve()
     assert terms.zero[0] is not None
     for got, want in zip(skipped, formed):
@@ -286,12 +295,11 @@ def test_real_data_equals_the_general_path_bit_for_bit(highmode):
     K = problem.K
     with pytest.warns(UserWarning, match="no-slip"):  # the data is not no-slip
         half_stream = solve_stream(problem.vorticity, problem.far_field)
-    scan = disk._scan
-    with pytest.MonkeyPatch.context() as patch:  # the mirror test fails: the general path
-        patch.setattr(disk, "_scan", lambda values, name: (scan(values, name)[0], False))
-        full = solve_disk(problem)
-        with pytest.warns(UserWarning, match="no-slip"):
-            full_stream = solve_stream(problem.vorticity, problem.far_field)
+    # a vorticity whose scan fails the mirror test: the general path
+    vorticity = rescanned(problem.vorticity, lambda scan, values: (scan(values)[0], False))
+    full = solve_disk(replace(problem, vorticity=vorticity))
+    with pytest.warns(UserWarning, match="no-slip"):
+        full_stream = solve_stream(vorticity, problem.far_field)
     assert half.terms.mirrored and half_stream.velocity.terms.mirrored
     assert not full.terms.mirrored and not full_stream.velocity.terms.mirrored
     assert len(half.terms.inner.table) == K + 1 and len(full.terms.inner.table) == 2 * K + 1
@@ -318,18 +326,18 @@ def test_real_data_equals_the_general_path_bit_for_bit(highmode):
 def unrotated(problem):
     """(solution, report) of pure-divergence data through the integrands w -+ i sigma rho.
 
-    The data scan reports the zero w with rho's column maxima, as for data
-    with any nonzero w on rho's support, so the reference's tables are those
-    of w -+ i sigma rho.
+    The zero w is scanned with rho's column maxima, as for data with any
+    nonzero w on rho's support, so the reference's tables are those of
+    w -+ i sigma rho.
     """
-    scan = disk._scan
-    rho_top = scan(problem.divergence.coeffs, "divergence")[0]
+    rho_top = problem.divergence._scanned[0]
+    own = grids._scan
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(disk, "_scan", lambda values, name: (
-            rho_top if name == "vorticity" else scan(values, name)[0], scan(values, name)[1]))
-        terms, _ = disk._direct_terms(problem)
+        patch.setattr(grids, "_scan", lambda values: (rho_top, own(values)[1]))
+        problem = replace(problem, vorticity=SpectralField.zeros(problem.grid, problem.K))
+    terms, _ = disk._direct_terms(problem)
     terms = disk._with_trace(terms, problem.boundary.g_r, problem.boundary.g_phi)
-    report = _report_from_moments(problem, np.array(terms.outer.table[:, 0]), 1e-8)
+    report = _report_of(problem, np.array(terms.outer.table[:, 0]), 1e-8)
     return disk.VelocitySolution(terms, terms.at_nodes(), problem.far_field, problem.grid), report
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divcurl import disk
 from divcurl.disk import DiskProblem, FarField, solve_disk, vinf_coefficients
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from divcurl.presets import potential_slip_trace, random_admissible_problem
@@ -37,6 +38,14 @@ def test_vinf_sign_relation(v1, v2, k):
     vr, vphi = vinf_coefficients(FarField(v1, v2), k)
     sign = (k > 0) - (k < 0)
     assert abs(vphi - sign * 1j * vr) < 1e-14
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 128])
+def test_vinf_rows_hold_the_coefficients_of_every_mode(K):
+    # the (2, 2K+1) array the solver and the report read, bit for bit
+    far = FarField(0.3, -0.2)
+    want = np.array([vinf_coefficients(far, k) for k in range(-K, K + 1)], dtype=complex).T
+    assert disk._vinf_rows(far, K).tobytes() == want.tobytes()
 
 
 def trace_only_solution(g, r0):

@@ -1,3 +1,4 @@
+import gc
 import warnings
 from dataclasses import replace
 
@@ -328,10 +329,14 @@ def memo_cases():
 
 @pytest.mark.parametrize("kind", ["real", "complex", "solenoidal", "divergence"])
 def test_report_after_a_solve_reads_the_memo(kind, monkeypatch):
-    # solve_disk leaves its b_k(r0) on the problem: the report tabulates nothing,
-    # and a cold report builds the solve's suffix table alone
+    # while the solution lives, a report reads its suffix table (disk._TABLES)
+    # and tabulates nothing, w and rho combined included; once the solution is
+    # released, a report builds the solve's suffix table alone
     problem = memo_cases()[kind]
-    solved = solved_report(problem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        solution = solve_disk(problem)
+    solved, rows = solution.report, len(solution.terms.ks)
     calls = []
     table = quadrature._scaled_table
 
@@ -341,18 +346,16 @@ def test_report_after_a_solve_reads_the_memo(kind, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_scaled_table", counted)
     report = moment_report(problem)
+    fresh = moment_report(replace(problem))  # the same fields: the same live table
     assert calls == []
-    fresh = replace(problem)
-    assert fresh._moments is None  # replace() does not carry the memo
-    cold = moment_report(fresh)
-    assert calls == [(True, len(problem._moments))] and fresh._moments is not None
-    for other in (solved, cold):
+    del solution
+    gc.collect()
+    cold = moment_report(problem)
+    assert calls == [(True, rows)]
+    for other in (solved, fresh, cold):
         assert report.residuals.tobytes() == other.residuals.tobytes()
         assert report.negative.tobytes() == other.negative.tobytes()
     assert report.negative.size == (0 if kind in ("real", "divergence", "solenoidal") else 25)
-    assert not problem._moments.flags.writeable
-    with pytest.raises(ValueError):
-        problem._moments[1] = 0.0
 
 
 def found_case(K=4):

@@ -153,3 +153,30 @@ def test_bench_pairs_reads_each_metric_against_its_bound():
     assert correct and lines[1].split()[-1] == "bound"
     assert [line.split()[-1] for line in lines[2:]] == ["within", "worse", "unresolved",
                                                          "within"]
+
+
+def test_bench_record_appends_without_rewriting_a_record(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # bench_record imports bench_pairs
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    better = {"latency_p50_s": "lower", "throughput_per_s": "higher"}
+    plain = [result_line(latency_p50_s=v, throughput_per_s=1.0 / v) for v in (0.75, 0.25, 0.5)]
+    first = bench_record.record(tmp_path, "disk_highmode", [4, 5, 6], 2.0, plain,
+                                result_line(**{"disk.solve_s": 0.01}), better)
+    assert first["end_to_end"]["latency_p50_s"] == {"median": 0.5, "q1": 0.375, "q3": 0.625,
+                                                    "unit": "s"}
+    assert first["seeds"] == [4, 5, 6] and first["per_layer"] == {"disk.solve_s": 0.01}
+    path = tmp_path / "BENCH_disk_highmode.json"
+    bench_record.append(path, first)
+    before = path.read_bytes()
+    bench_record.append(path, dict(first, seeds=[7]))
+    bench_record.append(path, dict(first, seeds=[8]))
+    after = path.read_bytes()
+    # every byte up to the first record's closing brace is kept
+    assert after.startswith(before[: -len(bench_record.CLOSE)])
+    assert [entry["seeds"] for entry in json.loads(after)] == [[4, 5, 6], [7], [8]]
+    assert json.loads(after)[0] == json.loads(before)[0]
+    path.write_bytes(before + b"trailing")
+    with pytest.raises(ValueError, match="closing bracket"):
+        bench_record.append(path, first)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from divcurl import disk, quadrature
+from divcurl import disk, grids, quadrature
 from divcurl.disk import DiskProblem, FarField, solve_disk
 from divcurl.grids import BoundaryTrace, RadialGrid, SpectralField
 from divcurl.presets import random_admissible_problem
@@ -203,8 +203,10 @@ def test_support_is_read_off_the_data_scan():
     coeffs = np.zeros((5, 41), dtype=complex)
     coeffs[0, 7] = 1e-300j  # mode -2, one column
     coeffs[3, 30] = -2.0
-    top, mirrored = disk._scan(coeffs, "vorticity")
+    top, mirrored = grids._scan(coeffs)
     assert not mirrored and _support(top) == (7, 31)
+    field = SpectralField(grid, 2, coeffs)
+    assert np.array_equal(field._scanned[0], top) and field._scanned[1] is mirrored
     assert _support(np.zeros(41)) == (0, 0)
 
 
@@ -216,17 +218,23 @@ def test_zero_stride_scan_reads_one_value():
     dense = np.zeros(view.shape, dtype=complex)
     tracemalloc.start()
     try:
-        top, mirrored = disk._scan(view, "vorticity")
+        top, mirrored = grids._scan(view)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    want_top, want_mirrored = disk._scan(dense, "vorticity")
+    want_top, want_mirrored = grids._scan(dense)
     assert peak < 64 * 1024
     assert np.array_equal(top, want_top) and top.dtype == want_top.dtype
     assert mirrored is want_mirrored is True
     for value in (3.0 - 0.0j, 1.0 + 2.0j):
-        got = disk._scan(np.broadcast_to(value, (9, 41)), "vorticity")
-        want = disk._scan(np.full((9, 41), value), "vorticity")
+        got = grids._scan(np.broadcast_to(value, (9, 41)))
+        want = grids._scan(np.full((9, 41), value))
         assert np.array_equal(got[0], want[0]) and got[1] is want[1]
+    # the scan keeps a NaN in its maxima; the solve names the field
+    nan = np.broadcast_to(complex(np.nan, 0.0), (9, 41))
+    assert np.all(np.isnan(grids._scan(nan)[0])) and grids._scan(nan)[1] is False
+    small = RadialGrid.uniform(1.0, 5.0, 41)
+    zero = SpectralField.zeros(small, 4)
+    problem = DiskProblem(SpectralField._taking(small, 4, nan), zero, BoundaryTrace.zeros(4))
     with pytest.raises(ValueError, match="vorticity has non-finite coefficients"):
-        disk._scan(np.broadcast_to(complex(np.nan, 0.0), (9, 41)), "vorticity")
+        solve_disk(problem)
