@@ -16,7 +16,7 @@ boundary trace exact and still recovers v_inf at infinity since Phi' -> 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def verify_map(m: ConformalMap) -> dict:
     return {"shift_constant": c_shift, "derivative_constant": c_deriv}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExteriorProblem:
     """Div-curl data on a general exterior domain described by a conformal map.
 
@@ -182,9 +182,9 @@ class ExteriorProblem:
     map: ConformalMap
     grid: RadialGrid
     K: int
-    vorticity_fn: object = field(default=None, compare=False)
-    divergence_fn: object = field(default=None, compare=False)
-    boundary_fn: object = field(default=None, compare=False)
+    vorticity_fn: object = None
+    divergence_fn: object = None
+    boundary_fn: object = None
     far_field: FarField = FarField()
 
     def __post_init__(self):
@@ -263,7 +263,7 @@ def pullback_problem(problem: ExteriorProblem) -> DiskProblem:
     return DiskProblem(q, rc, g_hat, problem.far_field, vorticity_fn=q_fn, divergence_fn=rc_fn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExteriorSolution:
     """Velocity sampler over Omega: the disk-plane solution pushed forward through the map."""
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -82,7 +82,7 @@ def _vinf_rows(v: FarField, K: int) -> np.ndarray:
 _BELOW, _ABOVE = (3, 6), (0, 6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeTerms:
     """Mode profiles from the two kernel tables, one row per mode.
 
@@ -345,7 +345,7 @@ def _with_trace(terms: ModeTerms, g_r, g_phi) -> ModeTerms:
     return replace(terms, trace=trace)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskProblem:
     """Div-curl data on the exterior of the disk r >= r0.
 
@@ -361,8 +361,8 @@ class DiskProblem:
     divergence: SpectralField
     boundary: BoundaryTrace
     far_field: FarField = FarField()
-    vorticity_fn: object = field(default=None, compare=False)
-    divergence_fn: object = field(default=None, compare=False)
+    vorticity_fn: object = None
+    divergence_fn: object = None
 
     def __post_init__(self):
         if self.vorticity.grid is not self.divergence.grid and not np.array_equal(
@@ -417,7 +417,7 @@ def _mode_rows(problem: DiskProblem) -> tuple:
             rho[rows] if np.max(rho_top) else None, np.maximum(w_top, rho_top))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VelocitySolution:
     """Assembled velocity field for k in [-K, K]: node profiles and their kernel terms.
 
@@ -426,11 +426,11 @@ class VelocitySolution:
     holding mode k, built on first access.
     """
 
-    terms: ModeTerms = field(compare=False)
-    rows: tuple = field(compare=False)
+    terms: ModeTerms
+    rows: tuple
     far_field: FarField
     grid: RadialGrid
-    report: object = field(default=None, compare=False)
+    report: object = None
 
     def __post_init__(self):
         for values in self.rows:

@@ -40,7 +40,7 @@ _ZERO = np.zeros((1, 1), dtype=complex)
 _ZERO.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing radial nodes r0 = s_0 < s_1 < ... < s_M = rmax with r0 > 0.
 
@@ -100,7 +100,7 @@ class RadialGrid:
         return cls(nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Per-mode radial profiles f_k(s_j) for |k| <= K on a shared radial grid.
 
@@ -108,8 +108,8 @@ class SpectralField:
     physical fields satisfy f_{-k} = conj(f_k) at every node.  coeffs is
     read-only: a copy of the array given to the constructor, the array
     from_modes, add_modes and analyze build, or for zeros a zero-stride view.
-    _scanned is _scan of coeffs, taken when the field is made; repr and ==
-    ignore it.
+    _scanned is _scan of coeffs, taken when the field is made; repr ignores
+    it, and == is identity, as for every dataclass here that holds arrays.
     """
 
     grid: RadialGrid
@@ -173,7 +173,7 @@ class SpectralField:
         return SpectralField._taking(self.grid, self.K, coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryTrace:
     """Fourier coefficients (g_{r,k}, g_{phi,k}) of the boundary velocity, |k| <= K."""
 

@@ -40,7 +40,7 @@ __all__ = [
 _SKIP_BELOW = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentReport:
     """Per-mode moment residuals plus the circulation and flux residuals.
 

@@ -47,28 +47,36 @@ def _power(count, s, term) -> np.ndarray:
     return acc.reshape(-1, 2).sum(axis=1)
 
 
-def _radial_derivative(f, s) -> np.ndarray:
-    """np.gradient(f, s, axis=1) written out for the grid s, bit for bit, in about
-    a fifth less time on a 16 x 4000 complex band.
+def _radial_derivative(s):
+    """f -> np.gradient(f, s, axis=1) written out for the grid s, bit for bit, in about
+    a fifth less time on a 16 x 4000 complex band; the stencil is formed once, here.
 
     Inside, the three-point difference for uneven spacing (or the central
     difference when every spacing is exactly equal, as np.gradient does);
     one-sided first differences at the two ends.
     """
     d = np.diff(s)
-    out = np.empty(f.shape, dtype=np.result_type(f, float))
-    inner = out[:, 1:-1]
-    if np.all(d == d[0]):
-        np.subtract(f[:, 2:], f[:, :-2], out=inner)
-        inner /= 2.0 * d[0]
-    else:
+    uniform = bool(np.all(d == d[0]))
+    if not uniform:
         d1, d2 = d[:-1], d[1:]
-        np.multiply(-d2 / (d1 * (d1 + d2)), f[:, :-2], out=inner)
-        inner += ((d2 - d1) / (d1 * d2)) * f[:, 1:-1]
-        inner += (d1 / (d2 * (d1 + d2))) * f[:, 2:]
-    out[:, 0] = (f[:, 1] - f[:, 0]) / d[0]
-    out[:, -1] = (f[:, -1] - f[:, -2]) / d[-1]
-    return out
+        below, centre, above = (-d2 / (d1 * (d1 + d2)), (d2 - d1) / (d1 * d2),
+                                d1 / (d2 * (d1 + d2)))
+
+    def derivative(f):
+        out = np.empty(f.shape, dtype=np.result_type(f, float))
+        inner = out[:, 1:-1]
+        if uniform:
+            np.subtract(f[:, 2:], f[:, :-2], out=inner)
+            inner /= 2.0 * d[0]
+        else:
+            np.multiply(below, f[:, :-2], out=inner)
+            inner += centre * f[:, 1:-1]
+            inner += above * f[:, 2:]
+        out[:, 0] = (f[:, 1] - f[:, 0]) / d[0]
+        out[:, -1] = (f[:, -1] - f[:, -2]) / d[-1]
+        return out
+
+    return derivative
 
 
 def _volume_norm(power, s, weight=1.0) -> float:
@@ -169,6 +177,7 @@ def _velocity_densities(solution: VelocitySolution, gradient: bool = True,
     # rows of sums: deviation, then (k^2+1)-weighted squares, cross products, radial derivatives
     squares = np.array([weight, weight * (ks * ks + 1.0)])[: 1 + gradient]
     cross, vinf, width = 4.0 * weight * ks, _times(terms.vinf, factor), 2 * s.size
+    derivative = _radial_derivative(s)
 
     def part(bands):
         sums = np.zeros((3 * gradient + 1, width))
@@ -187,7 +196,7 @@ def _velocity_densities(solution: VelocitySolution, gradient: bool = True,
                     sums[2] += cross[band] @ cr
                     del sq, cr
                     for v in (u_r, u_phi):
-                        d = _radial_derivative(v, s).view(float)
+                        d = derivative(v).view(float)
                         d *= d
                         sums[3] += weight[band] @ d
                         del d
@@ -212,8 +221,8 @@ def _products(u_r, u_phi, sq, cr):
     np.multiply(a, a, out=sq)
     sq += b * b
     if cr is not None:
-        pairs = (len(a), -1, 2)
-        np.multiply(a.reshape(pairs), b.reshape(pairs)[..., ::-1], out=cr.reshape(pairs))
+        np.multiply(a[:, 0::2], b[:, 1::2], out=cr[:, 0::2])
+        np.multiply(a[:, 1::2], b[:, 0::2], out=cr[:, 1::2])
 
 
 def _velocity_norm(message: str, solution: VelocitySolution, norm_of) -> float:
@@ -239,9 +248,10 @@ def scalar_gradient_norm(field: SpectralField) -> float:
     s = field.grid.nodes
     ks = np.arange(-field.K, field.K + 1)[:, None]
     f = field.coeffs
+    derivative = _radial_derivative(s)
 
     def norm_of(factor):
-        power = (_power(len(ks), s, lambda band: _radial_derivative(_times(f[band], factor), s))
+        power = (_power(len(ks), s, lambda band: derivative(_times(f[band], factor)))
                  + _power(len(ks), s, lambda band: ks[band] * _times(f[band], factor) / s))
         return _volume_norm(power, s)
 

@@ -149,11 +149,13 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
         fn = bump(r) * [c_0(t) + Q_0(phi) + t Q_1(phi) + t^2 Q_2(phi)],
         Q_j(phi) = sum_{k >= 1} 2 Re(beta_kj e^{ik phi}).
 
-    r and phi are transformed at their own shapes: on a lattice of a radius
-    column and an angle row only the row is summed over the modes.  On
-    scattered points (r and phi of one shape) only the points inside the
-    bump's support are summed, and the others are exact zeros.  The values
-    are real unless c_0 has an imaginary part.
+    The angular sums take the unit vectors e^{i phi}.  r and phi are
+    transformed at their own shapes: on a lattice of a radius column and an
+    angle row only the row is summed over the modes.  On scattered points
+    (r and phi of one shape) only the points inside the bump's support are
+    summed, and the others are exact zeros.  fn._at_points(z) gives the
+    values at the complex points z, with e^{i phi} = z / |z| and no angle.
+    The values are real unless c_0 has an imaginary part.
     """
     top = max(len(modes) - 1, max(corrections, default=0))
     beta = np.zeros((top + 1, 3), dtype=complex)
@@ -166,40 +168,56 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
     weighted = beta.T.copy()
     weighted[:, 1:] *= 2.0
 
-    def angular_sums(phi):
-        """Re c_0 + (Q_0, Q_1, Q_2) at phi, one band of angles at a time."""
-        flat = phi.ravel()
+    def angular_sums(unit):
+        """Re c_0 + (Q_0, Q_1, Q_2) at the unit vectors e^{i phi}, one band at a time."""
+        flat = unit.ravel()
         q = np.empty((3, flat.size))
         for band in _bands(flat.size, top + 1):
-            e = np.exp(1j * flat[band])
+            e = flat[band]
             powers = np.empty((top + 1, e.size), dtype=complex)
             powers[0] = 1.0  # row k holds e^{ik phi}
             for k in range(1, top + 1):
                 np.multiply(powers[k - 1], e, out=powers[k])
             q[:, band] = (weighted @ powers).real
-        return q.reshape((3,) + phi.shape)
+        return q.reshape((3,) + unit.shape)
 
     c0 = beta[0].imag
 
-    def polynomial(r, phi):
+    def polynomial(r, unit):
         t = (2.0 * r - (lo + hi)) / (hi - lo)
-        q0, q1, q2 = angular_sums(phi)
+        q0, q1, q2 = angular_sums(unit)
         total = q0 + t * (q1 + t * q2)
         if c0.any():
             total = total + 1j * (c0[0] + t * (c0[1] + t * c0[2]))
         return total
 
+    def scattered(r, unit):
+        """Values at radii r; unit(inside) gives e^{i phi} at the points inside the support."""
+        bump = smooth_bump(r, lo, hi)
+        inside = bump != 0.0
+        out = np.zeros(r.shape, dtype=complex if c0.any() else float)
+        out[inside] = bump[inside] * polynomial(r[inside], unit(inside))
+        return out
+
     def fn(r, phi):
         r = np.asarray(r, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        bump = smooth_bump(r, lo, hi)
         if r.shape != phi.shape:  # separable: the polynomial sums the angle row once
-            return bump * polynomial(r, phi)
-        inside = bump != 0.0  # scattered points: sum only inside the support
-        out = np.zeros(r.shape, dtype=complex if c0.any() else float)
-        out[inside] = bump[inside] * polynomial(r[inside], phi[inside])
-        return out
+            return smooth_bump(r, lo, hi) * polynomial(r, np.exp(1j * phi))
+        return scattered(r, lambda inside: np.exp(1j * phi[inside]))
 
+    def at_points(z):
+        z = np.asarray(z, dtype=complex)
+        r = np.abs(z)
+
+        def unit(inside):
+            e = z[inside]  # a copy: each part divided by |z|, correctly rounded
+            e.view(float).reshape(-1, 2)[...] /= r[inside][:, None]
+            return e
+
+        return scattered(r, unit)
+
+    fn._at_points = at_points
     return fn
 
 
@@ -279,11 +297,11 @@ def random_admissible_exterior_problem(
     whose pullback reproduces W up to map round-trip rounding.
     """
     disk = random_admissible_problem(rng, grid, K, K_data=K_data, K_c=K_c, support=support)
-    w_disk_fn = disk.vorticity_fn
+    w_disk_at = disk.vorticity_fn._at_points
 
     def w_fn(points):
         z = m.forward(np.asarray(points, dtype=complex))
-        w = w_disk_fn(np.abs(z), np.angle(z))
+        w = w_disk_at(z)
         # |Phi'|^2 = 1 / |(Phi^-1)'(z)|^2, formed only where W != 0: at the
         # slit tips (Phi^-1)' = 0 and W = 0, and the value is an exact zero
         nonzero = w != 0.0

@@ -133,7 +133,7 @@ def _locate(nodes, r):
     return rc, idx, frac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CumulativeIntegral:
     """Prefix trapezoid integrals of a sampled integrand."""
 
@@ -166,7 +166,7 @@ def cumulative(nodes, integrand) -> CumulativeIntegral:
     return CumulativeIntegral(nodes, integrand, prefix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledIntegrals:
     """The scaled prefix or suffix table of the rows of an integrand, p_i = powers[i];
     sources, the arrays the integrand was formed from, stay in use with it."""
@@ -249,8 +249,9 @@ def _scaled_table(nodes, integrand, powers, suffix, table, span):
             if b < j1:  # past the data: the carried sum, rescaled
                 rest = max(a, b)
                 np.multiply(carry[:, None], inverse[:, rest - a :], out=out[:, rest + 1 : j1 + 1])
-        if suffix:
-            np.negative(out[:, first + 1 :], out=out[:, first + 1 :])
+        if suffix:  # out[:, first + 1 :], in the table's own column order, as floats
+            parts = table[band, : M - first - 1].view(float)
+            np.negative(parts, out=parts)
 
 
 def _scaled(nodes, integrand, powers, suffix, span, sources=()) -> ScaledIntegrals:

@@ -33,7 +33,7 @@ from .quadrature import _bands, _unfold, cumulative
 __all__ = ["StreamFunction", "solve_stream", "velocity_from_stream", "neumann_defect"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamFunction:
     """Per-mode stream profiles psi_k and their radial derivatives, a view of velocity.
 

@@ -407,3 +407,29 @@ def test_a_far_field_needs_a_band_with_modes_one():
         DiskProblem(zero, zero, BoundaryTrace.zeros(0), FarField(1.0, 0.0))
     solution = solve_disk(DiskProblem(zero, zero, BoundaryTrace.zeros(0)))
     assert solution.sample(2.0 + 0j) == 0j
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ compared the arrays with ==, so two equal grids
+    # raised ValueError and hash raised TypeError; == and hash are identity
+    from divcurl.conformal import ExteriorProblem, identity_map, solve_exterior
+    from divcurl.moments import moment_report
+    from divcurl.quadrature import cumulative
+    from divcurl.stream import solve_stream
+
+    def objects():
+        grid = RadialGrid.uniform(1.0, 4.0, 41)
+        w = SpectralField(grid, 2, np.zeros((5, 41)))
+        problem = DiskProblem(w, SpectralField.zeros(grid, 2), BoundaryTrace.zeros(2))
+        solution = solve_disk(problem)
+        ext = ExteriorProblem(identity_map(1.0), grid, 2)
+        return [grid, w, problem.boundary, problem, solution, solution.terms,
+                solution.terms.outer, cumulative(grid.nodes, grid.nodes + 0j),
+                moment_report(problem), ext, solve_exterior(ext),
+                solve_stream(w, FarField())]
+
+    assert len({type(a) for a in objects()}) == 12
+    for a, b in zip(objects(), objects()):
+        assert (a == b) is False and (a != b) is True, type(a)
+        assert (a == a) is True and hash(a) == hash(a) != hash(b), type(a)
+    assert FarField(1.0, 0.5) == FarField(1.0, 0.5)  # value equality stays

@@ -173,7 +173,7 @@ def test_radial_derivative_is_np_gradient_bit_for_bit(nodes):
     rng = np.random.default_rng(nodes.size)
     rows = rng.normal(size=(5, nodes.size)) + 1j * rng.normal(size=(5, nodes.size))
     for f in (rows, rows.real.copy()):
-        got = _radial_derivative(f, nodes)
+        got = _radial_derivative(nodes)(f)
         want = np.gradient(f, nodes, axis=1)
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(float), want.view(float))

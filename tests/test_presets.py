@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from divcurl.biot_savart import _volume_cells
+from divcurl.conformal import joukowski_map
 from divcurl.disk import FarField
-from divcurl.grids import RadialGrid, analyze, equispaced_angles
+from divcurl.grids import RadialGrid, analysis_angles, analyze, equispaced_angles, smooth_bump
 from divcurl.presets import (_closed_form, _random_modes, ellipse_potential_velocity, modal_field,
-                             random_admissible_problem)
+                             random_admissible_exterior_problem, random_admissible_problem)
 
 from helpers import reference_closed_form
 
@@ -65,6 +67,77 @@ def test_closed_form_matches_the_per_mode_sum(K_data, K_c):
             expected = np.asarray(ref(*ref_args), dtype=complex)
             assert value.shape == expected.shape
             assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def criterion_3_lattices():
+    """(radius column, angle row) of the K = 12 pullback on [1, 8] and of the oracle cells."""
+    grid = RadialGrid.uniform(1.0, 8.0, 1501)
+    radii, angles, _ = _volume_cells(grid, (1.8, 4.2), 160, 256)
+    return [(grid.nodes[:, None], analysis_angles(12)[None, :]), (radii, angles)]
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0], ids=["c=0.5", "slit"])
+def test_point_entry_matches_the_per_mode_sum_at_mapped_points(c):
+    # the exterior preset evaluates its disk data at z = Phi(p) from z / |z|,
+    # with no angle: the mode sum at (|z|, angle z) agrees to rounding and has
+    # the same zeros, on the pullback lattice and the oracle cells mapped to
+    # Omega and back
+    rng = np.random.default_rng(17)
+    lo, hi = 1.8, 4.2
+    modes = _random_modes(rng, 8, 1.0)
+    corrections = {k: complex(rng.normal(), rng.normal()) for k in range(13)}
+    m = joukowski_map(c, 1.0)
+    for real_c0 in (False, True):
+        if real_c0:
+            corrections[0] = corrections[0].real
+            modes[0] = (complex(modes[0][0].real), modes[0][1])
+        at_points = _closed_form(modes, corrections, lo, hi)._at_points
+        ref = reference_closed_form(modes, corrections, lo, hi)
+        for radii, angles in criterion_3_lattices():
+            z = m.forward(m.inverse(radii * np.exp(1j * angles)))
+            value = at_points(z)
+            expected = ref(np.abs(z), np.angle(z))
+            assert value.shape == z.shape and value.dtype == (float if real_c0 else complex)
+            assert np.array_equal(value == 0.0, expected == 0.0)
+            assert np.max(np.abs(value - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_exterior_preset_is_an_exact_zero_at_the_slit_tips():
+    # c = r0: (Phi^-1)' vanishes at the tips p = +-2 r0, where the data are
+    # zero; the preset divides by it only where its disk data are nonzero
+    m = joukowski_map(1.0, 1.0)
+    grid = RadialGrid.uniform(1.0, 8.0, 1501)
+    ext = random_admissible_exterior_problem(np.random.default_rng(5), m, grid, 12, K_data=8,
+                                             K_c=12, support=(1.8, 4.2))
+    assert np.array_equal(ext.vorticity_fn(np.array([2.0, -2.0, 2.0 - 0j])), np.zeros(3))
+    (nodes, angles), _ = criterion_3_lattices()
+    values = ext.vorticity_fn(m.inverse(nodes * np.exp(1j * angles)))
+    assert np.all(np.isfinite(values)) and np.all(values[0] == 0.0)
+
+
+def test_separable_path_sums_the_angle_row_as_before():
+    # on a radius column and an angle row the (r, phi) entry forms e^{i phi}
+    # = exp(1j phi) on the row and builds its powers by products, as it did
+    # when the angular sums took angles: the criterion-3 values keep their bits
+    rng = np.random.default_rng(19)
+    lo, hi = 1.8, 4.2
+    modes = _random_modes(rng, 8, 1.0)
+    corrections = {k: rng.normal() for k in range(13)}
+    weighted = np.zeros((3, 13), dtype=complex)
+    for k, (amp, a) in enumerate(modes):
+        weighted[:, k] = amp * np.asarray(a)
+    for k, lam in corrections.items():
+        weighted[0, k] += lam
+    weighted[:, 1:] *= 2.0
+    fn = _closed_form(modes, corrections, lo, hi)
+    for radii, angles in criterion_3_lattices():
+        powers = np.ones((13, angles.size), dtype=complex)
+        for k in range(1, 13):
+            powers[k] = powers[k - 1] * np.exp(1j * angles.ravel())
+        q0, q1, q2 = (weighted @ powers).real.reshape((3,) + angles.shape)
+        t = (2.0 * radii - (lo + hi)) / (hi - lo)
+        expected = smooth_bump(radii, lo, hi) * (q0 + t * (q1 + t * q2))
+        assert np.array_equal(fn(radii, angles), expected)
 
 
 def test_ellipse_potential_velocity_agrees_on_both_sides_of_the_real_axis():
