@@ -13,7 +13,7 @@ from .conformal import ConformalMap, ExteriorProblem
 from .disk import DiskProblem, FarField
 from .grids import BoundaryTrace, RadialGrid, SpectralField, smooth_bump
 from .moments import _with_corrections, admissibility_corrections
-from .quadrature import _bands, cumulative
+from .quadrature import cumulative
 
 __all__ = [
     "modal_field",
@@ -139,6 +139,10 @@ def _mode_profiles(modes, lo: float, hi: float) -> dict:
     return fns
 
 
+# unit vectors per band of the angular sums: 416 KB of powers when top = 12
+_SUM_POINTS = 2048
+
+
 def _closed_form(modes, corrections: dict, lo: float, hi: float):
     """Vectorized fn(r, phi) of the conjugate-symmetric polynomial-bump modes.
 
@@ -168,17 +172,25 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
     weighted = beta.T.copy()
     weighted[:, 1:] *= 2.0
 
+    split = np.concatenate([weighted.real, -weighted.imag])  # rows Re w, then -Im w
+
     def angular_sums(unit):
-        """Re c_0 + (Q_0, Q_1, Q_2) at the unit vectors e^{i phi}, one band at a time."""
+        """Re c_0 + (Q_0, Q_1, Q_2) at the unit vectors e^{i phi}, _SUM_POINTS at a time.
+
+        Re(w e^{ik phi}) = Re w Re e^{ik phi} - Im w Im e^{ik phi} is one real product
+        with the float view of the powers, which OpenBLAS forms about three times
+        faster than the complex product with three rows.
+        """
         flat = unit.ravel()
         q = np.empty((3, flat.size))
-        for band in _bands(flat.size, top + 1):
-            e = flat[band]
+        for i in range(0, flat.size, _SUM_POINTS):
+            e = flat[i:i + _SUM_POINTS]
             powers = np.empty((top + 1, e.size), dtype=complex)
             powers[0] = 1.0  # row k holds e^{ik phi}
             for k in range(1, top + 1):
                 np.multiply(powers[k - 1], e, out=powers[k])
-            q[:, band] = (weighted @ powers).real
+            parts = split @ powers.view(float)
+            np.add(parts[:3, 0::2], parts[3:, 1::2], out=q[:, i:i + _SUM_POINTS])
         return q.reshape((3,) + unit.shape)
 
     c0 = beta[0].imag
@@ -211,8 +223,9 @@ def _closed_form(modes, corrections: dict, lo: float, hi: float):
         r = np.abs(z)
 
         def unit(inside):
-            e = z[inside]  # a copy: each part divided by |z|, correctly rounded
-            e.view(float).reshape(-1, 2)[...] /= r[inside][:, None]
+            e, ri = z[inside], r[inside]  # e a copy: each part divided by |z|, correctly rounded
+            e.real /= ri
+            e.imag /= ri
             return e
 
         return scattered(r, unit)
